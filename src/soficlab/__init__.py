@@ -24,9 +24,10 @@ from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      join, lift, min_subcover, origin_partition, partial_cover_count,
                      partial_cover_count_of, partitions_refining, pullback,
                      pullback_iterate, refines, shannon_entropy, trivial_cover)
-from .microstates import (ComparisonPlan, MeasureFilter, MicrostateSet, count_cover,
-                          enumerate_microstates, enumerate_microstates_both,
-                          filter_microstates, microstate_check, zero_defect_delta)
+from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, MicrostateSet,
+                          count_cover, count_microstates, enumerate_microstates,
+                          enumerate_microstates_both, filter_microstates, microstate_check,
+                          zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,
                       PairScanReport, PartitionCountResult, VariationalReport,
                       amenable_measure_trace, amenable_topological_trace,

@@ -25,7 +25,7 @@ from .entropy import (NEG_INF, amenable_measure_trace, amenable_topological_trac
                       sofic_topological_trace)
 from .errors import ResourceBudgetError, SoficLabError, SpecError
 from .groups import FiniteSubset, folner_set
-from .microstates import MeasureFilter, count_cover, enumerate_microstates_both
+from .microstates import MeasureFilter, count_microstates
 from .sofic import freeness_defect, mult_defect
 from .specfile import (build_cover, build_measure, build_pattern, build_sigma,
                        build_system, build_test_functions, cross_validate,
@@ -142,14 +142,14 @@ def _task_microstates(system, spec, params, writer, budget):
         for n in params["stages"]:
             sigma = build_sigma(system, params["sigma"], stage_value=n)
             try:
-                inner, outer = enumerate_microstates_both(
-                    system, F, delta, sigma, window, measure_filter=mf, budget=budget)
+                counts, _ = count_microstates(system, F, delta, sigma, window, cover,
+                                              measure_filter=mf, budget=budget)
             except ResourceBudgetError as exc:
                 raise ResourceBudgetError(
                     f"stage d={sigma.d}, delta={float(delta)}: {exc}",
                     dp_prunable=exc.dp_prunable) from exc
-            rows.append((sigma.d, len(inner), len(outer),
-                         count_cover(inner, cover), count_cover(outer, cover)))
+            rows.append((sigma.d, counts.m_inner, counts.m_outer,
+                         counts.n_inner, counts.n_outer))
     writer.csv("microstates", ("d", "m_inner", "m_outer", "n_inner", "n_outer"), rows)
     return 0, []
 

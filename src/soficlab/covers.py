@@ -238,6 +238,10 @@ def _greedy_cover(sets, universe):
     return chosen
 
 
+class _SearchBudget(Exception):
+    """exact_min_cover ran out of nodes; it falls back to the greedy bound."""
+
+
 def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCoverResult:
     """Exact minimum set cover via branch and bound.
 
@@ -283,7 +287,7 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise _Budget()
+            raise _SearchBudget()
         if not remaining:
             if len(chosen) < best["count"]:
                 best["count"] = len(chosen)
@@ -300,14 +304,13 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
                 continue
             dfs(remaining - work[i], chosen + [i])
 
-    class _Budget(Exception):
-        pass
-
     try:
         dfs(frozenset(universe), [])
-    except _Budget:
+    except _SearchBudget:
         return MinCoverResult(len(greedy),
                               tuple(index_map[i] for i in greedy), False)
+    finally:
+        del dfs  # dfs reaches itself through its closure: break the cycle
     return MinCoverResult(best["count"],
                           tuple(index_map[i] for i in best["witness"]),
                           best["exact"])
@@ -506,5 +509,8 @@ def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_
         dfs(idx + 1, chosen_union | sets[idx], count + 1)
         dfs(idx + 1, chosen_union, count)
 
-    dfs(0, frozenset(), 0)
+    try:
+        dfs(0, frozenset(), 0)
+    finally:
+        del dfs  # dfs reaches itself through its closure: break the cycle
     return best["count"]

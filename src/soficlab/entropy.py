@@ -17,9 +17,9 @@ from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcov
                      pullback_iterate, shannon_entropy)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import FiniteSubset, FolnerSequence
-from .microstates import (MeasureFilter, MicrostateSet, count_cover,
-                          enumerate_microstates_both, filter_microstates)
-from .symbolic import SymbolicSystem, Window, as_fraction, integrate
+from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _language_indices,
+                          _passes, count_cover, count_microstates, filter_microstates)
+from .symbolic import SymbolicSystem, Window, as_fraction
 
 NEG_INF = float("-inf")
 
@@ -75,9 +75,17 @@ class EntropyTrace:
         return max(vals) if vals else NEG_INF
 
 
+def _exact_count(result) -> int:
+    """The count of a MinCoverResult; a greedy upper bound is a budget cut."""
+    if not result.exact:
+        raise ResourceBudgetError("minimal subcover search budget exceeded",
+                                  upper_bound=result.count)
+    return result.count
+
+
 def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     delta = as_fraction(delta)
-    n_cover = min_subcover(cover).count
+    n_cover = _exact_count(min_subcover(cover))
     trace = EntropyTrace(
         kind=kind,
         cover_label=",".join(cover.labels),
@@ -87,12 +95,9 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     )
     for stage, sigma in enumerate(maps):
         try:
-            inner, outer = enumerate_microstates_both(
-                system, F, delta, sigma, window,
-                measure_filter=measure_filter, budget=budget,
-            )
-            ci = count_cover(inner, cover)
-            co = count_cover(outer, cover)
+            counts, _ = count_microstates(system, F, delta, sigma, window, cover,
+                                          measure_filter=measure_filter, budget=budget)
+            ci, co = counts.n_inner, counts.n_outer
             row = TraceRow(stage, sigma.d, ci, co,
                            stage_value(ci, sigma.d), stage_value(co, sigma.d))
             if ci > co:
@@ -148,12 +153,12 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|}, is asserted exactly.
     """
     folner = FolnerSequence(system.group)
-    n_cover = min_subcover(cover, budget=budget).count
+    n_cover = _exact_count(min_subcover(cover, budget=budget))
     trace = AmenableTrace("amenable-topological", ",".join(cover.labels))
     for n in ns:
         F = folner(n)
         vf = pullback_iterate(cover, F, budget=budget)
-        count = min_subcover(vf, budget=budget).count
+        count = _exact_count(min_subcover(vf, budget=budget))
         if count > n_cover ** len(F):
             raise ArgumentError("N(U_F, X) exceeded N(U, X)^|F| (bug)")
         trace.rows.append(AmenableRow(n, len(F), count,
@@ -175,7 +180,7 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
     for n in ns:
         F = folner(n)
         vf = pullback_iterate(cover, F, budget=budget)
-        count = min_subcover(vf, budget=budget).count
+        count = _exact_count(min_subcover(vf, budget=budget))
         h = cover_entropy(measure, vf, budget=budget).value
         value = h / len(F)
         if not -1e-12 <= value <= bound + 1e-9:
@@ -208,31 +213,23 @@ def select_dominant_measure(M: MicrostateSet, candidates, L, delta, cover: Cover
     """
     if not candidates:
         raise ArgumentError("need at least one candidate measure")
-    delta = as_fraction(delta)
     L = tuple(L)
-    expectations = []
-    for nu in candidates:
-        expectations.append([integrate(nu, f) for f in L])
+    filters = [MeasureFilter.build(nu, L, delta) for nu in candidates]
 
     uncovered = []
     if L:
-        proj = []
         for f in L:
             for g in f.window.elements:
                 if g not in M.window.index:
                     raise ArgumentError("test function exceeds microstate window")
-            proj.append([M.window.index[g] for g in f.window.elements])
-        for t in M.tuples:
-            emp = []
-            for f, pr in zip(L, proj):
-                s = sum((f(tuple(x[i] for i in pr)) for x in t), Fraction(0))
-                emp.append(s / M.d)
-            near = any(
-                all(abs(e - ex) < delta for e, ex in zip(emp, exp))
-                for exp in expectations
-            )
-            if not near:
-                uncovered.append(tuple(float(e) for e in emp))
+        lang = M.system.language_values(M.window)
+        tables = [_filter_tables(M.window, lang, mf, M.d) for mf in filters]
+        # a tuple is near a candidate exactly when it passes that candidate's
+        # filter: |(1/d) sum_i f(x_i) - nu(f)| < delta for every f in L
+        for indices in _language_indices(M):
+            if not any(_passes(t, indices) for t in tables):
+                uncovered.append(tuple(float(Fraction(f.total(indices), f.scale * M.d))
+                                       for f in tables[0]))
     net_ok = not uncovered
     if require_net and not net_ok:
         raise ArgumentError(
@@ -241,10 +238,7 @@ def select_dominant_measure(M: MicrostateSet, candidates, L, delta, cover: Cover
         )
 
     unfiltered = count_cover(M, cover)
-    counts = []
-    for nu in candidates:
-        filtered = filter_microstates(M, MeasureFilter.build(nu, L, delta))
-        counts.append(count_cover(filtered, cover))
+    counts = [count_cover(filter_microstates(M, mf), cover) for mf in filters]
     winner = max(range(len(candidates)), key=lambda i: (counts[i], -i))
     bound = -(-unfiltered // len(candidates))  # ceil division
     if net_ok and counts[winner] < bound:
@@ -313,7 +307,10 @@ def partition_count_bound(lam_size: int, p, eta, eps) -> PartitionCountResult:
         for a in range(lo, min(hi, lam_size - used) + 1):
             rec(k + 1, used + a, partial * math.comb(lam_size - used, a))
 
-    rec(0, 0, 1)
+    try:
+        rec(0, 0, 1)
+    finally:
+        del rec  # rec reaches itself through its closure: break the cycle
     entropy = -sum(float(q) * math.log(q) for q in probs)
     log_bound = lam_size * (entropy + 2 * float(eps))
     log_count = log_big(total) if total else NEG_INF
@@ -361,15 +358,13 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
     ok = True
     for delta in deltas:
         delta = as_fraction(delta)
+        filters = [MeasureFilter.build(mu, L, delta) for _, mu in measures]
         for stage, sigma in enumerate(maps):
-            inner_u, outer_u = enumerate_microstates_both(
-                system, F, delta, sigma, window, budget=budget)
-            cui = count_cover(inner_u, cover)
-            cuo = count_cover(outer_u, cover)
-            for label, mu in measures:
-                mf = MeasureFilter.build(mu, L, delta)
-                cfi = count_cover(filter_microstates(inner_u, mf), cover)
-                cfo = count_cover(filter_microstates(outer_u, mf), cover)
+            unfiltered, filtered = count_microstates(system, F, delta, sigma, window, cover,
+                                                     filters=filters, budget=budget)
+            cui, cuo = unfiltered.n_inner, unfiltered.n_outer
+            for (label, mu), counts in zip(measures, filtered):
+                cfi, cfo = counts.n_inner, counts.n_outer
                 ordered = cfi <= cui and cfo <= cuo
                 ok = ok and ordered
                 vu = stage_value(cuo, sigma.d)

@@ -82,6 +82,20 @@ def multiply(group: Group, g, h):
     return group.multiply(group.coerce(g), group.coerce(h))
 
 
+def _sphere(dim: int, rem: int):
+    """All integer vectors of length dim with L1 norm rem."""
+    if dim == 1:
+        if rem == 0:
+            yield (0,)
+        else:
+            yield (-rem,)
+            yield (rem,)
+        return
+    for a in range(-rem, rem + 1):
+        for rest in _sphere(dim - 1, rem - abs(a)):
+            yield (a,) + rest
+
+
 class LatticeGroup(Group):
     """The integer lattice Z^k with standard generators and their inverses."""
 
@@ -134,25 +148,8 @@ class LatticeGroup(Group):
     def enumerate_elements(self):
         r = 0
         while True:
-            yield from sorted(self._sphere(r))
+            yield from sorted(_sphere(self.rank, r))
             r += 1
-
-    def _sphere(self, radius: int):
-        """All vectors with L1 norm equal to ``radius``."""
-
-        def rec(dim, rem):
-            if dim == 1:
-                if rem == 0:
-                    yield (0,)
-                else:
-                    yield (-rem,)
-                    yield (rem,)
-                return
-            for a in range(-rem, rem + 1):
-                for rest in rec(dim - 1, rem - abs(a)):
-                    yield (a,) + rest
-
-        return rec(self.rank, radius)
 
     def element_name(self, g) -> str:
         if self.rank == 1:
@@ -261,6 +258,19 @@ class FiniteTableGroup(Group):
         return cls(table, generators=generators)
 
 
+def _reduced_words(letters, length: int, prefix):
+    """Reduced words of the given length extending prefix (a list of letters)."""
+    if len(prefix) == length:
+        yield tuple(prefix)
+        return
+    for a in letters:
+        if prefix and prefix[-1] == -a:
+            continue
+        prefix.append(a)
+        yield from _reduced_words(letters, length, prefix)
+        prefix.pop()
+
+
 class FreeGroup(Group):
     """The free group F_r; elements are reduced words stored eagerly reduced."""
 
@@ -331,19 +341,7 @@ class FreeGroup(Group):
         if length == 0:
             yield ()
             return
-
-        def rec(prefix):
-            if len(prefix) == length:
-                yield tuple(prefix)
-                return
-            for a in letters:
-                if prefix and prefix[-1] == -a:
-                    continue
-                prefix.append(a)
-                yield from rec(prefix)
-                prefix.pop()
-
-        yield from rec([])
+        yield from _reduced_words(letters, length, [])
 
     def parse(self, text: str):
         """Parse words like 'a.b^-1.a' ('e' is the identity)."""

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import FiniteSubset
@@ -57,7 +58,11 @@ class MicrostateSet:
         return len(self.tuples)
 
     def __contains__(self, t):
-        return tuple(tuple(x) for x in t) in set(self.tuples)
+        return tuple(tuple(x) for x in t) in self._members
+
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.tuples)
 
     def __repr__(self):
         tag = "filtered " if self.filtered else ""
@@ -155,8 +160,30 @@ def microstate_check(system: SymbolicSystem, patterns, F, delta, sigma,
     return True
 
 
-def _filter_tables(system, window, measure_filter, d):
-    """Per-function lookup of f on restricted patterns plus strict bounds."""
+@dataclass(frozen=True)
+class _ScaledFunction:
+    """One test function of a measure filter, rescaled to integers.
+
+    values[c] is f on language pattern c times scale, where scale is the
+    common denominator of the f-values and of the bounds.  A tuple passes
+    when lo < sum of its values < hi, i.e. d (mu(f) - delta) < sum_i f(x_i)
+    < d (mu(f) + delta); low and high are the scaled extremes of f, for the
+    feasibility cut of a partial sum.
+    """
+
+    values: tuple
+    lo: int
+    hi: int
+    low: int
+    high: int
+    scale: int
+
+    def total(self, indices) -> int:
+        return sum(map(self.values.__getitem__, indices))
+
+
+def _filter_tables(window, lang, measure_filter, d):
+    """The filter's test functions as integer tables over the window language."""
     from .symbolic import integrate
 
     tables = []
@@ -168,21 +195,40 @@ def _filter_tables(system, window, measure_filter, d):
                 )
         proj = [window.index[g] for g in f.window.elements]
         mu_f = integrate(measure_filter.measure, f)
-        lo = d * (mu_f - measure_filter.delta)
-        hi = d * (mu_f + measure_filter.delta)
-        tables.append({
-            "proj": proj,
-            "f": f,
-            "lo": lo,
-            "hi": hi,
-            "min": f.min_value,
-            "max": f.max_value,
-        })
+        exact = [f(tuple(v[i] for i in proj)) for v in lang]
+        bounds = [d * (mu_f - measure_filter.delta), d * (mu_f + measure_filter.delta),
+                  f.min_value, f.max_value]
+        scale = math.lcm(*(q.denominator for q in exact + bounds))
+        lo, hi, low, high = (int(q * scale) for q in bounds)
+        tables.append(_ScaledFunction(tuple(int(q * scale) for q in exact),
+                                      lo, hi, low, high, scale))
     return tables
 
 
-def _f_value(table, values):
-    return table["f"](tuple(values[i] for i in table["proj"]))
+def _passes(tables, indices) -> bool:
+    for t in tables:
+        if not t.lo < t.total(indices) < t.hi:
+            return False
+    return True
+
+
+def _language_indices(M: MicrostateSet):
+    """Each microstate of M as a list of indices into the window language."""
+    index = {v: c for c, v in enumerate(M.system.language_values(M.window))}
+    return [[index[x] for x in t] for t in M.tuples]
+
+
+def _cell_table(window, lang, cover: Cover):
+    """Cell of a partition cover holding each language pattern, by index."""
+    for g in cover.window.elements:
+        if g not in window.index:
+            raise ArgumentError("cover window must sit inside the microstate window")
+    proj = [window.index[g] for g in cover.window.elements]
+    owner = {v: idx for idx, e in enumerate(cover.elements) for v in e}
+    try:
+        return tuple(owner[tuple(v[i] for i in proj)] for v in lang)
+    except KeyError as exc:
+        raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
 
 
 def enumerate_microstates(system: SymbolicSystem, F, delta, sigma,
@@ -201,6 +247,14 @@ def enumerate_microstates(system: SymbolicSystem, F, delta, sigma,
     raise ArgumentError(f"unknown mode {mode!r}")
 
 
+def _stage(system, F, delta, sigma, window):
+    """Validated delta, comparison plan and window language of one stage."""
+    delta = as_fraction(delta)
+    if delta <= 0:
+        raise ArgumentError("delta must be positive")
+    return delta, ComparisonPlan(system, window, F), system.language_values(window)
+
+
 def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
                                window: Window,
                                measure_filter: MeasureFilter = None,
@@ -211,19 +265,117 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
     strategy 'pruned' walks tuples depth-first, cutting as soon as a partial
     outer sum crosses the threshold (sums only grow); 'naive' scans the full
     product space and is kept as a cross-check oracle for small instances.
+    On a budget cut the error's partial holds the tuples found so far.
     """
-    delta = as_fraction(delta)
-    if delta <= 0:
-        raise ArgumentError("delta must be positive")
-    d = sigma.d
-    plan = ComparisonPlan(system, window, F)
-    lang = system.language_values(window)
+    delta, plan, lang = _stage(system, F, delta, sigma, window)
+    inner_out = []
+    outer_out = []
+    if lang:
+        prune = (_filter_tables(window, lang, measure_filter, sigma.d)
+                 if measure_filter is not None else ())
+
+        def leaf(indices, inner_ok):
+            t = tuple(map(lang.__getitem__, indices))
+            outer_out.append(t)
+            if inner_ok:
+                inner_out.append(t)
+
+        try:
+            _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget)
+        except ResourceBudgetError as exc:
+            exc.partial = (tuple(inner_out), tuple(outer_out))
+            raise
+        inner_out.sort()
+        outer_out.sort()
+    base = dict(system=system, window=window, d=sigma.d, F=plan.shifts, delta=delta,
+                sigma_provenance=sigma.provenance,
+                filtered=measure_filter is not None)
+    return (MicrostateSet(mode="inner", tuples=tuple(inner_out), **base),
+            MicrostateSet(mode="outer", tuples=tuple(outer_out), **base))
+
+
+@dataclass(frozen=True)
+class MicrostateCounts:
+    """Sizes m and cover counts N(U^d, .) of one stage's microstate sets."""
+
+    m_inner: int
+    m_outer: int
+    n_inner: int
+    n_outer: int
+
+
+class _Tally:
+    """Running counts of the microstates passing one list of filter tables."""
+
+    __slots__ = ("tables", "m_inner", "m_outer", "inner", "outer")
+
+    def __init__(self, tables):
+        self.tables = tables
+        self.m_inner = self.m_outer = 0
+        self.inner = set()  # cell signatures
+        self.outer = set()
+
+    def counts(self) -> MicrostateCounts:
+        return MicrostateCounts(self.m_inner, self.m_outer,
+                                len(self.inner), len(self.outer))
+
+
+def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
+                      cover: Cover, measure_filter: MeasureFilter = None, filters=(),
+                      budget: int = DEFAULT_NODE_BUDGET):
+    """Counts of one stage's microstate sets, in both certified modes.
+
+    The set is the one enumerate_microstates_both returns (measure_filter
+    prunes the scan the same way).  Returns (counts, filtered), where
+    filtered[k] counts the part of the set that also passes filters[k].
+
+    Partition covers are counted in a single streaming scan: each microstate
+    reaches the counter as language indices, its cell signature is read off
+    a precomputed index -> cell table, and only the set of signatures is
+    kept.  General covers need the tuples for the exact set-cover search,
+    so they are enumerated, filtered and counted by count_cover.
+    """
+    if not cover.is_partition:
+        inner, outer = enumerate_microstates_both(
+            system, F, delta, sigma, window, measure_filter=measure_filter, budget=budget)
+        sets = [(inner, outer)] + [(filter_microstates(inner, f), filter_microstates(outer, f))
+                                   for f in filters]
+        counts = [MicrostateCounts(len(i), len(o), count_cover(i, cover), count_cover(o, cover))
+                  for i, o in sets]
+        return counts[0], tuple(counts[1:])
+
+    delta, plan, lang = _stage(system, F, delta, sigma, window)
     if not lang:
-        base = dict(system=system, window=window, d=d, F=plan.shifts, delta=delta,
-                    sigma_provenance=sigma.provenance,
-                    filtered=measure_filter is not None)
-        return (MicrostateSet(mode="inner", tuples=(), **base),
-                MicrostateSet(mode="outer", tuples=(), **base))
+        empty = MicrostateCounts(0, 0, 0, 0)
+        return empty, (empty,) * len(filters)
+    d = sigma.d
+    cell = _cell_table(window, lang, cover)
+    prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else ()
+    tallies = [_Tally(())] + [_Tally(_filter_tables(window, lang, f, d)) for f in filters]
+
+    def leaf(indices, inner_ok):
+        signature = tuple(map(cell.__getitem__, indices))
+        for tally in tallies:
+            if _passes(tally.tables, indices):
+                tally.m_outer += 1
+                tally.outer.add(signature)
+                if inner_ok:
+                    tally.m_inner += 1
+                    tally.inner.add(signature)
+
+    _scan(plan, lang, delta, sigma, prune, leaf, "pruned", budget)
+    return tallies[0].counts(), tuple(t.counts() for t in tallies[1:])
+
+
+def _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget):
+    """Call leaf(indices, inner_ok) on every certified-outer microstate.
+
+    indices lists the microstate's patterns as indices into lang (the list
+    may be reused after the call); inner_ok says whether it is also
+    certified-inner.  Microstates failing the integer filter tables in
+    prune are skipped.
+    """
+    d = sigma.d
     perms = [sigma.image_array(s) for s in plan.shifts]
     n_shifts = len(plan.shifts)
     threshold = d * delta * delta * plan.scale * plan.scale
@@ -248,14 +400,6 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
             pen_cache[key] = hit
         return hit
 
-    tables = (_filter_tables(system, window, measure_filter, d)
-              if measure_filter is not None else [])
-    fvals = []
-    for table in tables:
-        fvals.append([_f_value(table, v) for v in lang])
-
-    inner_out = []
-    outer_out = []
     if strategy == "naive":
         if len(lang) ** d > budget:
             raise ResourceBudgetError(
@@ -271,39 +415,17 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
                     po, pi_ = penalties(s_index, combo[i], combo[int(perm[i])])
                     sums_out[s_index] += po
                     sums_in[s_index] += pi_
-            ok_out = all(v * t_den < t_num for v in sums_out)
-            ok_in = all(v * t_den < t_num for v in sums_in)
-            if not ok_out:
-                continue
-            if tables and not _passes_filter(tables, fvals, combo):
-                continue
-            t = tuple(lang[c] for c in combo)
-            outer_out.append(t)
-            if ok_in:
-                inner_out.append(t)
+            if all(v * t_den < t_num for v in sums_out) and _passes(prune, combo):
+                leaf(combo, all(v * t_den < t_num for v in sums_in))
     elif strategy == "pruned":
-        _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
-                     tables, fvals, inner_out, outer_out, budget)
+        _pruned_scan(len(lang), d, n_shifts, terms_at, penalties, t_num, t_den,
+                     prune, leaf, budget)
     else:
         raise ArgumentError(f"unknown strategy {strategy!r}")
 
-    base = dict(system=system, window=window, d=d, F=plan.shifts, delta=delta,
-                sigma_provenance=sigma.provenance,
-                filtered=measure_filter is not None)
-    return (MicrostateSet(mode="inner", tuples=tuple(inner_out), **base),
-            MicrostateSet(mode="outer", tuples=tuple(outer_out), **base))
 
-
-def _passes_filter(tables, fvals, combo):
-    for table, vals in zip(tables, fvals):
-        total = sum((vals[c] for c in combo), Fraction(0))
-        if not (table["lo"] < total < table["hi"]):
-            return False
-    return True
-
-
-def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
-                 tables, fvals, inner_out, outer_out, budget):
+def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
+                 prune, leaf, budget):
     """Depth-first tuple scan.
 
     At each position the first pending constraint drives candidate order:
@@ -311,11 +433,10 @@ def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
     partner pattern, so the scan breaks out of a position as soon as the
     cheapest remaining candidate would cross the (monotone) threshold.
     """
-    n_lang = len(lang)
     assign = [0] * d
     sums_out = [0] * n_shifts
     sums_in = [0] * n_shifts
-    fsums = [Fraction(0)] * len(tables)
+    fsums = [0] * len(prune)
     nodes = 0
     free_list = [(0, 0, c) for c in range(n_lang)]
     sorted_cache = {}
@@ -340,21 +461,17 @@ def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
 
     def feasible_filters(depth):
         remaining = d - depth
-        for k, table in enumerate(tables):
-            total = fsums[k]
-            if not (table["lo"] < total + remaining * table["max"]):
+        for total, table in zip(fsums, prune):
+            if not table.lo < total + remaining * table.high:
                 return False
-            if not (total + remaining * table["min"] < table["hi"]):
+            if not total + remaining * table.low < table.hi:
                 return False
         return True
 
     def rec(pos):
         nonlocal nodes
         if pos == d:
-            t = tuple(lang[c] for c in assign)
-            outer_out.append(t)
-            if all(v * t_den < t_num for v in sums_in):
-                inner_out.append(t)
+            leaf(assign, max(sums_in) * t_den < t_num)  # penalties are >= 0
             return
         terms = terms_at[pos]
         if terms:
@@ -373,11 +490,8 @@ def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
         for po0, pi0, c in cands:
             nodes += 1
             if nodes > budget:
-                raise ResourceBudgetError(
-                    "microstate enumeration budget exceeded",
-                    partial=(tuple(inner_out), tuple(outer_out)),
-                    dp_prunable=True,
-                )
+                raise ResourceBudgetError("microstate enumeration budget exceeded",
+                                          dp_prunable=True)
             if s0 is not None:
                 if not (sums_out[s0] + po0) * t_den < t_num:
                     break  # candidates are sorted: all later ones bust too
@@ -394,13 +508,13 @@ def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
                 if not sums_out[s_index] * t_den < t_num:
                     ok = False
                     break
-            if ok and tables:
-                for k in range(len(tables)):
-                    fsums[k] += fvals[k][c]
+            if ok and prune:
+                for k, table in enumerate(prune):
+                    fsums[k] += table.values[c]
                 if feasible_filters(pos + 1):
                     rec(pos + 1)
-                for k in range(len(tables)):
-                    fsums[k] -= fvals[k][c]
+                for k, table in enumerate(prune):
+                    fsums[k] -= table.values[c]
             elif ok:
                 rec(pos + 1)
             for s_index, po, pi_ in added:
@@ -411,27 +525,21 @@ def _pruned_scan(lang, d, n_shifts, terms_at, penalties, t_num, t_den,
                 sums_in[s0] -= pi0
         assign[pos] = 0
 
-    rec(0)
-    inner_out.sort()
-    outer_out.sort()
+    try:
+        rec(0)
+    finally:
+        del rec  # rec reaches itself through its closure: break the cycle
 
 
 def filter_microstates(M: MicrostateSet, measure_filter: MeasureFilter) -> MicrostateSet:
     """Apply the empirical-average filter to an already enumerated set."""
-    tables = _filter_tables(M.system, M.window, measure_filter, M.d)
-    kept = []
-    for t in M.tuples:
-        ok = True
-        for table in tables:
-            total = sum((_f_value(table, x) for x in t), Fraction(0))
-            if not (table["lo"] < total < table["hi"]):
-                ok = False
-                break
-        if ok:
-            kept.append(t)
+    tables = _filter_tables(M.window, M.system.language_values(M.window),
+                            measure_filter, M.d)
+    kept = tuple(t for t, indices in zip(M.tuples, _language_indices(M))
+                 if _passes(tables, indices))
     return MicrostateSet(
         system=M.system, window=M.window, d=M.d, F=M.F, delta=M.delta,
-        mode=M.mode, tuples=tuple(kept), sigma_provenance=M.sigma_provenance,
+        mode=M.mode, tuples=kept, sigma_provenance=M.sigma_provenance,
         filtered=True,
     )
 

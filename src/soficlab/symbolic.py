@@ -299,7 +299,10 @@ class SymbolicSystem:
                     rec(j + 1)
                 values[j] = None
 
-        rec(0)
+        try:
+            rec(0)
+        finally:
+            del rec  # rec reaches itself through its closure: break the cycle
         result = tuple(out)
         self._language_cache[key] = result
         return result

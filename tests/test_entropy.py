@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from soficlab import (ArgumentError, BernoulliMeasure, FiniteSubset, NEG_INF,
+from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, NEG_INF,
+                      ResourceBudgetError, min_subcover,
                       TestFunction, amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, count_cover,
                       cyclic_model, entropy_pair_scan, enumerate_microstates,
@@ -140,6 +141,22 @@ def test_amenable_golden_mean_fibonacci(gm, gm_origin):
 def test_amenable_trivial_cover_zero(fs):
     tr = amenable_topological_trace(fs, trivial_cover(fs, fs.window([0])), [3, 5])
     assert all(r.value == 0.0 for r in tr.rows)
+
+
+def test_amenable_traces_refuse_greedy_cover_bound(fs, fair):
+    """A budget-cut minimal subcover is an upper bound, never a count."""
+    w = fs.interval_window(0, 1)
+    cover = Cover(fs, w, [[("0", "0"), ("0", "1")], [("0", "1"), ("1", "0")],
+                          [("1", "0"), ("1", "1")], [("1", "1"), ("0", "0")]])
+    greedy = min_subcover(cover, budget=0)
+    assert not greedy.exact
+    for run in (lambda: amenable_topological_trace(fs, cover, [1], budget=0),
+                lambda: amenable_measure_trace(fs, cover, fair, [1], budget=0)):
+        with pytest.raises(ResourceBudgetError) as info:
+            run()
+        assert info.value.upper_bound == greedy.count
+    # with room to search, both give the exact count
+    assert amenable_topological_trace(fs, cover, [1]).rows[0].count == 2
 
 
 def test_amenable_measure_bernoulli_exact(fs, skew, fs_origin):

@@ -1,13 +1,18 @@
+import gc
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soficlab import (ArgumentError, BernoulliMeasure, FiniteSubset, MeasureFilter,
-                      TestFunction, count_cover, cyclic_model, enumerate_microstates,
-                      enumerate_microstates_both, filter_microstates, full_shift,
-                      microstate_check, origin_partition, zero_defect_delta)
+from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
+                      MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap, TestFunction,
+                      check_variational, count_cover, count_microstates, cyclic_model,
+                      enumerate_microstates, enumerate_microstates_both, filter_microstates,
+                      full_shift, golden_mean_system, microstate_check, origin_partition,
+                      sofic_topological_trace, zero_defect_delta)
 
 
 def test_check_exact_equivariance_periodic_point(fs):
@@ -243,3 +248,122 @@ def test_filtered_naive_equals_pruned(fs, fair):
                                              measure_filter=mf, strategy="naive")
             assert got[0].tuples == ref[0].tuples
             assert got[1].tuples == ref[1].tuples
+
+
+def test_membership_uses_the_tuples(fs):
+    sigma = cyclic_model(fs.group, 4)
+    w = fs.interval_window(0, 1)
+    inner, outer = enumerate_microstates_both(fs, [1], "0.6", sigma, w)
+    assert 0 < len(inner) < len(outer)
+    for t in outer.tuples:
+        assert t in outer
+        assert [list(x) for x in t] in outer  # any sequence of sequences
+    missing = next(t for t in outer.tuples if t not in set(inner.tuples))
+    assert missing not in inner
+
+
+# streaming counter against the materialise-filter-count oracle ------------------
+
+# module-level systems: hypothesis draws from them, so no function-scoped fixtures
+STREAM_FS = full_shift(("0", "1"), LatticeGroup(1))
+STREAM_GM = golden_mean_system()
+
+
+def _oracle_counts(inner, outer, cover):
+    return MicrostateCounts(len(inner), len(outer),
+                            count_cover(inner, cover), count_cover(outer, cover))
+
+
+@st.composite
+def _instances(draw):
+    system = draw(st.sampled_from([STREAM_FS, STREAM_GM]))
+    window = system.interval_window(*draw(st.sampled_from([(0, 1), (-1, 1)])))
+    d = draw(st.integers(2, 5 if len(window) == 2 else 4))
+    if draw(st.booleans()):
+        sigma = cyclic_model(system.group, d)
+    else:
+        perm = draw(st.permutations(range(d)))
+        sigma = SoficMap(system.group, d, images={(1,): perm}, provenance="random")
+    F = draw(st.sampled_from([[1], [1, 2]])) if len(window) == 3 else [1]
+    delta = draw(st.sampled_from(["0.05", "0.2", "0.35", "0.6", "1"]))
+    mf = None
+    if draw(st.booleans()):
+        at = system.window([draw(st.sampled_from([0, 1]))])
+        f = TestFunction.indicator(system.pattern(at, ("0",)))
+        probs = draw(st.sampled_from([["0.5", "0.5"], ["0.7", "0.3"], ["1", "0"]]))
+        mf = MeasureFilter.build(BernoulliMeasure(system, probs), [f],
+                                 draw(st.sampled_from(["0.1", "0.25", "0.5"])))
+    return system, window, sigma, F, delta, mf
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_streamed_counts_match_naive_oracle(instance):
+    system, window, sigma, F, delta, mf = instance
+    cover = origin_partition(system)
+    inner, outer = enumerate_microstates_both(system, F, delta, sigma, window,
+                                              strategy="naive")
+    expected = _oracle_counts(inner, outer, cover)
+    filters = [mf] if mf is not None else []
+    got, got_filtered = count_microstates(system, F, delta, sigma, window, cover,
+                                          filters=filters)
+    assert got == expected
+    assert got.m_inner <= got.m_outer and got.n_inner <= got.n_outer
+    if mf is None:
+        assert got_filtered == ()
+        return
+    expected_f = _oracle_counts(filter_microstates(inner, mf),
+                                filter_microstates(outer, mf), cover)
+    assert got_filtered == (expected_f,)
+    # the filter pruning the scan itself gives the same counts
+    assert count_microstates(system, F, delta, sigma, window, cover,
+                             measure_filter=mf) == (expected_f, ())
+    assert expected_f.m_inner <= expected_f.m_outer <= got.m_outer
+    assert expected_f.n_inner <= expected_f.n_outer
+    assert expected_f.n_inner <= got.n_inner and expected_f.n_outer <= got.n_outer
+
+
+def test_general_cover_counts_through_count_cover(fs, fair):
+    sigma = cyclic_model(fs.group, 3)
+    w = fs.interval_window(0, 1)
+    cover = Cover(fs, fs.window([0]), [[("0",)], [("0",), ("1",)]], labels=("A", "X"))
+    mf = MeasureFilter.build(fair, [TestFunction.indicator(fs.pattern(fs.window([0]), ("0",)))],
+                             "0.2")
+    inner, outer = enumerate_microstates_both(fs, [1], "0.6", sigma, w)
+    got, (got_f,) = count_microstates(fs, [1], "0.6", sigma, w, cover, filters=[mf])
+    assert got == _oracle_counts(inner, outer, cover)
+    assert got_f == _oracle_counts(filter_microstates(inner, mf),
+                                   filter_microstates(outer, mf), cover)
+
+
+def test_streaming_budget_cut_raises_and_trace_marks_row(fs, fs_origin):
+    sigma = cyclic_model(fs.group, 6)
+    w = fs.interval_window(0, 1)
+    with pytest.raises(ResourceBudgetError):
+        count_microstates(fs, [1], "2", sigma, w, fs_origin, budget=10)
+    row = sofic_topological_trace(fs, fs_origin, [1], "2", [sigma], w, budget=10).rows[0]
+    assert row.incomplete
+
+
+def test_counting_leaves_no_reference_cycles(gm, gm_origin, parry):
+    """Every call frees what it built without the cycle collector."""
+    w = gm.interval_window(-2, 2)
+    maps = [cyclic_model(gm.group, d) for d in (5, 6)]
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+
+    def variational():
+        check_variational(gm, gm_origin, [("parry", parry)], [at_origin], [1],
+                          ["0.1"], maps, w)
+
+    def topological():
+        sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w)
+
+    for run in (variational, topological):
+        run()  # warm-up: caches filled on first use are not garbage
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
