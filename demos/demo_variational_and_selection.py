@@ -10,7 +10,7 @@ whose filtered count carries at least a 1/|D| share of the total.
 import math
 
 from soficlab import (BernoulliMeasure, LatticeGroup, TestFunction, check_variational,
-                      cyclic_model, enumerate_microstates, full_shift,
+                      cyclic_model, enumerate_microstates_both, full_shift,
                       golden_mean_system, origin_partition, select_dominant_measure)
 
 Z = LatticeGroup(1)
@@ -58,7 +58,7 @@ print("=" * 72)
 print("Dominant measure selection at d = 8 (the pigeonhole bound)")
 print("=" * 72)
 sigma = cyclic_model(Z, 8)
-M = enumerate_microstates(fs, [0], "1.0", sigma, w0, mode="outer")
+M = enumerate_microstates_both(fs, [0], "1.0", sigma, w0)[1]
 D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
 res = select_dominant_measure(M, D, [f0], "0.15", U, require_net=False)
 print(f"unfiltered count: {res.unfiltered_count}")

@@ -13,8 +13,8 @@ from .errors import (ArgumentError, ResourceBudgetError, SoficLabError, SpecErro
 from .groups import (FiniteSubset, FiniteTableGroup, FolnerSequence, FreeGroup,
                      Group, LatticeGroup, folner_set, invariance_defect, multiply)
 from .sofic import (GoodnessCertificate, SoficMap, SoficSequence, cyclic_model,
-                    cyclic_sequence, freeness_defect, from_folner, is_good,
-                    mult_defect, random_free_model, regular_representation)
+                    freeness_defect, from_folner, is_good, mult_defect,
+                    random_free_model, regular_representation)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
                        SymbolicSystem, TestFunction, Window, as_fraction,
                        count_cyclic_words, count_words, cylinder_measure, full_shift,
@@ -25,9 +25,8 @@ from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      partial_cover_count_of, partitions_refining, pullback,
                      pullback_iterate, refines, shannon_entropy, trivial_cover)
 from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, MicrostateSet,
-                          count_cover, count_microstates, enumerate_microstates,
-                          enumerate_microstates_both, filter_microstates, microstate_check,
-                          zero_defect_delta)
+                          count_cover, count_microstates, enumerate_microstates_both,
+                          filter_microstates, microstate_check, zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,
                       PairScanReport, PartitionCountResult, VariationalReport,
                       amenable_measure_trace, amenable_topological_trace,

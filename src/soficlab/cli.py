@@ -11,25 +11,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .covers import min_subcover, pullback_iterate
-from .entropy import (NEG_INF, amenable_measure_trace, amenable_topological_trace,
+from .covers import partial_cover_count
+from .entropy import (amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, entropy_pair_scan,
                       partition_count_bound, sofic_measure_trace,
                       sofic_topological_trace)
 from .errors import ResourceBudgetError, SoficLabError, SpecError
-from .groups import FiniteSubset, folner_set
-from .microstates import MeasureFilter, count_microstates
+from .groups import folner_set
+from .microstates import count_microstates
 from .sofic import freeness_defect, mult_defect
-from .specfile import (build_cover, build_measure, build_pattern, build_sigma,
-                       build_system, build_test_functions, cross_validate,
-                       load_spec, spec_hash)
+from .specfile import (build_system, build_task_arguments, cross_validate, load_spec,
+                       spec_hash)
 from .symbolic import as_fraction
 from .tiling import amenable_exact_tile, sofic_quasi_tile
 
@@ -40,6 +39,17 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)  # '-inf' for the sentinel, '.' decimal, no locale
     return str(x)
+
+
+def _json_safe(x):
+    """x with every infinite float written as the CSV token ('inf' / '-inf')."""
+    if isinstance(x, float) and math.isinf(x):
+        return _fmt(x)
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
 
 
 class ArtifactWriter:
@@ -66,6 +76,7 @@ class ArtifactWriter:
         return path
 
     def json(self, name: str, payload: dict) -> Path:
+        """Strict JSON: infinities become 'inf' / '-inf', NaN is refused."""
         path = self.out_dir / f"{self.prefix}_{name}.json"
         body = {
             "soficlab_version": __version__,
@@ -73,24 +84,11 @@ class ArtifactWriter:
         }
         body.update(payload)
         with open(path, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True, default=str)
+            json.dump(_json_safe(body), fh, indent=2, sort_keys=True, default=str,
+                      allow_nan=False)
             fh.write("\n")
         self.written.append(path)
         return path
-
-
-def _deltas(params):
-    vals = params.get("deltas", params.get("delta"))
-    if vals is None:
-        raise SpecError("missing delta grid", field="params.deltas")
-    if not isinstance(vals, list):
-        vals = [vals]
-    return [as_fraction(v) for v in vals]
-
-
-def _sigma_stages(system, params):
-    stages = params["stages"]
-    return [build_sigma(system, params["sigma"], stage_value=n) for n in stages]
 
 
 def _element_name(system, g):
@@ -100,8 +98,8 @@ def _element_name(system, g):
 # task handlers ------------------------------------------------------------------
 
 
-def _task_language(system, spec, params, writer, budget):
-    window = system.window(params["window"])
+def _task_language(system, args, writer, budget):
+    window = args["window"]
     values = system.language_values(window, budget=budget)
     rows = [(i, "".join(map(str, v))) for i, v in enumerate(values)]
     writer.csv("language", ("index", "pattern"), rows)
@@ -111,11 +109,10 @@ def _task_language(system, spec, params, writer, budget):
     return 0, []
 
 
-def _task_defects(system, spec, params, writer, budget):
+def _task_defects(system, args, writer, budget):
     rows = []
-    for i, n in enumerate(params["stages"]):
-        sigma = build_sigma(system, params["sigma"], stage_value=n)
-        for s, t in params["pairs"]:
+    for i, sigma in enumerate(args["stages"]):
+        for s, t in args["pairs"]:
             gs, gt = system.group.coerce(s), system.group.coerce(t)
             md = mult_defect(sigma, gs, gt)
             fd = freeness_defect(sigma, gs, gt) if gs != gt else ""
@@ -126,24 +123,14 @@ def _task_defects(system, spec, params, writer, budget):
     return 0, []
 
 
-def _task_microstates(system, spec, params, writer, budget):
-    cover = build_cover(system, params.get("cover"))
-    window = system.window(params["window"])
-    F = [system.group.coerce(g) for g in params["F"]]
-    mf = None
-    if "filter" in params:
-        fspec = params["filter"]
-        measure = build_measure(system, spec["measures"][fspec["measure"]])
-        functions = build_test_functions(system, fspec.get("functions", ()))
-        mf = MeasureFilter.build(measure, functions,
-                                 as_fraction(fspec.get("delta", params.get("delta"))))
+def _task_microstates(system, args, writer, budget):
     rows = []
-    for delta in _deltas(params):
-        for n in params["stages"]:
-            sigma = build_sigma(system, params["sigma"], stage_value=n)
+    for delta in args["deltas"]:
+        for sigma in args["stages"]:
             try:
-                counts, _ = count_microstates(system, F, delta, sigma, window, cover,
-                                              measure_filter=mf, budget=budget)
+                counts, _ = count_microstates(system, args["F"], delta, sigma, args["window"],
+                                              args["cover"], measure_filter=args["filter"],
+                                              budget=budget)
             except ResourceBudgetError as exc:
                 raise ResourceBudgetError(
                     f"stage d={sigma.d}, delta={float(delta)}: {exc}",
@@ -162,48 +149,39 @@ def _trace_rows(trace, F_id, delta):
     return out
 
 
-def _task_entropy_sofic(system, spec, params, writer, budget):
-    cover = build_cover(system, params.get("cover"))
-    window = system.window(params["window"])
-    F = [system.group.coerce(g) for g in params["F"]]
+def _task_entropy_sofic(system, args, writer, budget):
+    cover, F, maps, window = args["cover"], args["F"], args["stages"], args["window"]
     F_id = ";".join(_element_name(system, g) for g in F)
-    maps = _sigma_stages(system, params)
-    measure = None
-    L = ()
-    if "measure" in params:
-        measure = build_measure(system, spec["measures"][params["measure"]])
-        L = build_test_functions(system, params.get("L", ()))
+    measure = args["measure"]
     rows = []
-    for delta in _deltas(params):
+    warnings = []
+    for delta in args["deltas"]:
         if measure is None:
             tr = sofic_topological_trace(system, cover, F, delta, maps, window,
                                          budget=budget)
         else:
-            tr = sofic_measure_trace(system, cover, measure, L, F, delta, maps,
+            tr = sofic_measure_trace(system, cover, measure, args["L"], F, delta, maps,
                                      window, budget=budget)
         rows.extend(_trace_rows(tr, F_id, delta))
+        warnings += [f"budget exhausted at stage i={r.stage} (d={r.d}, "
+                     f"delta={float(delta)}): its row is not a count"
+                     for r in tr.rows if r.incomplete]
     writer.csv("trace", ("kind", "i", "d", "F_id", "delta",
                          "count_inner", "count_outer", "value_inner", "value_outer"), rows)
-    return 0, []
+    return (1 if warnings else 0), warnings
 
 
-def _task_entropy_amenable(system, spec, params, writer, budget):
-    cover = build_cover(system, params.get("cover"))
-    ns = params["ns"]
-    measure = None
-    if "measure" in params:
-        measure = build_measure(system, spec["measures"][params["measure"]])
+def _task_entropy_amenable(system, args, writer, budget):
+    cover, ns, measure = args["cover"], args["ns"], args["measure"]
+    if measure is not None:
         tr = amenable_measure_trace(system, cover, measure, ns, budget=budget)
     else:
         tr = amenable_topological_trace(system, cover, ns, budget=budget)
     columns = ["n", "size_F", "count", "entropy", "value"]
     rows = [[r.n, r.size, r.count, r.entropy, r.value] for r in tr.rows]
-    if measure is not None and "a" in params:
+    if measure is not None and args["a"] is not None:
         # the covers dump: append b_nu(F_n, a, V) per stage
-        from .covers import partial_cover_count
-        from .groups import folner_set
-
-        a = as_fraction(params["a"])
+        a = as_fraction(args["a"])
         columns.append("b_nu")
         for row, n in zip(rows, ns):
             row.append(partial_cover_count(measure, folner_set(system.group, n),
@@ -212,47 +190,37 @@ def _task_entropy_amenable(system, spec, params, writer, budget):
     return 0, []
 
 
-def _task_compare(system, spec, params, writer, budget):
-    cover = build_cover(system, params.get("cover"))
-    window = system.window(params["window"])
-    F = [system.group.coerce(g) for g in params["F"]]
-    sigma_spec = params.get("sigma", {"model": "cyclic"})
-    measure = None
-    if "measure" in params:
-        measure = build_measure(system, spec["measures"][params["measure"]])
-    slack = params.get("slack")
+def _task_compare(system, args, writer, budget):
     kwargs = {}
-    if slack is not None:
-        kwargs["slack"] = float(slack)
+    if args["slack"] is not None:
+        kwargs["slack"] = float(args["slack"])
     report = check_amenable_agreement(
-        system, cover, params["ns"],
-        lambda n: build_sigma(system, sigma_spec, stage_value=n),
-        _deltas(params), F, window, measure=measure, **kwargs, budget=budget)
+        system, args["cover"], args["ns"], args["sigma"], args["deltas"], args["F"],
+        args["window"], measure=args["measure"], **kwargs, budget=budget)
     rows = [(r.n, r.d, r.delta, r.value_sofic_inner, r.value_sofic_outer,
              r.value_amenable, r.gap, int(r.bound_ok)) for r in report.rows]
     writer.csv("compare", ("n", "d", "delta", "value_sofic_inner",
                            "value_sofic_outer", "value_amenable", "gap", "bound_ok"),
                rows)
+    if report.ok:
+        verdict = "agreement bound holds"
+    elif all(r.bound_ok or r.incomplete for r in report.rows):
+        verdict = "inconclusive: budget exhausted"
+    else:
+        verdict = "agreement bound violated"
     writer.json("compare_report", {
         "ok": report.ok,
         "slack_used": {f"n={n},delta={float(dl)}": s
                        for (n, dl), s in report.slack_used.items()},
-        "verdict": "agreement bound holds" if report.ok else "agreement bound violated",
+        "verdict": verdict,
     })
     return (0 if report.ok else 1), []
 
 
-def _task_variational(system, spec, params, writer, budget):
-    cover = build_cover(system, params.get("cover"))
-    window = system.window(params["window"])
-    F = [system.group.coerce(g) for g in params["F"]]
-    measures = [(label, build_measure(system, spec["measures"][label]))
-                for label in params["measure_labels"]]
-    L = build_test_functions(system, params.get("L", ()))
-    maps = _sigma_stages(system, {"stages": params["stages"],
-                                  "sigma": params.get("sigma", {"model": "cyclic"})})
-    report = check_variational(system, cover, measures, L, F, _deltas(params),
-                               maps, window, budget=budget)
+def _task_variational(system, args, writer, budget):
+    report = check_variational(system, args["cover"], args["measure_labels"], args["L"],
+                               args["F"], args["deltas"], args["stages"], args["window"],
+                               budget=budget)
     rows = [(r.measure_label, r.delta, r.stage, r.d,
              r.count_unfiltered_inner, r.count_unfiltered_outer,
              r.count_filtered_inner, r.count_filtered_outer,
@@ -270,19 +238,17 @@ def _task_variational(system, spec, params, writer, budget):
     return (0 if report.ok else 1), []
 
 
-def _task_tile(system, spec, params, writer, budget):
+def _task_tile(system, args, writer, budget):
     group = system.group
-    sigma = build_sigma(system, params["sigma"], stage_value=params["sigma"].get("n"))
-    shapes = [FiniteSubset(group, shape) for shape in params["shapes"]]
-    eta = as_fraction(params.get("eta", "0.1"))
-    tau = as_fraction(params.get("tau", 0))
-    V = params.get("V")
-    flavor = params.get("flavor", "sofic")
-    if flavor == "amenable-exact":
+    sigma = args["sigma"]()
+    shapes, V = args["shapes"], args["V"]
+    eta = as_fraction(args["eta"])
+    tau = as_fraction(args["tau"])
+    if args["flavor"] == "amenable-exact":
         tiling = amenable_exact_tile(sigma, shapes, tau, eta, V=V)
     else:
         tiling = sofic_quasi_tile(sigma, V, shapes, eta, tau,
-                                  check_good=bool(params.get("check_good", True)))
+                                  check_good=bool(args["check_good"]))
     warnings = []
     if tiling.guarantee_missed:
         warnings.append(f"guarantee_missed: coverage {float(tiling.coverage):.4f} "
@@ -313,11 +279,9 @@ def _task_tile(system, spec, params, writer, budget):
     return (0 if record.all_ok(tiling.flavor) else 1), warnings
 
 
-def _task_pairs(system, spec, params, writer, budget):
-    pairs = [(build_pattern(system, a), build_pattern(system, b))
-             for a, b in params["candidates"]]
-    report = entropy_pair_scan(system, pairs, float(params.get("threshold", 0.0)),
-                               int(params.get("n", 6)), budget=budget)
+def _task_pairs(system, args, writer, budget):
+    report = entropy_pair_scan(system, args["candidates"], float(args["threshold"]),
+                               int(args["n"]), budget=budget)
     writer.json("pairs", {
         "note": report.note,
         "threshold": report.threshold,
@@ -327,12 +291,11 @@ def _task_pairs(system, spec, params, writer, budget):
     return 0, []
 
 
-def _task_partition_bound(system, spec, params, writer, budget):
-    res = partition_count_bound(int(params["lam_size"]), params["p"],
-                                params["eta"], params["eps"])
+def _task_partition_bound(system, args, writer, budget):
+    res = partition_count_bound(int(args["lam_size"]), args["p"], args["eta"], args["eps"])
     writer.csv("partition_bound",
                ("lam_size", "count", "log_count", "log_bound", "holds"),
-               [(params["lam_size"], res.count, res.log_count, res.log_bound,
+               [(args["lam_size"], res.count, res.log_count, res.log_bound,
                  int(res.holds))])
     return 0, []
 
@@ -357,10 +320,11 @@ def validate(spec_path) -> list:
     return cross_validate(spec)
 
 
-def run(spec_path, out_dir=None, budget_nodes=None, workers: int = 1) -> int:
+def run(spec_path, out_dir=None, budget_nodes=None) -> int:
     """Execute one spec; returns the exit status."""
-    if workers < 1:
-        raise SpecError("workers must be >= 1", field="--workers")
+    if budget_nodes is not None and budget_nodes < 1:
+        raise SpecError(f"node budget must be >= 1, got {budget_nodes}",
+                        field="--budget-nodes")
     spec = load_spec(spec_path)
     diagnostics = cross_validate(spec)
     if diagnostics:
@@ -373,10 +337,10 @@ def run(spec_path, out_dir=None, budget_nodes=None, workers: int = 1) -> int:
     prefix = spec.get("out", {}).get("prefix") or Path(spec_path).stem
     writer = ArtifactWriter(out, prefix, spec_hash(spec_path), spec["task"],
                             spec.get("params", {}))
-    budget = budget_nodes if budget_nodes else 2_000_000
-    handler = _HANDLERS[spec["task"]]
+    budget = 2_000_000 if budget_nodes is None else budget_nodes
     try:
-        code, warnings = handler(system, spec, spec["params"], writer, budget)
+        args = build_task_arguments(system, spec)
+        code, warnings = _HANDLERS[spec["task"]](system, args, writer, budget)
     except ResourceBudgetError as exc:
         print(f"error: budget exhausted in task {spec['task']}: {exc}", file=sys.stderr)
         return 1
@@ -397,10 +361,8 @@ def main(argv=None) -> int:
     def add_common(p, with_run_flags=True):
         p.add_argument("--spec", required=True, help="path to the experiment spec JSON")
         if with_run_flags:
-            p.add_argument("--workers", type=int, default=1,
-                           help="worker count (wall time only; output bytes unchanged)")
             p.add_argument("--budget-nodes", type=int, default=None,
-                           help="search node budget override")
+                           help="search node budget override (>= 1)")
             p.add_argument("--out", default=None,
                            help="output directory (default $SOFICLAB_OUT or .)")
             p.add_argument("--validate", action="store_true",
@@ -427,8 +389,7 @@ def main(argv=None) -> int:
                       f"{required_task[args.command]!r}, spec has {spec['task']!r}",
                       file=sys.stderr)
                 return 2
-        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes,
-                   workers=args.workers)
+        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes)
     except SpecError as exc:
         where = f" ({exc.field})" if exc.field else ""
         print(f"error{where}: {exc}", file=sys.stderr)

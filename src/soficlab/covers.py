@@ -1,10 +1,10 @@
 """Finite covers of a subshift by unions of cylinders over a common window.
 
 A cover element is a set of admissible window patterns (each pattern is a
-clopen cylinder, so open and Borel covers coincide at this resolution; the
-flag is kept for fidelity).  The module provides the join / pullback
-algebra, exact minimal-subcover counting by branch and bound, Shannon and
-cover entropy of measures, and measure-weighted partial cover counts.
+clopen cylinder, so open and Borel covers coincide at this resolution).  The
+module provides the join / pullback algebra, exact minimal-subcover counting
+by branch and bound, Shannon and cover entropy of measures, and
+measure-weighted partial cover counts.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import FiniteSubset
@@ -25,7 +26,7 @@ class Cover:
     """A finite cover of the window language by pattern sets."""
 
     def __init__(self, system: SymbolicSystem, window: Window, elements,
-                 labels=None, drop_empty=False, open_cover=True):
+                 labels=None, drop_empty=False):
         language = set(system.language_values(window))
         sets = []
         for raw in elements:
@@ -45,7 +46,6 @@ class Cover:
         self.system = system
         self.window = window
         self.elements = tuple(sets)
-        self.open_cover = open_cover
         if labels is None:
             labels = tuple(f"E{i}" for i in range(len(self.elements)))
         self.labels = tuple(labels)[: len(self.elements)]
@@ -61,6 +61,11 @@ class Cover:
             union = len(frozenset().union(*self.elements))
             self._is_partition = total == union
         return self._is_partition
+
+    @cached_property
+    def cell_of(self) -> dict:
+        """Pattern values -> index of the cell holding them (for partitions)."""
+        return {v: idx for idx, e in enumerate(self.elements) for v in e}
 
     def canonical(self):
         return tuple(sorted(tuple(sorted(e)) for e in self.elements))
@@ -125,7 +130,7 @@ def lift(cover: Cover, window: Window) -> Cover:
     for e in cover.elements:
         elements.append([v for v in language if tuple(v[i] for i in proj) in e])
     return Cover(cover.system, window, elements, labels=cover.labels,
-                 drop_empty=True, open_cover=cover.open_cover)
+                 drop_empty=True)
 
 
 def join(v1: Cover, v2: Cover, budget: int = 4096) -> Cover:
@@ -146,8 +151,7 @@ def join(v1: Cover, v2: Cover, budget: int = 4096) -> Cover:
         if cell:
             elements.append(cell)
             labels.append(f"{la}&{lb}")
-    return Cover(system, window, elements, labels=labels,
-                 open_cover=v1.open_cover and v2.open_cover)
+    return Cover(system, window, elements, labels=labels)
 
 
 def pullback(cover: Cover, g) -> Cover:
@@ -162,7 +166,7 @@ def pullback(cover: Cover, g) -> Cover:
     for e in cover.elements:
         elements.append([tuple(v[i] for i in source) for v in e])
     return Cover(system, new_window, elements, labels=cover.labels,
-                 drop_empty=True, open_cover=cover.open_cover)
+                 drop_empty=True)
 
 
 def pullback_iterate(cover: Cover, F: FiniteSubset, budget: int = 200_000) -> Cover:
@@ -187,10 +191,7 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
         [group.multiply(w, g) for g in elems for w in cover.window.elements]
     )
     language = system.language_values(window, budget=budget * 10)
-    lookup = {}
-    for i, e in enumerate(cover.elements):
-        for v in e:
-            lookup[v] = i
+    lookup = cover.cell_of
     projections = []
     for g in elems:
         projections.append([
@@ -202,8 +203,7 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
         cells.setdefault(sig, []).append(v)
     ordered = sorted(cells.items())
     labels = tuple("x".join(cover.labels[i] for i in sig) for sig, _ in ordered)
-    return Cover(system, window, [vals for _, vals in ordered], labels=labels,
-                 open_cover=cover.open_cover)
+    return Cover(system, window, [vals for _, vals in ordered], labels=labels)
 
 
 def refines(v1: Cover, v2: Cover) -> bool:

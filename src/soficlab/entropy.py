@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcover,
-                     pullback_iterate, shannon_entropy)
+                     pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
-from .groups import FiniteSubset, FolnerSequence
+from .groups import FolnerSequence
 from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _language_indices,
                           _passes, count_cover, count_microstates, filter_microstates)
 from .symbolic import SymbolicSystem, Window, as_fraction
@@ -67,11 +67,6 @@ class EntropyTrace:
     @property
     def running_max_outer(self) -> float:
         vals = [r.value_outer for r in self.rows if not r.incomplete]
-        return max(vals) if vals else NEG_INF
-
-    @property
-    def running_max_inner(self) -> float:
-        vals = [r.value_inner for r in self.rows if not r.incomplete]
         return max(vals) if vals else NEG_INF
 
 
@@ -338,7 +333,6 @@ class VariationalRow:
 class VariationalReport:
     rows: list
     ok: bool
-    best_gap_by_stage: dict
 
     def worst_gap(self):
         gaps = [r.gap_outer for r in self.rows if r.gap_outer == r.gap_outer]
@@ -354,7 +348,6 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
     measures is a list of (label, measure) pairs; the same L filters each.
     """
     rows = []
-    best = {}
     ok = True
     for delta in deltas:
         delta = as_fraction(delta)
@@ -377,9 +370,7 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
                     gap = vu - vf
                 rows.append(VariationalRow(label, delta, stage, sigma.d,
                                            cui, cuo, cfi, cfo, ordered, gap))
-                key = (stage, delta)
-                best[key] = min(best.get(key, math.inf), gap)
-    return VariationalReport(rows=rows, ok=ok, best_gap_by_stage=best)
+    return VariationalReport(rows=rows, ok=ok)
 
 
 @dataclass(frozen=True)
@@ -391,7 +382,8 @@ class AgreementRow:
     value_sofic_outer: float
     value_amenable: float
     gap: float  # |outer sofic - amenable|
-    bound_ok: bool  # sofic <= amenable + slack
+    bound_ok: bool  # sofic <= amenable + slack, on a complete sofic row
+    incomplete: bool = False  # the sofic stage ran out of budget
 
 
 @dataclass
@@ -412,6 +404,9 @@ def check_amenable_agreement(system: SymbolicSystem, cover: Cover, ns, sigma_bui
                              budget=2_000_000) -> AgreementReport:
     """Compare finite-stage sofic values against the amenable values at
     matched scale (d = |F_n|) and assert sofic <= amenable + slack.
+
+    A sofic stage cut by the budget gives an incomplete row that fails the
+    bound, so a cut never counts as agreement.
     """
     folner = FolnerSequence(system.group)
     slack_fn = slack if callable(slack) else (lambda d: slack)
@@ -442,10 +437,10 @@ def check_amenable_agreement(system: SymbolicSystem, cover: Cover, ns, sigma_bui
             slack_used[(n, delta)] = s
             vo = row.value_outer
             gap = abs(vo - value_am) if vo != NEG_INF else math.inf
-            bound_ok = (vo == NEG_INF) or (vo <= value_am + s)
+            bound_ok = not row.incomplete and (vo == NEG_INF or vo <= value_am + s)
             ok = ok and bound_ok
             rows.append(AgreementRow(n, d, delta, row.value_inner, vo,
-                                     value_am, gap, bound_ok))
+                                     value_am, gap, bound_ok, row.incomplete))
     return AgreementReport(rows=rows, ok=ok, slack_used=slack_used)
 
 

@@ -61,18 +61,6 @@ class Group:
     def is_finite(self) -> bool:
         return False
 
-    # convenience wrappers --------------------------------------------------
-
-    def multiply_checked(self, g, h):
-        return self.multiply(self.coerce(g), self.coerce(h))
-
-    def word(self, elements):
-        """Product of a sequence of elements, left to right."""
-        acc = self.identity
-        for g in elements:
-            acc = self.multiply(acc, self.coerce(g))
-        return acc
-
 
 def multiply(group: Group, g, h):
     """Group product of two elements of ``group``.
@@ -409,20 +397,6 @@ class FiniteSubset:
     def __repr__(self):
         names = ",".join(self.group.element_name(g) for g in self.elements)
         return f"FiniteSubset({{{names}}})"
-
-    def sorted_canonical(self):
-        """Elements ordered by the group's (word length, key) enumeration order."""
-        return tuple(sorted(self.elements, key=self.group.enumeration_key))
-
-    def left_translate(self, g):
-        """The set g·F (order induced from this set's order)."""
-        g = self.group.coerce(g)
-        return FiniteSubset(self.group, [self.group.multiply(g, f) for f in self.elements])
-
-    def right_translate(self, g):
-        """The set F·g."""
-        g = self.group.coerce(g)
-        return FiniteSubset(self.group, [self.group.multiply(f, g) for f in self.elements])
 
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         extra = [g for g in other.elements if g not in self._set]

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArgumentError, ResourceBudgetError
-from .groups import FiniteSubset
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
 from .covers import Cover, exact_min_cover
 
@@ -224,27 +223,11 @@ def _cell_table(window, lang, cover: Cover):
         if g not in window.index:
             raise ArgumentError("cover window must sit inside the microstate window")
     proj = [window.index[g] for g in cover.window.elements]
-    owner = {v: idx for idx, e in enumerate(cover.elements) for v in e}
+    owner = cover.cell_of
     try:
         return tuple(owner[tuple(v[i] for i in proj)] for v in lang)
     except KeyError as exc:
         raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
-
-
-def enumerate_microstates(system: SymbolicSystem, F, delta, sigma,
-                          window: Window, mode: str = "outer",
-                          measure_filter: MeasureFilter = None,
-                          strategy: str = "pruned",
-                          budget: int = DEFAULT_NODE_BUDGET) -> MicrostateSet:
-    inner, outer = enumerate_microstates_both(
-        system, F, delta, sigma, window,
-        measure_filter=measure_filter, strategy=strategy, budget=budget,
-    )
-    if mode == "inner":
-        return inner
-    if mode == "outer":
-        return outer
-    raise ArgumentError(f"unknown mode {mode!r}")
 
 
 def _stage(system, F, delta, sigma, window):
@@ -553,29 +536,16 @@ def count_cover(M: MicrostateSet, cover: Cover, budget: int = 250_000) -> int:
     if len(M.tuples) == 0:
         return 0
     window = M.window
+    if cover.is_partition:
+        cell = _cell_table(window, M.system.language_values(window), cover)
+        return len({tuple(map(cell.__getitem__, t)) for t in _language_indices(M)})
+
     for g in cover.window.elements:
         if g not in window.index:
             raise ArgumentError("cover window must sit inside the microstate window")
     proj = [window.index[g] for g in cover.window.elements]
-
-    def restrict(values):
-        return tuple(values[i] for i in proj)
-
-    if cover.is_partition:
-        owner = {}
-        for idx, e in enumerate(cover.elements):
-            for v in e:
-                owner[v] = idx
-        signatures = set()
-        for t in M.tuples:
-            try:
-                signatures.add(tuple(owner[restrict(x)] for x in t))
-            except KeyError as exc:
-                raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
-        return len(signatures)
-
     d = M.d
-    restricted = [tuple(restrict(x) for x in t) for t in M.tuples]
+    restricted = [tuple(tuple(x[i] for i in proj) for x in t) for t in M.tuples]
     occurring = [frozenset(t[j] for t in restricted) for j in range(d)]
     per_position = []
     for j in range(d):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
-from .groups import FiniteSubset, FolnerSequence, Group, folner_set
+from .groups import FiniteSubset, Group, folner_set
 
 
 class SoficMap:
@@ -116,19 +116,9 @@ class SoficMap:
             return list(reversed(word))
         raise UnsupportedOperationError(f"cannot factor over kind {group.kind!r}")
 
-    def apply(self, g, a: int) -> int:
-        """sigma_g(a) for a 1-based point label a."""
-        if not 1 <= a <= self.d:
-            raise ArgumentError(f"point label out of range: {a}")
-        return int(self.image_array(g)[a - 1]) + 1
-
     def permutation(self, g):
         """1-based image tuple (sigma_g(1), ..., sigma_g(d))."""
         return tuple(int(v) + 1 for v in self.image_array(g))
-
-    def is_bijective(self, g) -> bool:
-        arr = self.image_array(g)
-        return len(np.unique(arr)) == self.d
 
 
 def cyclic_model(group: Group, n: int) -> SoficMap:
@@ -307,9 +297,3 @@ class SoficSequence:
             if b.d <= a.d:
                 raise ArgumentError("sofic sequence needs strictly increasing d_i")
         return maps
-
-
-def cyclic_sequence(group: Group, ns) -> SoficSequence:
-    """Cyclic lattice models at the given box sizes."""
-    sizes = list(ns)
-    return SoficSequence(lambda i: cyclic_model(group, sizes[i]), label="cyclic")

@@ -14,12 +14,12 @@ from fractions import Fraction
 import jsonschema
 
 from .errors import SpecError
-from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup
-from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, SymbolicSystem,
-                       TestFunction)
+from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, folner_set
+from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicSystem, TestFunction,
+                       as_fraction)
 from .covers import Cover, origin_partition, trivial_cover
+from .microstates import MeasureFilter
 from .sofic import SoficMap, cyclic_model, from_folner, random_free_model, regular_representation
-from .groups import folner_set
 
 TASKS = (
     "language", "defects", "microstates", "entropy-sofic", "entropy-amenable",
@@ -162,16 +162,8 @@ def build_cover(system: SymbolicSystem, cspec) -> Cover:
         return trivial_cover(system, window)
     if kind == "pattern-sets":
         window = system.window(cspec["window"])
-        order = [window.index[system.group.coerce(g)] for g in cspec["window"]]
-        elements = []
-        for elem in cspec["elements"]:
-            pats = []
-            for values in elem:
-                v = [None] * len(window)
-                for pos, sym in zip(order, values):
-                    v[pos] = sym
-                pats.append(tuple(v))
-            elements.append(pats)
+        elements = [[_placed(system, window, cspec["window"], values) for values in elem]
+                    for elem in cspec["elements"]]
         return Cover(system, window, elements,
                      labels=cspec.get("labels"),
                      drop_empty=bool(cspec.get("drop_empty", False)))
@@ -197,25 +189,98 @@ def build_sigma(system: SymbolicSystem, sspec: dict, stage_value=None) -> SoficM
     raise SpecError(f"unknown sigma model {model!r}", field="params.sigma")
 
 
-def build_test_functions(system: SymbolicSystem, fspecs):
-    out = []
-    for fp in fspecs:
-        window = system.window(fp["window"])
-        order = [window.index[system.group.coerce(g)] for g in fp["window"]]
-        v = [None] * len(window)
-        for pos, sym in zip(order, fp["values"]):
-            v[pos] = sym
-        out.append(TestFunction.indicator(system.pattern(window, tuple(v))))
-    return out
+def _placed(system: SymbolicSystem, window, elements, values) -> tuple:
+    """values, listed in the order of elements, placed at their window positions."""
+    v = [None] * len(window)
+    for g, sym in zip(elements, values):
+        v[window.index[system.group.coerce(g)]] = sym
+    return tuple(v)
 
 
 def build_pattern(system: SymbolicSystem, pspec: dict):
     window = system.window(pspec["window"])
-    order = [window.index[system.group.coerce(g)] for g in pspec["window"]]
-    v = [None] * len(window)
-    for pos, sym in zip(order, pspec["values"]):
-        v[pos] = sym
-    return system.pattern(window, tuple(v))
+    return system.pattern(window, _placed(system, window, pspec["window"], pspec["values"]))
+
+
+def build_test_functions(system: SymbolicSystem, fspecs):
+    return [TestFunction.indicator(build_pattern(system, fp)) for fp in fspecs]
+
+
+_CYCLIC = {"model": "cyclic"}
+
+# what each task reads from params: the required keys, then the optional
+# ones with the default that stands in for an absent key (cover None is the
+# origin partition, deltas None falls back to a single "delta")
+TASK_PARAMS = {
+    "language": (("window",), {}),
+    "defects": (("sigma", "stages", "pairs"), {}),
+    "microstates": (("sigma", "F", "window", "stages"),
+                    {"cover": None, "deltas": None, "filter": None}),
+    "entropy-sofic": (("sigma", "F", "window", "stages"),
+                      {"cover": None, "deltas": None, "measure": None, "L": ()}),
+    "entropy-amenable": (("ns",), {"cover": None, "measure": None, "a": None}),
+    "compare": (("ns", "F", "window"),
+                {"cover": None, "sigma": _CYCLIC, "deltas": None, "measure": None,
+                 "slack": None}),
+    "variational": (("F", "window", "stages", "measure_labels"),
+                    {"cover": None, "sigma": _CYCLIC, "deltas": None, "L": ()}),
+    "tile": (("sigma", "shapes"),
+             {"eta": "0.1", "tau": 0, "V": None, "flavor": "sofic", "check_good": True}),
+    "pairs": (("candidates",), {"threshold": 0.0, "n": 6}),
+    "partition-bound": (("lam_size", "p", "eta", "eps"), {}),
+}
+
+
+def build_task_arguments(system: SymbolicSystem, spec: dict) -> dict:
+    """The params the spec's task reads, each built once, defaults applied.
+
+    Keys are the task's TASK_PARAMS keys.  window, F, cover, deltas,
+    measure(s), L, filter, shapes and candidates hold built objects; sigma
+    holds a stage value -> sofic map function (with no stage, the sigma
+    spec's own "n") and stages the sofic maps at the listed stages; every
+    other key holds its raw value.
+    """
+    required, optional = TASK_PARAMS[spec["task"]]
+    params = {**optional, **spec["params"]}
+    args = {key: params[key] for key in required + tuple(optional)}
+    measures = spec.get("measures", {})
+    if "window" in args:
+        args["window"] = system.window(params["window"])
+    if "F" in args:
+        args["F"] = [system.group.coerce(g) for g in params["F"]]
+    if "cover" in args:
+        args["cover"] = build_cover(system, params["cover"])
+    if "sigma" in args:
+        sspec = params["sigma"]
+        args["sigma"] = lambda n=sspec.get("n"): build_sigma(system, sspec, stage_value=n)
+    if "stages" in args:
+        args["stages"] = [args["sigma"](n) for n in params["stages"]]
+    if "deltas" in args:
+        grid = params["deltas"] if params["deltas"] is not None else params.get("delta")
+        if grid is None:
+            raise SpecError("missing delta grid", field="params.deltas")
+        if not isinstance(grid, list):
+            grid = [grid]
+        args["deltas"] = [as_fraction(v) for v in grid]
+    if "measure" in args and params["measure"] is not None:
+        args["measure"] = build_measure(system, measures[params["measure"]])
+    if "measure_labels" in args:
+        args["measure_labels"] = [(label, build_measure(system, measures[label]))
+                                  for label in params["measure_labels"]]
+    if "L" in args:
+        args["L"] = build_test_functions(system, params["L"])
+    if "filter" in args and params["filter"] is not None:
+        fspec = params["filter"]
+        args["filter"] = MeasureFilter.build(
+            build_measure(system, measures[fspec["measure"]]),
+            build_test_functions(system, fspec.get("functions", ())),
+            as_fraction(fspec.get("delta", params.get("delta"))))
+    if "shapes" in args:
+        args["shapes"] = [FiniteSubset(system.group, shape) for shape in params["shapes"]]
+    if "candidates" in args:
+        args["candidates"] = [(build_pattern(system, a), build_pattern(system, b))
+                              for a, b in params["candidates"]]
+    return args
 
 
 def cross_validate(spec: dict) -> list:
@@ -255,19 +320,7 @@ def cross_validate(spec: dict) -> list:
         except Exception as exc:
             diagnostics.append(f"measures.{name}: {exc}")
     task = spec["task"]
-    needs = {
-        "language": ("window",),
-        "defects": ("sigma", "stages", "pairs"),
-        "microstates": ("sigma", "F", "window", "stages"),
-        "entropy-sofic": ("sigma", "F", "window", "stages"),
-        "entropy-amenable": ("ns",),
-        "compare": ("ns", "F", "window"),
-        "variational": ("F", "window", "stages", "measure_labels"),
-        "tile": ("sigma", "shapes"),
-        "pairs": ("candidates",),
-        "partition-bound": ("lam_size", "p", "eta", "eps"),
-    }
-    for key in needs.get(task, ()):
+    for key in TASK_PARAMS[task][0]:
         if key not in params:
             diagnostics.append(f"params.{key}: required for task {task!r}")
     return diagnostics

@@ -221,12 +221,6 @@ class SymbolicSystem:
         )
         return Pattern(new_window, values)
 
-    def restrict(self, p: Pattern, window: Window) -> Pattern:
-        for g in window.elements:
-            if g not in p.window:
-                raise ArgumentError("restriction target exceeds pattern window")
-        return Pattern(window, tuple(p.value_at(g) for g in window.elements))
-
     # metric ------------------------------------------------------------------
 
     def rho(self, p: Pattern, q: Pattern):
@@ -306,9 +300,6 @@ class SymbolicSystem:
         result = tuple(out)
         self._language_cache[key] = result
         return result
-
-    def language(self, window: Window, budget: int = None):
-        return tuple(Pattern(window, v) for v in self.language_values(window, budget))
 
 
 def full_shift(alphabet, group: Group, weights=None, label=None) -> SymbolicSystem:

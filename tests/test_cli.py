@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -27,10 +28,75 @@ def test_every_bundled_spec_validates(spec):
     assert validate(spec) == []
 
 
+# sha256 of each bundled spec's artifact bodies (CSV: the non-# lines; JSON:
+# the whole file), keyed by spec and artifact name after the prefix.  A change
+# here is a change of the published numbers or schemas and must be deliberate.
+PINNED_BODIES = {
+    "cyclic_tile": {
+        "coverage.csv":
+            "e05393e1c7ed3636274d7c73702f6abf516482c57f97588c9db9550be6002d74",
+        "tiling.json":
+            "448414f582c9cf601a0ef27666a13809d9b77f4c726136a0057bf462573987ae",
+    },
+    "fullshift_microstates": {
+        "microstates.csv":
+            "ab60f5fe97f17c79bdf026cbbced3bbccd48eb13458c66e97a71c0fe531b1fc6",
+    },
+    "fullshift_pairs": {
+        "pairs.json":
+            "61ae36e1c1a5b7bd72d9bb28f64440e33e1591f3276d02ac8c962739ffb267f4",
+    },
+    "fullshift_sofic_trace": {
+        "trace.csv":
+            "237e729a6d6530c7ab6473b9944e44a2dacd73fc443375c8e8c4008a157281e5",
+    },
+    "fullshift_variational": {
+        "variational.csv":
+            "70ce9449d2301f35f4bf83d35174abdee4f9b1a4132c9d820707cafdfc6007b3",
+        "variational_report.json":
+            "bda6844da89603ea4943897d834d0efc6383f92c16cd6bc8c8a05b2afaf8a624",
+    },
+    "goldenmean_amenable": {
+        "amenable.csv":
+            "b4989a271e7bb32528bbb362985f299e316e3817e0d160e39e23c21f93f9e3d0",
+    },
+    "goldenmean_compare": {
+        "compare.csv":
+            "948baa596e5196f26f643e20db987f869a61cc9d9a7c4297bfadc6145427b4d9",
+        "compare_report.json":
+            "ba23f69532964373a58fc63101d6a5dc34be582c9c357a2f8b8be358b915a639",
+    },
+    "goldenmean_defects": {
+        "defects.csv":
+            "6234d74e4db11cae401cdfd3b3bb17000a69225a27bd972de3cb90012132d7f8",
+    },
+    "goldenmean_language": {
+        "language.csv":
+            "838a4c7cfd059337f7887ed40b213170389a1af968633acfb70f3ca9d7adda94",
+        "language_summary.json":
+            "1bb28b1c99a3d9eb2a7b42fd2fb60d4261eeae9cc09de889c891c0391a9f496b",
+    },
+    "partition_bound": {
+        "partition_bound.csv":
+            "5785b255eadc0e30a84b7860e86ea14c7651fda598a28b4aec9ba3f226ec9d5e",
+    },
+}
+
+
+def artifact_body(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"#"))
+    return data
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda p: p.stem)
 def test_every_bundled_spec_runs_clean(spec, tmp_path):
     assert run(spec, out_dir=tmp_path) == 0
-    assert any(tmp_path.iterdir())
+    digests = {path.name[len(spec.stem) + 1:]: hashlib.sha256(artifact_body(path)).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == PINNED_BODIES[spec.stem]
 
 
 def test_goldenmean_compare_final_gap(tmp_path):
@@ -169,3 +235,46 @@ def test_amenable_csv_bnu_column(tmp_path):
     lines = numeric_body(tmp_path / "goldenmean_amenable_amenable.csv").splitlines()
     assert lines[0] == "n,size_F,count,entropy,value,b_nu"
     assert all(int(line.split(",")[-1]) >= 1 for line in lines[1:])
+
+
+def test_budget_nodes_below_one_rejected(tmp_path, capsys):
+    code = main(["run", "--spec", str(SPEC_DIR / "goldenmean_language.spec"),
+                 "--out", str(tmp_path), "--budget-nodes", "0"])
+    assert code == 2
+    assert "(--budget-nodes)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_compare_budget_cut_is_inconclusive(tmp_path):
+    code = main(["run", "--spec", str(SPEC_DIR / "goldenmean_compare.spec"),
+                 "--out", str(tmp_path), "--budget-nodes", "300"])
+    assert code == 1
+    rows = numeric_body(tmp_path / "goldenmean_compare_compare.csv").splitlines()[1:]
+    assert rows and all(r.split(",")[7] == "0" for r in rows)  # bound_ok
+    report = json.loads((tmp_path / "goldenmean_compare_compare_report.json").read_text())
+    assert report["ok"] is False
+    assert report["verdict"] == "inconclusive: budget exhausted"
+
+
+def test_sofic_trace_budget_cut_warns_and_fails(tmp_path, capsys):
+    code = main(["run", "--spec", str(SPEC_DIR / "fullshift_sofic_trace.spec"),
+                 "--out", str(tmp_path), "--budget-nodes", "50"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "warning: budget exhausted at stage i=0 (d=2" in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_artifacts_are_strict_json(tmp_path):
+    spec = json.loads((SPEC_DIR / "fullshift_variational.spec").read_text())
+    spec["measures"]["fair"]["probs"] = ["0.9", "0.1"]
+    spec["params"].update(deltas=["0.01"], stages=[6])
+    p = tmp_path / "skewed.spec"
+    p.write_text(json.dumps(spec))
+    assert run(p, out_dir=tmp_path) == 0
+    text = (tmp_path / "fullshift_variational_variational_report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["worst_gap"] == "inf"  # filtered count 0 against a positive one

@@ -8,7 +8,7 @@ from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, NEG_
                       ResourceBudgetError, min_subcover,
                       TestFunction, amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, count_cover,
-                      cyclic_model, entropy_pair_scan, enumerate_microstates,
+                      cyclic_model, entropy_pair_scan, enumerate_microstates_both,
                       full_shift, origin_partition, partition_count_bound,
                       regular_representation, select_dominant_measure,
                       sofic_measure_trace, sofic_topological_trace, trivial_cover,
@@ -31,9 +31,9 @@ def test_full_shift_two_regimes(fs, fs_origin):
     Z = fs.group
     w = fs.interval_window(0, 1)
     sigma = cyclic_model(Z, 4)
-    tight = enumerate_microstates(fs, [1], zero_defect_delta(fs, w, [1], 4),
-                                  sigma, w, mode="outer")
-    loose = enumerate_microstates(fs, [1], "0.6", sigma, w, mode="outer")
+    tight = enumerate_microstates_both(fs, [1], zero_defect_delta(fs, w, [1], 4),
+                                       sigma, w)[1]
+    loose = enumerate_microstates_both(fs, [1], "0.6", sigma, w)[1]
     assert len(tight.tuples) == 16 and len(loose.tuples) > 16
     assert count_cover(tight, fs_origin) == count_cover(loose, fs_origin) == 16
 
@@ -195,7 +195,7 @@ def test_amenable_z2_full_shift(Z2):
 def _unfiltered_d8(fs):
     sigma = cyclic_model(fs.group, 8)
     w = fs.window([0])
-    return enumerate_microstates(fs, [0], "1.0", sigma, w, mode="outer"), w
+    return enumerate_microstates_both(fs, [0], "1.0", sigma, w)[1], w
 
 
 def test_select_dominant_single_candidate(fs, fair, fs_origin):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
                       MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap, TestFunction,
                       check_variational, count_cover, count_microstates, cyclic_model,
-                      enumerate_microstates, enumerate_microstates_both, filter_microstates,
+                      enumerate_microstates_both, filter_microstates,
                       full_shift, golden_mean_system, microstate_check, origin_partition,
                       sofic_topological_trace, zero_defect_delta)
 
@@ -100,8 +100,8 @@ def test_naive_equals_pruned_exhaustive(fs, gm):
 def test_antitone_in_F(fs):
     sigma = cyclic_model(fs.group, 4)
     w = fs.interval_window(-2, 2)
-    small = enumerate_microstates(fs, [1], "0.3", sigma, w, mode="outer")
-    large = enumerate_microstates(fs, [1, 2], "0.3", sigma, w, mode="outer")
+    small = enumerate_microstates_both(fs, [1], "0.3", sigma, w)[1]
+    large = enumerate_microstates_both(fs, [1, 2], "0.3", sigma, w)[1]
     assert set(large.tuples) <= set(small.tuples)
 
 
@@ -110,7 +110,7 @@ def test_antitone_in_delta(fs):
     w = fs.interval_window(0, 1)
     prev = None
     for delta in ("0.9", "0.5", "0.3", "0.1"):
-        cur = set(enumerate_microstates(fs, [1], delta, sigma, w, mode="outer").tuples)
+        cur = set(enumerate_microstates_both(fs, [1], delta, sigma, w)[1].tuples)
         if prev is not None:
             assert cur <= prev
         prev = cur
@@ -129,9 +129,9 @@ def test_filter_containment_and_binomial_count(fs, fair, fs_origin):
     w = fs.window([0])
     f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
     mf = MeasureFilter.build(fair, [f0], "0.2")
-    unfiltered = enumerate_microstates(fs, [0], "1.0", sigma, w, mode="outer")
-    filtered = enumerate_microstates(fs, [0], "1.0", sigma, w, mode="outer",
-                                     measure_filter=mf)
+    unfiltered = enumerate_microstates_both(fs, [0], "1.0", sigma, w)[1]
+    filtered = enumerate_microstates_both(fs, [0], "1.0", sigma, w,
+                                          measure_filter=mf)[1]
     assert set(filtered.tuples) <= set(unfiltered.tuples)
     expected = sum(math.comb(10, k) for k in (4, 5, 6))
     assert len(filtered) == expected
@@ -148,8 +148,8 @@ def test_incompatible_filter_empties(fs, fs_origin):
     # mu(f1) = 0 but every tuple has empirical average >= 0; delta tiny and
     # measure constrained: only the all-zeros tuple survives
     mf = MeasureFilter.build(point, [f1], "0.1")
-    filtered = enumerate_microstates(fs, [0], "1.0", sigma, w, mode="outer",
-                                     measure_filter=mf)
+    filtered = enumerate_microstates_both(fs, [0], "1.0", sigma, w,
+                                          measure_filter=mf)[1]
     assert filtered.tuples == ((("0",),) * 4,)
 
 
@@ -161,14 +161,14 @@ def test_count_cover_necklace_oracle(gm, gm_origin):
     for d in (6, 9, 12):
         sigma = cyclic_model(gm.group, d)
         delta = zero_defect_delta(gm, w, [1], d)
-        outer = enumerate_microstates(gm, [1], delta, sigma, w, mode="outer")
+        outer = enumerate_microstates_both(gm, [1], delta, sigma, w)[1]
         assert count_cover(outer, gm_origin) == count_cyclic_words(gm, d)
 
 
 def test_count_cover_empty_set_is_zero(fs, fs_origin):
     sigma = cyclic_model(fs.group, 4)
     w = fs.interval_window(-1, 1)
-    inner = enumerate_microstates(fs, [1], "0.001", sigma, w, mode="inner")
+    inner = enumerate_microstates_both(fs, [1], "0.001", sigma, w)[0]
     assert len(inner) == 0
     assert count_cover(inner, fs_origin) == 0
 
@@ -228,7 +228,7 @@ def test_count_refinement_monotone_on_same_set(fs):
 
     sigma = cyclic_model(fs.group, 4)
     w = fs.interval_window(0, 1)
-    outer = enumerate_microstates(fs, [1], "0.6", sigma, w, mode="outer")
+    outer = enumerate_microstates_both(fs, [1], "0.6", sigma, w)[1]
     finer = Cover(fs, w, [[v] for v in fs.language_values(w)])  # singletons
     coarser = origin_partition(fs)
     assert count_cover(outer, finer) >= count_cover(outer, coarser)

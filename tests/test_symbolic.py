@@ -191,7 +191,7 @@ def test_as_fraction_decimal_semantics():
 def test_metric_independence_nesting(fs):
     """Two compatible metrics: microstate sets built from one set of weights
     nest inside the sets of the other at related tolerances."""
-    from soficlab import LatticeGroup, cyclic_model, enumerate_microstates
+    from soficlab import LatticeGroup, cyclic_model, enumerate_microstates_both
 
     alt_weights = MetricWeights(fs.group,
                                 weight_fn=lambda g: Fraction(1, 4 ** (abs(g[0]) + 1)),
@@ -204,8 +204,8 @@ def test_metric_independence_nesting(fs):
     for d in deltas:
         w1 = fs.interval_window(-1, 1)
         w2 = alt.interval_window(-1, 1)
-        sets_w[d] = set(enumerate_microstates(fs, [1], d, sigma, w1, mode="outer").tuples)
-        sets_alt[d] = set(enumerate_microstates(alt, [1], d, sigma, w2, mode="outer").tuples)
+        sets_w[d] = set(enumerate_microstates_both(fs, [1], d, sigma, w1)[1].tuples)
+        sets_alt[d] = set(enumerate_microstates_both(alt, [1], d, sigma, w2)[1].tuples)
     for d2 in deltas:
         assert any(sets_w[d1] <= sets_alt[d2] for d1 in deltas if d1 <= d2), d2
         assert any(sets_alt[d1] <= sets_w[d2] for d1 in deltas if d1 <= d2), d2
