@@ -37,7 +37,7 @@ ten = full_shift(tuple("0123456789"), Z)
 w = ten.window([0])
 A = [(str(i),) for i in range(6)]
 B = [(str(i),) for i in range(3, 10)]
-V = Cover(ten, w, [A, B], labels=("A", "B"))
+V = Cover(ten, w, [A, B])
 mu = BernoulliMeasure(ten, [Fraction(1, 10)] * 10)
 res = cover_entropy(mu, V)
 H = lambda *ps: -sum(p * math.log(p) for p in ps if p)

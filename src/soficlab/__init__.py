@@ -10,14 +10,14 @@ __version__ = "0.1.0"
 
 from .errors import (ArgumentError, ResourceBudgetError, SoficLabError, SpecError,
                      UnsupportedOperationError)
-from .groups import (FiniteSubset, FiniteTableGroup, FolnerSequence, FreeGroup,
+from .groups import (FiniteSubset, FiniteTableGroup, FreeGroup,
                      Group, LatticeGroup, folner_set, invariance_defect, multiply)
 from .sofic import (GoodnessCertificate, SoficMap, SoficSequence, cyclic_model,
                     freeness_defect, from_folner, is_good, mult_defect,
                     random_free_model, regular_representation)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
                        SymbolicSystem, TestFunction, Window, as_fraction,
-                       count_cyclic_words, count_words, cylinder_measure, full_shift,
+                       count_cyclic_words, count_words, full_shift,
                        golden_mean_system, integrate, transfer_matrix)
 from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      cylinder_complement_cover, element_measure, exact_min_cover,

@@ -196,7 +196,7 @@ def _task_compare(system, args, writer, budget):
         kwargs["slack"] = float(args["slack"])
     report = check_amenable_agreement(
         system, args["cover"], args["ns"], args["sigma"], args["deltas"], args["F"],
-        args["window"], measure=args["measure"], **kwargs, budget=budget)
+        args["window"], measure=args["measure"], L=args["L"], **kwargs, budget=budget)
     rows = [(r.n, r.d, r.delta, r.value_sofic_inner, r.value_sofic_outer,
              r.value_amenable, r.gap, int(r.bound_ok)) for r in report.rows]
     writer.csv("compare", ("n", "d", "delta", "value_sofic_inner",

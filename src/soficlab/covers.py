@@ -9,6 +9,7 @@ measure-weighted partial cover counts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +26,7 @@ DEFAULT_NODE_BUDGET = 500_000
 class Cover:
     """A finite cover of the window language by pattern sets."""
 
-    def __init__(self, system: SymbolicSystem, window: Window, elements,
-                 labels=None, drop_empty=False):
+    def __init__(self, system: SymbolicSystem, window: Window, elements, drop_empty=False):
         language = set(system.language_values(window))
         sets = []
         for raw in elements:
@@ -46,9 +46,6 @@ class Cover:
         self.system = system
         self.window = window
         self.elements = tuple(sets)
-        if labels is None:
-            labels = tuple(f"E{i}" for i in range(len(self.elements)))
-        self.labels = tuple(labels)[: len(self.elements)]
         self._is_partition = None
 
     def __len__(self):
@@ -84,13 +81,12 @@ def origin_partition(system: SymbolicSystem) -> Cover:
     window = system.window([system.group.identity])
     cells = [[(a,)] for a in system.alphabet
              if (a,) in set(system.language_values(window))]
-    return Cover(system, window, cells,
-                 labels=tuple(f"[{a}]" for a, in (c[0] for c in cells)))
+    return Cover(system, window, cells)
 
 
 def trivial_cover(system: SymbolicSystem, window: Window = None) -> Cover:
     window = window or system.window([system.group.identity])
-    return Cover(system, window, [system.language_values(window)], labels=("X",))
+    return Cover(system, window, [system.language_values(window)])
 
 
 def cylinder_complement_cover(system: SymbolicSystem, patterns) -> Cover:
@@ -113,8 +109,7 @@ def cylinder_complement_cover(system: SymbolicSystem, patterns) -> Cover:
             raise ArgumentError("candidate cylinders overlap (not separable)")
     language = frozenset(system.language_values(window))
     elements = [language - c for c in lifted]
-    return Cover(system, window, elements, drop_empty=True,
-                 labels=tuple(f"comp{i}" for i in range(len(pats))))
+    return Cover(system, window, elements, drop_empty=True)
 
 
 def lift(cover: Cover, window: Window) -> Cover:
@@ -129,8 +124,7 @@ def lift(cover: Cover, window: Window) -> Cover:
     elements = []
     for e in cover.elements:
         elements.append([v for v in language if tuple(v[i] for i in proj) in e])
-    return Cover(cover.system, window, elements, labels=cover.labels,
-                 drop_empty=True)
+    return Cover(cover.system, window, elements, drop_empty=True)
 
 
 def join(v1: Cover, v2: Cover, budget: int = 4096) -> Cover:
@@ -143,15 +137,8 @@ def join(v1: Cover, v2: Cover, budget: int = 4096) -> Cover:
     b = lift(v2, window)
     if len(a) * len(b) > budget:
         raise ResourceBudgetError(f"join would create {len(a) * len(b)} candidate cells")
-    elements = []
-    labels = []
-    for (la, ea), (lb, eb) in itertools.product(zip(a.labels, a.elements),
-                                                zip(b.labels, b.elements)):
-        cell = ea & eb
-        if cell:
-            elements.append(cell)
-            labels.append(f"{la}&{lb}")
-    return Cover(system, window, elements, labels=labels)
+    elements = [ea & eb for ea, eb in itertools.product(a.elements, b.elements)]
+    return Cover(system, window, elements, drop_empty=True)
 
 
 def pullback(cover: Cover, g) -> Cover:
@@ -165,8 +152,7 @@ def pullback(cover: Cover, g) -> Cover:
     elements = []
     for e in cover.elements:
         elements.append([tuple(v[i] for i in source) for v in e])
-    return Cover(system, new_window, elements, labels=cover.labels,
-                 drop_empty=True)
+    return Cover(system, new_window, elements, drop_empty=True)
 
 
 def pullback_iterate(cover: Cover, F: FiniteSubset, budget: int = 200_000) -> Cover:
@@ -201,9 +187,7 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
     for v in language:
         sig = tuple(lookup[tuple(v[i] for i in proj)] for proj in projections)
         cells.setdefault(sig, []).append(v)
-    ordered = sorted(cells.items())
-    labels = tuple("x".join(cover.labels[i] for i in sig) for sig, _ in ordered)
-    return Cover(system, window, [vals for _, vals in ordered], labels=labels)
+    return Cover(system, window, [vals for _, vals in sorted(cells.items())])
 
 
 def refines(v1: Cover, v2: Cover) -> bool:
@@ -453,64 +437,52 @@ def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,
 
 
 def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_BUDGET):
-    """b_nu against an already-joined cover."""
+    """b_nu against an already-joined cover.
+
+    Branch and bound over the elements, heaviest first: include or skip
+    each one, cutting a branch once the heaviest remaining elements cannot
+    close the mass gap within the best count found.  Masses are integers
+    over one common denominator, so every comparison is exact.
+    """
     a = as_fraction(a)
     window = cover.window
-    weights = [element_measure(measure, window, e) for e in cover.elements]
+    mass_of = {v: measure.cylinder(Pattern(window, v))
+               for v in frozenset().union(*cover.elements)}
+    scale = math.lcm(a.denominator, *(m.denominator for m in mass_of.values()))
+    mass_of = {v: m.numerator * (scale // m.denominator) for v, m in mass_of.items()}
+    target = a.numerator * (scale // a.denominator)
+    weights = [sum(map(mass_of.__getitem__, e)) for e in cover.elements]
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
     sets = [cover.elements[i] for i in order]
-    singles = [weights[i] for i in order]
-    total_union = element_measure(measure, window, frozenset().union(*sets))
-    if total_union < a:
-        raise ArgumentError(
-            f"cover union has measure {float(total_union):.6g} < a={float(a):.6g}"
-        )
+    prefix = list(itertools.accumulate((weights[i] for i in order), initial=0))
+    total_union = sum(mass_of.values())
+    if total_union < target:
+        raise ArgumentError(f"cover union has measure {float(Fraction(total_union, scale)):.6g}"
+                            f" < a={float(a):.6g}")
 
-    pattern_mass = {}
-
-    def union_measure(patterns):
-        out = Fraction(0)
-        for v in patterns:
-            m = pattern_mass.get(v)
-            if m is None:
-                m = measure.cylinder(Pattern(window, v))
-                pattern_mass[v] = m
-            out += m
-        return out
-
-    best = {"count": len(sets)}
+    best = len(sets)
     nodes = 0
 
-    def extra_needed(mass_gap, idx):
-        need = 0
-        acc = Fraction(0)
-        for j in range(idx, len(sets)):
-            if acc >= mass_gap:
-                break
-            acc += singles[j]
-            need += 1
-        return need if acc >= mass_gap else None
-
-    def dfs(idx, chosen_union, count):
-        nonlocal nodes
+    def dfs(idx, chosen_union, mass, count):
+        nonlocal best, nodes
         nodes += 1
         if nodes > budget:
-            raise ResourceBudgetError("partial cover budget exceeded",
-                                      upper_bound=best["count"])
-        mass = union_measure(chosen_union)
-        if mass >= a:
-            best["count"] = min(best["count"], count)
+            raise ResourceBudgetError("partial cover budget exceeded", upper_bound=best)
+        if mass >= target:
+            best = min(best, count)
             return
-        if idx == len(sets) or count >= best["count"]:
+        if idx == len(sets) or count >= best:
             return
-        need = extra_needed(a - mass, idx)
-        if need is None or count + need >= best["count"]:
+        # fewest heaviest remaining elements whose masses sum to the gap
+        need = bisect.bisect_left(prefix, prefix[idx] + target - mass, lo=idx) - idx
+        if idx + need == len(prefix) or count + need >= best:
             return
-        dfs(idx + 1, chosen_union | sets[idx], count + 1)
-        dfs(idx + 1, chosen_union, count)
+        new = sets[idx] - chosen_union
+        dfs(idx + 1, chosen_union | new, mass + sum(map(mass_of.__getitem__, new)), count + 1)
+        dfs(idx + 1, chosen_union, mass, count)
 
     try:
-        dfs(0, frozenset(), 0)
+        dfs(0, frozenset(), 0, 0)
     finally:
         del dfs  # dfs reaches itself through its closure: break the cycle
-    return best["count"]
+    return best

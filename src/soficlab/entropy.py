@@ -16,9 +16,9 @@ from fractions import Fraction
 from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcover,
                      pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
-from .groups import FolnerSequence
-from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _language_indices,
-                          _passes, count_cover, count_microstates, filter_microstates)
+from .groups import folner_set
+from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _passes, count_cover,
+                          count_microstates, filter_microstates)
 from .symbolic import SymbolicSystem, Window, as_fraction
 
 NEG_INF = float("-inf")
@@ -58,7 +58,6 @@ class TraceRow:
 @dataclass
 class EntropyTrace:
     kind: str
-    cover_label: str
     F: tuple
     delta: Fraction
     rows: list = field(default_factory=list)
@@ -83,7 +82,6 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     n_cover = _exact_count(min_subcover(cover))
     trace = EntropyTrace(
         kind=kind,
-        cover_label=",".join(cover.labels),
         F=tuple(F),
         delta=delta,
         log_cover_count=log_big(n_cover) if n_cover else NEG_INF,
@@ -132,7 +130,6 @@ class AmenableRow:
 @dataclass
 class AmenableTrace:
     kind: str
-    cover_label: str
     rows: list = field(default_factory=list)
 
     @property
@@ -147,11 +144,10 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     Values live in [0, log N(U, X)]; the count-level form of the upper
     bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|}, is asserted exactly.
     """
-    folner = FolnerSequence(system.group)
     n_cover = _exact_count(min_subcover(cover, budget=budget))
-    trace = AmenableTrace("amenable-topological", ",".join(cover.labels))
+    trace = AmenableTrace("amenable-topological")
     for n in ns:
-        F = folner(n)
+        F = folner_set(system.group, n)
         vf = pullback_iterate(cover, F, budget=budget)
         count = _exact_count(min_subcover(vf, budget=budget))
         if count > n_cover ** len(F):
@@ -169,11 +165,10 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
     Rows also carry N(V_{F_n}, X) in the count column, so the trace dumps
     as (F, N(V_F, X), H_mu(V_F), value).  Values live in [0, log |V|].
     """
-    folner = FolnerSequence(system.group)
-    trace = AmenableTrace("amenable-measure", ",".join(cover.labels))
+    trace = AmenableTrace("amenable-measure")
     bound = math.log(len(cover))
     for n in ns:
-        F = folner(n)
+        F = folner_set(system.group, n)
         vf = pullback_iterate(cover, F, budget=budget)
         count = _exact_count(min_subcover(vf, budget=budget))
         h = cover_entropy(measure, vf, budget=budget).value
@@ -221,7 +216,7 @@ def select_dominant_measure(M: MicrostateSet, candidates, L, delta, cover: Cover
         tables = [_filter_tables(M.window, lang, mf, M.d) for mf in filters]
         # a tuple is near a candidate exactly when it passes that candidate's
         # filter: |(1/d) sum_i f(x_i) - nu(f)| < delta for every f in L
-        for indices in _language_indices(M):
+        for indices in M.rows:
             if not any(_passes(t, indices) for t in tables):
                 uncovered.append(tuple(float(Fraction(f.total(indices), f.scale * M.d))
                                        for f in tables[0]))
@@ -408,13 +403,12 @@ def check_amenable_agreement(system: SymbolicSystem, cover: Cover, ns, sigma_bui
     A sofic stage cut by the budget gives an incomplete row that fails the
     bound, so a cut never counts as agreement.
     """
-    folner = FolnerSequence(system.group)
     slack_fn = slack if callable(slack) else (lambda d: slack)
     rows = []
     slack_used = {}
     ok = True
     for n in ns:
-        Fn = folner(n)
+        Fn = folner_set(system.group, n)
         d = len(Fn)
         sigma = sigma_builder(n)
         if sigma.d != d:

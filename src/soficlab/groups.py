@@ -25,7 +25,6 @@ class Group:
     """Base class; subclasses implement the element operations."""
 
     kind = "abstract"
-    is_amenable_kind = False
 
     @property
     def identity(self):
@@ -88,7 +87,6 @@ class LatticeGroup(Group):
     """The integer lattice Z^k with standard generators and their inverses."""
 
     kind = "lattice"
-    is_amenable_kind = True
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -153,7 +151,6 @@ class FiniteTableGroup(Group):
     """
 
     kind = "finite"
-    is_amenable_kind = True
 
     def __init__(self, table, generators=None):
         n = len(table)
@@ -263,7 +260,6 @@ class FreeGroup(Group):
     """The free group F_r; elements are reduced words stored eagerly reduced."""
 
     kind = "free"
-    is_amenable_kind = False
 
     def __init__(self, rank: int, names=None):
         if rank < 1:
@@ -418,18 +414,6 @@ def folner_set(group: Group, n: int) -> FiniteSubset:
     raise UnsupportedOperationError(
         f"no Folner sets for group kind {group.kind!r} (not amenable)"
     )
-
-
-class FolnerSequence:
-    """n -> Folner set; lattice boxes [0,n)^k, constantly G for finite G."""
-
-    def __init__(self, group: Group):
-        if not group.is_amenable_kind:
-            raise UnsupportedOperationError("Folner sequences need an amenable kind")
-        self.group = group
-
-    def __call__(self, n: int) -> FiniteSubset:
-        return folner_set(self.group, n)
 
 
 def invariance_defect(F: FiniteSubset, K: FiniteSubset) -> Fraction:

@@ -63,6 +63,12 @@ class MicrostateSet:
     def _members(self) -> frozenset:
         return frozenset(self.tuples)
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Each microstate as a tuple of indices into the window language."""
+        index = {v: c for c, v in enumerate(self.system.language_values(self.window))}
+        return tuple(tuple(map(index.__getitem__, t)) for t in self.tuples)
+
     def __repr__(self):
         tag = "filtered " if self.filtered else ""
         return (f"MicrostateSet(d={self.d}, |W|={len(self.window)}, "
@@ -211,23 +217,81 @@ def _passes(tables, indices) -> bool:
     return True
 
 
-def _language_indices(M: MicrostateSet):
-    """Each microstate of M as a list of indices into the window language."""
-    index = {v: c for c, v in enumerate(M.system.language_values(M.window))}
-    return [[index[x] for x in t] for t in M.tuples]
+class _CoverKeys:
+    """How one cover reads the microstates over one window language.
 
+    table[c] is the key of language pattern c: the cell holding it for a
+    partition, c itself for a general cover.  N(U^d, .) of a microstate set
+    is read off the set of its key rows by count().
+    """
 
-def _cell_table(window, lang, cover: Cover):
-    """Cell of a partition cover holding each language pattern, by index."""
-    for g in cover.window.elements:
-        if g not in window.index:
-            raise ArgumentError("cover window must sit inside the microstate window")
-    proj = [window.index[g] for g in cover.window.elements]
-    owner = cover.cell_of
-    try:
-        return tuple(owner[tuple(v[i] for i in proj)] for v in lang)
-    except KeyError as exc:
-        raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
+    def __init__(self, window, lang, cover: Cover):
+        for g in cover.window.elements:
+            if g not in window.index:
+                raise ArgumentError("cover window must sit inside the microstate window")
+        proj = [window.index[g] for g in cover.window.elements]
+        self.cover = cover
+        self.patterns = [tuple(v[i] for i in proj) for v in lang]
+        if not cover.is_partition:
+            self.table = range(len(lang))
+            return
+        owner = cover.cell_of
+        try:
+            self.table = tuple(map(owner.__getitem__, self.patterns))
+        except KeyError as exc:
+            raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
+
+    def count(self, keys, budget: int = 250_000) -> int:
+        """N(U^d, .) of the microstates whose key rows form the set keys.
+
+        A partition's key rows are the cell signatures, so the count is their
+        number; a general cover reduces per coordinate to maximal elements
+        and runs the exact set-cover search over the sorted rows.
+        """
+        if self.cover.is_partition or not keys:
+            return len(keys)
+        restricted = [tuple(map(self.patterns.__getitem__, r)) for r in sorted(keys)]
+        d = len(restricted[0])
+        occurring = [frozenset(t[j] for t in restricted) for j in range(d)]
+        per_position = []
+        for j in range(d):
+            views = [(idx, e & occurring[j]) for idx, e in enumerate(self.cover.elements)]
+            maximal = []
+            for idx, view in views:
+                if not view:
+                    continue
+                dominated = any(
+                    (view < other) or (view == other and jdx < idx)
+                    for jdx, other in views if jdx != idx
+                )
+                if not dominated:
+                    maximal.append((idx, view))
+            if not maximal:
+                raise ArgumentError(f"coordinate {j} has uncovered patterns")
+            per_position.append(maximal)
+
+        n_products = 1
+        for options in per_position:
+            n_products *= len(options)
+            if n_products > budget:
+                raise ResourceBudgetError(
+                    f"product cover family too large (> {budget})"
+                )
+        universe = frozenset(range(len(restricted)))
+        candidate_sets = []
+        for choice in itertools.product(*per_position):
+            views = [view for _, view in choice]
+            covered = frozenset(
+                k for k, t in enumerate(restricted)
+                if all(t[j] in views[j] for j in range(d))
+            )
+            if covered:
+                candidate_sets.append(covered)
+        result = exact_min_cover(candidate_sets, universe, budget=budget)
+        if not result.exact:
+            raise ResourceBudgetError("count_cover search budget exceeded",
+                                      upper_bound=result.count)
+        return result.count
 
 
 def _stage(system, F, delta, sigma, window):
@@ -295,12 +359,12 @@ class _Tally:
     def __init__(self, tables):
         self.tables = tables
         self.m_inner = self.m_outer = 0
-        self.inner = set()  # cell signatures
+        self.inner = set()  # key rows
         self.outer = set()
 
-    def counts(self) -> MicrostateCounts:
+    def counts(self, keys: _CoverKeys) -> MicrostateCounts:
         return MicrostateCounts(self.m_inner, self.m_outer,
-                                len(self.inner), len(self.outer))
+                                keys.count(self.inner), keys.count(self.outer))
 
 
 def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
@@ -312,32 +376,24 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     prunes the scan the same way).  Returns (counts, filtered), where
     filtered[k] counts the part of the set that also passes filters[k].
 
-    Partition covers are counted in a single streaming scan: each microstate
-    reaches the counter as language indices, its cell signature is read off
-    a precomputed index -> cell table, and only the set of signatures is
-    kept.  General covers need the tuples for the exact set-cover search,
-    so they are enumerated, filtered and counted by count_cover.
+    One streaming scan serves every cover: each microstate reaches the
+    counter as language indices, its key row is read off the cover's
+    index -> key table (the partition cell, or the index itself for a
+    general cover), and only the set of key rows is kept.  The counts are
+    read off those sets once the scan ends.
     """
-    if not cover.is_partition:
-        inner, outer = enumerate_microstates_both(
-            system, F, delta, sigma, window, measure_filter=measure_filter, budget=budget)
-        sets = [(inner, outer)] + [(filter_microstates(inner, f), filter_microstates(outer, f))
-                                   for f in filters]
-        counts = [MicrostateCounts(len(i), len(o), count_cover(i, cover), count_cover(o, cover))
-                  for i, o in sets]
-        return counts[0], tuple(counts[1:])
-
     delta, plan, lang = _stage(system, F, delta, sigma, window)
     if not lang:
         empty = MicrostateCounts(0, 0, 0, 0)
         return empty, (empty,) * len(filters)
     d = sigma.d
-    cell = _cell_table(window, lang, cover)
+    keys = _CoverKeys(window, lang, cover)
+    table = keys.table
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else ()
     tallies = [_Tally(())] + [_Tally(_filter_tables(window, lang, f, d)) for f in filters]
 
     def leaf(indices, inner_ok):
-        signature = tuple(map(cell.__getitem__, indices))
+        signature = tuple(map(table.__getitem__, indices))
         for tally in tallies:
             if _passes(tally.tables, indices):
                 tally.m_outer += 1
@@ -347,7 +403,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
                     tally.inner.add(signature)
 
     _scan(plan, lang, delta, sigma, prune, leaf, "pruned", budget)
-    return tallies[0].counts(), tuple(t.counts() for t in tallies[1:])
+    return tallies[0].counts(keys), tuple(t.counts(keys) for t in tallies[1:])
 
 
 def _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget):
@@ -518,8 +574,7 @@ def filter_microstates(M: MicrostateSet, measure_filter: MeasureFilter) -> Micro
     """Apply the empirical-average filter to an already enumerated set."""
     tables = _filter_tables(M.window, M.system.language_values(M.window),
                             measure_filter, M.d)
-    kept = tuple(t for t, indices in zip(M.tuples, _language_indices(M))
-                 if _passes(tables, indices))
+    kept = tuple(t for t, indices in zip(M.tuples, M.rows) if _passes(tables, indices))
     return MicrostateSet(
         system=M.system, window=M.window, d=M.d, F=M.F, delta=M.delta,
         mode=M.mode, tuples=kept, sigma_provenance=M.sigma_provenance,
@@ -529,63 +584,9 @@ def filter_microstates(M: MicrostateSet, measure_filter: MeasureFilter) -> Micro
 
 def count_cover(M: MicrostateSet, cover: Cover, budget: int = 250_000) -> int:
     """N(U^d, M): minimal number of product cells U_{i_1} x ... x U_{i_d}
-    covering the microstate set.  Partitions short-cut to counting the
-    distinct cell signatures; general covers reduce per coordinate to
-    maximal elements and run the exact set-cover search.
+    covering the microstate set, counted as count_microstates counts it.
     """
-    if len(M.tuples) == 0:
+    if not M.tuples:
         return 0
-    window = M.window
-    if cover.is_partition:
-        cell = _cell_table(window, M.system.language_values(window), cover)
-        return len({tuple(map(cell.__getitem__, t)) for t in _language_indices(M)})
-
-    for g in cover.window.elements:
-        if g not in window.index:
-            raise ArgumentError("cover window must sit inside the microstate window")
-    proj = [window.index[g] for g in cover.window.elements]
-    d = M.d
-    restricted = [tuple(tuple(x[i] for i in proj) for x in t) for t in M.tuples]
-    occurring = [frozenset(t[j] for t in restricted) for j in range(d)]
-    per_position = []
-    for j in range(d):
-        views = []
-        for idx, e in enumerate(cover.elements):
-            view = e & occurring[j]
-            views.append((idx, view))
-        maximal = []
-        for idx, view in views:
-            if not view:
-                continue
-            dominated = any(
-                (view < other) or (view == other and jdx < idx)
-                for jdx, other in views if jdx != idx
-            )
-            if not dominated:
-                maximal.append((idx, view))
-        if not maximal:
-            raise ArgumentError(f"coordinate {j} has uncovered patterns")
-        per_position.append(maximal)
-
-    n_products = 1
-    for options in per_position:
-        n_products *= len(options)
-        if n_products > budget:
-            raise ResourceBudgetError(
-                f"product cover family too large (> {budget})"
-            )
-    universe = frozenset(range(len(restricted)))
-    candidate_sets = []
-    for choice in itertools.product(*per_position):
-        views = [view for _, view in choice]
-        covered = frozenset(
-            k for k, t in enumerate(restricted)
-            if all(t[j] in views[j] for j in range(d))
-        )
-        if covered:
-            candidate_sets.append(covered)
-    result = exact_min_cover(candidate_sets, universe, budget=budget)
-    if not result.exact:
-        raise ResourceBudgetError("count_cover search budget exceeded",
-                                  upper_bound=result.count)
-    return result.count
+    keys = _CoverKeys(M.window, M.system.language_values(M.window), cover)
+    return keys.count({tuple(map(keys.table.__getitem__, r)) for r in M.rows}, budget)

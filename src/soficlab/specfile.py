@@ -165,7 +165,6 @@ def build_cover(system: SymbolicSystem, cspec) -> Cover:
         elements = [[_placed(system, window, cspec["window"], values) for values in elem]
                     for elem in cspec["elements"]]
         return Cover(system, window, elements,
-                     labels=cspec.get("labels"),
                      drop_empty=bool(cspec.get("drop_empty", False)))
     raise SpecError(f"unknown cover kind {kind!r}", field="params.cover")
 
@@ -220,7 +219,7 @@ TASK_PARAMS = {
                       {"cover": None, "deltas": None, "measure": None, "L": ()}),
     "entropy-amenable": (("ns",), {"cover": None, "measure": None, "a": None}),
     "compare": (("ns", "F", "window"),
-                {"cover": None, "sigma": _CYCLIC, "deltas": None, "measure": None,
+                {"cover": None, "sigma": _CYCLIC, "deltas": None, "measure": None, "L": (),
                  "slack": None}),
     "variational": (("F", "window", "stages", "measure_labels"),
                     {"cover": None, "sigma": _CYCLIC, "deltas": None, "L": ()}),
@@ -323,4 +322,8 @@ def cross_validate(spec: dict) -> list:
     for key in TASK_PARAMS[task][0]:
         if key not in params:
             diagnostics.append(f"params.{key}: required for task {task!r}")
+    if task == "compare" and params.get("measure") is not None and "L" not in params:
+        # without L the sofic side would be the unfiltered topological count,
+        # set against the measure entropy H_mu(V_F)/|F| on the amenable side
+        diagnostics.append("params.L: required for task 'compare' with a measure")
     return diagnostics

@@ -439,11 +439,6 @@ class MarkovMeasure:
         return total
 
 
-def cylinder_measure(measure, p: Pattern) -> Fraction:
-    """Exact probability of the cylinder {x : x|_W = p}."""
-    return measure.cylinder(p)
-
-
 class TestFunction:
     """A continuous observable depending on finitely many coordinates."""
 
@@ -455,7 +450,6 @@ class TestFunction:
         self.default = as_fraction(default)
         self.label = label
         vals = list(self.table.values()) + [self.default]
-        self.sup_norm = max(abs(v) for v in vals)
         self.min_value = min(vals)
         self.max_value = max(vals)
 

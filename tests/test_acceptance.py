@@ -133,7 +133,7 @@ def _ordering_corpus():
     def overlap(system):
         w = system.window([system.group.identity])
         lang = system.language_values(w)
-        return Cover(system, w, [lang, [lang[0]]], labels=("X", "A"))
+        return Cover(system, w, [lang, [lang[0]]])
 
     corpus = []
     # (label, system, cover, sigma, window, F, F_big, measure)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from soficlab import (MarkovMeasure, TestFunction, cyclic_model, golden_mean_system,
+                      origin_partition, sofic_measure_trace)
 from soficlab.cli import main, run, validate
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -278,3 +280,42 @@ def test_json_artifacts_are_strict_json(tmp_path):
     text = (tmp_path / "fullshift_variational_variational_report.json").read_text()
     report = json.loads(text, parse_constant=_reject_constant)
     assert report["worst_gap"] == "inf"  # filtered count 0 against a positive one
+
+
+PARRY_TRANSITION = {"0": {"0": 0.6180339887498949, "1": 0.3819660112501051},
+                    "1": {"0": 1, "1": 0}}
+
+
+def _parry_compare_spec(tmp_path, with_L):
+    spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
+    spec["measures"] = {"parry": {"kind": "markov", "transition": PARRY_TRANSITION}}
+    spec["params"].update(measure="parry", deltas=["0.1"], ns=[6, 8])
+    if with_L:  # the rare symbol at the origin
+        spec["params"]["L"] = [{"window": [[0]], "values": ["1"]}]
+    p = tmp_path / "parry_compare.spec"
+    p.write_text(json.dumps(spec))
+    return p
+
+
+def test_compare_filters_the_sofic_side_by_L(tmp_path):
+    run(_parry_compare_spec(tmp_path, with_L=True), out_dir=tmp_path)
+    lines = numeric_body(tmp_path / "goldenmean_compare_compare.csv").splitlines()
+    assert lines[0].split(",")[4] == "value_sofic_outer"
+    written = {int(r.split(",")[1]): r.split(",")[4] for r in lines[1:]}
+    gm = golden_mean_system()
+    parry = MarkovMeasure.stationary(gm, PARRY_TRANSITION)
+    L = [TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))]
+    window = gm.interval_window(-2, 2)
+    assert sorted(written) == [6, 8]
+    for d, value in written.items():
+        trace = sofic_measure_trace(gm, origin_partition(gm), parry, L, [1], "0.1",
+                                    [cyclic_model(gm.group, d)], window)
+        assert value == repr(trace.rows[0].value_outer)
+
+
+def test_compare_with_measure_needs_L(tmp_path, capsys):
+    code = main(["run", "--spec", str(_parry_compare_spec(tmp_path, with_L=False)),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "params.L" in capsys.readouterr().err
+    assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
-                      cover_entropy, cylinder_complement_cover, element_measure,
-                      exact_min_cover, full_shift, join, lift, min_subcover,
-                      origin_partition, partial_cover_count, partial_cover_count_of,
-                      partitions_refining, pullback, pullback_iterate, refines,
-                      shannon_entropy, trivial_cover)
+                      ResourceBudgetError, cover_entropy, cylinder_complement_cover,
+                      element_measure, exact_min_cover, folner_set, full_shift, join, lift,
+                      min_subcover, origin_partition, partial_cover_count,
+                      partial_cover_count_of, partitions_refining, pullback, pullback_iterate,
+                      refines, shannon_entropy, trivial_cover)
 
 
 def H(*probs):
@@ -62,7 +62,7 @@ def test_pullback_golden_mean_three(gm, gm_origin):
 
 def test_pullback_non_partition(fs):
     w = fs.window([0])
-    overlap = Cover(fs, w, [[("0",), ("1",)], [("1",)]], labels=("X", "B"))
+    overlap = Cover(fs, w, [[("0",), ("1",)], [("1",)]])
     vf = pullback_iterate(overlap, FiniteSubset(fs.group, [0, 1]))
     assert not vf.is_partition
     assert len(vf) == 4  # all choice-function cells are non-empty here
@@ -159,7 +159,7 @@ def test_cover_entropy_overlapping_elements():
     w = ten.window([0])
     A = [(str(i),) for i in range(6)]          # measure 0.6
     B = [(str(i),) for i in range(3, 10)]      # measure 0.7, overlap 0.3
-    V = Cover(ten, w, [A, B], labels=("A", "B"))
+    V = Cover(ten, w, [A, B])
     mu = BernoulliMeasure(ten, [Fraction(1, 10)] * 10)
     res = cover_entropy(mu, V)
     assert abs(res.value - min(H(0.6, 0.4), H(0.3, 0.7))) < 1e-12
@@ -261,6 +261,31 @@ def test_partial_cover_exhaustive_oracle(gm, gm_rational_markov, gm_origin):
         if best:
             break
     assert got == best
+
+
+def _overlapping_gm_cover(gm):
+    """{x_0 = 0} and {x_1 = 0} on the window {0, 1}: they share the pattern 00."""
+    w = gm.interval_window(0, 1)
+    lang = gm.language_values(w)
+    return Cover(gm, w, [[v for v in lang if v[0] == "0"], [v for v in lang if v[1] == "0"]])
+
+
+@pytest.mark.parametrize("kind,n,a,value,nodes", [
+    ("partition", 4, "0.9", 7, 15),
+    ("partition", 8, "0.9", 46, 93),
+    ("overlapping", 4, "0.99", 4, 183),
+])
+def test_partial_cover_search_node_count(gm, parry, gm_origin, kind, n, a, value, nodes):
+    """The branch and bound finishes in exactly `nodes` nodes on the Parry
+    V_{F_n}; one node less is a budget cut carrying an upper bound, never
+    a value."""
+    cover = gm_origin if kind == "partition" else _overlapping_gm_cover(gm)
+    vf = pullback_iterate(cover, folner_set(gm.group, n))
+    assert vf.is_partition == (kind == "partition")
+    assert partial_cover_count_of(parry, vf, a, budget=nodes) == value
+    with pytest.raises(ResourceBudgetError) as info:
+        partial_cover_count_of(parry, vf, a, budget=nodes - 1)
+    assert info.value.upper_bound >= value
 
 
 def test_partial_cover_rejects_unreachable_mass(gm, fair):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, NEG_INF,
-                      ResourceBudgetError, min_subcover,
+from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FreeGroup,
+                      NEG_INF, ResourceBudgetError, UnsupportedOperationError, min_subcover,
                       TestFunction, amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, count_cover,
                       cyclic_model, entropy_pair_scan, enumerate_microstates_both,
@@ -459,3 +459,9 @@ def test_finite_group_local_invariants_reported_not_asserted(Z3):
     assert math.isfinite(amen) and amen > 0
     assert sofic_val <= math.log(2) + 1e-12  # only the trivial topological bound
     assert math.isfinite(gap)  # reported, never asserted to vanish
+
+
+def test_amenable_trace_over_free_group_unsupported():
+    f2 = full_shift(("0", "1"), FreeGroup(2))
+    with pytest.raises(UnsupportedOperationError):
+        amenable_topological_trace(f2, origin_partition(f2), [2])

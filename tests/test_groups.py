@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab import (ArgumentError, FiniteSubset, FiniteTableGroup, FolnerSequence,
+from soficlab import (ArgumentError, FiniteSubset, FiniteTableGroup,
                       FreeGroup, LatticeGroup, UnsupportedOperationError, folner_set,
                       invariance_defect, multiply)
 
@@ -61,11 +61,10 @@ def test_invariance_defect_examples(Z, Z2):
 @pytest.mark.parametrize("k", [1, 2])
 def test_folner_defect_decays_like_inverse_n(k):
     G = LatticeGroup(k)
-    folner = FolnerSequence(G)
     K = FiniteSubset(G, G.generators)
     prev = None
     for n in (4, 8, 16, 32, 64):
-        d = invariance_defect(folner(n), K)
+        d = invariance_defect(folner_set(G, n), K)
         assert d <= Fraction(2 * k, n)
         if prev is not None:
             assert d <= prev

@@ -6,7 +6,7 @@ import pytest
 
 from soficlab import (ArgumentError, BernoulliMeasure, MarkovMeasure, MetricWeights,
                       SymbolicSystem, TestFunction, UnsupportedOperationError,
-                      as_fraction, count_cyclic_words, count_words, cylinder_measure,
+                      as_fraction, count_cyclic_words, count_words,
                       full_shift, golden_mean_system, integrate)
 
 
@@ -125,17 +125,17 @@ def test_default_weights_total_one(fs, Z3):
 
 def test_cylinder_measures(fs, skew):
     w = fs.interval_window(0, 2)
-    assert cylinder_measure(skew, fs.pattern(w, ("0", "1", "0"))) == Fraction(63, 1000)
+    assert skew.cylinder(fs.pattern(w, ("0", "1", "0"))) == Fraction(63, 1000)
     fair = BernoulliMeasure(fs, ["0.5", "0.5"])
-    assert cylinder_measure(fair, fs.pattern(w, ("1", "1", "0"))) == Fraction(1, 8)
+    assert fair.cylinder(fs.pattern(w, ("1", "1", "0"))) == Fraction(1, 8)
 
 
 def test_markov_cylinders_and_stationarity(gm, gm_rational_markov):
     mk = gm_rational_markov
     assert mk.initial == {"0": Fraction(3, 4), "1": Fraction(1, 4)}
     w = gm.interval_window(0, 1)
-    assert cylinder_measure(mk, gm.pattern(w, ("0", "1"))) == Fraction(1, 4)
-    assert cylinder_measure(mk, gm.pattern(w, ("1", "1"))) == 0
+    assert mk.cylinder(gm.pattern(w, ("0", "1"))) == Fraction(1, 4)
+    assert mk.cylinder(gm.pattern(w, ("1", "1"))) == 0
     with pytest.raises(ArgumentError):
         MarkovMeasure(gm, ["0.5", "0.5"],
                       {"0": {"0": "0.5", "1": "0.5"}, "1": {"0": 1, "1": 0}})
@@ -144,7 +144,7 @@ def test_markov_cylinders_and_stationarity(gm, gm_rational_markov):
 def test_markov_needs_interval_window(gm, gm_rational_markov):
     w = gm.window([0, 2])
     with pytest.raises(UnsupportedOperationError):
-        cylinder_measure(gm_rational_markov, gm.pattern(w, ("0", "0")))
+        gm_rational_markov.cylinder(gm.pattern(w, ("0", "0")))
 
 
 def test_markov_entropy_rate_parry(parry):
