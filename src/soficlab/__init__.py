@@ -17,8 +17,8 @@ from .sofic import (GoodnessCertificate, SoficMap, SoficSequence, cyclic_model,
                     random_free_model, regular_representation)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
                        SymbolicSystem, TestFunction, Window, as_fraction,
-                       count_cyclic_words, count_words, full_shift,
-                       golden_mean_system, integrate, transfer_matrix)
+                       count_box_language, count_cyclic_words, full_shift,
+                       golden_mean_system, integrate, is_slice_box)
 from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      cylinder_complement_cover, element_measure, exact_min_cover,
                      join, lift, min_subcover, origin_partition, partial_cover_count,

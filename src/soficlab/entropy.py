@@ -19,7 +19,7 @@ from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _passes, count_cover,
                           count_microstates, filter_microstates)
-from .symbolic import SymbolicSystem, Window, as_fraction
+from .symbolic import SymbolicSystem, Window, as_fraction, count_box_language, is_slice_box
 
 NEG_INF = float("-inf")
 
@@ -125,6 +125,7 @@ class AmenableRow:
     count: int  # N(U_{F_n}, X) for topological rows, 0 for measure rows
     entropy: float  # log count, or H_mu(V_{F_n})
     value: float  # normalized by |F_n|
+    method: str  # "transfer" or "enumeration": the path that counted N(V_{F_n}, X)
 
 
 @dataclass
@@ -141,20 +142,30 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
                                budget=500_000) -> AmenableTrace:
     """(1/|F_n|) log N(U_{F_n}, X) along the box Folner sequence.
 
-    Values live in [0, log N(U, X)]; the count-level form of the upper
-    bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|}, is asserted exactly.
+    When every cell of U is a single pattern on W, the cells of U_{F_n} are
+    the patterns on F_n W, so N(U_{F_n}, X) = |L(F_n W)|; on a box that the
+    slice transfer can sweep it is counted that way ("transfer").  Every
+    other input joins the pullbacks and counts a minimal subcover
+    ("enumeration").  Values live in [0, log N(U, X)]; the count-level form
+    of the upper bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|}, is asserted exactly.
     """
+    group = system.group
     n_cover = _exact_count(min_subcover(cover, budget=budget))
+    single = all(len(e) == 1 for e in cover.elements)
     trace = AmenableTrace("amenable-topological")
     for n in ns:
-        F = folner_set(system.group, n)
-        vf = pullback_iterate(cover, F, budget=budget)
-        count = _exact_count(min_subcover(vf, budget=budget))
+        F = folner_set(group, n)
+        window = system.window(group.multiply(w, g) for g in F for w in cover.window.elements)
+        if single and is_slice_box(system, window):
+            count, method = count_box_language(system, window, budget), "transfer"
+        else:
+            vf = pullback_iterate(cover, F, budget=budget)
+            count, method = _exact_count(min_subcover(vf, budget=budget)), "enumeration"
         if count > n_cover ** len(F):
             raise ArgumentError("N(U_F, X) exceeded N(U, X)^|F| (bug)")
         trace.rows.append(AmenableRow(n, len(F), count,
                                       log_big(count) if count else NEG_INF,
-                                      stage_value(count, len(F))))
+                                      stage_value(count, len(F)), method))
     return trace
 
 
@@ -175,7 +186,7 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
         value = h / len(F)
         if not -1e-12 <= value <= bound + 1e-9:
             raise ArgumentError("measure trace value escaped [0, log |V|] (bug)")
-        trace.rows.append(AmenableRow(n, len(F), count, h, value))
+        trace.rows.append(AmenableRow(n, len(F), count, h, value, "enumeration"))
     return trace
 
 

@@ -15,6 +15,7 @@ weight 2^-(j+1), so all window sums and tails are exact Fractions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -429,8 +430,6 @@ class MarkovMeasure:
 
     def entropy_rate(self) -> float:
         """Closed-form -sum_i pi_i P_ij log P_ij in nats."""
-        import math
-
         total = 0.0
         for a in self.system.alphabet:
             for b, p in self.transition[a].items():
@@ -490,63 +489,112 @@ def integrate(measure, f: TestFunction) -> Fraction:
     return total
 
 
-# transfer-matrix helpers for Z systems ---------------------------------------
+# slice transfer on Z^k boxes --------------------------------------------------
+
+DEFAULT_TRANSFER_BUDGET = 500_000
 
 
-def is_nearest_neighbour_z(system: SymbolicSystem) -> bool:
-    if system.group.kind != "lattice" or system.group.rank != 1:
-        return False
-    for elems, _ in system.forbidden:
-        coords = [g[0] for g in elems]
-        if max(coords) - min(coords) > 1:
-            return False
-    return True
+def _box_axes(window: Window):
+    """Per-axis (lo, hi) when the window is a full box of Z^k, else None."""
+    if window.system.group.kind != "lattice":
+        return None
+    axes = [(min(c), max(c)) for c in zip(*window.elements)]
+    size = math.prod(hi - lo + 1 for lo, hi in axes)
+    return axes if size == len(window) else None
 
 
-def transfer_matrix(system: SymbolicSystem):
-    """0/1 adjacency on symbols: T[a][b] = 1 iff the word ab is admissible."""
-    if not is_nearest_neighbour_z(system):
-        raise UnsupportedOperationError("transfer matrix needs a nearest-neighbour Z system")
-    window = system.window([0, 1])
-    allowed = set(system.language_values(window))
-    symbols = system.alphabet
-    return [[1 if (a, b) in allowed else 0 for b in symbols] for a in symbols]
+def _spans_two_slices(system: SymbolicSystem) -> bool:
+    """Every forbidden pattern lies within two consecutive slices of the last axis."""
+    return all(max(g[-1] for g in elems) - min(g[-1] for g in elems) <= 1
+               for elems, _ in system.forbidden)
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+def is_slice_box(system: SymbolicSystem, window: Window) -> bool:
+    """True iff ``count_box_language`` can count the window's language."""
+    return _box_axes(window) is not None and _spans_two_slices(system)
 
 
-def _mat_pow(A, e):
-    n = len(A)
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    while e:
-        if e & 1:
-            R = _mat_mul(R, A)
-        A = _mat_mul(A, A)
-        e >>= 1
-    return R
+def _slice_relation(system: SymbolicSystem, first: Window, budget: int):
+    """Admissible slices on ``first`` and, per slice, the indices of the slices
+    that may sit one step further along the last axis.
+
+    A forbidden pattern spanning at most two consecutive slices fits inside
+    the box exactly when it fits inside one slice or one pair of slices, so
+    the one-slice and two-slice languages decide every box.  Both are read
+    through ``Window.index``: windows are ordered by ``enumeration_key``,
+    not by position.
+    """
+    group = system.group
+    step = (0,) * (group.rank - 1) + (1,)
+    upper = [group.multiply(g, step) for g in first.elements]
+    pair = system.window(first.elements + tuple(upper))
+    lower_at = [pair.index[g] for g in first.elements]
+    upper_at = [pair.index[g] for g in upper]
+    slices = system.language_values(first, budget=budget)
+    index = {v: i for i, v in enumerate(slices)}
+    successors = [[] for _ in slices]
+    for v in system.language_values(pair, budget=budget):
+        successors[index[tuple(v[i] for i in lower_at)]].append(
+            index[tuple(v[i] for i in upper_at)])
+    return slices, successors
 
 
-def count_words(system: SymbolicSystem, n: int) -> int:
-    """Number of admissible words of length n (exact transfer-matrix count)."""
-    if n < 1:
-        raise ArgumentError("word length must be >= 1")
-    unary_ok = [a for a in system.alphabet
-                if (a,) in system.language_values(system.window([0]))]
-    if n == 1:
-        return len(unary_ok)
-    T = transfer_matrix(system)
-    P = _mat_pow(T, n - 1)
-    idx = {a: i for i, a in enumerate(system.alphabet)}
-    return sum(P[idx[a]][idx[b]] for a in unary_ok for b in unary_ok)
+def _sweep(successors, vec, steps: int, budget: int):
+    """Push the big-int vector ``steps`` times along the slice relation.
+
+    Each slice pushed in each step counts once against the budget; the
+    budget is checked before a step runs, so a cut raises and never
+    returns a partial vector.
+    """
+    work = 0
+    for _ in range(steps):
+        work += len(successors)
+        if work > budget:
+            raise ResourceBudgetError("slice transfer budget exceeded")
+        out = [0] * len(successors)
+        for c, succ in zip(vec, successors):
+            if c:
+                for j in succ:
+                    out[j] += c
+        vec = out
+    return vec
+
+
+def count_box_language(system: SymbolicSystem, window: Window,
+                       budget: int = DEFAULT_TRANSFER_BUDGET) -> int:
+    """|L(B)|, the number of locally admissible patterns on a box window B
+    of Z^k, by slice transfer along the last axis.
+
+    Needs every forbidden pattern to span at most two consecutive slices
+    (``is_slice_box``).  The one- and two-slice languages are enumerated
+    under ``budget * 10`` nodes and the sweep under ``budget`` steps; a
+    cut raises ``ResourceBudgetError``.
+    """
+    if not is_slice_box(system, window):
+        raise UnsupportedOperationError(
+            "slice transfer needs a Z^k box and forbidden patterns within two slices")
+    lo, hi = _box_axes(window)[-1]
+    first = system.window(g for g in window.elements if g[-1] == lo)
+    if hi == lo:
+        return len(system.language_values(first, budget=budget * 10))
+    slices, successors = _slice_relation(system, first, budget * 10)
+    return sum(_sweep(successors, [1] * len(slices), hi - lo, budget))
 
 
 def count_cyclic_words(system: SymbolicSystem, n: int) -> int:
-    """Number of admissible necklaces of length n: trace of T^n."""
+    """Number of admissible necklaces of length n on a Z system: the trace
+    of the n-th power of the site relation, one sweep per start symbol."""
     if n < 1:
         raise ArgumentError("necklace length must be >= 1")
-    T = transfer_matrix(system)
-    P = _mat_pow(T, n)
-    return sum(P[i][i] for i in range(len(P)))
+    group = system.group
+    if group.kind != "lattice" or group.rank != 1 or not _spans_two_slices(system):
+        raise UnsupportedOperationError(
+            "cyclic word counts need a Z system with forbidden words of length <= 2")
+    budget = DEFAULT_TRANSFER_BUDGET
+    slices, successors = _slice_relation(system, system.window([0]), budget * 10)
+    total = 0
+    for s in range(len(slices)):
+        start = [0] * len(slices)
+        start[s] = 1
+        total += _sweep(successors, start, n, budget)[s]
+    return total

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FreeGroup,
-                      NEG_INF, ResourceBudgetError, UnsupportedOperationError, min_subcover,
-                      TestFunction, amenable_measure_trace, amenable_topological_trace,
+                      NEG_INF, ResourceBudgetError, SymbolicSystem,
+                      UnsupportedOperationError, min_subcover, TestFunction,
+                      amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, count_cover,
-                      cyclic_model, entropy_pair_scan, enumerate_microstates_both,
-                      full_shift, origin_partition, partition_count_bound,
-                      regular_representation, select_dominant_measure,
-                      sofic_measure_trace, sofic_topological_trace, trivial_cover,
-                      zero_defect_delta)
+                      cyclic_model, cylinder_complement_cover, entropy_pair_scan,
+                      enumerate_microstates_both, folner_set, full_shift, origin_partition,
+                      partition_count_bound, pullback_iterate, regular_representation,
+                      select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
+                      trivial_cover, zero_defect_delta)
 
 LOG2 = math.log(2)
 LOGPHI = math.log((1 + 5 ** 0.5) / 2)
@@ -157,6 +158,63 @@ def test_amenable_traces_refuse_greedy_cover_bound(fs, fair):
         assert info.value.upper_bound == greedy.count
     # with room to search, both give the exact count
     assert amenable_topological_trace(fs, cover, [1]).rows[0].count == 2
+
+
+def hard_square(Z2):
+    return SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (1, 0)), ("1", "1")),
+                                                     (((0, 0), (0, 1)), ("1", "1"))])
+
+
+def test_amenable_transfer_path(gm, gm_origin, Z2):
+    """Single-pattern cells on boxes are counted by slice transfer; the
+    pullback enumeration, kept as the oracle, gives the same counts."""
+    tr = amenable_topological_trace(gm, gm_origin, [1, 8, 16])
+    assert [r.method for r in tr.rows] == ["transfer"] * 3
+    assert [r.count for r in tr.rows] == [2, 55, 2584]
+    hs = hard_square(Z2)
+    U = origin_partition(hs)
+    tr = amenable_topological_trace(hs, U, [1, 2, 3, 4])
+    assert [r.method for r in tr.rows] == ["transfer"] * 4
+    assert [r.count for r in tr.rows] == [2, 7, 63, 1234]
+    for r in tr.rows:
+        vf = pullback_iterate(U, folner_set(Z2, r.n))
+        assert min_subcover(vf).count == r.count
+
+
+def test_amenable_hard_square_twelve(Z2):
+    hs = hard_square(Z2)
+    row = amenable_topological_trace(hs, origin_partition(hs), [12]).rows[0]
+    assert row.method == "transfer"
+    assert row.count == 162481813349792588536582997  # A006506(12)
+    assert row.size == 144
+
+
+def test_amenable_enumeration_path(fs, gm, gm_origin, Z, fair):
+    """Covers with many-pattern cells and reach beyond two slices keep the
+    pullback enumeration, and so do measure traces."""
+    w01 = fs.interval_window(0, 1)
+    complement = cylinder_complement_cover(fs, [fs.pattern(w01, ("0", "0")),
+                                                fs.pattern(w01, ("1", "1"))])
+    tr = amenable_topological_trace(fs, complement, [3])
+    assert tr.rows[0].method == "enumeration"
+    by_first = Cover(gm, gm.interval_window(0, 1), [[("0", "0"), ("0", "1")], [("1", "0")]])
+    assert by_first.is_partition
+    tr = amenable_topological_trace(gm, by_first, [4, 6])
+    assert [r.method for r in tr.rows] == ["enumeration"] * 2
+    same = amenable_topological_trace(gm, gm_origin, [4, 6])
+    assert [r.count for r in tr.rows] == [r.count for r in same.rows]
+    gap = SymbolicSystem(("0", "1"), Z, forbidden=[(((0,), (2,)), ("1", "1"))])
+    tr = amenable_topological_trace(gap, origin_partition(gap), [5])
+    assert tr.rows[0].method == "enumeration"
+    assert tr.rows[0].count == len(gap.language_values(gap.interval_window(0, 4)))
+    tr = amenable_measure_trace(fs, origin_partition(fs), fair, [2])
+    assert tr.rows[0].method == "enumeration"
+
+
+def test_amenable_transfer_budget_cut_raises(Z2):
+    hs = hard_square(Z2)  # fresh: no cached languages
+    with pytest.raises(ResourceBudgetError):
+        amenable_topological_trace(hs, origin_partition(hs), [5], budget=5)
 
 
 def test_amenable_measure_bernoulli_exact(fs, skew, fs_origin):

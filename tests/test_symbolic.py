@@ -3,11 +3,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soficlab import (ArgumentError, BernoulliMeasure, MarkovMeasure, MetricWeights,
-                      SymbolicSystem, TestFunction, UnsupportedOperationError,
-                      as_fraction, count_cyclic_words, count_words,
-                      full_shift, golden_mean_system, integrate)
+from soficlab import (ArgumentError, BernoulliMeasure, LatticeGroup, MarkovMeasure,
+                      MetricWeights, ResourceBudgetError, SymbolicSystem, TestFunction,
+                      UnsupportedOperationError, as_fraction, count_box_language,
+                      count_cyclic_words, full_shift, golden_mean_system, integrate,
+                      is_slice_box)
+
+# Independent sets in the n x n grid graph (OEIS A006506; Calkin and Wilf,
+# "The number of independent sets in a grid graph", SIAM J. Discrete Math.
+# 11, 1998): hard squares on the n x n box.
+A006506 = (2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955,
+           770548397261707, 2030049051145980050)
 
 
 def brute_force_language(system, window):
@@ -53,8 +62,18 @@ def test_golden_mean_fibonacci_recurrence(gm):
 
 
 def test_transfer_matrix_oracle_agrees(gm):
-    for n in range(1, 15):
-        assert count_words(gm, n) == len(gm.language_values(gm.interval_window(0, n - 1)))
+    fib = [1, 1]
+    for _ in range(16):
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 17):
+        w = gm.interval_window(0, n - 1)
+        assert count_box_language(gm, w) == fib[n + 1]  # F(n + 2)
+        if n <= 14:
+            assert count_box_language(gm, w) == len(gm.language_values(w))
+    lucas = [2, 1]
+    for _ in range(12):
+        lucas.append(lucas[-1] + lucas[-2])
+    assert [count_cyclic_words(gm, n) for n in range(1, 13)] == lucas[1:13]
     assert count_cyclic_words(gm, 12) == 322
 
 
@@ -63,8 +82,121 @@ def test_language_of_non_nearest_neighbour_system(Z):
     sys = SymbolicSystem(("0", "1"), Z, forbidden=[(((0,), (2,)), ("1", "1"))])
     w = sys.interval_window(0, 2)
     assert sys.language_values(w) == brute_force_language(sys, w)
+    assert not is_slice_box(sys, w)
     with pytest.raises(UnsupportedOperationError):
-        count_words(sys, 3)
+        count_box_language(sys, w)
+    with pytest.raises(UnsupportedOperationError):
+        count_cyclic_words(sys, 3)
+
+
+def hard_square(Z2):
+    return SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (1, 0)), ("1", "1")),
+                                                     (((0, 0), (0, 1)), ("1", "1"))])
+
+
+def box(system, shape, at=None):
+    at = at or (0,) * len(shape)
+    return system.window(itertools.product(*(range(a, a + n) for a, n in zip(at, shape))))
+
+
+def test_hard_square_counts_a006506(Z2):
+    hs = hard_square(Z2)
+    for n, expected in enumerate(A006506, start=1):
+        assert count_box_language(hs, box(hs, (n, n))) == expected, n
+
+
+def test_box_shape_and_reach_checks(Z2):
+    hs = hard_square(Z2)
+    assert is_slice_box(hs, box(hs, (2, 3), at=(-1, 4)))
+    assert not is_slice_box(hs, hs.window([(0, 0), (1, 1)]))
+    with pytest.raises(UnsupportedOperationError):
+        count_box_language(hs, hs.window([(0, 0), (0, 1), (1, 0)]))
+    free = full_shift(("0", "1"), Z2)
+    assert count_box_language(free, box(free, (3, 4))) == 2 ** 12
+
+
+def test_box_language_budget_cut_raises(Z2):
+    """A cut in either the slice languages or the sweep raises; never a count."""
+    # fresh systems each time: a language, once enumerated, is cached
+    hs = hard_square(Z2)
+    with pytest.raises(ResourceBudgetError, match="language"):
+        count_box_language(hs, box(hs, (5, 5)), budget=1)
+    # 13 admissible rows of 5 sites, pushed 4 times: 52 sweep steps
+    hs = hard_square(Z2)
+    with pytest.raises(ResourceBudgetError, match="slice transfer"):
+        count_box_language(hs, box(hs, (5, 5)), budget=51)
+    hs = hard_square(Z2)
+    assert count_box_language(hs, box(hs, (5, 5)), budget=52) == 55447
+
+
+# random SFTs whose forbidden shapes lie within two consecutive slices;
+# module-level groups, so hypothesis draws no function-scoped fixtures
+Z1_GROUP = LatticeGroup(1)
+Z2_GROUP = LatticeGroup(2)
+
+
+@st.composite
+def _two_slice_systems(draw, rank, reach=range(-1, 2)):
+    """Alphabet and forbidden patterns with cells in reach^(rank-1) x {0, 1}."""
+    alphabet = ("0", "1", "2")[:draw(st.integers(2, 3))]
+    cells = list(itertools.product(*([reach] * (rank - 1) + [range(2)])))
+    forbidden = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True))
+        values = draw(st.lists(st.sampled_from(alphabet), min_size=len(shape),
+                               max_size=len(shape)))
+        forbidden.append((shape, values))
+    return alphabet, forbidden
+
+
+@st.composite
+def _box_instances(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    alphabet, forbidden = draw(_two_slice_systems(rank))
+    group = Z1_GROUP if rank == 1 else Z2_GROUP
+    system = SymbolicSystem(alphabet, group, forbidden=forbidden)
+    if rank == 1:
+        shape = (draw(st.integers(1, 8 if len(alphabet) == 2 else 6)),)
+    else:
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+        if len(alphabet) == 3 and shape[0] * shape[1] > 8:
+            shape = (2, 4)
+    at = tuple(draw(st.integers(-2, 2)) for _ in range(rank))
+    return system, box(system, shape, at)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_box_instances())
+def test_slice_transfer_matches_enumerator(instance):
+    system, window = instance
+    assert is_slice_box(system, window)
+    assert count_box_language(system, window) == len(system.language_values(window))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_slice_systems(2, reach=range(2)), st.integers(1, 4), st.integers(1, 4))
+def test_row_and_column_transfer_agree(drawn, width, height):
+    """Transposing the system and the box swaps row for column transfer."""
+    alphabet, forbidden = drawn
+    system = SymbolicSystem(alphabet, Z2_GROUP, forbidden=forbidden)
+    transposed = SymbolicSystem(alphabet, Z2_GROUP, forbidden=[
+        ([(y, x) for x, y in shape], values) for shape, values in forbidden])
+    assert (count_box_language(system, box(system, (width, height)))
+            == count_box_language(transposed, box(transposed, (height, width))))
+
+
+def test_row_and_column_transfer_agree_on_hard_squares(Z2):
+    hs = hard_square(Z2)
+    assert count_box_language(hs, box(hs, (3, 7))) == count_box_language(hs, box(hs, (7, 3)))
+    # an asymmetric system: horizontal 11 and vertical 10 forbidden
+    asym = SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (1, 0)), ("1", "1")),
+                                                     (((0, 0), (0, 1)), ("1", "0"))])
+    flip = SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (0, 1)), ("1", "1")),
+                                                     (((0, 0), (1, 0)), ("1", "0"))])
+    for rows, cols in ((2, 5), (3, 4), (4, 6)):
+        assert (count_box_language(asym, box(asym, (cols, rows)))
+                == count_box_language(flip, box(flip, (rows, cols)))
+                == len(asym.language_values(box(asym, (cols, rows)))))
 
 
 def test_act_examples(gm):
