@@ -10,8 +10,8 @@ whose filtered count carries at least a 1/|D| share of the total.
 import math
 
 from soficlab import (BernoulliMeasure, LatticeGroup, TestFunction, check_variational,
-                      cyclic_model, enumerate_microstates_both, full_shift,
-                      golden_mean_system, origin_partition, select_dominant_measure)
+                      cyclic_model, full_shift, golden_mean_system, origin_partition,
+                      select_dominant_measure)
 
 Z = LatticeGroup(1)
 fs = full_shift(("0", "1"), Z)
@@ -58,9 +58,9 @@ print("=" * 72)
 print("Dominant measure selection at d = 8 (the pigeonhole bound)")
 print("=" * 72)
 sigma = cyclic_model(Z, 8)
-M = enumerate_microstates_both(fs, [0], "1.0", sigma, w0)[1]
 D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
-res = select_dominant_measure(M, D, [f0], "0.15", U, require_net=False)
+res = select_dominant_measure(fs, U, D, [f0], [0], "1.0", sigma, w0, "0.15",
+                              require_net=False)
 print(f"unfiltered count: {res.unfiltered_count}")
 print(f"filtered counts by candidate p in (0.25, 0.5, 0.75): {res.counts}")
 print(f"winner: index {res.winner_index} with {res.winner_count} "

@@ -12,7 +12,7 @@ from .errors import (ArgumentError, ResourceBudgetError, SoficLabError, SpecErro
                      UnsupportedOperationError)
 from .groups import (FiniteSubset, FiniteTableGroup, FreeGroup,
                      Group, LatticeGroup, folner_set, invariance_defect, multiply)
-from .sofic import (GoodnessCertificate, SoficMap, SoficSequence, cyclic_model,
+from .sofic import (GoodnessCertificate, SoficMap, cyclic_model,
                     freeness_defect, from_folner, is_good, mult_defect,
                     random_free_model, regular_representation)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
@@ -23,10 +23,9 @@ from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      cylinder_complement_cover, element_measure, exact_min_cover,
                      join, lift, min_subcover, origin_partition, partial_cover_count,
                      partial_cover_count_of, partitions_refining, pullback,
-                     pullback_iterate, refines, shannon_entropy, trivial_cover)
-from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, MicrostateSet,
-                          count_cover, count_microstates, enumerate_microstates_both,
-                          filter_microstates, microstate_check, zero_defect_delta)
+                     pullback_iterate, shannon_entropy, trivial_cover)
+from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, count_microstates,
+                          zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,
                       PairScanReport, PartitionCountResult, VariationalReport,
                       amenable_measure_trace, amenable_topological_trace,

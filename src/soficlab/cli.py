@@ -133,8 +133,7 @@ def _task_microstates(system, args, writer, budget):
                                               budget=budget)
             except ResourceBudgetError as exc:
                 raise ResourceBudgetError(
-                    f"stage d={sigma.d}, delta={float(delta)}: {exc}",
-                    dp_prunable=exc.dp_prunable) from exc
+                    f"stage d={sigma.d}, delta={float(delta)}: {exc}") from exc
             rows.append((sigma.d, counts.m_inner, counts.m_outer,
                          counts.n_inner, counts.n_outer))
     writer.csv("microstates", ("d", "m_inner", "m_outer", "n_inner", "n_outer"), rows)

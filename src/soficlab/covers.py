@@ -190,15 +190,6 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
     return Cover(system, window, [vals for _, vals in sorted(cells.items())])
 
 
-def refines(v1: Cover, v2: Cover) -> bool:
-    """True iff every element of V1 is contained in some element of V2."""
-    system = v1.system
-    window = system.window(v1.window.elements + v2.window.elements)
-    a = lift(v1, window)
-    b = lift(v2, window)
-    return all(any(ea <= eb for eb in b.elements) for ea in a.elements)
-
-
 @dataclass(frozen=True)
 class MinCoverResult:
     count: int

@@ -17,8 +17,7 @@ from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcov
                      pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
-from .microstates import (MeasureFilter, MicrostateSet, _filter_tables, _passes, count_cover,
-                          count_microstates, filter_microstates)
+from .microstates import MeasureFilter, count_microstates
 from .symbolic import SymbolicSystem, Window, as_fraction, count_box_language, is_slice_box
 
 NEG_INF = float("-inf")
@@ -201,45 +200,52 @@ class DominantMeasureResult:
     bound: int  # ceil(unfiltered / |D|)
     counts: tuple
     net_ok: bool
-    uncovered: tuple  # sample empirical vectors not near any candidate
+    uncovered: tuple  # up to five empirical vectors near no candidate, in scan order
 
 
-def select_dominant_measure(M: MicrostateSet, candidates, L, delta, cover: Cover,
-                            require_net: bool = True) -> DominantMeasureResult:
+def _empirical_vector(window: Window, values, L) -> tuple:
+    """(1/d) sum_i f(x_i) for each f in L, x_i the d patterns in values."""
+    out = []
+    for f in L:
+        proj = [window.index[g] for g in f.window.elements]
+        out.append(float(sum(f(tuple(v[i] for i in proj)) for v in values) / len(values)))
+    return tuple(out)
+
+
+def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L, F, delta,
+                            sigma, window: Window, filter_delta, require_net: bool = True,
+                            budget=2_000_000) -> DominantMeasureResult:
     """Pick the candidate measure whose filtered count dominates.
 
-    Validates the net condition (every tuple's empirical vector lies within
-    delta of some candidate's expectations); with a covering net the winner
-    provably satisfies count >= ceil(unfiltered / |D|).
+    One scan of the stage's outer microstates (F, delta, sigma on window)
+    counts N(U^d, .) of the whole set and of the part within filter_delta of
+    each candidate nu on L.  The same scan validates the net condition
+    (every microstate's empirical vector lies within filter_delta of some
+    candidate's expectations); with a covering net the winner provably
+    satisfies count >= ceil(unfiltered / |D|).  uncovered holds the
+    empirical vectors of up to five microstates no candidate keeps, in scan
+    order.
     """
     if not candidates:
         raise ArgumentError("need at least one candidate measure")
     L = tuple(L)
-    filters = [MeasureFilter.build(nu, L, delta) for nu in candidates]
-
-    uncovered = []
-    if L:
-        for f in L:
-            for g in f.window.elements:
-                if g not in M.window.index:
-                    raise ArgumentError("test function exceeds microstate window")
-        lang = M.system.language_values(M.window)
-        tables = [_filter_tables(M.window, lang, mf, M.d) for mf in filters]
-        # a tuple is near a candidate exactly when it passes that candidate's
-        # filter: |(1/d) sum_i f(x_i) - nu(f)| < delta for every f in L
-        for indices in M.rows:
-            if not any(_passes(t, indices) for t in tables):
-                uncovered.append(tuple(float(Fraction(f.total(indices), f.scale * M.d))
-                                       for f in tables[0]))
-    net_ok = not uncovered
+    filters = [MeasureFilter.build(nu, L, filter_delta) for nu in candidates]
+    total, filtered = count_microstates(system, F, delta, sigma, window, cover,
+                                        filters=filters, budget=budget)
+    # a microstate is near a candidate exactly when it passes that candidate's
+    # filter: |(1/d) sum_i f(x_i) - nu(f)| < filter_delta for every f in L
+    lang = system.language_values(window)
+    uncovered = [_empirical_vector(window, [lang[c] for c in row], L)
+                 for row in total.unmatched_rows]
+    net_ok = not total.unmatched
     if require_net and not net_ok:
         raise ArgumentError(
             f"net condition violated: empirical vector {uncovered[0]} "
-            f"is not within delta of any candidate"
+            f"is not within filter_delta of any candidate"
         )
 
-    unfiltered = count_cover(M, cover)
-    counts = [count_cover(filter_microstates(M, mf), cover) for mf in filters]
+    unfiltered = total.n_outer
+    counts = [c.n_outer for c in filtered]
     winner = max(range(len(candidates)), key=lambda i: (counts[i], -i))
     bound = -(-unfiltered // len(candidates))  # ceil division
     if net_ok and counts[winner] < bound:
@@ -251,7 +257,7 @@ def select_dominant_measure(M: MicrostateSet, candidates, L, delta, cover: Cover
         bound=bound,
         counts=tuple(counts),
         net_ok=net_ok,
-        uncovered=tuple(uncovered[:5]),
+        uncovered=tuple(uncovered),
     )
 
 

@@ -17,15 +17,13 @@ class UnsupportedOperationError(SoficLabError):
 class ResourceBudgetError(SoficLabError):
     """An exact search exceeded its node budget.
 
-    Carries whatever partial result was available so callers can degrade
-    gracefully instead of crashing mid-experiment.
+    upper_bound, when set, is a bound the search found before the cut; it
+    is never a result.
     """
 
-    def __init__(self, message, partial=None, upper_bound=None, dp_prunable=False):
+    def __init__(self, message, upper_bound=None):
         super().__init__(message)
-        self.partial = partial
         self.upper_bound = upper_bound
-        self.dp_prunable = dp_prunable
 
 
 class SpecError(SoficLabError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,40 +39,6 @@ class MeasureFilter:
     @classmethod
     def build(cls, measure, functions, delta):
         return cls(measure, tuple(functions), as_fraction(delta))
-
-
-@dataclass
-class MicrostateSet:
-    system: SymbolicSystem
-    window: Window
-    d: int
-    F: tuple
-    delta: Fraction
-    mode: str  # 'inner' or 'outer'
-    tuples: tuple  # each microstate is a tuple of d value-tuples
-    sigma_provenance: str = "?"
-    filtered: bool = False
-
-    def __len__(self):
-        return len(self.tuples)
-
-    def __contains__(self, t):
-        return tuple(tuple(x) for x in t) in self._members
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.tuples)
-
-    @cached_property
-    def rows(self) -> tuple:
-        """Each microstate as a tuple of indices into the window language."""
-        index = {v: c for c, v in enumerate(self.system.language_values(self.window))}
-        return tuple(tuple(map(index.__getitem__, t)) for t in self.tuples)
-
-    def __repr__(self):
-        tag = "filtered " if self.filtered else ""
-        return (f"MicrostateSet(d={self.d}, |W|={len(self.window)}, "
-                f"{tag}{self.mode}, {len(self.tuples)} tuples)")
 
 
 class ComparisonPlan:
@@ -136,33 +102,6 @@ def zero_defect_delta(system: SymbolicSystem, window: Window, F, d: int) -> Frac
     min_w = min(w for pairs in plan.pairs for (w, _, _) in pairs)
     # d * delta^2 <= (min_w/scale)^2 guarantees the cut; halve for margin
     return Fraction(min_w, 2 * d * plan.scale)
-
-
-def microstate_check(system: SymbolicSystem, patterns, F, delta, sigma,
-                     window: Window = None, mode: str = "outer",
-                     plan: ComparisonPlan = None) -> bool:
-    """Decide the averaged-l2 equivariance test for one tuple, exactly."""
-    values = [p.values if isinstance(p, Pattern) else tuple(p) for p in patterns]
-    if window is None:
-        window = patterns[0].window
-    if plan is None:
-        plan = ComparisonPlan(system, window, F)
-    if mode not in ("inner", "outer"):
-        raise ArgumentError(f"unknown mode {mode!r}")
-    d = len(values)
-    delta = as_fraction(delta)
-    # sum_i dist^2 < d delta^2, with dist scaled by plan.scale
-    threshold = d * delta * delta * plan.scale * plan.scale
-    for s_index, s in enumerate(plan.shifts):
-        perm = sigma.image_array(s)
-        total = 0
-        for i in range(d):
-            lo, hi = plan.distances(values[i], values[int(perm[i])], s_index)
-            dist = lo if mode == "outer" else hi
-            total += dist * dist
-        if not Fraction(total) < threshold:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -302,53 +241,22 @@ def _stage(system, F, delta, sigma, window):
     return delta, ComparisonPlan(system, window, F), system.language_values(window)
 
 
-def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
-                               window: Window,
-                               measure_filter: MeasureFilter = None,
-                               strategy: str = "pruned",
-                               budget: int = DEFAULT_NODE_BUDGET):
-    """Enumerate certified-inner and certified-outer sets in one pass.
-
-    strategy 'pruned' walks tuples depth-first, cutting as soon as a partial
-    outer sum crosses the threshold (sums only grow); 'naive' scans the full
-    product space and is kept as a cross-check oracle for small instances.
-    On a budget cut the error's partial holds the tuples found so far.
-    """
-    delta, plan, lang = _stage(system, F, delta, sigma, window)
-    inner_out = []
-    outer_out = []
-    if lang:
-        prune = (_filter_tables(window, lang, measure_filter, sigma.d)
-                 if measure_filter is not None else ())
-
-        def leaf(indices, inner_ok):
-            t = tuple(map(lang.__getitem__, indices))
-            outer_out.append(t)
-            if inner_ok:
-                inner_out.append(t)
-
-        try:
-            _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget)
-        except ResourceBudgetError as exc:
-            exc.partial = (tuple(inner_out), tuple(outer_out))
-            raise
-        inner_out.sort()
-        outer_out.sort()
-    base = dict(system=system, window=window, d=sigma.d, F=plan.shifts, delta=delta,
-                sigma_provenance=sigma.provenance,
-                filtered=measure_filter is not None)
-    return (MicrostateSet(mode="inner", tuples=tuple(inner_out), **base),
-            MicrostateSet(mode="outer", tuples=tuple(outer_out), **base))
-
-
 @dataclass(frozen=True)
 class MicrostateCounts:
-    """Sizes m and cover counts N(U^d, .) of one stage's microstate sets."""
+    """Sizes m and cover counts N(U^d, .) of one stage's microstate sets.
+
+    On the unfiltered counts of count_microstates, unmatched is the number
+    of outer microstates that pass none of its filters, and unmatched_rows
+    holds the first five of them as index rows into the window language, in
+    scan order.  Neither takes part in equality.
+    """
 
     m_inner: int
     m_outer: int
     n_inner: int
     n_outer: int
+    unmatched: int = field(default=0, compare=False)
+    unmatched_rows: tuple = field(default=(), compare=False)
 
 
 class _Tally:
@@ -362,9 +270,9 @@ class _Tally:
         self.inner = set()  # key rows
         self.outer = set()
 
-    def counts(self, keys: _CoverKeys) -> MicrostateCounts:
+    def counts(self, keys: _CoverKeys, **unmatched) -> MicrostateCounts:
         return MicrostateCounts(self.m_inner, self.m_outer,
-                                keys.count(self.inner), keys.count(self.outer))
+                                keys.count(self.inner), keys.count(self.outer), **unmatched)
 
 
 def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
@@ -372,9 +280,11 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
                       budget: int = DEFAULT_NODE_BUDGET):
     """Counts of one stage's microstate sets, in both certified modes.
 
-    The set is the one enumerate_microstates_both returns (measure_filter
-    prunes the scan the same way).  Returns (counts, filtered), where
-    filtered[k] counts the part of the set that also passes filters[k].
+    The set holds the d-tuples of window patterns within delta of sigma on
+    F (passing measure_filter too, when one is given: it prunes the scan).
+    Returns (counts, filtered), where filtered[k] counts the part of the set
+    that also passes filters[k], and counts reports the outer microstates
+    that pass none of filters.
 
     One streaming scan serves every cover: each microstate reaches the
     counter as language indices, its key row is read off the cover's
@@ -391,43 +301,40 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     table = keys.table
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else ()
     tallies = [_Tally(())] + [_Tally(_filter_tables(window, lang, f, d)) for f in filters]
+    unmatched = []
+    n_unmatched = 0
 
     def leaf(indices, inner_ok):
+        nonlocal n_unmatched
         signature = tuple(map(table.__getitem__, indices))
+        passed = 0
         for tally in tallies:
             if _passes(tally.tables, indices):
+                passed += 1
                 tally.m_outer += 1
                 tally.outer.add(signature)
                 if inner_ok:
                     tally.m_inner += 1
                     tally.inner.add(signature)
+        if passed == 1:  # only the unfiltered tally: no filter keeps it
+            n_unmatched += 1
+            if n_unmatched <= 5:
+                unmatched.append(tuple(indices))
 
-    _scan(plan, lang, delta, sigma, prune, leaf, "pruned", budget)
-    return tallies[0].counts(keys), tuple(t.counts(keys) for t in tallies[1:])
+    _scan(plan, lang, delta, sigma, prune, leaf, budget)
+    return (tallies[0].counts(keys, unmatched=n_unmatched, unmatched_rows=tuple(unmatched)),
+            tuple(t.counts(keys) for t in tallies[1:]))
 
 
-def _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget):
-    """Call leaf(indices, inner_ok) on every certified-outer microstate.
+def _penalties(plan, lang, delta, sigma):
+    """The scaled threshold and a cached penalty lookup for one stage.
 
-    indices lists the microstate's patterns as indices into lang (the list
-    may be reused after the call); inner_ok says whether it is also
-    certified-inner.  Microstates failing the integer filter tables in
-    prune are skipped.
+    Returns (t_num, t_den, penalties): penalties(s_index, p, q) is
+    (lo^2, hi^2) for rho(s . lang[p], lang[q]) scaled by plan.scale, and a
+    shift's sum of lo^2 (hi^2) over the d coordinates passes the outer
+    (inner) test when sum * t_den < t_num.
     """
-    d = sigma.d
-    perms = [sigma.image_array(s) for s in plan.shifts]
-    n_shifts = len(plan.shifts)
-    threshold = d * delta * delta * plan.scale * plan.scale
-    t_num, t_den = threshold.numerator, threshold.denominator
-
-    # term (s, i, j=sigma_s(i)) is evaluated once both ends are assigned
-    terms_at = [[] for _ in range(d)]
-    for s_index in range(n_shifts):
-        perm = perms[s_index]
-        for i in range(d):
-            j = int(perm[i])
-            terms_at[max(i, j)].append((s_index, i, j))
-
+    threshold = sigma.d * delta * delta * plan.scale * plan.scale
     pen_cache = {}
 
     def penalties(s_index, pi, qi):
@@ -439,28 +346,31 @@ def _scan(plan, lang, delta, sigma, prune, leaf, strategy, budget):
             pen_cache[key] = hit
         return hit
 
-    if strategy == "naive":
-        if len(lang) ** d > budget:
-            raise ResourceBudgetError(
-                f"naive scan of {len(lang)}^{d} tuples exceeds budget",
-                dp_prunable=True,
-            )
-        for combo in itertools.product(range(len(lang)), repeat=d):
-            sums_out = [0] * n_shifts
-            sums_in = [0] * n_shifts
-            for s_index in range(n_shifts):
-                perm = perms[s_index]
-                for i in range(d):
-                    po, pi_ = penalties(s_index, combo[i], combo[int(perm[i])])
-                    sums_out[s_index] += po
-                    sums_in[s_index] += pi_
-            if all(v * t_den < t_num for v in sums_out) and _passes(prune, combo):
-                leaf(combo, all(v * t_den < t_num for v in sums_in))
-    elif strategy == "pruned":
-        _pruned_scan(len(lang), d, n_shifts, terms_at, penalties, t_num, t_den,
-                     prune, leaf, budget)
-    else:
-        raise ArgumentError(f"unknown strategy {strategy!r}")
+    return threshold.numerator, threshold.denominator, penalties
+
+
+def _scan(plan, lang, delta, sigma, prune, leaf, budget):
+    """Call leaf(indices, inner_ok) on every certified-outer microstate.
+
+    indices lists the microstate's patterns as indices into lang (the list
+    may be reused after the call); inner_ok says whether it is also
+    certified-inner.  Microstates failing the integer filter tables in
+    prune are skipped.
+    """
+    d = sigma.d
+    n_shifts = len(plan.shifts)
+    t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+
+    # term (s, i, j=sigma_s(i)) is evaluated once both ends are assigned
+    terms_at = [[] for _ in range(d)]
+    for s_index, s in enumerate(plan.shifts):
+        perm = sigma.image_array(s)
+        for i in range(d):
+            j = int(perm[i])
+            terms_at[max(i, j)].append((s_index, i, j))
+
+    _pruned_scan(len(lang), d, n_shifts, terms_at, penalties, t_num, t_den,
+                 prune, leaf, budget)
 
 
 def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
@@ -529,8 +439,7 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
         for po0, pi0, c in cands:
             nodes += 1
             if nodes > budget:
-                raise ResourceBudgetError("microstate enumeration budget exceeded",
-                                          dp_prunable=True)
+                raise ResourceBudgetError("microstate enumeration budget exceeded")
             if s0 is not None:
                 if not (sums_out[s0] + po0) * t_den < t_num:
                     break  # candidates are sorted: all later ones bust too
@@ -570,16 +479,119 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
         del rec  # rec reaches itself through its closure: break the cycle
 
 
+
+
+# test oracles ---------------------------------------------------------------------
+#
+# The materialised path: enumerate the tuples, filter them, count the
+# cover over their index rows.  Nothing in soficlab computes a result
+# through it; the tests check the streaming scan against it.
+
+
+@dataclass
+class MicrostateSet:
+    """The microstates of one stage in one certified mode, as value tuples."""
+
+    system: SymbolicSystem
+    window: Window
+    d: int
+    tuples: tuple  # each microstate is a tuple of d value-tuples
+
+    def __len__(self):
+        return len(self.tuples)
+
+    @cached_property
+    def rows(self) -> tuple:
+        """Each microstate as a tuple of indices into the window language."""
+        index = {v: c for c, v in enumerate(self.system.language_values(self.window))}
+        return tuple(tuple(map(index.__getitem__, t)) for t in self.tuples)
+
+
+def microstate_check(system: SymbolicSystem, patterns, F, delta, sigma,
+                     window: Window = None, mode: str = "outer",
+                     plan: ComparisonPlan = None) -> bool:
+    """Decide the averaged-l2 equivariance test for one tuple, exactly."""
+    values = [p.values if isinstance(p, Pattern) else tuple(p) for p in patterns]
+    if window is None:
+        window = patterns[0].window
+    if plan is None:
+        plan = ComparisonPlan(system, window, F)
+    if mode not in ("inner", "outer"):
+        raise ArgumentError(f"unknown mode {mode!r}")
+    d = len(values)
+    delta = as_fraction(delta)
+    # sum_i dist^2 < d delta^2, with dist scaled by plan.scale
+    threshold = d * delta * delta * plan.scale * plan.scale
+    for s_index, s in enumerate(plan.shifts):
+        perm = sigma.image_array(s)
+        total = 0
+        for i in range(d):
+            lo, hi = plan.distances(values[i], values[int(perm[i])], s_index)
+            dist = lo if mode == "outer" else hi
+            total += dist * dist
+        if not Fraction(total) < threshold:
+            return False
+    return True
+
+
+def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
+                               window: Window,
+                               measure_filter: MeasureFilter = None,
+                               strategy: str = "pruned",
+                               budget: int = DEFAULT_NODE_BUDGET):
+    """The certified-inner and certified-outer sets of one stage, sorted.
+
+    strategy 'pruned' runs the scan behind count_microstates; 'naive'
+    checks every tuple of the full product space.
+    """
+    scans = {"pruned": _scan, "naive": _naive_scan}
+    if strategy not in scans:
+        raise ArgumentError(f"unknown strategy {strategy!r}")
+    delta, plan, lang = _stage(system, F, delta, sigma, window)
+    inner_out = []
+    outer_out = []
+    if lang:
+        prune = (_filter_tables(window, lang, measure_filter, sigma.d)
+                 if measure_filter is not None else ())
+
+        def leaf(indices, inner_ok):
+            t = tuple(map(lang.__getitem__, indices))
+            outer_out.append(t)
+            if inner_ok:
+                inner_out.append(t)
+
+        scans[strategy](plan, lang, delta, sigma, prune, leaf, budget)
+        inner_out.sort()
+        outer_out.sort()
+    return (MicrostateSet(system, window, sigma.d, tuple(inner_out)),
+            MicrostateSet(system, window, sigma.d, tuple(outer_out)))
+
+
+def _naive_scan(plan, lang, delta, sigma, prune, leaf, budget):
+    """_scan by checking each of the len(lang)^d tuples in full."""
+    d = sigma.d
+    if len(lang) ** d > budget:
+        raise ResourceBudgetError(f"naive scan of {len(lang)}^{d} tuples exceeds budget")
+    t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+    perms = [sigma.image_array(s) for s in plan.shifts]
+    for combo in itertools.product(range(len(lang)), repeat=d):
+        sums_out = [0] * len(perms)
+        sums_in = [0] * len(perms)
+        for s_index, perm in enumerate(perms):
+            for i in range(d):
+                po, pi_ = penalties(s_index, combo[i], combo[int(perm[i])])
+                sums_out[s_index] += po
+                sums_in[s_index] += pi_
+        if all(v * t_den < t_num for v in sums_out) and _passes(prune, combo):
+            leaf(combo, all(v * t_den < t_num for v in sums_in))
+
+
 def filter_microstates(M: MicrostateSet, measure_filter: MeasureFilter) -> MicrostateSet:
     """Apply the empirical-average filter to an already enumerated set."""
     tables = _filter_tables(M.window, M.system.language_values(M.window),
                             measure_filter, M.d)
     kept = tuple(t for t, indices in zip(M.tuples, M.rows) if _passes(tables, indices))
-    return MicrostateSet(
-        system=M.system, window=M.window, d=M.d, F=M.F, delta=M.delta,
-        mode=M.mode, tuples=kept, sigma_provenance=M.sigma_provenance,
-        filtered=True,
-    )
+    return MicrostateSet(M.system, M.window, M.d, kept)
 
 
 def count_cover(M: MicrostateSet, cover: Cover, budget: int = 250_000) -> int:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
 from .groups import FiniteSubset, Group, folner_set
+from .symbolic import as_fraction
 
 
 class SoficMap:
@@ -253,7 +254,8 @@ def is_good(sigma: SoficMap, E: FiniteSubset, eta) -> GoodnessCertificate:
     group = sigma.group
     if group.identity not in E:
         raise ArgumentError("E must contain the identity")
-    if not 0 < float(eta) < 1:
+    eta = as_fraction(eta)
+    if not 0 < eta < 1:
         raise ArgumentError("eta must lie in (0,1)")
     d = sigma.d
     good = np.ones(d, dtype=bool)
@@ -271,29 +273,9 @@ def is_good(sigma: SoficMap, E: FiniteSubset, eta) -> GoodnessCertificate:
     points = tuple(int(i) + 1 for i in np.flatnonzero(good))
     frac = Fraction(len(points), d)
     return GoodnessCertificate(
-        ok=frac >= 1 - Fraction(str(float(eta))),
+        ok=frac >= 1 - eta,
         eta=float(eta),
         good_fraction=frac,
         good_points=points,
     )
 
-
-class SoficSequence:
-    """i -> SoficMap with strictly increasing d_i (checked on request)."""
-
-    def __init__(self, builder, label="sofic-sequence"):
-        self._builder = builder
-        self.label = label
-        self._cache = {}
-
-    def __getitem__(self, i: int) -> SoficMap:
-        if i not in self._cache:
-            self._cache[i] = self._builder(i)
-        return self._cache[i]
-
-    def prefix(self, length: int):
-        maps = [self[i] for i in range(length)]
-        for a, b in zip(maps, maps[1:]):
-            if b.d <= a.d:
-                raise ArgumentError("sofic sequence needs strictly increasing d_i")
-        return maps

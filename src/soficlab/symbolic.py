@@ -284,11 +284,7 @@ class SymbolicSystem:
             for sym in self.alphabet:
                 nodes += 1
                 if nodes > budget:
-                    raise ResourceBudgetError(
-                        "language enumeration budget exceeded",
-                        partial=tuple(out),
-                        dp_prunable=True,
-                    )
+                    raise ResourceBudgetError("language enumeration budget exceeded")
                 values[j] = sym
                 if admissible_at(j):
                     rec(j + 1)

@@ -15,15 +15,15 @@ import pytest
 from soficlab import (BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
                       FreeGroup, LatticeGroup, MarkovMeasure, NEG_INF, TestFunction,
                       amenable_measure_trace, amenable_topological_trace,
-                      check_amenable_agreement, check_variational, count_cover,
-                      cover_entropy, cyclic_model, entropy_pair_scan,
-                      enumerate_microstates_both, filter_microstates, from_folner,
+                      check_amenable_agreement, check_variational,
+                      cover_entropy, cyclic_model, entropy_pair_scan, from_folner,
                       folner_set, full_shift, golden_mean_system, min_subcover,
                       origin_partition, partial_cover_count, partition_count_bound,
                       pullback_iterate, random_free_model, regular_representation,
                       select_dominant_measure, sofic_measure_trace,
                       sofic_topological_trace, sofic_quasi_tile, amenable_exact_tile,
                       trivial_cover, verify_tiling, zero_defect_delta, MeasureFilter)
+from soficlab.microstates import count_cover, enumerate_microstates_both, filter_microstates
 
 LOG2 = math.log(2)
 PHI = (1 + 5 ** 0.5) / 2
@@ -286,10 +286,10 @@ def test_criterion_5_combinatorial_oracles(fs, gm, fair, skew, gm_rational_marko
     # 5c: pigeonhole on the d=8 full-shift instance
     sigma = cyclic_model(fs.group, 8)
     w0 = fs.window([0])
-    M = enumerate_microstates_both(fs, [0], "1.0", sigma, w0)[1]
     f0 = TestFunction.indicator(fs.pattern(w0, ("0",)))
     D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
-    res = select_dominant_measure(M, D, [f0], "0.15", fs_origin, require_net=False)
+    res = select_dominant_measure(fs, fs_origin, D, [f0], [0], "1.0", sigma, w0, "0.15",
+                                  require_net=False)
     if res.unfiltered_count != 256 or res.winner_count != 182:
         failures.append(f"pigeonhole instance counts: {res}")
     if res.winner_count < math.ceil(res.unfiltered_count / len(D)):

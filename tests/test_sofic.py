@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab import (ArgumentError, FiniteSubset, SoficSequence, UnsupportedOperationError,
+from soficlab import (ArgumentError, FiniteSubset, UnsupportedOperationError,
                       cyclic_model, folner_set, freeness_defect, from_folner,
                       invariance_defect, is_good, mult_defect, random_free_model,
                       regular_representation)
@@ -128,13 +128,13 @@ def test_is_good_requires_identity(Z):
         is_good(cyclic_model(Z, 5), FiniteSubset(Z, [1, 2]), 0.1)
 
 
-def test_sofic_sequence_requires_increasing_d(Z):
-    seq = SoficSequence(lambda i: cyclic_model(Z, 5))
-    with pytest.raises(ArgumentError):
-        seq.prefix(2)
-    good = SoficSequence(lambda i: cyclic_model(Z, 4 + 2 * i))
-    maps = good.prefix(3)
-    assert [m.d for m in maps] == [4, 6, 8]
+def test_is_good_compares_eta_exactly(Z):
+    """good_fraction == 1 - eta exactly: the verdict is (1 - eta)-good."""
+    sigma = from_folner(Z, folner_set(Z, 3))
+    cert = is_good(sigma, FiniteSubset(Z, [0, 1]), Fraction(2, 3))
+    assert cert.good_fraction == Fraction(1, 3)
+    assert cert.ok
+    assert not is_good(sigma, FiniteSubset(Z, [0, 1]), Fraction(2, 3) - Fraction(1, 10**30)).ok
 
 
 def test_word_evaluation_outside_support_composes():
