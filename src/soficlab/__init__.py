@@ -25,7 +25,7 @@ from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      partial_cover_count_of, partitions_refining, pullback,
                      pullback_iterate, shannon_entropy, trivial_cover)
 from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, count_microstates,
-                          zero_defect_delta)
+                          counting_method, zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,
                       PairScanReport, PartitionCountResult, VariationalReport,
                       amenable_measure_trace, amenable_topological_trace,

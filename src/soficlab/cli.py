@@ -132,8 +132,8 @@ def _task_microstates(system, args, writer, budget):
                                               args["cover"], measure_filter=args["filter"],
                                               budget=budget)
             except ResourceBudgetError as exc:
-                raise ResourceBudgetError(
-                    f"stage d={sigma.d}, delta={float(delta)}: {exc}") from exc
+                raise ResourceBudgetError(f"stage d={sigma.d}, delta={float(delta)}: {exc}",
+                                          upper_bound=exc.upper_bound) from exc
             rows.append((sigma.d, counts.m_inner, counts.m_outer,
                          counts.n_inner, counts.n_outer))
     writer.csv("microstates", ("d", "m_inner", "m_outer", "n_inner", "n_outer"), rows)
@@ -341,7 +341,8 @@ def run(spec_path, out_dir=None, budget_nodes=None) -> int:
         args = build_task_arguments(system, spec)
         code, warnings = _HANDLERS[spec["task"]](system, args, writer, budget)
     except ResourceBudgetError as exc:
-        print(f"error: budget exhausted in task {spec['task']}: {exc}", file=sys.stderr)
+        bound = "" if exc.upper_bound is None else f" (upper bound {exc.upper_bound}, not a count)"
+        print(f"error: budget exhausted in task {spec['task']}: {exc}{bound}", file=sys.stderr)
         return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

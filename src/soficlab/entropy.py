@@ -17,7 +17,7 @@ from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcov
                      pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
-from .microstates import MeasureFilter, count_microstates
+from .microstates import MeasureFilter, count_microstates, counting_method
 from .symbolic import SymbolicSystem, Window, as_fraction, count_box_language, is_slice_box
 
 NEG_INF = float("-inf")
@@ -52,6 +52,7 @@ class TraceRow:
     value_inner: float
     value_outer: float
     incomplete: bool = False
+    method: str = field(default="scan", compare=False)  # "dp" or "scan", see count_microstates
 
 
 @dataclass
@@ -86,18 +87,20 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
         log_cover_count=log_big(n_cover) if n_cover else NEG_INF,
     )
     for stage, sigma in enumerate(maps):
+        method = counting_method(system, F, sigma, cover)
         try:
             counts, _ = count_microstates(system, F, delta, sigma, window, cover,
                                           measure_filter=measure_filter, budget=budget)
             ci, co = counts.n_inner, counts.n_outer
             row = TraceRow(stage, sigma.d, ci, co,
-                           stage_value(ci, sigma.d), stage_value(co, sigma.d))
+                           stage_value(ci, sigma.d), stage_value(co, sigma.d), method=method)
             if ci > co:
                 raise ArgumentError("inner count exceeded outer count (bug)")
             if co > n_cover ** sigma.d:
                 raise ArgumentError("count exceeded N(U,X)^d (bug)")
         except ResourceBudgetError:
-            row = TraceRow(stage, sigma.d, 0, 0, NEG_INF, NEG_INF, incomplete=True)
+            row = TraceRow(stage, sigma.d, 0, 0, NEG_INF, NEG_INF, incomplete=True,
+                           method=method)
         trace.rows.append(row)
     return trace
 
@@ -200,7 +203,9 @@ class DominantMeasureResult:
     bound: int  # ceil(unfiltered / |D|)
     counts: tuple
     net_ok: bool
-    uncovered: tuple  # up to five empirical vectors near no candidate, in scan order
+    # up to five empirical vectors near no candidate, in the order the
+    # counting path finds them
+    uncovered: tuple
 
 
 def _empirical_vector(window: Window, values, L) -> tuple:
@@ -223,8 +228,8 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
     (every microstate's empirical vector lies within filter_delta of some
     candidate's expectations); with a covering net the winner provably
     satisfies count >= ceil(unfiltered / |D|).  uncovered holds the
-    empirical vectors of up to five microstates no candidate keeps, in scan
-    order.
+    empirical vectors of up to five microstates no candidate keeps, in the
+    order the counting path finds them.
     """
     if not candidates:
         raise ArgumentError("need at least one candidate measure")

@@ -1,4 +1,4 @@
-"""Enumeration of the finite model spaces behind the sofic entropy counts.
+"""Counts of the finite model spaces behind the sofic entropy counts.
 
 A microstate is a d-tuple of admissible window patterns that is
 approximately equivariant under a sofic map sigma on a finite set F to
@@ -11,6 +11,14 @@ certified modes: 'outer' uses the lower distance bound (a superset of the
 true set), 'inner' uses the upper bound (a subset).  All comparisons are
 exact: dyadic weights are rescaled to integers, delta is read as a decimal
 literal, and the strict < of the definition is preserved bit-for-bit.
+
+count_microstates counts a stage by one of two paths.  When F is one
+shift s on Z, sigma_s is a single d-cycle and the cover is a partition, a
+microstate is a cyclic sequence of patterns whose penalty is a sum of
+neighbour terms, and a merged-state DP along the cycle counts the stage
+without visiting a tuple (min-plus determinisation of a weighted
+automaton, after Mohri 1997).  Every other stage goes to a depth-first
+scan of the tuples.
 """
 
 from __future__ import annotations
@@ -247,8 +255,10 @@ class MicrostateCounts:
 
     On the unfiltered counts of count_microstates, unmatched is the number
     of outer microstates that pass none of its filters, and unmatched_rows
-    holds the first five of them as index rows into the window language, in
-    scan order.  Neither takes part in equality.
+    holds up to five of them as index rows into the window language, in the
+    order the counting path finds them.  method names that path: "dp" for
+    the merged-state DP, "scan" for the tuple scan.  None of the three
+    takes part in equality.
     """
 
     m_inner: int
@@ -257,6 +267,7 @@ class MicrostateCounts:
     n_outer: int
     unmatched: int = field(default=0, compare=False)
     unmatched_rows: tuple = field(default=(), compare=False)
+    method: str = field(default="scan", compare=False)
 
 
 class _Tally:
@@ -281,26 +292,35 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     """Counts of one stage's microstate sets, in both certified modes.
 
     The set holds the d-tuples of window patterns within delta of sigma on
-    F (passing measure_filter too, when one is given: it prunes the scan).
+    F (passing measure_filter too, when one is given: it prunes the count).
     Returns (counts, filtered), where filtered[k] counts the part of the set
     that also passes filters[k], and counts reports the outer microstates
     that pass none of filters.
 
-    One streaming scan serves every cover: each microstate reaches the
+    A partition cover, one shift s on Z and a sigma_s that is a single
+    d-cycle take the merged-state DP (method "dp"; see _CycleDP), which
+    never visits a tuple.  Every other stage takes one streaming scan
+    (method "scan"), which serves every cover: each microstate reaches the
     counter as language indices, its key row is read off the cover's
     index -> key table (the partition cell, or the index itself for a
     general cover), and only the set of key rows is kept.  The counts are
-    read off those sets once the scan ends.
+    read off those sets once the scan ends.  Both paths charge their work
+    to budget and raise ResourceBudgetError when it runs out.
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
+    order = _cycle_order(system, plan.shifts, sigma, cover)
     if not lang:
-        empty = MicrostateCounts(0, 0, 0, 0)
+        empty = MicrostateCounts(0, 0, 0, 0, method="scan" if order is None else "dp")
         return empty, (empty,) * len(filters)
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
     table = keys.table
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else ()
-    tallies = [_Tally(())] + [_Tally(_filter_tables(window, lang, f, d)) for f in filters]
+    tables = [_filter_tables(window, lang, f, d) for f in filters]
+    if order is not None:
+        return _count_on_cycle(_CycleDP(plan, lang, delta, sigma, order, table, budget),
+                               list(prune), tables)
+    tallies = [_Tally(())] + [_Tally(t) for t in tables]
     unmatched = []
     n_unmatched = 0
 
@@ -324,6 +344,20 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     _scan(plan, lang, delta, sigma, prune, leaf, budget)
     return (tallies[0].counts(keys, unmatched=n_unmatched, unmatched_rows=tuple(unmatched)),
             tuple(t.counts(keys) for t in tallies[1:]))
+
+
+def _count_on_cycle(dp, prune, tables):
+    """count_microstates' result from the merged-state DP."""
+    packing = _PackedSums(prune, tables, dp.d, dp.n)
+    m_outer, unmatched, rows = dp.sequences(False, packing, rows_wanted=5)
+    m_inner, _, _ = dp.sequences(True, packing)
+    counts = []
+    for k, own in enumerate([[]] + tables):
+        n_inner, n_outer = dp.signatures(_PackedSums(prune + own, [], dp.d, dp.n))
+        extra = dict(unmatched=unmatched, unmatched_rows=rows) if k == 0 else {}
+        counts.append(MicrostateCounts(m_inner[k], m_outer[k], n_inner, n_outer,
+                                       method="dp", **extra))
+    return counts[0], tuple(counts[1:])
 
 
 def _penalties(plan, lang, delta, sigma):
@@ -479,6 +513,267 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
         del rec  # rec reaches itself through its closure: break the cycle
 
 
+# merged-state DP on one cycle ---------------------------------------------------
+
+
+def _cycle_order(system, shifts, sigma, cover):
+    """sigma's cycle 0, sigma_s(0), sigma_s^2(0), ... when the DP counts the stage.
+
+    The DP takes a partition cover and one shift s on Z whose sigma_s,
+    read off its image array, is a single d-cycle; every other stage
+    returns None and goes to the scan.
+    """
+    group = system.group
+    if (len(shifts) != 1 or not cover.is_partition
+            or group.kind != "lattice" or group.rank != 1):
+        return None
+    perm = sigma.image_array(shifts[0]).tolist()
+    order = [0]
+    for _ in range(len(perm) - 1):
+        order.append(perm[order[-1]])
+    if perm[order[-1]] != 0 or len(set(order)) != len(perm):
+        return None
+    return order
+
+
+def counting_method(system: SymbolicSystem, F, sigma, cover: Cover) -> str:
+    """The path count_microstates takes on this stage: "dp" for the
+    merged-state DP, "scan" for the tuple scan."""
+    return "scan" if _cycle_order(system, list(F), sigma, cover) is None else "dp"
+
+
+class _CycleDP:
+    """The counts of one stage whose sigma_s is a single d-cycle.
+
+    Read along the cycle c_0, ..., c_{d-1} (c_{k+1} = sigma_s(c_k)), a
+    microstate is a sequence x_0, ..., x_{d-1} of language indices, and its
+    penalty is pen(x_0, x_1) + ... + pen(x_{d-2}, x_{d-1}) plus the closing
+    term pen(x_{d-1}, x_0), with lo^2 for outer and hi^2 for inner.  An
+    integer penalty sum passes when it is below cap.  Filter sums are carried
+    exactly as integers; required tables (the pruning filter, and a tally's
+    own filter in the signature DP) drop a partial sequence as soon as no
+    completion can pass them.
+    """
+
+    def __init__(self, plan, lang, delta, sigma, order, table, budget):
+        t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+        self.cap = -(-t_num // t_den)  # integer s: s < cap exactly when s * t_den < t_num
+        self.n = n = len(lang)
+        self.d = sigma.d
+        self.order = order
+        pens = [[penalties(0, p, q) for q in range(n)] for p in range(n)]
+        self.pen_lo = [[lo for lo, _ in row] for row in pens]
+        self.pen_hi = [[hi for _, hi in row] for row in pens]
+        self.cells = [[c for c in range(n) if table[c] == key]
+                      for key in dict.fromkeys(table)]
+        # successors of each last pattern, cheapest first, per cell and overall
+        self.succ_cell = [[sorted((pens[p][x][0], pens[p][x][1], x) for x in cell)
+                           for cell in self.cells] for p in range(n)]
+        self.succ_lo = [sorted((pens[p][x][0], x) for x in range(n)) for p in range(n)]
+        self.succ_hi = [sorted((pens[p][x][1], x) for x in range(n)) for p in range(n)]
+        self.budget = budget
+        self.spent = 0
+
+    def spend(self, live):
+        """Charge one step: its live states times the language size."""
+        self.spent += live * self.n
+        if self.spent > self.budget:
+            raise ResourceBudgetError("merged-state DP budget exceeded")
+
+    def signatures(self, packing):
+        """(n_inner, n_outer): how many cell sequences some microstate passing
+        every table of packing.required realises, in each certified mode.
+
+        After a prefix of cells, what the rest of the cycle can still do
+        depends only on one map: (first pattern, last pattern, packed sums)
+        -> (least lo^2 sum, least hi^2 sum) over the prefix's realisations,
+        entries at or above cap dropped and hi sums capped at cap.  Prefixes
+        with equal maps merge and carry their multiplicity; the closing term
+        decides acceptance at the end.  Only equal maps merge, so the counts
+        are exact.
+        """
+        d, cap, increment = self.d, self.cap, packing.increment
+        states = {}
+        for cell in self.cells:
+            entries = {(x, x, increment[x]): (0, 0) for x in cell
+                       if packing.feasible(increment[x], 1)}
+            if entries:
+                state = frozenset(entries.items())
+                states[state] = states.get(state, 0) + 1
+        self.spend(len(self.cells))
+        for count in range(2, d + 1):
+            self.spend(len(states))
+            merged = {}
+            for state, multiplicity in states.items():
+                for ci in range(len(self.cells)):
+                    entries = {}
+                    for (first, last, sums), (lo, hi) in state:
+                        for plo, phi, x in self.succ_cell[last][ci]:
+                            nlo = lo + plo
+                            if nlo >= cap:
+                                break  # successors are sorted: all later ones bust too
+                            nsums = sums + increment[x]
+                            if packing.required and not packing.feasible(nsums, count):
+                                continue
+                            nhi = hi + phi
+                            if nhi > cap:
+                                nhi = cap
+                            key = (first, x, nsums)
+                            old = entries.get(key)
+                            if old is None:
+                                entries[key] = (nlo, nhi)
+                            elif nlo < old[0] or nhi < old[1]:
+                                entries[key] = (min(nlo, old[0]), min(nhi, old[1]))
+                    if entries:
+                        nxt = frozenset(entries.items())
+                        merged[nxt] = merged.get(nxt, 0) + multiplicity
+            states = merged
+        n_inner = n_outer = 0
+        for state, multiplicity in states.items():
+            if any(lo + self.pen_lo[last][first] < cap for (first, last, _), (lo, _) in state):
+                n_outer += multiplicity
+            if any(hi + self.pen_hi[last][first] < cap for (first, last, _), (_, hi) in state):
+                n_inner += multiplicity
+        return n_inner, n_outer
+
+    def sequences(self, inner, packing, rows_wanted=0):
+        """Microstate counts in one certified mode (inner: hi^2 sums).
+
+        A counting DP per first pattern over (last pattern, penalty sum s,
+        packed filter sums): a layer maps the last pattern to a dict from
+        the code s * packing.span + sums to how many sequences reach it.
+        Returns (per_tally, unmatched, rows): per_tally[0] counts the
+        microstates passing packing.required, per_tally[k + 1] those also
+        passing packing.filters[k], unmatched those passing none of the
+        filters, and rows holds up to rows_wanted of the latter as index
+        rows in position order, walked back through their first pattern's
+        layers.
+        """
+        d, cap, span, increment = self.d, self.cap, packing.span, packing.increment
+        pen = self.pen_hi if inner else self.pen_lo
+        succ = self.succ_hi if inner else self.succ_lo
+        per_tally = [0] * (len(packing.filters) + 1)
+        unmatched = 0
+        rows = []
+        self.spend(1)
+        for first in range(self.n):
+            if not packing.feasible(increment[first], 1):
+                continue
+            layer = {first: {increment[first]: 1}}
+            layers = [layer]
+            for count in range(2, d + 1):
+                self.spend(sum(map(len, layer.values())))
+                nxt = {}
+                for last, codes in layer.items():
+                    for p, x in succ[last]:
+                        if p >= cap:
+                            break  # successors are sorted: all later ones bust too
+                        limit = (cap - p) * span  # code < limit exactly when s + p < cap
+                        shift = p * span + increment[x]
+                        target = nxt.get(x)
+                        for code, multiplicity in codes.items():
+                            if code >= limit:
+                                continue
+                            new = code + shift
+                            if packing.required and not packing.feasible(new % span, count):
+                                continue
+                            if target is None:
+                                target = nxt[x] = {}
+                            target[new] = target.get(new, 0) + multiplicity
+                layer = nxt
+                if len(rows) < rows_wanted:
+                    layers.append(layer)
+            for last, codes in layer.items():
+                limit = (cap - pen[last][first]) * span
+                for code, multiplicity in codes.items():
+                    if code >= limit:
+                        continue
+                    per_tally[0] += multiplicity
+                    passed = packing.passed(code % span)
+                    for k, ok in enumerate(passed):
+                        if ok:
+                            per_tally[k + 1] += multiplicity
+                    if any(passed):
+                        continue
+                    unmatched += multiplicity
+                    if len(rows) == rows_wanted:
+                        continue
+                    for path in _walk_back(layers, pen, packing, last, code):
+                        row = [0] * d
+                        for position, x in zip(self.order, path):
+                            row[position] = x
+                        rows.append(tuple(row))
+                        if len(rows) == rows_wanted:
+                            break
+        return per_tally, unmatched, tuple(rows)
+
+
+class _PackedSums:
+    """The filter sums the DPs carry, packed into one int.
+
+    required lists the tables every counted microstate must pass: a partial
+    sequence is dropped as soon as no completion can pass them.  filters
+    lists one table list per filter, tallied separately at the end.  Digit
+    k holds table k's sum over a sequence of count patterns less count times
+    its least value, which lies in [0, d * (greatest - least)]; adding
+    increment[x] advances every sum by pattern x at once.
+    """
+
+    def __init__(self, required, filters, d, n):
+        self.required = required
+        self.filters = filters
+        self.d = d
+        tables = [*required, *(t for own in filters for t in own)]
+        self.low = [min(t.values) for t in tables]
+        self.high = [max(t.values) for t in tables]
+        self.radix = [d * (high - low) + 1 for low, high in zip(self.low, self.high)]
+        self.base = [math.prod(self.radix[:k]) for k in range(len(tables))]
+        self.span = math.prod(self.radix)  # every packed value is below span
+        self.increment = [sum((t.values[x] - low) * b
+                         for t, low, b in zip(tables, self.low, self.base)) for x in range(n)]
+
+    def sums(self, packed, count):
+        """Every table's sum over a sequence of count patterns, required first."""
+        return [packed // b % r + count * low
+                for b, r, low in zip(self.base, self.radix, self.low)]
+
+    def feasible(self, packed, count):
+        """Whether some completion of a sequence of count patterns with these
+        sums can still pass every required table."""
+        remaining = self.d - count
+        for t, total, low, high in zip(self.required, self.sums(packed, count),
+                                       self.low, self.high):
+            if not (t.lo < total + remaining * high and total + remaining * low < t.hi):
+                return False
+        return True
+
+    def passed(self, packed):
+        """Per filter, whether a complete sequence with these sums passes it."""
+        sums = self.sums(packed, self.d)[len(self.required):]
+        out = []
+        for own in self.filters:
+            out.append(all(t.lo < total < t.hi for t, total in zip(own, sums)))
+            sums = sums[len(own):]
+        return out
+
+
+def _walk_back(layers, pen, packing, last, code):
+    """Every pattern sequence that ends at (last, code) in layers[-1], in
+    cycle order; layers come from one first pattern's counting DP."""
+    span, increment = packing.span, packing.increment
+    stack = [(len(layers) - 1, last, code, ())]
+    while stack:
+        k, last, code, tail = stack.pop()
+        path = (last,) + tail
+        if k == 0:
+            yield path
+            continue
+        s = code // span
+        for x in range(len(pen) - 1, -1, -1):  # pushed in reverse, popped ascending
+            p = pen[x][last]
+            prev = code - p * span - increment[last]
+            if p <= s and prev in layers[k - 1].get(x, ()):
+                stack.append((k - 1, x, prev, path))
 
 
 # test oracles ---------------------------------------------------------------------

@@ -157,7 +157,7 @@ def sofic_quasi_tile(sigma: SoficMap, V, shapes, eta, tau,
         prods = {group.multiply(s, t) for s in top for t in top}
         prods.add(group.identity)
         E = FiniteSubset(group, sorted(prods, key=group.enumeration_key))
-        cert = is_good(sigma, E, min(float(eta) / 4, 0.999) or 1e-6)
+        cert = is_good(sigma, E, min(eta / 4, Fraction(999, 1000)))
         if not cert.ok:
             raise ArgumentError(
                 f"sigma is not good enough on F_l F_l (good fraction "

@@ -1,0 +1,33 @@
+"""The benchmark runs clean against the library in src/.
+
+Runs the benchmark's self-check, then one short untraced pass of the
+zero-defect workload, whose every stage and frontier probe is checked
+against the Lucas oracle.  A count that breaks a benchmark oracle fails
+here, before the benchmark itself is run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=300)
+
+
+def test_bench_selfcheck_passes():
+    proc = _run("bench/selfcheck.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_zero_defect_workload_is_correct_to_the_frontier_cap():
+    proc = _run("bench/run.py", "--workload", "sofic-zero-defect", "--seconds", "1",
+                "--trace", "0")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["metrics"]["frontier_d"]["value"] == 64

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from soficlab import (MarkovMeasure, TestFunction, cyclic_model, golden_mean_system,
-                      origin_partition, sofic_measure_trace)
+import soficlab.cli
+from soficlab import (MarkovMeasure, ResourceBudgetError, TestFunction, cyclic_model,
+                      golden_mean_system, origin_partition, sofic_measure_trace)
 from soficlab.cli import main, run, validate
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -210,6 +211,21 @@ def test_budget_exhaustion_exit(tmp_path, capsys):
                  "--out", str(tmp_path), "--budget-nodes", "3"])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_microstates_budget_cut_reports_its_upper_bound(tmp_path, capsys, monkeypatch):
+    """A cut that found a bound (an inexact product-cover search) keeps it
+    through the stage context, and the error line names it as a bound."""
+    def cut(*args, **kwargs):
+        raise ResourceBudgetError("count_cover search budget exceeded", upper_bound=7)
+
+    monkeypatch.setattr(soficlab.cli, "count_microstates", cut)
+    code = main(["run", "--spec", str(SPEC_DIR / "fullshift_microstates.spec"),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "budget exhausted in task microstates: stage d=4" in err
+    assert "(upper bound 7, not a count)" in err
 
 
 def test_neg_inf_rendered_as_token(tmp_path):

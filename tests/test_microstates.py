@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
-                      MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap, TestFunction,
-                      check_variational, count_microstates, cyclic_model, exact_min_cover,
-                      full_shift, golden_mean_system, origin_partition, sofic_topological_trace,
+                      MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap,
+                      SymbolicSystem, TestFunction, check_variational, count_microstates,
+                      counting_method, cyclic_model, exact_min_cover, full_shift,
+                      golden_mean_system, origin_partition, sofic_topological_trace,
                       zero_defect_delta)
 from soficlab.microstates import (count_cover, enumerate_microstates_both, filter_microstates,
                                   microstate_check)
@@ -395,3 +396,153 @@ def test_counting_leaves_no_reference_cycles(gm, gm_origin, parry):
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# merged-state DP on one cycle against the naive oracle ------------------------
+
+NAIVE_TUPLES = 4096  # the naive oracle checks n^d tuples; keep it below this
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@st.composite
+def _cycle_instances(draw):
+    """A stage the DP takes: a Z system, one shift s and a sigma_s that is one
+    d-cycle (the cyclic model or a random cyclic order), with optional
+    pruning and extra filters."""
+    kind = draw(st.sampled_from(["golden-mean", "full", "random"]))
+    if kind == "golden-mean":
+        system = STREAM_GM
+    else:
+        alphabet = ("0", "1", "2")[:draw(st.integers(2, 3))]
+        forbidden = []
+        if kind == "random":
+            words = draw(st.lists(st.tuples(st.sampled_from(alphabet), st.sampled_from(alphabet)),
+                                  min_size=1, max_size=3, unique=True))
+            forbidden = [(((0,), (1,)), w) for w in words]
+        system = SymbolicSystem(alphabet, LatticeGroup(1), forbidden=forbidden)
+    size = draw(st.integers(2, 5))
+    start = draw(st.integers(1 - size, 0))
+    window = system.interval_window(start, start + size - 1)
+    n = len(system.language_values(window))
+    d = draw(st.integers(1, 7))
+    while d > 1 and n ** d > NAIVE_TUPLES:
+        d -= 1
+    s = draw(st.sampled_from([1, -1, 2] if size >= 3 else [1, -1]))
+    if s != 2 and draw(st.booleans()):
+        sigma = cyclic_model(system.group, d)
+    else:
+        cycle = draw(st.permutations(range(d)))
+        perm = [0] * d
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        sigma = SoficMap(system.group, d, images={(s,): perm}, provenance="random")
+    delta = draw(st.sampled_from([None, "0.05", "0.1", "0.2", "0.35", "0.6", "1", "2"]))
+    if delta is None:
+        delta = zero_defect_delta(system, window, [s], d)
+
+    def measure_filter():
+        k = len(system.alphabet)
+        probs = draw(st.sampled_from([["0.5", "0.5"], ["0.7", "0.3"], ["1", "0"]] if k == 2
+                                     else [["0.5", "0.25", "0.25"], ["0.2", "0.3", "0.5"]]))
+        functions = []
+        for _ in range(draw(st.integers(1, 2))):
+            sites = draw(st.sampled_from([[g] for g in range(start, start + size)]
+                                         + [[g, g + 1] for g in range(start, start + size - 1)]))
+            values = [draw(st.sampled_from(system.alphabet)) for _ in sites]
+            functions.append(TestFunction.indicator(system.pattern(system.window(sites),
+                                                                   values)))
+        return MeasureFilter.build(BernoulliMeasure(system, probs), functions,
+                                   draw(st.sampled_from(["0.1", "0.25", "0.5"])))
+
+    mf = measure_filter() if draw(st.booleans()) else None
+    filters = [measure_filter() for _ in range(draw(st.integers(0, 2)))]
+    return system, window, sigma, [s], delta, mf, filters
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cycle_instances())
+def test_cycle_dp_matches_naive_oracle(instance):
+    system, window, sigma, F, delta, mf, filters = instance
+    cover = origin_partition(system)
+    got, got_filtered = count_microstates(system, F, delta, sigma, window, cover,
+                                          measure_filter=mf, filters=filters)
+    assert got.method == "dp" and all(c.method == "dp" for c in got_filtered)
+    inner, outer = enumerate_microstates_both(system, F, delta, sigma, window,
+                                              measure_filter=mf, strategy="naive")
+
+    def oracle(inner, outer):
+        return MicrostateCounts(len(inner), len(outer), count_cover(inner, cover),
+                                count_cover(outer, cover))
+
+    assert got == oracle(inner, outer)
+    kept = set()
+    for f, counts in zip(filters, got_filtered):
+        filtered_outer = filter_microstates(outer, f)
+        assert counts == oracle(filter_microstates(inner, f), filtered_outer)
+        kept.update(filtered_outer.rows)
+    unmatched = set(outer.rows) - kept
+    assert got.unmatched == len(unmatched)
+    assert len(set(got.unmatched_rows)) == len(got.unmatched_rows) == min(5, len(unmatched))
+    assert set(got.unmatched_rows) <= unmatched
+
+
+def test_counting_method_names_the_path(gm, gm_origin, fs):
+    """The DP runs on one shift, a partition and a single d-cycle, read off
+    the image array; a two-cycle sigma, two shifts or a general cover scan."""
+    w = gm.interval_window(-1, 1)
+    delta = "0.3"
+    one_cycle = SoficMap(gm.group, 5, images={(1,): [3, 0, 4, 2, 1]}, provenance="random")
+    two_cycles = SoficMap(gm.group, 5, images={(1,): [2, 0, 1, 4, 3]}, provenance="random")
+    cases = [([1], cyclic_model(gm.group, 5), gm_origin, "dp"),
+             ([1], one_cycle, gm_origin, "dp"),
+             ([1], two_cycles, gm_origin, "scan"),
+             ([1, 2], cyclic_model(gm.group, 5), gm_origin, "scan")]
+    for F, sigma, cover, method in cases:
+        assert counting_method(gm, F, sigma, cover) == method
+        assert count_microstates(gm, F, delta, sigma, w, cover)[0].method == method
+        assert sofic_topological_trace(gm, cover, F, delta, [sigma], w).rows[0].method == method
+    general = _overlapping_cover(fs)
+    sigma = cyclic_model(fs.group, 3)
+    got = count_microstates(fs, [1], delta, sigma, fs.interval_window(0, 1), general)[0]
+    assert got.method == "scan" == counting_method(fs, [1], sigma, general)
+
+
+def test_dp_budget_cut_raises_and_trace_marks_row(gm, gm_origin):
+    sigma = cyclic_model(gm.group, 8)
+    w = gm.interval_window(-2, 2)
+    assert counting_method(gm, [1], sigma, gm_origin) == "dp"
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        count_microstates(gm, [1], "0.1", sigma, w, gm_origin, budget=1000)
+    row = sofic_topological_trace(gm, gm_origin, [1], "0.1", [sigma], w, budget=1000).rows[0]
+    assert row.incomplete and row.method == "dp"
+    assert (row.count_inner, row.count_outer) == (0, 0)
+
+
+def test_dp_counts_d12_at_positive_delta_within_default_budget(gm, gm_origin):
+    """Golden mean, window [-2, 2], delta = 1/10: the scan is cut at d = 9,
+    the DP finishes d = 12.  At this tolerance the signatures are exactly
+    the cyclic golden-mean words, L_d of them (checked against the scan for
+    d = 6..8 by the benchmark's pinned 18/29/47)."""
+    w = gm.interval_window(-2, 2)
+    row = sofic_topological_trace(gm, gm_origin, [1], Fraction(1, 10),
+                                  [cyclic_model(gm.group, 12)], w).rows[0]
+    assert not row.incomplete and row.method == "dp"
+    assert row.count_inner == row.count_outer == _lucas(12)
+
+
+def test_dp_zero_defect_outer_is_lucas(gm, gm_origin):
+    """At zero_defect_delta the outer microstates are the closed golden-mean
+    walks: m_outer = n_outer = L_d, far past the scan's reach."""
+    w = gm.interval_window(-2, 2)
+    for d in (1, 2, 40, 64):
+        got, _ = count_microstates(gm, [1], zero_defect_delta(gm, w, [1], d),
+                                   cyclic_model(gm.group, d), w, gm_origin)
+        assert got.method == "dp"
+        assert got.m_outer == got.n_outer == _lucas(d)
+        assert got.m_inner == got.n_inner == 0

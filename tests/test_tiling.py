@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from soficlab import (ArgumentError, FiniteSubset, amenable_exact_tile, cyclic_model,
-                      epsilon_disjoint_check, from_folner, folner_set,
+                      epsilon_disjoint_check, from_folner, folner_set, is_good,
                       random_free_model, regular_representation, sofic_quasi_tile,
                       verify_tiling)
 
@@ -42,6 +42,18 @@ def test_sofic_tile_cyclic_12(Z):
     assert t.centers == ((1, 4, 7, 10),)
     assert t.coverage == 1
     assert t.record.all_ok("sofic") and not t.guarantee_missed
+
+
+def test_sofic_tile_goodness_check_uses_exact_eta_quarter(Z):
+    """On the 17-point Folner fallback model, E = F F + e = {0, 1, 2} has
+    13 good points: exactly 1 - eta/4 for eta = 16/17, so sigma is good
+    enough.  A decimal rounding of eta/4 just below 4/17 rejects it."""
+    sigma = from_folner(Z, folner_set(Z, 17))
+    eta = Fraction(16, 17)
+    cert = is_good(sigma, FiniteSubset(Z, [0, 1, 2]), eta / 4)
+    assert cert.good_fraction == Fraction(13, 17) == 1 - eta / 4 and cert.ok
+    t = sofic_quasi_tile(sigma, None, [FiniteSubset(Z, [0, 1])], eta, 0)
+    assert t.record.all_ok("sofic")
 
 
 def test_sofic_tile_singleton_shape_takes_V(Z):
