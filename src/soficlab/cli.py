@@ -127,15 +127,15 @@ def _task_microstates(system, args, writer, budget):
     rows = []
     for delta in args["deltas"]:
         for sigma in args["stages"]:
-            try:
+            try:  # on the DP path reading m runs the counting DPs, under the same budget
                 counts, _ = count_microstates(system, args["F"], delta, sigma, args["window"],
                                               args["cover"], measure_filter=args["filter"],
                                               budget=budget)
+                rows.append((sigma.d, counts.m_inner, counts.m_outer,
+                             counts.n_inner, counts.n_outer))
             except ResourceBudgetError as exc:
                 raise ResourceBudgetError(f"stage d={sigma.d}, delta={float(delta)}: {exc}",
                                           upper_bound=exc.upper_bound) from exc
-            rows.append((sigma.d, counts.m_inner, counts.m_outer,
-                         counts.n_inner, counts.n_outer))
     writer.csv("microstates", ("d", "m_inner", "m_outer", "n_inner", "n_outer"), rows)
     return 0, []
 

@@ -19,13 +19,18 @@ neighbour terms, and a merged-state DP along the cycle counts the stage
 without visiting a tuple (min-plus determinisation of a weighted
 automaton, after Mohri 1997).  Every other stage goes to a depth-first
 scan of the tuples.
+
+The cover counts N are what the entropy traces read; the tuple counts m
+only the microstates task.  The scan gets m for free, but on the DP path
+m takes two counting DPs of their own, so they run only when m (or the
+unmatched count) is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -249,7 +254,6 @@ def _stage(system, F, delta, sigma, window):
     return delta, ComparisonPlan(system, window, F), system.language_values(window)
 
 
-@dataclass(frozen=True)
 class MicrostateCounts:
     """Sizes m and cover counts N(U^d, .) of one stage's microstate sets.
 
@@ -257,17 +261,88 @@ class MicrostateCounts:
     of outer microstates that pass none of its filters, and unmatched_rows
     holds up to five of them as index rows into the window language, in the
     order the counting path finds them.  method names that path: "dp" for
-    the merged-state DP, "scan" for the tuple scan.  None of the three
-    takes part in equality.
+    the merged-state DP, "scan" for the tuple scan.
+
+    n_inner and n_outer are counted with the object.  On the DP path m and
+    unmatched are counted on first read, under the budget of the call that
+    made the object, so reading them can raise ResourceBudgetError.
+    Equality and hashing take (m_inner, m_outer, n_inner, n_outer), so they
+    read m; method, unmatched and unmatched_rows take no part.
     """
 
-    m_inner: int
-    m_outer: int
-    n_inner: int
-    n_outer: int
-    unmatched: int = field(default=0, compare=False)
-    unmatched_rows: tuple = field(default=(), compare=False)
-    method: str = field(default="scan", compare=False)
+    __slots__ = ("n_inner", "n_outer", "method", "_sizes", "_tally")
+
+    def __init__(self, m_inner, m_outer, n_inner, n_outer, unmatched=0,
+                 unmatched_rows=(), method="scan"):
+        self.n_inner, self.n_outer, self.method = n_inner, n_outer, method
+        self._sizes = _Sizes((m_inner,), (m_outer,), (unmatched,), (unmatched_rows,))
+        self._tally = 0
+
+    @classmethod
+    def _read_later(cls, sizes, tally, n_inner, n_outer, method):
+        """Counts whose m and unmatched are tally's entries of sizes."""
+        self = cls.__new__(cls)
+        self.n_inner, self.n_outer, self.method = n_inner, n_outer, method
+        self._sizes, self._tally = sizes, tally
+        return self
+
+    m_inner = property(lambda self: self._sizes.m_inner[self._tally])
+    m_outer = property(lambda self: self._sizes.m_outer[self._tally])
+    unmatched = property(lambda self: self._sizes.unmatched[self._tally])
+    unmatched_rows = property(lambda self: self._sizes.unmatched_rows[self._tally])
+
+    def _key(self):
+        return self.m_inner, self.m_outer, self.n_inner, self.n_outer
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"MicrostateCounts(m_inner={self.m_inner!r}, m_outer={self.m_outer!r}, "
+                f"n_inner={self.n_inner!r}, n_outer={self.n_outer!r}, "
+                f"unmatched={self.unmatched!r}, unmatched_rows={self.unmatched_rows!r}, "
+                f"method={self.method!r})")
+
+
+@dataclass(frozen=True)
+class _Sizes:
+    """m and unmatched per tally, the unfiltered tally first."""
+
+    m_inner: tuple
+    m_outer: tuple
+    unmatched: tuple
+    unmatched_rows: tuple
+
+
+class _CycleSizes:
+    """_Sizes of every tally of one DP stage, each DP run on first read.
+
+    The outer counting DP gives m_outer, unmatched and unmatched_rows, the
+    inner one m_inner.  Both run on the stage's _CycleDP, so they charge the
+    budget the signatures charged; a cut raises at the read and is not kept.
+    """
+
+    def __init__(self, dp, packing):
+        self.dp, self.packing = dp, packing
+
+    @cached_property
+    def _outer(self):
+        per_tally, unmatched, rows = self.dp.sequences(False, self.packing, rows_wanted=5)
+        rest = len(per_tally) - 1
+        return per_tally, (unmatched,) + (0,) * rest, (rows,) + ((),) * rest
+
+    m_outer = property(lambda self: self._outer[0])
+    unmatched = property(lambda self: self._outer[1])
+    unmatched_rows = property(lambda self: self._outer[2])
+
+    @cached_property
+    def m_inner(self):
+        return self.dp.sequences(True, self.packing)[0]
 
 
 class _Tally:
@@ -281,9 +356,9 @@ class _Tally:
         self.inner = set()  # key rows
         self.outer = set()
 
-    def counts(self, keys: _CoverKeys, **unmatched) -> MicrostateCounts:
-        return MicrostateCounts(self.m_inner, self.m_outer,
-                                keys.count(self.inner), keys.count(self.outer), **unmatched)
+    def counts(self, keys: _CoverKeys, budget, **unmatched) -> MicrostateCounts:
+        return MicrostateCounts(self.m_inner, self.m_outer, keys.count(self.inner, budget),
+                                keys.count(self.outer, budget), **unmatched)
 
 
 def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
@@ -305,7 +380,10 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     index -> key table (the partition cell, or the index itself for a
     general cover), and only the set of key rows is kept.  The counts are
     read off those sets once the scan ends.  Both paths charge their work
-    to budget and raise ResourceBudgetError when it runs out.
+    to budget, the general cover's set-cover search included, and raise
+    ResourceBudgetError when it runs out.  On the DP path m and unmatched
+    are counted when first read and charged to the same budget, so that
+    read can raise it too (see MicrostateCounts).
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
     order = _cycle_order(system, plan.shifts, sigma, cover)
@@ -342,21 +420,19 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
                 unmatched.append(tuple(indices))
 
     _scan(plan, lang, delta, sigma, prune, leaf, budget)
-    return (tallies[0].counts(keys, unmatched=n_unmatched, unmatched_rows=tuple(unmatched)),
-            tuple(t.counts(keys) for t in tallies[1:]))
+    return (tallies[0].counts(keys, budget, unmatched=n_unmatched,
+                              unmatched_rows=tuple(unmatched)),
+            tuple(t.counts(keys, budget) for t in tallies[1:]))
 
 
 def _count_on_cycle(dp, prune, tables):
-    """count_microstates' result from the merged-state DP."""
-    packing = _PackedSums(prune, tables, dp.d, dp.n)
-    m_outer, unmatched, rows = dp.sequences(False, packing, rows_wanted=5)
-    m_inner, _, _ = dp.sequences(True, packing)
+    """count_microstates' result from the merged-state DP: the signature DP
+    per tally now, the counting DPs behind m when a caller reads m."""
+    sizes = _CycleSizes(dp, _PackedSums(prune, tables, dp.d, dp.n))
     counts = []
     for k, own in enumerate([[]] + tables):
         n_inner, n_outer = dp.signatures(_PackedSums(prune + own, [], dp.d, dp.n))
-        extra = dict(unmatched=unmatched, unmatched_rows=rows) if k == 0 else {}
-        counts.append(MicrostateCounts(m_inner[k], m_outer[k], n_inner, n_outer,
-                                       method="dp", **extra))
+        counts.append(MicrostateCounts._read_later(sizes, k, n_inner, n_outer, "dp"))
     return counts[0], tuple(counts[1:])
 
 

@@ -84,6 +84,11 @@ SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would check SCHEMA against its metaschema
+# on every call, which costs far more than validating a spec
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def spec_hash(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -96,9 +101,8 @@ def load_spec(path) -> dict:
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}",
                         field="<json>") from exc
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:  # the error jsonschema.validate would raise
         parts = [str(p) for p in exc.absolute_path]
         if exc.validator == "required":
             # name the missing property itself, e.g. system.alphabet

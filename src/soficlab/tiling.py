@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
-
 from .errors import ArgumentError
 from .groups import FiniteSubset
 from .sofic import SoficMap, is_good
@@ -24,6 +21,14 @@ from .symbolic import as_fraction
 
 def _quota(size: int, eps: Fraction) -> int:
     return math.ceil((1 - eps) * size)
+
+
+def maximum_flow(graph, source, sink):
+    """scipy's exact max flow.  scipy is imported here, on the first call, and
+    not with soficlab: scipy.sparse costs more to import than soficlab itself."""
+    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
+
+    return scipy_maximum_flow(graph, source, sink)
 
 
 def epsilon_disjoint_check(family, eps):
@@ -59,6 +64,8 @@ def epsilon_disjoint_check(family, eps):
         return True, cores
 
     # exact decision by max flow
+    from scipy.sparse import csr_matrix
+
     points = sorted(containing)
     pt_index = {p: k for k, p in enumerate(points)}
     m, np_ = len(sets), len(points)

@@ -4,12 +4,15 @@ import math
 import os
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import soficlab.cli
-from soficlab import (MarkovMeasure, ResourceBudgetError, TestFunction, cyclic_model,
-                      golden_mean_system, origin_partition, sofic_measure_trace)
+import soficlab.microstates
+from soficlab import (MarkovMeasure, ResourceBudgetError, SpecError, TestFunction,
+                      cyclic_model, golden_mean_system, origin_partition, sofic_measure_trace)
 from soficlab.cli import main, run, validate
+from soficlab.specfile import SCHEMA, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 ALL_SPECS = sorted(SPEC_DIR.glob("*.spec"))
@@ -158,6 +161,59 @@ def test_missing_alphabet_exit_2_names_field(tmp_path, capsys):
     assert "system.alphabet" in err
 
 
+def test_spec_schema_passes_its_metaschema():
+    """load_spec keeps one validator and skips this check on each call."""
+    jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+
+def _drop_alphabet(spec):
+    del spec["system"]["alphabet"]
+
+
+def _unknown_task(spec):
+    spec["task"] = "sample"
+
+
+def _rank_zero(spec):
+    spec["system"]["group"]["rank_or_order"] = 0
+
+
+def _extra_root_key(spec):
+    spec["seed"] = 3
+
+
+def _numeric_forbidden_value(spec):
+    spec["system"]["forbidden"] = [{"window": [0, 1], "values": ["1", 1]}]
+
+
+def _two_faults(spec):
+    # found first: system.alphabet; the most relevant (shallowest): the root key
+    spec["system"]["alphabet"] = []
+    spec["seed"] = 3
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (_drop_alphabet, "system.alphabet"),
+    (_unknown_task, "task"),
+    (_rank_zero, "system.group.rank_or_order"),
+    (_extra_root_key, "<root>"),
+    (_numeric_forbidden_value, "system.forbidden.0.values.1"),
+    (_two_faults, "<root>"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
+    """The one cached validator reports the error jsonschema.validate picks."""
+    spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
+    corrupt(spec)
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(spec, SCHEMA)
+    bad = tmp_path / "bad.spec"
+    bad.write_text(json.dumps(spec))
+    with pytest.raises(SpecError) as got:
+        load_spec(bad)
+    assert got.value.field == field
+    assert str(got.value) == f"schema violation at {field}: {reference.value.message}"
+
+
 def test_zero_delta_rejected(tmp_path, capsys):
     spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
     spec["params"]["deltas"] = ["0"]
@@ -226,6 +282,27 @@ def test_microstates_budget_cut_reports_its_upper_bound(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "budget exhausted in task microstates: stage d=4" in err
     assert "(upper bound 7, not a count)" in err
+
+
+def test_microstates_cut_while_reading_m_keeps_stage_context(tmp_path, capsys, monkeypatch):
+    """On the DP path m is counted when the task reads it: a cut there still
+    names the stage, and its bound, and writes no CSV."""
+    spec = SPEC_DIR / "fullshift_microstates.spec"
+    # the signature DP of d = 4 spends 64 units, reading m spends 136 more
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path),
+                 "--budget-nodes", "100"]) == 1
+    err = capsys.readouterr().err
+    assert "stage d=4, delta=0.01: merged-state DP budget exceeded" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+    def cut(*args, **kwargs):
+        raise ResourceBudgetError("merged-state DP budget exceeded", upper_bound=9)
+
+    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", cut)
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "budget exhausted in task microstates: stage d=4" in err
+    assert "(upper bound 9, not a count)" in err
 
 
 def test_neg_inf_rendered_as_token(tmp_path):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soficlab.microstates
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
                       MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap,
-                      SymbolicSystem, TestFunction, check_variational, count_microstates,
-                      counting_method, cyclic_model, exact_min_cover, full_shift,
-                      golden_mean_system, origin_partition, sofic_topological_trace,
+                      SymbolicSystem, TestFunction, check_amenable_agreement,
+                      check_variational, count_microstates, counting_method, cyclic_model,
+                      exact_min_cover, full_shift, golden_mean_system, origin_partition,
+                      select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
                       zero_defect_delta)
 from soficlab.microstates import (count_cover, enumerate_microstates_both, filter_microstates,
                                   microstate_check)
@@ -365,6 +367,19 @@ def test_general_cover_counts_through_count_cover(fs, fair):
                                    filter_microstates(outer, mf), cover)
 
 
+def test_general_cover_search_honours_the_budget(fs):
+    """The product-cover search behind a general cover runs under the
+    caller's budget: at d = 3 the scan fits in 100 nodes, the search does
+    not, and at the default budget the stage finishes."""
+    sigma = cyclic_model(fs.group, 3)
+    w = fs.interval_window(0, 1)
+    cover = _overlapping_cover(fs)
+    got, _ = count_microstates(fs, [1], "0.6", sigma, w, cover)
+    assert (got.n_inner, got.n_outer, got.method) == (3, 8, "scan")
+    with pytest.raises(ResourceBudgetError, match="count_cover search budget exceeded"):
+        count_microstates(fs, [1], "0.6", sigma, w, cover, budget=100)
+
+
 def test_streaming_budget_cut_raises_and_trace_marks_row(fs, fs_origin):
     sigma = cyclic_model(fs.group, 6)
     w = fs.interval_window(0, 1)
@@ -546,3 +561,105 @@ def test_dp_zero_defect_outer_is_lucas(gm, gm_origin):
         assert got.method == "dp"
         assert got.m_outer == got.n_outer == _lucas(d)
         assert got.m_inner == got.n_inner == 0
+
+
+# the tuple counts m on the DP path are counted on first read ------------------
+
+
+def _no_counting_dp(*args, **kwargs):
+    raise AssertionError("a counting DP ran, but no caller read m")
+
+
+def test_traces_and_variational_never_run_a_counting_dp(gm, gm_origin, parry, monkeypatch):
+    w = gm.interval_window(-2, 2)
+    maps = [cyclic_model(gm.group, d) for d in (6, 9)]
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    expected = [(_lucas(6), _lucas(6)), (_lucas(9), _lucas(9))]  # (inner, outer)
+    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", _no_counting_dp)
+    for trace in (sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w),
+                  sofic_measure_trace(gm, gm_origin, parry, [at_origin], [1], "0.1", maps, w)):
+        assert [r.method for r in trace.rows] == ["dp", "dp"]
+        assert not any(r.incomplete for r in trace.rows)
+    topological = sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w)
+    assert [(r.count_inner, r.count_outer) for r in topological.rows] == expected
+    report = check_variational(gm, gm_origin, [("parry", parry)], [at_origin], [1],
+                               ["0.1"], maps, w)
+    assert report.ok
+    assert [(r.d, r.count_unfiltered_outer) for r in report.rows] == [(6, 18), (9, 76)]
+    agreement = check_amenable_agreement(gm, gm_origin, [12],
+                                         lambda n: cyclic_model(gm.group, n),
+                                         ["0.01"], [1], w)
+    assert agreement.rows[0].value_sofic_outer == math.log(_lucas(12)) / 12
+
+
+def test_dominant_measure_runs_only_the_outer_counting_dp(gm, gm_origin, parry, monkeypatch):
+    """The net check reads unmatched, which the outer DP counts; nothing
+    reads m_inner."""
+    w = gm.interval_window(-2, 2)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    sequences = soficlab.microstates._CycleDP.sequences
+    modes = []
+
+    def spy(dp, inner, *args, **kwargs):
+        modes.append(inner)
+        return sequences(dp, inner, *args, **kwargs)
+
+    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", spy)
+    candidates = [parry, BernoulliMeasure(gm, ["0.5", "0.5"])]
+    res = select_dominant_measure(gm, gm_origin, candidates, [at_origin], [1], "0.1",
+                                  cyclic_model(gm.group, 8), w, "0.1", require_net=False)
+    assert modes == [False]
+    assert res.unfiltered_count == _lucas(8)
+
+
+def test_dp_m_read_is_cut_by_the_budget_and_never_a_number(gm, gm_origin):
+    """d = 12, delta = 1/10: the signature DP fits in 10,000 budget units,
+    the counting DPs need far more.  The counts come back; reading m, or
+    comparing, raises every time."""
+    w = gm.interval_window(-2, 2)
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 12), w,
+                               gm_origin, budget=10_000)
+    assert got.n_inner == got.n_outer == _lucas(12)
+    for _ in range(2):
+        for read in (lambda: got.m_outer, lambda: got.m_inner, lambda: got.unmatched,
+                     lambda: got == got):
+            with pytest.raises(ResourceBudgetError, match="DP"):
+                read()
+
+
+def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):
+    """m read lazily equals m counted eagerly, only the unfiltered counts
+    carry unmatched, and equality, hashing and the positional constructor
+    ignore method and unmatched."""
+    w = gm.interval_window(-2, 2)
+    sigma = cyclic_model(gm.group, 6)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    mf = MeasureFilter.build(parry, [at_origin], "0.1")
+    dp, (dp_f,) = count_microstates(gm, [1], "0.1", sigma, w, gm_origin, filters=[mf])
+    scan = MicrostateCounts(dp.m_inner, dp.m_outer, dp.n_inner, dp.n_outer)
+    _, outer = enumerate_microstates_both(gm, [1], "0.1", sigma, w)
+    kept = filter_microstates(outer, mf)
+    assert (dp.m_outer, dp_f.m_outer) == (len(outer), len(kept))
+    assert dp.unmatched == len(outer) - len(kept) > 0
+    assert (dp_f.unmatched, dp_f.unmatched_rows) == (0, ())
+    assert dp == scan and hash(dp) == hash(scan) and dp.method != scan.method
+    assert {dp: 1}[scan] == 1
+    assert MicrostateCounts(1, 2, 3, 4, 5, ((0,),), "dp") == MicrostateCounts(1, 2, 3, 4)
+    assert MicrostateCounts(1, 2, 3, 4) != MicrostateCounts(1, 2, 3, 5)
+
+
+@pytest.mark.parametrize("d, inner, outer", [
+    (24, _lucas(24), _lucas(24)),
+    (32, _lucas(32), _lucas(32)),
+    (64, 23_725_150_497_407, 283_100_480_921_791),
+])
+def test_dp_trace_reach_at_delta_one_tenth(gm, gm_origin, d, inner, outer):
+    """Golden mean, window [-2, 2], F = {1}, delta = 1/10, the default 2M
+    budget: the signature DP alone finishes d = 64.  L_24 = 103,682 and
+    L_32 = 4,870,847; the d = 64 counts equal the counting-DP path's at a
+    budget of 10^9."""
+    w = gm.interval_window(-2, 2)
+    row = sofic_topological_trace(gm, gm_origin, [1], Fraction(1, 10),
+                                  [cyclic_model(gm.group, d)], w).rows[0]
+    assert not row.incomplete and row.method == "dp"
+    assert (row.count_inner, row.count_outer) == (inner, outer)

@@ -1,5 +1,9 @@
 import copy
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,14 @@ def test_eps_disjoint_small_overlap_witnessed():
     assert cores[0] <= a and cores[1] <= b
     assert not (cores[0] & cores[1])
     assert len(cores[0]) >= 8 and len(cores[1]) >= 8
+
+
+def test_import_soficlab_leaves_scipy_unimported():
+    """scipy serves only the exact max flow, and is imported there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    subprocess.run([sys.executable, "-c",
+                    "import soficlab, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_eps_disjoint_flow_tightness():
