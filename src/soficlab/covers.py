@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -195,6 +195,15 @@ class MinCoverResult:
     count: int
     witness: tuple
     exact: bool  # False means budget ran out: count is a greedy upper bound
+    nodes: int = field(default=0, compare=False)  # search nodes charged to the budget
+
+
+def undominated(sets) -> list:
+    """Indices, in order, of the sets a minimal cover search must keep: the
+    non-empty ones that are neither strictly inside another set nor a
+    repeat of an earlier one."""
+    return [i for i, s in enumerate(sets)
+            if s and not any(s < t or (s == t and j < i) for j, t in enumerate(sets))]
 
 
 def _greedy_cover(sets, universe):
@@ -238,16 +247,8 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
         witness = tuple(i for i, s in enumerate(sets) if s)
         return MinCoverResult(len(witness), witness, True)
 
-    # dominance: drop sets contained in a later-or-equal superset
     if len(sets) <= 2000:
-        keep = []
-        for i, s in enumerate(sets):
-            dominated = any(
-                (s < t) or (s == t and j < i)
-                for j, t in enumerate(sets) if j != i
-            )
-            if not dominated and s:
-                keep.append(i)
+        keep = undominated(sets)
     else:
         keep = [i for i, s in enumerate(sets) if s]
     index_map = keep
@@ -283,12 +284,12 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
         dfs(frozenset(universe), [])
     except _SearchBudget:
         return MinCoverResult(len(greedy),
-                              tuple(index_map[i] for i in greedy), False)
+                              tuple(index_map[i] for i in greedy), False, budget)
     finally:
         del dfs  # dfs reaches itself through its closure: break the cycle
     return MinCoverResult(best["count"],
                           tuple(index_map[i] for i in best["witness"]),
-                          best["exact"])
+                          best["exact"], nodes)
 
 
 def min_subcover(cover: Cover, target=None, budget: int = DEFAULT_NODE_BUDGET) -> MinCoverResult:

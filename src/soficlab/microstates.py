@@ -13,12 +13,13 @@ exact: dyadic weights are rescaled to integers, delta is read as a decimal
 literal, and the strict < of the definition is preserved bit-for-bit.
 
 count_microstates counts a stage by one of two paths.  When F is one
-shift s on Z, sigma_s is a single d-cycle and the cover is a partition, a
+shift s, sigma_s is a single d-cycle and the cover is a partition, a
 microstate is a cyclic sequence of patterns whose penalty is a sum of
-neighbour terms, and a merged-state DP along the cycle counts the stage
-without visiting a tuple (min-plus determinisation of a weighted
-automaton, after Mohri 1997).  Every other stage goes to a depth-first
-scan of the tuples.
+neighbour terms, whatever the group, and a merged-state DP along the
+cycle counts the stage without visiting a tuple (min-plus determinisation
+of a weighted automaton, after Mohri 1997).  Every other stage goes to a
+depth-first scan of the tuples.  Both paths carry a measure filter's
+sums as one packed int (_PackedSums), which decides the filters for both.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -36,7 +37,7 @@ from functools import cached_property
 
 from .errors import ArgumentError, ResourceBudgetError
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
-from .covers import Cover, exact_min_cover
+from .covers import Cover, exact_min_cover, undominated
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -121,22 +122,14 @@ def zero_defect_delta(system: SymbolicSystem, window: Window, F, d: int) -> Frac
 class _ScaledFunction:
     """One test function of a measure filter, rescaled to integers.
 
-    values[c] is f on language pattern c times scale, where scale is the
-    common denominator of the f-values and of the bounds.  A tuple passes
-    when lo < sum of its values < hi, i.e. d (mu(f) - delta) < sum_i f(x_i)
-    < d (mu(f) + delta); low and high are the scaled extremes of f, for the
-    feasibility cut of a partial sum.
+    values[c] is f on language pattern c times the common denominator of
+    the f-values and of the bounds.  A tuple passes when lo < sum of its
+    values < hi, i.e. d (mu(f) - delta) < sum_i f(x_i) < d (mu(f) + delta).
     """
 
     values: tuple
     lo: int
     hi: int
-    low: int
-    high: int
-    scale: int
-
-    def total(self, indices) -> int:
-        return sum(map(self.values.__getitem__, indices))
 
 
 def _filter_tables(window, lang, measure_filter, d):
@@ -153,20 +146,11 @@ def _filter_tables(window, lang, measure_filter, d):
         proj = [window.index[g] for g in f.window.elements]
         mu_f = integrate(measure_filter.measure, f)
         exact = [f(tuple(v[i] for i in proj)) for v in lang]
-        bounds = [d * (mu_f - measure_filter.delta), d * (mu_f + measure_filter.delta),
-                  f.min_value, f.max_value]
+        bounds = [d * (mu_f - measure_filter.delta), d * (mu_f + measure_filter.delta)]
         scale = math.lcm(*(q.denominator for q in exact + bounds))
-        lo, hi, low, high = (int(q * scale) for q in bounds)
-        tables.append(_ScaledFunction(tuple(int(q * scale) for q in exact),
-                                      lo, hi, low, high, scale))
+        lo, hi = (int(q * scale) for q in bounds)
+        tables.append(_ScaledFunction(tuple(int(q * scale) for q in exact), lo, hi))
     return tables
-
-
-def _passes(tables, indices) -> bool:
-    for t in tables:
-        if not t.lo < t.total(indices) < t.hi:
-            return False
-    return True
 
 
 class _CoverKeys:
@@ -193,31 +177,25 @@ class _CoverKeys:
         except KeyError as exc:
             raise ArgumentError(f"microstate pattern uncovered: {exc}") from exc
 
-    def count(self, keys, budget: int = 250_000) -> int:
-        """N(U^d, .) of the microstates whose key rows form the set keys.
+    def count(self, keys, budget: int, spent: int = 0):
+        """(N(U^d, .), search nodes) for the microstates whose key rows form
+        the set keys, under a budget of which spent is used up.
 
         A partition's key rows are the cell signatures, so the count is their
-        number; a general cover reduces per coordinate to maximal elements
-        and runs the exact set-cover search over the sorted rows.
+        number; a general cover reduces per coordinate to maximal elements,
+        builds the product cover family (at most budget sets) and runs the
+        exact set-cover search over the sorted rows in the budget - spent
+        nodes left.
         """
         if self.cover.is_partition or not keys:
-            return len(keys)
+            return len(keys), 0
         restricted = [tuple(map(self.patterns.__getitem__, r)) for r in sorted(keys)]
         d = len(restricted[0])
         occurring = [frozenset(t[j] for t in restricted) for j in range(d)]
         per_position = []
         for j in range(d):
-            views = [(idx, e & occurring[j]) for idx, e in enumerate(self.cover.elements)]
-            maximal = []
-            for idx, view in views:
-                if not view:
-                    continue
-                dominated = any(
-                    (view < other) or (view == other and jdx < idx)
-                    for jdx, other in views if jdx != idx
-                )
-                if not dominated:
-                    maximal.append((idx, view))
+            views = [e & occurring[j] for e in self.cover.elements]
+            maximal = [views[i] for i in undominated(views)]
             if not maximal:
                 raise ArgumentError(f"coordinate {j} has uncovered patterns")
             per_position.append(maximal)
@@ -231,19 +209,18 @@ class _CoverKeys:
                 )
         universe = frozenset(range(len(restricted)))
         candidate_sets = []
-        for choice in itertools.product(*per_position):
-            views = [view for _, view in choice]
+        for views in itertools.product(*per_position):
             covered = frozenset(
                 k for k, t in enumerate(restricted)
                 if all(t[j] in views[j] for j in range(d))
             )
             if covered:
                 candidate_sets.append(covered)
-        result = exact_min_cover(candidate_sets, universe, budget=budget)
+        result = exact_min_cover(candidate_sets, universe, budget=budget - spent)
         if not result.exact:
             raise ResourceBudgetError("count_cover search budget exceeded",
                                       upper_bound=result.count)
-        return result.count
+        return result.count, result.nodes
 
 
 def _stage(system, F, delta, sigma, window):
@@ -346,19 +323,18 @@ class _CycleSizes:
 
 
 class _Tally:
-    """Running counts of the microstates passing one list of filter tables."""
+    """Running counts of the microstates passing one filter."""
 
-    __slots__ = ("tables", "m_inner", "m_outer", "inner", "outer")
+    __slots__ = ("m_inner", "m_outer", "inner", "outer")
 
-    def __init__(self, tables):
-        self.tables = tables
+    def __init__(self):
         self.m_inner = self.m_outer = 0
         self.inner = set()  # key rows
         self.outer = set()
 
-    def counts(self, keys: _CoverKeys, budget, **unmatched) -> MicrostateCounts:
-        return MicrostateCounts(self.m_inner, self.m_outer, keys.count(self.inner, budget),
-                                keys.count(self.outer, budget), **unmatched)
+    def counts(self, cover_count, **unmatched) -> MicrostateCounts:
+        return MicrostateCounts(self.m_inner, self.m_outer, cover_count(self.inner),
+                                cover_count(self.outer), **unmatched)
 
 
 def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
@@ -372,57 +348,69 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     that also passes filters[k], and counts reports the outer microstates
     that pass none of filters.
 
-    A partition cover, one shift s on Z and a sigma_s that is a single
-    d-cycle take the merged-state DP (method "dp"; see _CycleDP), which
-    never visits a tuple.  Every other stage takes one streaming scan
-    (method "scan"), which serves every cover: each microstate reaches the
-    counter as language indices, its key row is read off the cover's
-    index -> key table (the partition cell, or the index itself for a
-    general cover), and only the set of key rows is kept.  The counts are
-    read off those sets once the scan ends.  Both paths charge their work
-    to budget, the general cover's set-cover search included, and raise
-    ResourceBudgetError when it runs out.  On the DP path m and unmatched
-    are counted when first read and charged to the same budget, so that
-    read can raise it too (see MicrostateCounts).
+    A partition cover, one shift s and a sigma_s that is a single d-cycle
+    take the merged-state DP (method "dp"; see _CycleDP), which never
+    visits a tuple.  Every other stage takes one streaming scan (method
+    "scan"), which serves every cover: each microstate reaches the counter
+    as language indices, its key row is read off the cover's index -> key
+    table (the partition cell, or the index itself for a general cover),
+    and only the set of key rows is kept.  The counts are read off those
+    sets once the scan ends.  Both paths decide every filter on the same
+    packed integer sums (_PackedSums).  The whole stage, the general
+    cover's set-cover searches included, runs under one budget: each search
+    gets the nodes the scan and the searches before it left, and
+    ResourceBudgetError is raised when it runs out.  On the DP path m and
+    unmatched are counted when first read and charged to the same budget,
+    so that read can raise it too (see MicrostateCounts).
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
-    order = _cycle_order(system, plan.shifts, sigma, cover)
+    order = _cycle_order(plan.shifts, sigma, cover)
     if not lang:
         empty = MicrostateCounts(0, 0, 0, 0, method="scan" if order is None else "dp")
         return empty, (empty,) * len(filters)
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
     table = keys.table
-    prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else ()
+    prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []
     tables = [_filter_tables(window, lang, f, d) for f in filters]
     if order is not None:
         return _count_on_cycle(_CycleDP(plan, lang, delta, sigma, order, table, budget),
-                               list(prune), tables)
-    tallies = [_Tally(())] + [_Tally(t) for t in tables]
+                               prune, tables)
+    packing = _PackedSums(prune, tables, d, len(lang))
+    tallies = [_Tally() for _ in range(len(tables) + 1)]  # the unfiltered tally first
+    keeping = {}  # packed sums -> the tallies a microstate with them enters
     unmatched = []
     n_unmatched = 0
 
-    def leaf(indices, inner_ok):
+    def leaf(indices, inner_ok, packed):
         nonlocal n_unmatched
         signature = tuple(map(table.__getitem__, indices))
-        passed = 0
-        for tally in tallies:
-            if _passes(tally.tables, indices):
-                passed += 1
-                tally.m_outer += 1
-                tally.outer.add(signature)
-                if inner_ok:
-                    tally.m_inner += 1
-                    tally.inner.add(signature)
-        if passed == 1:  # only the unfiltered tally: no filter keeps it
+        kept = keeping.get(packed)
+        if kept is None:
+            kept = keeping[packed] = [tallies[0]] + [
+                t for t, ok in zip(tallies[1:], packing.passed(packed)) if ok]
+        for tally in kept:
+            tally.m_outer += 1
+            tally.outer.add(signature)
+            if inner_ok:
+                tally.m_inner += 1
+                tally.inner.add(signature)
+        if len(kept) == 1:  # only the unfiltered tally: no filter keeps it
             n_unmatched += 1
             if n_unmatched <= 5:
                 unmatched.append(tuple(indices))
 
-    _scan(plan, lang, delta, sigma, prune, leaf, budget)
-    return (tallies[0].counts(keys, budget, unmatched=n_unmatched,
+    spent = _scan(plan, lang, delta, sigma, packing, leaf, budget)
+
+    def cover_count(rows):
+        nonlocal spent
+        n, nodes = keys.count(rows, budget, spent)
+        spent += nodes
+        return n
+
+    return (tallies[0].counts(cover_count, unmatched=n_unmatched,
                               unmatched_rows=tuple(unmatched)),
-            tuple(t.counts(keys, budget) for t in tallies[1:]))
+            tuple(t.counts(cover_count) for t in tallies[1:]))
 
 
 def _count_on_cycle(dp, prune, tables):
@@ -459,17 +447,25 @@ def _penalties(plan, lang, delta, sigma):
     return threshold.numerator, threshold.denominator, penalties
 
 
-def _scan(plan, lang, delta, sigma, prune, leaf, budget):
-    """Call leaf(indices, inner_ok) on every certified-outer microstate.
+def _scan(plan, lang, delta, sigma, packing, leaf, budget) -> int:
+    """Call leaf(indices, inner_ok, packed) on every certified-outer
+    microstate that passes packing.required; return the nodes visited.
 
     indices lists the microstate's patterns as indices into lang (the list
-    may be reused after the call); inner_ok says whether it is also
-    certified-inner.  Microstates failing the integer filter tables in
-    prune are skipped.
+    may be reused after the call), inner_ok says whether it is also
+    certified-inner, and packed is its packed filter sums.  The scan is
+    depth first.  At each position the first pending constraint drives
+    candidate order: candidates are visited by ascending penalty against
+    the already-fixed partner pattern, so the scan breaks out of a position
+    as soon as the cheapest remaining candidate would cross the (monotone)
+    threshold.  A partial tuple is dropped as soon as no completion can
+    pass packing.required.
     """
     d = sigma.d
+    n_lang = len(lang)
     n_shifts = len(plan.shifts)
     t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+    required, feasible, increment = packing.required, packing.feasible, packing.increment
 
     # term (s, i, j=sigma_s(i)) is evaluated once both ends are assigned
     terms_at = [[] for _ in range(d)]
@@ -479,23 +475,9 @@ def _scan(plan, lang, delta, sigma, prune, leaf, budget):
             j = int(perm[i])
             terms_at[max(i, j)].append((s_index, i, j))
 
-    _pruned_scan(len(lang), d, n_shifts, terms_at, penalties, t_num, t_den,
-                 prune, leaf, budget)
-
-
-def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
-                 prune, leaf, budget):
-    """Depth-first tuple scan.
-
-    At each position the first pending constraint drives candidate order:
-    candidates are visited by ascending penalty against the already-fixed
-    partner pattern, so the scan breaks out of a position as soon as the
-    cheapest remaining candidate would cross the (monotone) threshold.
-    """
     assign = [0] * d
     sums_out = [0] * n_shifts
     sums_in = [0] * n_shifts
-    fsums = [0] * len(prune)
     nodes = 0
     free_list = [(0, 0, c) for c in range(n_lang)]
     sorted_cache = {}
@@ -518,19 +500,10 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
             hit = out
         return hit
 
-    def feasible_filters(depth):
-        remaining = d - depth
-        for total, table in zip(fsums, prune):
-            if not table.lo < total + remaining * table.high:
-                return False
-            if not total + remaining * table.low < table.hi:
-                return False
-        return True
-
-    def rec(pos):
+    def rec(pos, packed):
         nonlocal nodes
         if pos == d:
-            leaf(assign, max(sums_in) * t_den < t_num)  # penalties are >= 0
+            leaf(assign, max(sums_in) * t_den < t_num, packed)  # penalties are >= 0
             return
         terms = terms_at[pos]
         if terms:
@@ -566,15 +539,10 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
                 if not sums_out[s_index] * t_den < t_num:
                     ok = False
                     break
-            if ok and prune:
-                for k, table in enumerate(prune):
-                    fsums[k] += table.values[c]
-                if feasible_filters(pos + 1):
-                    rec(pos + 1)
-                for k, table in enumerate(prune):
-                    fsums[k] -= table.values[c]
-            elif ok:
-                rec(pos + 1)
+            if ok:
+                nxt = packed + increment[c]
+                if not required or feasible(nxt, pos + 1):
+                    rec(pos + 1, nxt)
             for s_index, po, pi_ in added:
                 sums_out[s_index] -= po
                 sums_in[s_index] -= pi_
@@ -584,24 +552,24 @@ def _pruned_scan(n_lang, d, n_shifts, terms_at, penalties, t_num, t_den,
         assign[pos] = 0
 
     try:
-        rec(0)
+        rec(0, 0)
     finally:
         del rec  # rec reaches itself through its closure: break the cycle
+    return nodes
 
 
 # merged-state DP on one cycle ---------------------------------------------------
 
 
-def _cycle_order(system, shifts, sigma, cover):
+def _cycle_order(shifts, sigma, cover):
     """sigma's cycle 0, sigma_s(0), sigma_s^2(0), ... when the DP counts the stage.
 
-    The DP takes a partition cover and one shift s on Z whose sigma_s,
-    read off its image array, is a single d-cycle; every other stage
-    returns None and goes to the scan.
+    The DP takes a partition cover and one shift s whose sigma_s, read off
+    its image array, is a single d-cycle, on any group: a microstate's
+    penalty is then a sum of neighbour terms along the cycle.  Every other
+    stage returns None and goes to the scan.
     """
-    group = system.group
-    if (len(shifts) != 1 or not cover.is_partition
-            or group.kind != "lattice" or group.rank != 1):
+    if len(shifts) != 1 or not cover.is_partition:
         return None
     perm = sigma.image_array(shifts[0]).tolist()
     order = [0]
@@ -614,8 +582,10 @@ def _cycle_order(system, shifts, sigma, cover):
 
 def counting_method(system: SymbolicSystem, F, sigma, cover: Cover) -> str:
     """The path count_microstates takes on this stage: "dp" for the
-    merged-state DP, "scan" for the tuple scan."""
-    return "scan" if _cycle_order(system, list(F), sigma, cover) is None else "dp"
+    merged-state DP (one shift, a sigma_s that is a single d-cycle and a
+    partition cover, on any group), "scan" for the tuple scan."""
+    shifts = [system.group.coerce(g) for g in F]
+    return "scan" if _cycle_order(shifts, sigma, cover) is None else "dp"
 
 
 class _CycleDP:
@@ -785,14 +755,16 @@ class _CycleDP:
 
 
 class _PackedSums:
-    """The filter sums the DPs carry, packed into one int.
+    """The filter sums the scan and the DPs carry, packed into one int.
 
     required lists the tables every counted microstate must pass: a partial
     sequence is dropped as soon as no completion can pass them.  filters
     lists one table list per filter, tallied separately at the end.  Digit
     k holds table k's sum over a sequence of count patterns less count times
-    its least value, which lies in [0, d * (greatest - least)]; adding
-    increment[x] advances every sum by pattern x at once.
+    its least value over the language, which lies in [0, d * (greatest -
+    least)]; adding increment[x] advances every sum by pattern x at once.
+    feasible and passed are memoised: both paths ask them far more often
+    than there are distinct packed values.
     """
 
     def __init__(self, required, filters, d, n):
@@ -807,6 +779,8 @@ class _PackedSums:
         self.span = math.prod(self.radix)  # every packed value is below span
         self.increment = [sum((t.values[x] - low) * b
                          for t, low, b in zip(tables, self.low, self.base)) for x in range(n)]
+        self._feasible = [{} for _ in range(d + 1)]  # per count: packed -> verdict
+        self._passed = {}
 
     def sums(self, packed, count):
         """Every table's sum over a sequence of count patterns, required first."""
@@ -816,21 +790,27 @@ class _PackedSums:
     def feasible(self, packed, count):
         """Whether some completion of a sequence of count patterns with these
         sums can still pass every required table."""
-        remaining = self.d - count
-        for t, total, low, high in zip(self.required, self.sums(packed, count),
-                                       self.low, self.high):
-            if not (t.lo < total + remaining * high and total + remaining * low < t.hi):
-                return False
-        return True
+        memo = self._feasible[count]
+        hit = memo.get(packed)
+        if hit is None:
+            remaining = self.d - count
+            hit = memo[packed] = all(
+                t.lo < total + remaining * high and total + remaining * low < t.hi
+                for t, total, low, high in zip(self.required, self.sums(packed, count),
+                                               self.low, self.high))
+        return hit
 
     def passed(self, packed):
         """Per filter, whether a complete sequence with these sums passes it."""
-        sums = self.sums(packed, self.d)[len(self.required):]
-        out = []
-        for own in self.filters:
-            out.append(all(t.lo < total < t.hi for t, total in zip(own, sums)))
-            sums = sums[len(own):]
-        return out
+        hit = self._passed.get(packed)
+        if hit is None:
+            sums = self.sums(packed, self.d)[len(self.required):]
+            out = []
+            for own in self.filters:
+                out.append(all(t.lo < total < t.hi for t, total in zip(own, sums)))
+                sums = sums[len(own):]
+            hit = self._passed[packed] = tuple(out)
+        return hit
 
 
 def _walk_back(layers, pen, packing, last, code):
@@ -923,23 +903,28 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
     outer_out = []
     if lang:
         prune = (_filter_tables(window, lang, measure_filter, sigma.d)
-                 if measure_filter is not None else ())
+                 if measure_filter is not None else [])
 
-        def leaf(indices, inner_ok):
+        def leaf(indices, inner_ok, _packed):
             t = tuple(map(lang.__getitem__, indices))
             outer_out.append(t)
             if inner_ok:
                 inner_out.append(t)
 
-        scans[strategy](plan, lang, delta, sigma, prune, leaf, budget)
+        scans[strategy](plan, lang, delta, sigma, _PackedSums(prune, [], sigma.d, len(lang)),
+                        leaf, budget)
         inner_out.sort()
         outer_out.sort()
     return (MicrostateSet(system, window, sigma.d, tuple(inner_out)),
             MicrostateSet(system, window, sigma.d, tuple(outer_out)))
 
 
-def _naive_scan(plan, lang, delta, sigma, prune, leaf, budget):
-    """_scan by checking each of the len(lang)^d tuples in full."""
+def _naive_scan(plan, lang, delta, sigma, packing, leaf, budget):
+    """_scan by checking each of the len(lang)^d tuples in full.
+
+    The filter is checked on packing.required's tables directly, not on
+    packed sums, and leaf gets None for them.
+    """
     d = sigma.d
     if len(lang) ** d > budget:
         raise ResourceBudgetError(f"naive scan of {len(lang)}^{d} tuples exceeds budget")
@@ -953,8 +938,13 @@ def _naive_scan(plan, lang, delta, sigma, prune, leaf, budget):
                 po, pi_ = penalties(s_index, combo[i], combo[int(perm[i])])
                 sums_out[s_index] += po
                 sums_in[s_index] += pi_
-        if all(v * t_den < t_num for v in sums_out) and _passes(prune, combo):
-            leaf(combo, all(v * t_den < t_num for v in sums_in))
+        if all(v * t_den < t_num for v in sums_out) and _passes(packing.required, combo):
+            leaf(combo, all(v * t_den < t_num for v in sums_in), None)
+
+
+def _passes(tables, indices) -> bool:
+    """Whether a tuple of language indices passes every filter table."""
+    return all(t.lo < sum(map(t.values.__getitem__, indices)) < t.hi for t in tables)
 
 
 def filter_microstates(M: MicrostateSet, measure_filter: MeasureFilter) -> MicrostateSet:
@@ -972,4 +962,4 @@ def count_cover(M: MicrostateSet, cover: Cover, budget: int = 250_000) -> int:
     if not M.tuples:
         return 0
     keys = _CoverKeys(M.window, M.system.language_values(M.window), cover)
-    return keys.count({tuple(map(keys.table.__getitem__, r)) for r in M.rows}, budget)
+    return keys.count({tuple(map(keys.table.__getitem__, r)) for r in M.rows}, budget)[0]

@@ -39,6 +39,9 @@ def as_fraction(x) -> Fraction:
         raise ArgumentError(f"cannot interpret {x!r} as an exact number") from exc
 
 
+WEIGHT_ENUMERATION_LIMIT = 2_000_000  # group elements enumerated to find a weight
+
+
 class MetricWeights:
     """Summable positive weights w_g with an exactly known total mass.
 
@@ -47,12 +50,11 @@ class MetricWeights:
     for finite ones), keeping every window mass and tail dyadic.
     """
 
-    def __init__(self, group: Group, weight_fn=None, total=None, max_enumeration=2_000_000):
+    def __init__(self, group: Group, weight_fn=None, total=None):
         self.group = group
         self._custom = weight_fn
         self._index = {}
         self._iter = group.enumerate_elements()
-        self._max_enumeration = max_enumeration
         if weight_fn is not None:
             if total is None:
                 raise ArgumentError("custom weights need a declared total mass")
@@ -65,7 +67,7 @@ class MetricWeights:
     def _enumeration_index(self, g) -> int:
         if g in self._index:
             return self._index[g]
-        while len(self._index) < self._max_enumeration:
+        while len(self._index) < WEIGHT_ENUMERATION_LIMIT:
             h = next(self._iter)
             self._index.setdefault(h, len(self._index))
             if h == g:

@@ -11,6 +11,7 @@ from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, Latt
                       min_subcover, origin_partition, partial_cover_count,
                       partial_cover_count_of, partitions_refining, pullback, pullback_iterate,
                       shannon_entropy, trivial_cover)
+from soficlab.covers import undominated
 
 
 def H(*probs):
@@ -101,6 +102,23 @@ def test_min_subcover_witness_covers():
     res = exact_min_cover(sets, range(1, 7))
     union = frozenset().union(*(sets[i] for i in res.witness))
     assert union == frozenset(range(1, 7)) and len(res.witness) == res.count
+
+
+def test_undominated_drops_empty_inner_and_repeated_sets():
+    sets = [frozenset(s) for s in ({1}, {1, 2}, (), {1, 2}, {3}, {2, 3})]
+    assert undominated(sets) == [1, 5]
+    # the search keeps the same sets: its witness indexes the input family
+    assert exact_min_cover(sets, {1, 2, 3}).witness == (1, 5)
+
+
+def test_min_cover_nodes_is_the_least_budget_that_finishes():
+    rng = random.Random(5)
+    sets = [frozenset(x for x in range(10) if rng.random() < 0.3) for _ in range(14)]
+    res = exact_min_cover(sets, range(10))
+    assert (res.count, res.nodes, res.exact) == (3, 24, True)
+    assert exact_min_cover(sets, range(10), budget=24) == res
+    cut = exact_min_cover(sets, range(10), budget=23)
+    assert not cut.exact and cut.nodes == 23
 
 
 def test_brute_force_min_cover_cross_check():

@@ -1,20 +1,22 @@
+import ast
 import gc
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soficlab.microstates
-from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
-                      MeasureFilter, MicrostateCounts, ResourceBudgetError, SoficMap,
-                      SymbolicSystem, TestFunction, check_amenable_agreement,
+from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
+                      LatticeGroup, MeasureFilter, MicrostateCounts, ResourceBudgetError,
+                      SoficMap, SymbolicSystem, TestFunction, check_amenable_agreement,
                       check_variational, count_microstates, counting_method, cyclic_model,
                       exact_min_cover, full_shift, golden_mean_system, origin_partition,
-                      select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
-                      zero_defect_delta)
+                      random_free_model, regular_representation, select_dominant_measure,
+                      sofic_measure_trace, sofic_topological_trace, zero_defect_delta)
 from soficlab.microstates import (count_cover, enumerate_microstates_both, filter_microstates,
                                   microstate_check)
 
@@ -380,6 +382,66 @@ def test_general_cover_search_honours_the_budget(fs):
         count_microstates(fs, [1], "0.6", sigma, w, cover, budget=100)
 
 
+def test_stage_charges_scan_and_searches_to_one_budget(fs, fair, monkeypatch):
+    """The scan and the product-cover searches of one stage (inner and
+    outer, per tally) share the caller's budget: the nodes they charge never
+    add up to more than it, and one node short of what the stage needs cuts
+    it, although each part alone would fit."""
+    sigma = cyclic_model(fs.group, 3)
+    w = fs.interval_window(0, 1)
+    cover = _overlapping_cover(fs)
+    f0 = TestFunction.indicator(fs.pattern(fs.window([0]), ("0",)))
+    filters = [MeasureFilter.build(fair, [f0], "0.2"), MeasureFilter.build(fair, [f0], "0.4")]
+    charged = []
+    scan, search = soficlab.microstates._scan, soficlab.microstates.exact_min_cover
+
+    def charging_scan(*args):
+        charged.append(scan(*args))
+        return charged[-1]
+
+    def charging_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        charged.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(soficlab.microstates, "_scan", charging_scan)
+    monkeypatch.setattr(soficlab.microstates, "exact_min_cover", charging_search)
+    counts = count_microstates(fs, [1], "0.6", sigma, w, cover, filters=filters)
+    assert len(charged) == 1 + 2 * 3  # the scan, then inner and outer per tally
+    assert charged[0] >= counts[0].m_outer > 0  # the scan visits every microstate
+    need = sum(charged)
+    assert max(charged) < need - 1
+    for budget in (need, need - 1, need // 2, charged[0] + 1, 100):
+        charged.clear()
+        try:
+            assert count_microstates(fs, [1], "0.6", sigma, w, cover, filters=filters,
+                                     budget=budget) == counts
+            assert budget >= need
+        except ResourceBudgetError:
+            assert budget < need
+        assert sum(charged) <= budget
+
+
+def test_scan_prunes_on_the_table_range_over_the_language(gm, gm_origin, parry, monkeypatch):
+    """A test function's declared range may be wider than what it takes on
+    the window language (here a default of 5 no pattern reaches); the
+    scan's pruning cut reads the table, so both visit the same nodes."""
+    w = gm.interval_window(-1, 1)
+    sigma = cyclic_model(gm.group, 5)
+    at = gm.window([0])
+    nodes = []
+    scan = soficlab.microstates._scan
+    monkeypatch.setattr(soficlab.microstates, "_scan",
+                        lambda *args: nodes.append(scan(*args)) or nodes[-1])
+    counts = []
+    for default in (0, 5):
+        f = TestFunction(at, {("0",): 1, ("1",): 0}, default=default)
+        mf = MeasureFilter.build(parry, [f], "0.1")
+        counts.append(count_microstates(gm, [1, 2], "0.3", sigma, w, gm_origin,
+                                        measure_filter=mf))
+    assert counts[0] == counts[1] and nodes[0] == nodes[1]
+
+
 def test_streaming_budget_cut_raises_and_trace_marks_row(fs, fs_origin):
     sigma = cyclic_model(fs.group, 6)
     w = fs.interval_window(0, 1)
@@ -483,7 +545,10 @@ def _cycle_instances(draw):
 @settings(max_examples=80, deadline=None)
 @given(_cycle_instances())
 def test_cycle_dp_matches_naive_oracle(instance):
-    system, window, sigma, F, delta, mf, filters = instance
+    _check_dp_against_naive(*instance)
+
+
+def _check_dp_against_naive(system, window, sigma, F, delta, mf, filters):
     cover = origin_partition(system)
     got, got_filtered = count_microstates(system, F, delta, sigma, window, cover,
                                           measure_filter=mf, filters=filters)
@@ -505,6 +570,44 @@ def test_cycle_dp_matches_naive_oracle(instance):
     assert got.unmatched == len(unmatched)
     assert len(set(got.unmatched_rows)) == len(got.unmatched_rows) == min(5, len(unmatched))
     assert set(got.unmatched_rows) <= unmatched
+
+
+def _single_cycle_stages():
+    """Stages off Z that the DP takes: Z/n under its regular representation
+    (sigma_1 is the n-cycle), and F_2 under a random model whose sigma_a is
+    one d-cycle (the seeds are picked for that)."""
+    stages = []
+    for n in (3, 4, 5, 6):
+        group = FiniteTableGroup.cyclic(n)
+        for label, system in (("full", full_shift(("0", "1"), group)),
+                              ("golden", SymbolicSystem(("0", "1"), group,
+                                                        forbidden=[((0, 1), ("1", "1"))]))):
+            stages.append((f"Z{n}-{label}", system, system.window([0, 1]),
+                           regular_representation(group), 1))
+    for d, seed in ((3, 4), (4, 5), (5, 4), (6, 1)):
+        group, sigma = random_free_model(2, d, seed)
+        system = full_shift(("0", "1"), group)
+        stages.append((f"F2-d{d}", system, system.window([(), (1,)]), sigma, (1,)))
+    return stages
+
+
+@pytest.mark.parametrize("stage", _single_cycle_stages(), ids=lambda stage: stage[0])
+@pytest.mark.parametrize("delta", [None, "0.2", "0.35", "0.6", "1"])
+def test_cycle_dp_on_finite_and_free_groups_matches_naive_oracle(stage, delta):
+    """The DP needs one shift, a single d-cycle and a partition, not Z: on
+    Z/n and F_2 it equals the naive oracle, with and without a pruning
+    filter, and with two tally filters.  delta None is zero_defect_delta."""
+    _, system, window, sigma, s = stage
+    if delta is None:
+        delta = zero_defect_delta(system, window, [s], sigma.d)
+    assert counting_method(system, [s], sigma, origin_partition(system)) == "dp"
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+    at = [TestFunction.indicator(system.pattern(system.window([g]), ("0",)))
+          for g in window.elements]
+    mf = MeasureFilter.build(fair, at[:1], "0.25")
+    filters = [MeasureFilter.build(fair, at, "0.2"), MeasureFilter.build(fair, at[1:], "0.4")]
+    for prune in (None, mf):
+        _check_dp_against_naive(system, window, sigma, [s], delta, prune, filters)
 
 
 def test_counting_method_names_the_path(gm, gm_origin, fs):
@@ -663,3 +766,26 @@ def test_dp_trace_reach_at_delta_one_tenth(gm, gm_origin, d, inner, outer):
                                   [cyclic_model(gm.group, d)], w).rows[0]
     assert not row.incomplete and row.method == "dp"
     assert (row.count_inner, row.count_outer) == (inner, outer)
+
+
+ORACLE_ONLY = {"_passes", "_naive_scan", "enumerate_microstates_both", "filter_microstates",
+               "count_cover", "MicrostateSet", "microstate_check"}
+
+
+def test_oracle_only_code_stays_in_the_oracle_block():
+    """No library path goes through the materialised microstates: in
+    soficlab's source their names occur only in the test-oracle block at
+    the end of microstates.py."""
+    seen = set()
+    for path in sorted(Path(soficlab.microstates.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        block = math.inf
+        if path.name == "microstates.py":
+            block = next(k for k, line in enumerate(text.splitlines(), 1)
+                         if line.startswith("# test oracles"))
+        for node in ast.walk(ast.parse(text)):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "value")}
+            for name in names & ORACLE_ONLY:
+                assert node.lineno > block, f"{path.name}:{node.lineno} uses {name}"
+                seen.add(name)
+    assert seen == ORACLE_ONLY
