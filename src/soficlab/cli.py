@@ -18,13 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .covers import partial_cover_count
 from .entropy import (amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational, entropy_pair_scan,
                       partition_count_bound, sofic_measure_trace,
                       sofic_topological_trace)
 from .errors import ResourceBudgetError, SoficLabError, SpecError
-from .groups import folner_set
 from .microstates import count_microstates
 from .sofic import freeness_defect, mult_defect
 from .specfile import (build_system, build_task_arguments, cross_validate, load_spec,
@@ -171,20 +169,18 @@ def _task_entropy_sofic(system, args, writer, budget):
 
 
 def _task_entropy_amenable(system, args, writer, budget):
-    cover, ns, measure = args["cover"], args["ns"], args["measure"]
+    cover, ns, measure, a = args["cover"], args["ns"], args["measure"], args["a"]
     if measure is not None:
-        tr = amenable_measure_trace(system, cover, measure, ns, budget=budget)
+        tr = amenable_measure_trace(system, cover, measure, ns, budget=budget, a=a)
     else:
         tr = amenable_topological_trace(system, cover, ns, budget=budget)
     columns = ["n", "size_F", "count", "entropy", "value"]
     rows = [[r.n, r.size, r.count, r.entropy, r.value] for r in tr.rows]
-    if measure is not None and args["a"] is not None:
+    if measure is not None and a is not None:
         # the covers dump: append b_nu(F_n, a, V) per stage
-        a = as_fraction(args["a"])
         columns.append("b_nu")
-        for row, n in zip(rows, ns):
-            row.append(partial_cover_count(measure, folner_set(system.group, n),
-                                           a, cover, budget=budget))
+        for row, r in zip(rows, tr.rows):
+            row.append(r.b_nu)
     writer.csv("amenable", tuple(columns), [tuple(r) for r in rows])
     return 0, []
 

@@ -257,6 +257,10 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
     greedy = _greedy_cover(work, universe)
     best = {"count": len(greedy), "witness": tuple(greedy), "exact": True}
     max_size = max(len(s) for s in work)
+    # each point's candidate sets, and the key that branches on the point
+    # with the fewest, found once per search rather than at every node
+    cands = {p: [i for i, s in enumerate(work) if p in s] for p in universe}
+    branch_key = {p: (len(c), p) for p, c in cands.items()}
     nodes = 0
 
     def dfs(remaining, chosen):
@@ -272,12 +276,9 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
         lower = len(chosen) + math.ceil(len(remaining) / max_size)
         if lower >= best["count"]:
             return
-        point = min(remaining, key=lambda p: (sum(1 for s in work if p in s), p))
-        candidates = [i for i, s in enumerate(work) if point in s]
-        candidates.sort(key=lambda i: (-len(work[i] & remaining), i))
-        for i in candidates:
-            if i in chosen:
-                continue
+        point = min(remaining, key=branch_key.__getitem__)
+        # a chosen set covers its points, so no candidate here is chosen
+        for i in sorted(cands[point], key=lambda i: (-len(work[i] & remaining), i)):
             dfs(remaining - work[i], chosen + [i])
 
     try:
@@ -421,11 +422,7 @@ def _greedy_assignment_entropy(measure, cover: Cover) -> float:
 def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,
                         budget: int = DEFAULT_NODE_BUDGET):
     """b_nu(F, a, V): minimal size of a subfamily of V_F with union measure >= a."""
-    a = as_fraction(a)
-    if not 0 < a < 1:
-        raise ArgumentError("a must lie strictly between 0 and 1")
-    vf = pullback_iterate(cover, F)
-    return partial_cover_count_of(measure, vf, a, budget=budget)
+    return partial_cover_count_of(measure, pullback_iterate(cover, F), a, budget=budget)
 
 
 def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_BUDGET):
@@ -437,6 +434,8 @@ def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_
     over one common denominator, so every comparison is exact.
     """
     a = as_fraction(a)
+    if not 0 < a < 1:
+        raise ArgumentError("a must lie strictly between 0 and 1")
     window = cover.window
     mass_of = {v: measure.cylinder(Pattern(window, v))
                for v in frozenset().union(*cover.elements)}

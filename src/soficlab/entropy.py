@@ -9,12 +9,13 @@ sentinel, which only ever enters comparisons, never arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcover,
-                     pullback_iterate)
+                     partial_cover_count_of, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from .microstates import MeasureFilter, count_microstates, counting_method
@@ -128,6 +129,7 @@ class AmenableRow:
     entropy: float  # log count, or H_mu(V_{F_n})
     value: float  # normalized by |F_n|
     method: str  # "transfer" or "enumeration": the path that counted N(V_{F_n}, X)
+    b_nu: int | None = None  # b_nu(F_n, a, V) on measure rows traced with a
 
 
 @dataclass
@@ -171,12 +173,22 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     return trace
 
 
+class _Cylinders:
+    """A measure's cylinder masses, each computed once: one stage's H_mu
+    and b_nu read the same cylinders of the same pulled-back cover."""
+
+    def __init__(self, measure):
+        self.cylinder = functools.cache(measure.cylinder)
+
+
 def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
-                           budget=500_000) -> AmenableTrace:
+                           budget=500_000, a=None) -> AmenableTrace:
     """(1/|F_n|) H_mu(V_{F_n}) along the box Folner sequence.
 
     Rows also carry N(V_{F_n}, X) in the count column, so the trace dumps
     as (F, N(V_F, X), H_mu(V_F), value).  Values live in [0, log |V|].
+    Given a, each row also carries b_nu(F_n, a, V), searched on the stage's
+    pulled-back cover and cylinder masses.
     """
     trace = AmenableTrace("amenable-measure")
     bound = math.log(len(cover))
@@ -184,11 +196,13 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
         F = folner_set(system.group, n)
         vf = pullback_iterate(cover, F, budget=budget)
         count = _exact_count(min_subcover(vf, budget=budget))
-        h = cover_entropy(measure, vf, budget=budget).value
+        masses = _Cylinders(measure)
+        h = cover_entropy(masses, vf, budget=budget).value
         value = h / len(F)
         if not -1e-12 <= value <= bound + 1e-9:
             raise ArgumentError("measure trace value escaped [0, log |V|] (bug)")
-        trace.rows.append(AmenableRow(n, len(F), count, h, value, "enumeration"))
+        b_nu = None if a is None else partial_cover_count_of(masses, vf, a, budget=budget)
+        trace.rows.append(AmenableRow(n, len(F), count, h, value, "enumeration", b_nu))
     return trace
 
 

@@ -472,7 +472,7 @@ def _scan(plan, lang, delta, sigma, packing, leaf, budget) -> int:
     for s_index, s in enumerate(plan.shifts):
         perm = sigma.image_array(s)
         for i in range(d):
-            j = int(perm[i])
+            j = perm[i]
             terms_at[max(i, j)].append((s_index, i, j))
 
     assign = [0] * d
@@ -571,7 +571,7 @@ def _cycle_order(shifts, sigma, cover):
     """
     if len(shifts) != 1 or not cover.is_partition:
         return None
-    perm = sigma.image_array(shifts[0]).tolist()
+    perm = sigma.image_array(shifts[0])
     order = [0]
     for _ in range(len(perm) - 1):
         order.append(perm[order[-1]])
@@ -877,7 +877,7 @@ def microstate_check(system: SymbolicSystem, patterns, F, delta, sigma,
         perm = sigma.image_array(s)
         total = 0
         for i in range(d):
-            lo, hi = plan.distances(values[i], values[int(perm[i])], s_index)
+            lo, hi = plan.distances(values[i], values[perm[i]], s_index)
             dist = lo if mode == "outer" else hi
             total += dist * dist
         if not Fraction(total) < threshold:
@@ -935,7 +935,7 @@ def _naive_scan(plan, lang, delta, sigma, packing, leaf, budget):
         sums_in = [0] * len(perms)
         for s_index, perm in enumerate(perms):
             for i in range(d):
-                po, pi_ = penalties(s_index, combo[i], combo[int(perm[i])])
+                po, pi_ = penalties(s_index, combo[i], combo[perm[i]])
                 sums_out[s_index] += po
                 sums_in[s_index] += pi_
         if all(v * t_den < t_num for v in sums_out) and _passes(packing.required, combo):

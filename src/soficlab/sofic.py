@@ -1,9 +1,9 @@
 """Sofic approximation maps sigma: G -> Sym(d) and their defect measurements.
 
 Maps store images of a declared finite support (usually the generators) as
-0-based numpy index arrays; arbitrary elements are evaluated by factoring
-into support elements and composing, unless the map carries a direct rule
-(cyclic lattice model, identity-fallback Folner model).
+0-based tuples of ints, entry a being sigma_g(a); arbitrary elements are
+evaluated by factoring into support elements and composing, unless the map
+carries a direct rule (cyclic lattice model, identity-fallback Folner model).
 
 Point labels in all public output are 1-based, matching the {1..d}
 convention of the underlying definitions.
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ArgumentError, UnsupportedOperationError
 from .groups import FiniteSubset, Group, folner_set
@@ -42,18 +40,21 @@ class SoficMap:
             for g, arr in images.items():
                 self._images[group.coerce(g)] = self._as_array(arr)
 
-    def _as_array(self, arr):
-        a = np.asarray(arr, dtype=np.int64)
-        if a.shape != (self.d,):
+    def _as_array(self, arr) -> tuple:
+        try:
+            a = tuple(map(int, arr))
+        except TypeError:  # a scalar, or rows of a nested sequence
+            a = None
+        if a is None or len(a) != self.d:
             raise ArgumentError(f"image must have length d={self.d}")
-        if a.min() < 0 or a.max() >= self.d:
+        if min(a) < 0 or max(a) >= self.d:
             raise ArgumentError("image values out of range")
         return a
 
     # evaluation ------------------------------------------------------------
 
-    def image_array(self, g) -> np.ndarray:
-        """0-based index array representing the image of ``g``."""
+    def image_array(self, g) -> tuple:
+        """The image of ``g`` as a 0-based tuple of ints: entry a is sigma_g(a)."""
         g = self.group.coerce(g)
         cached = self._images.get(g)
         if cached is not None:
@@ -66,7 +67,7 @@ class SoficMap:
         return arr
 
     def _compose_word(self, word):
-        arr = np.arange(self.d, dtype=np.int64)
+        arr = tuple(range(self.d))
         # sigma_{s1 s2 ... sm} = sigma_{s1} o ... o sigma_{sm}
         for s in reversed(word):
             img = self._images.get(s)
@@ -74,7 +75,7 @@ class SoficMap:
                 raise ArgumentError(
                     f"element {self.group.element_name(s)} outside declared support"
                 )
-            arr = img[arr]
+            arr = tuple([img[j] for j in arr])
         return arr
 
     def _factor(self, g):
@@ -119,7 +120,7 @@ class SoficMap:
 
     def permutation(self, g):
         """1-based image tuple (sigma_g(1), ..., sigma_g(d))."""
-        return tuple(int(v) + 1 for v in self.image_array(g))
+        return tuple(v + 1 for v in self.image_array(g))
 
 
 def cyclic_model(group: Group, n: int) -> SoficMap:
@@ -135,12 +136,8 @@ def cyclic_model(group: Group, n: int) -> SoficMap:
     strides = [n ** (k - 1 - i) for i in range(k)]
 
     def rule(g):
-        idx = np.arange(d, dtype=np.int64)
-        out = np.zeros(d, dtype=np.int64)
-        for i in range(k):
-            coord = (idx // strides[i]) % n
-            out += ((coord + g[i]) % n) * strides[i]
-        return out
+        return tuple(sum((a // stride + gi) % n * stride for stride, gi in zip(strides, g))
+                     for a in range(d))
 
     return SoficMap(group, d, provenance="cyclic-from-folner", direct_rule=rule)
 
@@ -173,11 +170,7 @@ def from_folner(group: Group, F: FiniteSubset, model: str = "identity") -> Sofic
     d = len(elems)
 
     def rule(g):
-        out = np.empty(d, dtype=np.int64)
-        for a in range(d):
-            t = group.multiply(g, elems[a])
-            out[a] = index.get(t, a)
-        return out
+        return tuple(index.get(group.multiply(g, f), a) for a, f in enumerate(elems))
 
     return SoficMap(group, d, provenance="folner-identity-fallback", direct_rule=rule)
 
@@ -194,8 +187,11 @@ def random_free_model(rank: int, d: int, seed: int, names=None):
 
     Reproducible from the single 64-bit seed: generator i draws from the
     child stream SeedSequence(seed, spawn_key=(i,)).
-    Returns (group, SoficMap).
+    Returns (group, SoficMap).  numpy is imported here, on the first call,
+    and not with soficlab: only this model draws from its generator.
     """
+    import numpy as np
+
     from .groups import FreeGroup
 
     if d < 2:
@@ -204,10 +200,11 @@ def random_free_model(rank: int, d: int, seed: int, names=None):
     images = {}
     for i in range(rank):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        perm = rng.permutation(d).astype(np.int64)
+        perm = rng.permutation(d).tolist()
+        inv = [0] * d
+        for a, b in enumerate(perm):
+            inv[b] = a
         images[(i + 1,)] = perm
-        inv = np.empty(d, dtype=np.int64)
-        inv[perm] = np.arange(d, dtype=np.int64)
         images[(-(i + 1),)] = inv
     sm = SoficMap(group, d, images=images, provenance="random-free")
     return group, sm
@@ -219,9 +216,8 @@ def mult_defect(sigma: SoficMap, s, t) -> Fraction:
     s = group.coerce(s)
     t = group.coerce(t)
     st = group.multiply(s, t)
-    lhs = sigma.image_array(st)
-    rhs = sigma.image_array(s)[sigma.image_array(t)]
-    agree = int(np.count_nonzero(lhs == rhs))
+    img_s, img_t = sigma.image_array(s), sigma.image_array(t)
+    agree = sum(x == img_s[y] for x, y in zip(sigma.image_array(st), img_t))
     return 1 - Fraction(agree, sigma.d)
 
 
@@ -232,7 +228,7 @@ def freeness_defect(sigma: SoficMap, s, t) -> Fraction:
     t = group.coerce(t)
     if s == t:
         raise ArgumentError("freeness defect needs distinct elements")
-    differ = int(np.count_nonzero(sigma.image_array(s) != sigma.image_array(t)))
+    differ = sum(x != y for x, y in zip(sigma.image_array(s), sigma.image_array(t)))
     return 1 - Fraction(differ, sigma.d)
 
 
@@ -258,19 +254,20 @@ def is_good(sigma: SoficMap, E: FiniteSubset, eta) -> GoodnessCertificate:
     if not 0 < eta < 1:
         raise ArgumentError("eta must lie in (0,1)")
     d = sigma.d
-    good = np.ones(d, dtype=bool)
-    good &= sigma.image_array(group.identity) == np.arange(d, dtype=np.int64)
     elems = E.elements
-    for s in elems:
-        img_s = sigma.image_array(s)
-        for t in elems:
-            st = group.multiply(s, t)
-            good &= sigma.image_array(st) == img_s[sigma.image_array(t)]
-        for t in elems:
-            if t == s:
-                continue
-            good &= img_s != sigma.image_array(t)
-    points = tuple(int(i) + 1 for i in np.flatnonzero(good))
+    images = [sigma.image_array(s) for s in elems]
+    identity = sigma.image_array(group.identity)
+    # sigma_e(a) = a, and sigma_s(a) != sigma_{s'}(a) for distinct s, s' in E:
+    # the images of a under E are pairwise distinct
+    good = [x == a and len(set(column)) == len(elems)
+            for a, (x, column) in enumerate(zip(identity, zip(*images)))]
+    for s, img_s in zip(elems, images):
+        for t, img_t in zip(elems, images):
+            img_st = sigma.image_array(group.multiply(s, t))
+            composed = tuple([img_s[y] for y in img_t])
+            if composed != img_st:  # then find the points where they differ
+                good = [ok and x == y for ok, x, y in zip(good, img_st, composed)]
+    points = tuple(a + 1 for a, ok in enumerate(good) if ok)
     frac = Fraction(len(points), d)
     return GoodnessCertificate(
         ok=frac >= 1 - eta,

@@ -7,11 +7,10 @@ a result is reproducible from the artifact alone.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
-
-import jsonschema
 
 from .errors import SpecError
 from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, folner_set
@@ -84,9 +83,18 @@ SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would check SCHEMA against its metaschema
-# on every call, which costs far more than validating a spec
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+@functools.cache
+def _validator():
+    """SCHEMA's validator, built on the first spec load and reused.
+
+    jsonschema is imported here and not with soficlab, which runs without it
+    until a spec is read; jsonschema.validate would also check SCHEMA
+    against its metaschema on every call, which costs far more than
+    validating a spec.
+    """
+    import jsonschema
+
+    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def spec_hash(path) -> str:
@@ -101,7 +109,9 @@ def load_spec(path) -> dict:
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}",
                         field="<json>") from exc
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    from jsonschema.exceptions import best_match
+
+    exc = best_match(_validator().iter_errors(raw))
     if exc is not None:  # the error jsonschema.validate would raise
         parts = [str(p) for p in exc.absolute_path]
         if exc.validator == "required":

@@ -126,7 +126,7 @@ class QuasiTiling:
 
 
 def _tile(sigma: SoficMap, shape: FiniteSubset, c: int):
-    return frozenset(int(sigma.image_array(s)[c - 1]) + 1 for s in shape)
+    return frozenset(sigma.image_array(s)[c - 1] + 1 for s in shape)
 
 
 def _validate_shapes(shapes):

@@ -121,6 +121,24 @@ def test_min_cover_nodes_is_the_least_budget_that_finishes():
     assert not cut.exact and cut.nodes == 23
 
 
+@pytest.mark.parametrize("seed,count,witness,nodes", [
+    (0, 5, (4, 8, 5, 26, 27), 470),
+    (1, 6, (5, 6, 12, 8, 15, 32), 153),
+    (4, 5, (4, 8, 25, 1, 0), 489),
+    (5, 5, (17, 12, 2, 7, 6), 580),
+    (6, 5, (10, 12, 14, 18, 7), 128),
+])
+def test_min_cover_search_is_pinned(seed, count, witness, nodes):
+    """count, witness and nodes of the branch and bound on seeded random
+    families: the branching point and the candidate order decide all three."""
+    rng = random.Random(seed)
+    n, m = rng.randint(20, 30), rng.randint(30, 45)
+    sets = [frozenset(p for p in range(n) if rng.random() < 0.2) for _ in range(m)]
+    sets.append(frozenset(range(n)) - frozenset().union(*sets))  # cover every point
+    res = exact_min_cover(sets, range(n))
+    assert (res.count, res.witness, res.exact, res.nodes) == (count, witness, True, nodes)
+
+
 def test_brute_force_min_cover_cross_check():
     rng = random.Random(5)
     for _ in range(25):

@@ -13,8 +13,9 @@ from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, Free
                       check_amenable_agreement, check_variational,
                       cyclic_model, cylinder_complement_cover, entropy_pair_scan,
                       folner_set, full_shift, golden_mean_system, origin_partition,
-                      partition_count_bound, pullback_iterate, regular_representation,
-                      select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
+                      partial_cover_count, partition_count_bound, pullback_iterate,
+                      regular_representation, select_dominant_measure,
+                      sofic_measure_trace, sofic_topological_trace,
                       trivial_cover, zero_defect_delta)
 from soficlab.microstates import count_cover, enumerate_microstates_both, filter_microstates
 
@@ -230,6 +231,29 @@ def test_amenable_measure_fair_log2(fs, fair, fs_origin):
     tr = amenable_measure_trace(fs, fs_origin, fair, [1, 4, 7])
     for row in tr.rows:
         assert abs(row.value - LOG2) < 1e-12
+
+
+def test_measure_trace_b_nu_reads_each_cylinder_once(fs, skew, gm, parry, gm_origin,
+                                                     monkeypatch):
+    """With a, each row's b_nu equals partial_cover_count on that stage,
+    on a partition and on an overlapping cover, and a stage computes each
+    cylinder mass once for H_mu and b_nu together."""
+    overlapping = Cover(fs, fs.window([0]), [[("0",)], [("0",), ("1",)]])
+    for system, cover, mu, ns in [(gm, gm_origin, parry, [2, 4, 6]),
+                                  (fs, overlapping, skew, [1, 2, 3])]:
+        expected = [partial_cover_count(mu, folner_set(system.group, n), "0.9", cover)
+                    for n in ns]
+        calls = []
+        cylinder = type(mu).cylinder
+        monkeypatch.setattr(type(mu), "cylinder",
+                            lambda self, p: calls.append(p.values) or cylinder(self, p))
+        tr = amenable_measure_trace(system, cover, mu, ns, a="0.9")
+        monkeypatch.undo()
+        assert [r.b_nu for r in tr.rows] == expected
+        patterns = sum(len(frozenset().union(*pullback_iterate(cover, folner_set(
+            system.group, n)).elements)) for n in ns)
+        assert len(calls) == len(set(calls)) == patterns
+    assert amenable_measure_trace(gm, gm_origin, parry, [2]).rows[0].b_nu is None
 
 
 def test_amenable_measure_markov_rate(gm, parry, gm_origin):

@@ -1,0 +1,48 @@
+"""soficlab starts on the standard library alone.
+
+numpy is imported only by ``random_free_model`` and jsonschema only by the
+first ``load_spec``; scipy only by the tiling's max flow.  Each check runs in
+a fresh interpreter, since the test session itself has loaded all three.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ("numpy", "jsonschema", "scipy")
+
+
+def _loaded_after(code: str) -> dict:
+    """Which of HEAVY are in sys.modules after `import soficlab, soficlab.cli`
+    ("start") and after running code ("after"), in a fresh interpreter."""
+    script = (
+        "import json, sys\n"
+        "import soficlab, soficlab.cli\n"
+        f"heavy = {HEAVY!r}\n"
+        "start = [m for m in heavy if m in sys.modules]\n"
+        f"{code}\n"
+        "print(json.dumps({'start': start, 'after': [m for m in heavy if m in sys.modules]}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_neither_numpy_nor_jsonschema_nor_scipy():
+    assert _loaded_after("pass") == {"start": [], "after": []}
+
+
+def test_load_spec_imports_jsonschema():
+    spec = ROOT / "specs" / "goldenmean_amenable.spec"
+    got = _loaded_after(f"soficlab.cli.load_spec({str(spec)!r})")
+    assert got == {"start": [], "after": ["jsonschema"]}
+
+
+def test_random_free_model_imports_numpy():
+    got = _loaded_after("soficlab.random_free_model(2, 10, seed=1)")
+    assert got["start"] == [] and "numpy" in got["after"]
