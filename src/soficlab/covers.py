@@ -308,22 +308,41 @@ def min_subcover(cover: Cover, target=None, budget: int = DEFAULT_NODE_BUDGET) -
 
 
 def element_measure(measure, window: Window, element) -> Fraction:
-    total = Fraction(0)
-    for values in element:
-        total += measure.cylinder(Pattern(window, values))
-    return total
+    """mu of a set of patterns on the window, exactly."""
+    mass, den = measure.masses(window, element)
+    return Fraction(sum(mass.values()), den)
+
+
+def _cover_masses(measure, cover: Cover):
+    """(mass numerators, denominator) of every pattern of the cover's window
+    language, which its elements cover exactly: one ``masses`` sweep."""
+    return measure.masses(cover.window, cover.system.language_values(cover.window))
+
+
+def _xlogx(m: int, den: int) -> float:
+    """p log p for p = m / den, 0 for p = 0.  Int true division rounds
+    correctly, as float(Fraction) does, and math.log of a Fraction logs
+    that same float, so this matches the exact-rational evaluation."""
+    if not m:
+        return 0.0
+    p = m / den
+    return p * math.log(p)
+
+
+def _entropy(mass_of: dict, den: int, atoms) -> float:
+    """-sum over the atoms of mu(A) log mu(A), masses mass_of[v] / den."""
+    h = 0.0
+    for atom in atoms:
+        h -= _xlogx(sum(map(mass_of.__getitem__, atom)), den)
+    return h
 
 
 def shannon_entropy(measure, partition: Cover) -> float:
     """H_mu(alpha) = -sum mu(A) log mu(A) in nats (0 log 0 = 0)."""
     if not partition.is_partition:
         raise ArgumentError("shannon_entropy needs a partition")
-    out = 0.0
-    for e in partition.elements:
-        m = element_measure(measure, partition.window, e)
-        if m > 0:
-            out -= float(m) * math.log(m)
-    return out
+    mass_of, den = _cover_masses(measure, partition)
+    return _entropy(mass_of, den, partition.elements)
 
 
 def partitions_refining(cover: Cover, budget: int = 250_000):
@@ -373,50 +392,43 @@ def cover_entropy(measure, cover: Cover, budget: int = 250_000) -> CoverEntropyR
     Partitions come from the assignment family; ties break toward the first
     assignment in lexicographic order.
     """
+    mass_of, den = _cover_masses(measure, cover)
+    return _cover_entropy(mass_of, den, cover, budget)
+
+
+def _cover_entropy(mass_of: dict, den: int, cover: Cover, budget: int) -> CoverEntropyResult:
+    """cover_entropy on the cover's pattern masses mass_of[v] / den."""
     if cover.is_partition:
-        value = shannon_entropy(measure, cover)
-        return CoverEntropyResult(value, tuple(cover.elements))
-    measures = {}
-
-    def atom_measure(atom):
-        if atom not in measures:
-            measures[atom] = element_measure(measure, cover.window, atom)
-        return measures[atom]
-
+        return CoverEntropyResult(_entropy(mass_of, den, cover.elements),
+                                  tuple(cover.elements))
+    terms = {}  # atom -> mu(atom) log mu(atom)
     best = None
     best_atoms = None
     try:
-        family = partitions_refining(cover, budget=budget)
-        for partition in family:
+        for partition in partitions_refining(cover, budget=budget):
             h = 0.0
             for atom in partition:
-                m = atom_measure(atom)
-                if m > 0:
-                    h -= float(m) * math.log(m)
+                if atom not in terms:
+                    terms[atom] = _xlogx(sum(map(mass_of.__getitem__, atom)), den)
+                h -= terms[atom]
             if best is None or h < best - 1e-15:
                 best = h
                 best_atoms = partition
     except ResourceBudgetError as exc:
-        greedy = _greedy_assignment_entropy(measure, cover)
         raise ResourceBudgetError(
             "cover entropy family budget exceeded",
-            upper_bound=greedy,
+            upper_bound=_greedy_assignment_entropy(mass_of, den, cover),
         ) from exc
     return CoverEntropyResult(best, best_atoms)
 
 
-def _greedy_assignment_entropy(measure, cover: Cover) -> float:
+def _greedy_assignment_entropy(mass_of: dict, den: int, cover: Cover) -> float:
     patterns = sorted(frozenset().union(*cover.elements))
     atoms = {}
     for v in patterns:
         idx = cover.element_containing(v)[0]
         atoms.setdefault(idx, []).append(v)
-    h = 0.0
-    for vals in atoms.values():
-        m = element_measure(measure, cover.window, frozenset(vals))
-        if m > 0:
-            h -= float(m) * math.log(m)
-    return h
+    return _entropy(mass_of, den, atoms.values())
 
 
 def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,
@@ -433,14 +445,19 @@ def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_
     close the mass gap within the best count found.  Masses are integers
     over one common denominator, so every comparison is exact.
     """
+    mass_of, den = _cover_masses(measure, cover)
+    return _partial_cover_count(mass_of, den, cover, a, budget)
+
+
+def _partial_cover_count(mass_of: dict, den: int, cover: Cover, a, budget: int) -> int:
+    """partial_cover_count_of on the cover's pattern masses mass_of[v] / den;
+    the common scale is lcm(a.denominator, den)."""
     a = as_fraction(a)
     if not 0 < a < 1:
         raise ArgumentError("a must lie strictly between 0 and 1")
-    window = cover.window
-    mass_of = {v: measure.cylinder(Pattern(window, v))
-               for v in frozenset().union(*cover.elements)}
-    scale = math.lcm(a.denominator, *(m.denominator for m in mass_of.values()))
-    mass_of = {v: m.numerator * (scale // m.denominator) for v, m in mass_of.items()}
+    scale = math.lcm(a.denominator, den)
+    if scale != den:
+        mass_of = {v: m * (scale // den) for v, m in mass_of.items()}
     target = a.numerator * (scale // a.denominator)
     weights = [sum(map(mass_of.__getitem__, e)) for e in cover.elements]
     order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))

@@ -9,13 +9,12 @@ sentinel, which only ever enters comparisons, never arithmetic.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .covers import (Cover, cover_entropy, cylinder_complement_cover, min_subcover,
-                     partial_cover_count_of, pullback_iterate)
+from .covers import (Cover, _cover_entropy, _cover_masses, _partial_cover_count,
+                     cylinder_complement_cover, min_subcover, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from .microstates import MeasureFilter, count_microstates, counting_method
@@ -173,14 +172,6 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     return trace
 
 
-class _Cylinders:
-    """A measure's cylinder masses, each computed once: one stage's H_mu
-    and b_nu read the same cylinders of the same pulled-back cover."""
-
-    def __init__(self, measure):
-        self.cylinder = functools.cache(measure.cylinder)
-
-
 def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
                            budget=500_000, a=None) -> AmenableTrace:
     """(1/|F_n|) H_mu(V_{F_n}) along the box Folner sequence.
@@ -188,7 +179,8 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
     Rows also carry N(V_{F_n}, X) in the count column, so the trace dumps
     as (F, N(V_F, X), H_mu(V_F), value).  Values live in [0, log |V|].
     Given a, each row also carries b_nu(F_n, a, V), searched on the stage's
-    pulled-back cover and cylinder masses.
+    pulled-back cover.  One ``masses`` sweep per stage gives the cylinder
+    masses that H_mu and b_nu both read.
     """
     trace = AmenableTrace("amenable-measure")
     bound = math.log(len(cover))
@@ -196,12 +188,12 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
         F = folner_set(system.group, n)
         vf = pullback_iterate(cover, F, budget=budget)
         count = _exact_count(min_subcover(vf, budget=budget))
-        masses = _Cylinders(measure)
-        h = cover_entropy(masses, vf, budget=budget).value
+        mass_of, den = _cover_masses(measure, vf)
+        h = _cover_entropy(mass_of, den, vf, budget).value
         value = h / len(F)
         if not -1e-12 <= value <= bound + 1e-9:
             raise ArgumentError("measure trace value escaped [0, log |V|] (bug)")
-        b_nu = None if a is None else partial_cover_count_of(masses, vf, a, budget=budget)
+        b_nu = None if a is None else _partial_cover_count(mass_of, den, vf, a, budget)
         trace.rows.append(AmenableRow(n, len(F), count, h, value, "enumeration", b_nu))
     return trace
 

@@ -94,9 +94,11 @@ class MetricWeights:
 
 
 class Window:
-    """A canonically ordered finite window with cached weights and tail."""
+    """A canonically ordered finite window.  Its metric weights, mass and
+    tail are computed on first read and cached: only metric comparisons
+    read them, so windows built for counting or measures never do."""
 
-    __slots__ = ("system", "elements", "index", "weights", "mass", "tail")
+    __slots__ = ("system", "elements", "index", "_metric")
 
     def __init__(self, system: "SymbolicSystem", elements):
         group = system.group
@@ -106,9 +108,27 @@ class Window:
         self.system = system
         self.elements = tuple(elems)
         self.index = {g: i for i, g in enumerate(self.elements)}
-        self.weights = tuple(system.weights.weight(g) for g in self.elements)
-        self.mass = sum(self.weights, Fraction(0))
-        self.tail = system.weights.tail(self.elements)
+        self._metric = None
+
+    def _weighed(self) -> tuple:
+        """(weights, mass, tail), computed once."""
+        if self._metric is None:
+            metric = self.system.weights
+            weights = tuple(metric.weight(g) for g in self.elements)
+            self._metric = (weights, sum(weights, Fraction(0)), metric.tail(self.elements))
+        return self._metric
+
+    @property
+    def weights(self) -> tuple:
+        return self._weighed()[0]
+
+    @property
+    def mass(self) -> Fraction:
+        return self._weighed()[1]
+
+    @property
+    def tail(self) -> Fraction:
+        return self._weighed()[2]
 
     def __len__(self):
         return len(self.elements)
@@ -329,7 +349,54 @@ def _normalized(fractions):
     return tuple(v / total for v in vals)
 
 
-class BernoulliMeasure:
+def _prefix_products(patterns, order, first, step) -> dict:
+    """Pattern -> first[x_0] * step[x_0][x_1] * ... * step[x_{n-2}][x_{n-1}],
+    x the pattern's values read at the positions ``order`` (None: as stored).
+
+    The patterns are swept in sorted order, keeping the products of the
+    current one's prefixes, so each multiplication belongs to one node of
+    the patterns' prefix trie: patterns sharing a prefix share its product.
+    """
+    if order is None:
+        rows = sorted((v, v) for v in patterns)
+    else:
+        rows = sorted((tuple(v[i] for i in order), v) for v in patterns)
+    out = {}
+    prefix = []  # prefix[j]: the product over key[:j + 1] of the previous row
+    last = ()
+    for key, v in rows:
+        shared = 0
+        for x, y in zip(last, key):
+            if x != y:
+                break
+            shared += 1
+        del prefix[shared:]
+        if not prefix:
+            prefix.append(first[key[0]])
+        for j in range(len(prefix), len(key)):
+            prefix.append(prefix[-1] * step[key[j - 1]][key[j]])
+        out[v] = prefix[-1]
+        last = key
+    return out
+
+
+def _numerators(probs: dict, scale: int) -> dict:
+    """Each probability's numerator over the common denominator scale."""
+    return {a: p.numerator * (scale // p.denominator) for a, p in probs.items()}
+
+
+class _CylinderMeasure:
+    """A shift-invariant measure held as integer numerators over one
+    denominator D, so a cylinder on an n-element window has mass
+    numerator / D**n.  ``masses`` is the only place a cylinder mass is
+    computed; ``cylinder`` and ``integrate`` read it."""
+
+    def cylinder(self, p: Pattern) -> Fraction:
+        mass, den = self.masses(p.window, (p.values,))
+        return Fraction(mass[p.values], den)
+
+
+class BernoulliMeasure(_CylinderMeasure):
     """Shift-invariant product measure with one symbol distribution."""
 
     kind = "bernoulli"
@@ -343,19 +410,23 @@ class BernoulliMeasure:
             raise ArgumentError("need one probability per symbol")
         self.system = system
         self.probs = dict(zip(system.alphabet, _normalized(vec)))
+        self._scale = math.lcm(*(p.denominator for p in self.probs.values()))
+        numerators = _numerators(self.probs, self._scale)
+        self._first = numerators
+        self._step = dict.fromkeys(system.alphabet, numerators)
 
-    def cylinder(self, p: Pattern) -> Fraction:
-        out = Fraction(1)
-        for v in p.values:
-            out *= self.probs[v]
-        return out
+    def masses(self, window: Window, patterns):
+        """({values: numerator}, D**|window|): the cylinder masses of the
+        patterns (value tuples on the window), in one prefix-sharing sweep."""
+        return (_prefix_products(patterns, None, self._first, self._step),
+                self._scale ** len(window))
 
     def __repr__(self):
         ps = ",".join(f"{a}:{float(v):g}" for a, v in self.probs.items())
         return f"Bernoulli({ps})"
 
 
-class MarkovMeasure:
+class MarkovMeasure(_CylinderMeasure):
     """Stationary Markov chain on a Z system; cylinders on interval windows."""
 
     kind = "markov"
@@ -376,6 +447,10 @@ class MarkovMeasure:
             rows[a] = dict(zip(symbols, _normalized(row)))
         self.transition = rows
         self._check_stationary()
+        self._scale = math.lcm(*(p.denominator for p in self.initial.values()),
+                               *(p.denominator for row in rows.values() for p in row.values()))
+        self._first = _numerators(self.initial, self._scale)
+        self._step = {a: _numerators(row, self._scale) for a, row in rows.items()}
 
     def _check_stationary(self):
         for b in self.system.alphabet:
@@ -416,15 +491,18 @@ class MarkovMeasure:
         pi = [mat[i][n] for i in pivots]
         return cls(system, pi, {a: dict(zip(symbols, rows[i])) for i, a in enumerate(symbols)})
 
-    def cylinder(self, p: Pattern) -> Fraction:
-        coords = sorted((g[0], v) for g, v in zip(p.window.elements, p.values))
-        positions = [c for c, _ in coords]
-        if positions != list(range(positions[0], positions[0] + len(positions))):
+    def masses(self, window: Window, patterns):
+        """({values: numerator}, D**|window|): the cylinder masses of the
+        patterns (value tuples on the interval window), in one
+        prefix-sharing sweep along the interval."""
+        coords = [g[0] for g in window.elements]
+        if max(coords) - min(coords) + 1 != len(coords):
             raise UnsupportedOperationError("Markov cylinders need interval windows")
-        out = self.initial[coords[0][1]]
-        for (_, a), (_, b) in zip(coords, coords[1:]):
-            out *= self.transition[a][b]
-        return out
+        order = sorted(range(len(coords)), key=coords.__getitem__)
+        if order == list(range(len(order))):
+            order = None  # the window already lists the interval left to right
+        return (_prefix_products(patterns, order, self._first, self._step),
+                self._scale ** len(window))
 
     def entropy_rate(self) -> float:
         """Closed-form -sum_i pi_i P_ij log P_ij in nats."""
@@ -479,12 +557,15 @@ class TestFunction:
 def integrate(measure, f: TestFunction) -> Fraction:
     """mu(f) = sum over patterns p on f's window of f(p) mu([p])."""
     system = f.window.system
-    total = Fraction(0)
+    values = {}
     for vals in itertools.product(system.alphabet, repeat=len(f.window)):
         fv = f(vals)
         if fv != 0:
-            total += fv * measure.cylinder(Pattern(f.window, vals))
-    return total
+            values[vals] = fv
+    mass, den = measure.masses(f.window, values)
+    scale = math.lcm(*(fv.denominator for fv in values.values()))
+    total = sum(fv.numerator * (scale // fv.denominator) * mass[v] for v, fv in values.items())
+    return Fraction(total, scale * den)
 
 
 # slice transfer on Z^k boxes --------------------------------------------------

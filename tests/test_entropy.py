@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FreeGroup,
-                      LatticeGroup, MeasureFilter, NEG_INF, ResourceBudgetError, SoficMap,
+                      LatticeGroup, MarkovMeasure, MeasureFilter, NEG_INF,
+                      ResourceBudgetError, SoficMap,
                       SymbolicSystem, UnsupportedOperationError, min_subcover, TestFunction,
                       amenable_measure_trace, amenable_topological_trace,
                       check_amenable_agreement, check_variational,
@@ -236,24 +238,91 @@ def test_amenable_measure_fair_log2(fs, fair, fs_origin):
 def test_measure_trace_b_nu_reads_each_cylinder_once(fs, skew, gm, parry, gm_origin,
                                                      monkeypatch):
     """With a, each row's b_nu equals partial_cover_count on that stage,
-    on a partition and on an overlapping cover, and a stage computes each
-    cylinder mass once for H_mu and b_nu together."""
+    on a partition and on an overlapping cover, and each stage runs one
+    ``masses`` sweep, read by H_mu and b_nu together, that covers every
+    pattern of the stage's pulled-back cover exactly once."""
     overlapping = Cover(fs, fs.window([0]), [[("0",)], [("0",), ("1",)]])
     for system, cover, mu, ns in [(gm, gm_origin, parry, [2, 4, 6]),
                                   (fs, overlapping, skew, [1, 2, 3])]:
         expected = [partial_cover_count(mu, folner_set(system.group, n), "0.9", cover)
                     for n in ns]
         calls = []
-        cylinder = type(mu).cylinder
-        monkeypatch.setattr(type(mu), "cylinder",
-                            lambda self, p: calls.append(p.values) or cylinder(self, p))
+        masses = type(mu).masses
+
+        def spy(self, window, patterns):
+            patterns = list(patterns)
+            calls.append((window, patterns))
+            return masses(self, window, patterns)
+
+        monkeypatch.setattr(type(mu), "masses", spy)
         tr = amenable_measure_trace(system, cover, mu, ns, a="0.9")
         monkeypatch.undo()
         assert [r.b_nu for r in tr.rows] == expected
-        patterns = sum(len(frozenset().union(*pullback_iterate(cover, folner_set(
-            system.group, n)).elements)) for n in ns)
-        assert len(calls) == len(set(calls)) == patterns
+        assert len(calls) == len(ns)  # one sweep a stage; a cylinder call would add one
+        for n, (window, patterns) in zip(ns, calls):
+            vf = pullback_iterate(cover, folner_set(system.group, n))
+            assert window == vf.window
+            assert len(patterns) == len(set(patterns))
+            assert set(patterns) == frozenset().union(*vf.elements)
     assert amenable_measure_trace(gm, gm_origin, parry, [2]).rows[0].b_nu is None
+
+
+@st.composite
+def _full_support_chains(draw):
+    """A random rational transition matrix on 2 or 3 states, every entry > 0."""
+    k = draw(st.sampled_from([2, 3]))
+    rows = []
+    for _ in range(k):
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return rows
+
+
+CHAIN_SYSTEMS = {k: full_shift(tuple(str(i) for i in range(k)), LatticeGroup(1))
+                 for k in (2, 3)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_full_support_chains())
+def test_markov_block_entropy_closed_form(rows):
+    """Cover and Thomas, Elements of Information Theory, ch. 4: for a
+    stationary Markov chain, H(X_0, ..., X_{n-1}) = H(pi) + (n - 1) h with
+    h = -sum_i pi_i sum_j P_ij log P_ij.  The cells of the pulled-back
+    origin partition on [0, n) hold one word each, so H_mu(V_{F_n}) is
+    that block entropy."""
+    k = len(rows)
+    system = CHAIN_SYSTEMS[k]
+    mu = MarkovMeasure.stationary(system, rows)
+    pi = [mu.initial[a] for a in system.alphabet]
+    assert all(sum(pi[i] * rows[i][j] for i in range(k)) == pi[j] for j in range(k))
+    h = -sum(float(pi[i]) * float(p) * math.log(p) for i in range(k) for p in rows[i])
+    tr = amenable_measure_trace(system, origin_partition(system), mu, range(1, 9))
+    for row in tr.rows:
+        assert abs(row.entropy - (H(*map(float, pi)) + (row.n - 1) * h)) < 1e-12
+
+
+def test_measure_trace_stage_loop_has_no_fraction_arithmetic(monkeypatch):
+    """Once the Parry chain is built, amenable_measure_trace (count, H_mu
+    and b_nu) makes no Fraction product or sum: the masses are integers."""
+    gm = golden_mean_system()  # fresh: no window or language built yet
+    parry = MarkovMeasure.stationary(
+        gm, {"0": {"0": "0.6180339887498949", "1": "0.3819660112501051"},
+             "1": {"0": 1, "1": 0}})
+    cover = origin_partition(gm)
+    calls = Counter()
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _op=getattr(Fraction, name)):
+            calls[_name] += 1
+            return _op(self, other)
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 2) * Fraction(1, 3) + 1 == Fraction(7, 6)
+    assert calls == {"__mul__": 1, "__add__": 1}  # the spies see Fraction arithmetic
+    calls.clear()
+    tr = amenable_measure_trace(gm, cover, parry, [2, 4, 6, 8, 10, 12], a="0.9")
+    monkeypatch.undo()
+    assert calls == {}
+    assert [r.count for r in tr.rows] == [3, 8, 21, 55, 144, 377]  # F_{n+2}
+    assert all(r.b_nu for r in tr.rows)
 
 
 def test_amenable_measure_markov_rate(gm, parry, gm_origin):

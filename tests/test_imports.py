@@ -1,7 +1,8 @@
 """soficlab starts on the standard library alone.
 
 numpy is imported only by ``random_free_model`` and jsonschema only by the
-first ``load_spec``; scipy only by the tiling's max flow.  Each check runs in
+first ``load_spec``; scipy only by the tiling's max flow.  The amenable
+measure trace, which runs on integer masses, loads none.  Each check runs in
 a fresh interpreter, since the test session itself has loaded all three.
 """
 
@@ -46,3 +47,15 @@ def test_load_spec_imports_jsonschema():
 def test_random_free_model_imports_numpy():
     got = _loaded_after("soficlab.random_free_model(2, 10, seed=1)")
     assert got["start"] == [] and "numpy" in got["after"]
+
+
+def test_amenable_measure_trace_loads_no_heavy_module():
+    code = (
+        "gm = soficlab.golden_mean_system()\n"
+        "mu = soficlab.MarkovMeasure.stationary(gm, {'0': {'0': '0.6180339887498949',\n"
+        "    '1': '0.3819660112501051'}, '1': {'0': 1, '1': 0}})\n"
+        "tr = soficlab.amenable_measure_trace(gm, soficlab.origin_partition(gm), mu,\n"
+        "                                     [2, 4, 6], a='0.9')\n"
+        "assert [r.count for r in tr.rows] == [3, 8, 21]"
+    )
+    assert _loaded_after(code) == {"start": [], "after": []}
