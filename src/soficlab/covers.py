@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -177,15 +178,16 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
         [group.multiply(w, g) for g in elems for w in cover.window.elements]
     )
     language = system.language_values(window, budget=budget * 10)
+    # one itemgetter per translate projects a pattern onto W g; on a
+    # one-site W it returns the symbol itself, so look cells up by symbol
     lookup = cover.cell_of
-    projections = []
-    for g in elems:
-        projections.append([
-            window.index[group.multiply(w, g)] for w in cover.window.elements
-        ])
+    if len(cover.window) == 1:
+        lookup = {v: idx for (v,), idx in lookup.items()}
+    projections = [operator.itemgetter(*(window.index[group.multiply(w, g)]
+                                         for w in cover.window.elements)) for g in elems]
     cells = {}
     for v in language:
-        sig = tuple(lookup[tuple(v[i] for i in proj)] for proj in projections)
+        sig = tuple([lookup[project(v)] for project in projections])
         cells.setdefault(sig, []).append(v)
     return Cover(system, window, [vals for _, vals in sorted(cells.items())])
 

@@ -612,13 +612,20 @@ class _CycleDP:
         self.pen_hi = [[hi for _, hi in row] for row in pens]
         self.cells = [[c for c in range(n) if table[c] == key]
                       for key in dict.fromkeys(table)]
-        # successors of each last pattern, cheapest first, per cell and overall
+        # successors of each last pattern, cheapest first, per cell
         self.succ_cell = [[sorted((pens[p][x][0], pens[p][x][1], x) for x in cell)
                            for cell in self.cells] for p in range(n)]
-        self.succ_lo = [sorted((pens[p][x][0], x) for x in range(n)) for p in range(n)]
-        self.succ_hi = [sorted((pens[p][x][1], x) for x in range(n)) for p in range(n)]
         self.budget = budget
         self.spent = 0
+
+    # successors over the whole language, cheapest first: only sequences reads them
+    @cached_property
+    def succ_lo(self):
+        return [sorted((row[x], x) for x in range(self.n)) for row in self.pen_lo]
+
+    @cached_property
+    def succ_hi(self):
+        return [sorted((row[x], x) for x in range(self.n)) for row in self.pen_hi]
 
     def spend(self, live):
         """Charge one step: its live states times the language size."""
@@ -637,6 +644,11 @@ class _CycleDP:
         with equal maps merge and carry their multiplicity; the closing term
         decides acceptance at the end.  Only equal maps merge, so the counts
         are exact.
+
+        With no required table a map's successors do not depend on the step,
+        so each live map's are built once (_successors) and looked up after,
+        with equal maps held as one object.  A required table is decided on
+        the count of placed patterns, so with one they are rebuilt each step.
         """
         d, cap, increment = self.d, self.cap, packing.increment
         states = {}
@@ -647,32 +659,24 @@ class _CycleDP:
                 state = frozenset(entries.items())
                 states[state] = states.get(state, 0) + 1
         self.spend(len(self.cells))
+        memo = None if packing.required else {}  # live map -> its successor maps
+        canonical = {}  # live map -> the one object held for it
         for count in range(2, d + 1):
             self.spend(len(states))
             merged = {}
             for state, multiplicity in states.items():
-                for ci in range(len(self.cells)):
-                    entries = {}
-                    for (first, last, sums), (lo, hi) in state:
-                        for plo, phi, x in self.succ_cell[last][ci]:
-                            nlo = lo + plo
-                            if nlo >= cap:
-                                break  # successors are sorted: all later ones bust too
-                            nsums = sums + increment[x]
-                            if packing.required and not packing.feasible(nsums, count):
-                                continue
-                            nhi = hi + phi
-                            if nhi > cap:
-                                nhi = cap
-                            key = (first, x, nsums)
-                            old = entries.get(key)
-                            if old is None:
-                                entries[key] = (nlo, nhi)
-                            elif nlo < old[0] or nhi < old[1]:
-                                entries[key] = (min(nlo, old[0]), min(nhi, old[1]))
-                    if entries:
-                        nxt = frozenset(entries.items())
-                        merged[nxt] = merged.get(nxt, 0) + multiplicity
+                if memo is None:
+                    row = self._successors(state, packing, count)
+                else:
+                    row = memo.get(state)
+                    if row is None:
+                        row = memo[state] = [canonical.setdefault(nxt, nxt) for nxt in
+                                             self._successors(state, packing, count)]
+                for nxt in row:
+                    merged[nxt] = merged.get(nxt, 0) + multiplicity
+            if memo is not None:  # forget the maps that left
+                memo = {s: memo[s] for s in merged if s in memo}
+                canonical = {s: s for s in merged}
             states = merged
         n_inner = n_outer = 0
         for state, multiplicity in states.items():
@@ -681,6 +685,35 @@ class _CycleDP:
             if any(hi + self.pen_hi[last][first] < cap for (first, last, _), (_, hi) in state):
                 n_inner += multiplicity
         return n_inner, n_outer
+
+    def _successors(self, state, packing, count):
+        """The maps after state and one more cell, one for each cell under
+        which some entry survives.  count is the number of placed patterns
+        after the step; only a required table reads it."""
+        cap, increment = self.cap, packing.increment
+        row = []
+        for ci in range(len(self.cells)):
+            entries = {}
+            for (first, last, sums), (lo, hi) in state:
+                for plo, phi, x in self.succ_cell[last][ci]:
+                    nlo = lo + plo
+                    if nlo >= cap:
+                        break  # successors are sorted: all later ones bust too
+                    nsums = sums + increment[x]
+                    if packing.required and not packing.feasible(nsums, count):
+                        continue
+                    nhi = hi + phi
+                    if nhi > cap:
+                        nhi = cap
+                    key = (first, x, nsums)
+                    old = entries.get(key)
+                    if old is None:
+                        entries[key] = (nlo, nhi)
+                    elif nlo < old[0] or nhi < old[1]:
+                        entries[key] = (min(nlo, old[0]), min(nhi, old[1]))
+            if entries:
+                row.append(frozenset(entries.items()))
+        return row
 
     def sequences(self, inner, packing, rows_wanted=0):
         """Microstate counts in one certified mode (inner: hi^2 sums).

@@ -1,9 +1,11 @@
 """The benchmark runs clean against the library in src/.
 
-Runs the benchmark's self-check, then one short untraced pass of the
+Runs the benchmark's self-check, one short untraced pass of the
 zero-defect workload, whose every stage and frontier probe is checked
-against the Lucas oracle.  A count that breaks a benchmark oracle fails
-here, before the benchmark itself is run.
+against the Lucas oracle, and one short traced pass of the bundled specs.
+The tracer wraps library functions by name, so a renamed one fails the
+traced pass.  A count that breaks a benchmark oracle, or a traced name
+that no longer exists, fails here, before the benchmark itself is run.
 """
 
 import json
@@ -31,3 +33,10 @@ def test_bench_zero_defect_workload_is_correct_to_the_frontier_cap():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
     assert result["metrics"]["frontier_d"]["value"] == 64
+
+
+def test_bench_specs_workload_runs_traced():
+    proc = _run("bench/run.py", "--workload", "specs", "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

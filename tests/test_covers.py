@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
                       ResourceBudgetError, cover_entropy, cylinder_complement_cover,
                       element_measure, exact_min_cover, folner_set, full_shift, join, lift,
                       min_subcover, origin_partition, partial_cover_count,
                       partial_cover_count_of, partitions_refining, pullback, pullback_iterate,
-                      shannon_entropy, trivial_cover)
+                      shannon_entropy, SymbolicSystem, trivial_cover)
 from soficlab.covers import undominated
 
 
@@ -67,6 +69,49 @@ def test_pullback_non_partition(fs):
     vf = pullback_iterate(overlap, FiniteSubset(fs.group, [0, 1]))
     assert not vf.is_partition
     assert len(vf) == 4  # all choice-function cells are non-empty here
+
+
+# module-level systems: hypothesis draws from them, so no function-scoped fixtures
+_PULLBACK_SYSTEMS = (
+    (full_shift(("0", "1", "2"), LatticeGroup(1)), [(-1,), (0,), (1,), (2,)]),
+    (SymbolicSystem(("0", "1"), LatticeGroup(1), forbidden=[(((0,), (1,)), ("1", "1"))]),
+     [(-1,), (0,), (1,), (2,)]),
+    (SymbolicSystem(("0", "1"), LatticeGroup(2),
+                    forbidden=[(((0, 0), (1, 0)), ("1", "1")), (((0, 0), (0, 1)), ("1", "1"))]),
+     [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0)]),
+)
+
+
+@st.composite
+def _partition_pullbacks(draw):
+    system, sites = draw(st.sampled_from(_PULLBACK_SYSTEMS))
+    window = system.window(draw(st.lists(st.sampled_from(sites), min_size=1, max_size=2,
+                                         unique=True)))
+    language = system.language_values(window)
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(language),
+                           max_size=len(language)))
+    cells = [[v for v, label in zip(language, labels) if label == k] for k in range(3)]
+    cover = Cover(system, window, [c for c in cells if c])
+    F = draw(st.lists(st.sampled_from(sites), min_size=1, max_size=3, unique=True))
+    return cover, FiniteSubset(system.group, F)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partition_pullbacks())
+def test_partition_pullback_equals_join_of_pullbacks(instance):
+    """The partition fast path (one itemgetter per translate, a symbol key
+    on a one-site W) gives the cells the join of the translates' pullbacks
+    gives, on Z and Z^2, for W of one and two sites."""
+    cover, F = instance
+    group = cover.system.group
+    assert cover.is_partition
+    fast = pullback_iterate(cover, F)
+    slow = None
+    for g in sorted(F, key=group.enumeration_key):
+        part = pullback(cover, g)
+        slow = part if slow is None else join(slow, part, budget=10 ** 6)
+    assert fast.window == slow.window
+    assert fast.canonical() == slow.canonical()
 
 
 # --- minimal subcovers -----------------------------------------------------------

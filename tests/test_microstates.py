@@ -666,6 +666,45 @@ def test_dp_zero_defect_outer_is_lucas(gm, gm_origin):
         assert got.m_inner == got.n_inner == 0
 
 
+# the signature DP builds each map's successors once per stage -----------------
+
+
+def test_signature_dp_builds_no_transition_once_the_maps_saturate(fs, fs_origin, monkeypatch):
+    """Full shift, window [-2, 2], zero defect: the reachable maps stop
+    changing after a few steps, and from then on a step only looks up
+    successors built before, so d = 64 builds no more than d = 16."""
+    successors = soficlab.microstates._CycleDP._successors
+    built = []
+
+    def spy(dp, *args):
+        built.append(1)
+        return successors(dp, *args)
+
+    monkeypatch.setattr(soficlab.microstates._CycleDP, "_successors", spy)
+    w = fs.interval_window(-2, 2)
+    per_d = {}
+    for d in (16, 64):
+        built.clear()
+        got, _ = count_microstates(fs, [1], zero_defect_delta(fs, w, [1], d),
+                                   cyclic_model(fs.group, d), w, fs_origin)
+        assert got.method == "dp" and got.n_outer == 2 ** d
+        per_d[d] = len(built)
+    assert 0 < per_d[64] <= per_d[16]
+
+
+def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
+    """Golden mean, d = 12, delta = 1/10, window [-2, 2]: a step charges its
+    live maps times the language size, whether their successors are built
+    or looked up, so the stage's signature DPs finish within 2,327 units
+    and one unit less raises."""
+    w = gm.interval_window(-2, 2)
+    sigma = cyclic_model(gm.group, 12)
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, budget=2327)
+    assert got.n_inner == got.n_outer == _lucas(12)
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, budget=2326)
+
+
 # the tuple counts m on the DP path are counted on first read ------------------
 
 
@@ -679,6 +718,9 @@ def test_traces_and_variational_never_run_a_counting_dp(gm, gm_origin, parry, mo
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
     expected = [(_lucas(6), _lucas(6)), (_lucas(9), _lucas(9))]  # (inner, outer)
     monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", _no_counting_dp)
+    # nor are the counting DPs' successor lists built
+    for name in ("succ_lo", "succ_hi"):
+        monkeypatch.setattr(soficlab.microstates._CycleDP, name, property(_no_counting_dp))
     for trace in (sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w),
                   sofic_measure_trace(gm, gm_origin, parry, [at_origin], [1], "0.1", maps, w)):
         assert [r.method for r in trace.rows] == ["dp", "dp"]
