@@ -12,14 +12,15 @@ true set), 'inner' uses the upper bound (a subset).  All comparisons are
 exact: dyadic weights are rescaled to integers, delta is read as a decimal
 literal, and the strict < of the definition is preserved bit-for-bit.
 
-count_microstates counts a stage by one of two paths.  When F is one
-shift s, sigma_s is a single d-cycle and the cover is a partition, a
-microstate is a cyclic sequence of patterns whose penalty is a sum of
-neighbour terms, whatever the group, and a merged-state DP along the
-cycle counts the stage without visiting a tuple (min-plus determinisation
-of a weighted automaton, after Mohri 1997).  Every other stage goes to a
-depth-first scan of the tuples.  Both paths carry a measure filter's
-sums as one packed int (_PackedSums), which decides the filters for both.
+count_microstates counts a stage by one of two paths.  A partition cover
+takes the frontier DP, whatever the group, F and sigma: a microstate's
+penalty is a sum of edge terms over the sigma-graph, one sum per shift, so
+the points can be placed one at a time and equal partial maps merged
+(min-plus determinisation of a weighted automaton, after Mohri 1997, along
+a greedy elimination order, after Dechter 1999), and no tuple is visited.
+A general cover goes to a depth-first scan of the tuples.  Both paths
+carry a measure filter's sums as one packed int (_PackedSums), which
+decides the filters for both.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ArgumentError, ResourceBudgetError
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
@@ -238,7 +240,7 @@ class MicrostateCounts:
     of outer microstates that pass none of its filters, and unmatched_rows
     holds up to five of them as index rows into the window language, in the
     order the counting path finds them.  method names that path: "dp" for
-    the merged-state DP, "scan" for the tuple scan.
+    the frontier DP, "scan" for the tuple scan.
 
     n_inner and n_outer are counted with the object.  On the DP path m and
     unmatched are counted on first read, under the budget of the call that
@@ -296,12 +298,13 @@ class _Sizes:
     unmatched_rows: tuple
 
 
-class _CycleSizes:
+class _DPSizes:
     """_Sizes of every tally of one DP stage, each DP run on first read.
 
     The outer counting DP gives m_outer, unmatched and unmatched_rows, the
-    inner one m_inner.  Both run on the stage's _CycleDP, so they charge the
-    budget the signatures charged; a cut raises at the read and is not kept.
+    inner one m_inner.  Both run on the stage's _FrontierDP, so they charge
+    the budget the signatures charged; a cut raises at the read and is not
+    kept.
     """
 
     def __init__(self, dp, packing):
@@ -348,13 +351,11 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     that also passes filters[k], and counts reports the outer microstates
     that pass none of filters.
 
-    A partition cover, one shift s and a sigma_s that is a single d-cycle
-    take the merged-state DP (method "dp"; see _CycleDP), which never
-    visits a tuple.  Every other stage takes one streaming scan (method
-    "scan"), which serves every cover: each microstate reaches the counter
-    as language indices, its key row is read off the cover's index -> key
-    table (the partition cell, or the index itself for a general cover),
-    and only the set of key rows is kept.  The counts are read off those
+    A partition cover takes the frontier DP (method "dp"; see _FrontierDP),
+    which never visits a tuple.  A general cover takes one streaming scan
+    (method "scan"): each microstate reaches the counter as language
+    indices, its key row is the tuple of the indices themselves, and only
+    the set of key rows is kept.  The counts are read off those
     sets once the scan ends.  Both paths decide every filter on the same
     packed integer sums (_PackedSums).  The whole stage, the general
     cover's set-cover searches included, runs under one budget: each search
@@ -364,18 +365,16 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     so that read can raise it too (see MicrostateCounts).
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
-    order = _cycle_order(plan.shifts, sigma, cover)
     if not lang:
-        empty = MicrostateCounts(0, 0, 0, 0, method="scan" if order is None else "dp")
+        empty = MicrostateCounts(0, 0, 0, 0, method=counting_method(system, F, sigma, cover))
         return empty, (empty,) * len(filters)
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
-    table = keys.table
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []
     tables = [_filter_tables(window, lang, f, d) for f in filters]
-    if order is not None:
-        return _count_on_cycle(_CycleDP(plan, lang, delta, sigma, order, table, budget),
-                               prune, tables)
+    if cover.is_partition:
+        return _count_by_dp(_FrontierDP(plan, lang, delta, sigma, keys.table, budget), prune,
+                            tables)
     packing = _PackedSums(prune, tables, d, len(lang))
     tallies = [_Tally() for _ in range(len(tables) + 1)]  # the unfiltered tally first
     keeping = {}  # packed sums -> the tallies a microstate with them enters
@@ -384,7 +383,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
 
     def leaf(indices, inner_ok, packed):
         nonlocal n_unmatched
-        signature = tuple(map(table.__getitem__, indices))
+        signature = tuple(indices)  # a general cover's key table is the identity
         kept = keeping.get(packed)
         if kept is None:
             kept = keeping[packed] = [tallies[0]] + [
@@ -413,10 +412,10 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
             tuple(t.counts(cover_count) for t in tallies[1:]))
 
 
-def _count_on_cycle(dp, prune, tables):
-    """count_microstates' result from the merged-state DP: the signature DP
-    per tally now, the counting DPs behind m when a caller reads m."""
-    sizes = _CycleSizes(dp, _PackedSums(prune, tables, dp.d, dp.n))
+def _count_by_dp(dp, prune, tables):
+    """count_microstates' result from the frontier DP: the signature DP per
+    tally now, the counting DPs behind m when a caller reads m."""
+    sizes = _DPSizes(dp, _PackedSums(prune, tables, dp.d, dp.n))
     counts = []
     for k, own in enumerate([[]] + tables):
         n_inner, n_outer = dp.signatures(_PackedSums(prune + own, [], dp.d, dp.n))
@@ -558,159 +557,507 @@ def _scan(plan, lang, delta, sigma, packing, leaf, budget) -> int:
     return nodes
 
 
-# merged-state DP on one cycle ---------------------------------------------------
-
-
-def _cycle_order(shifts, sigma, cover):
-    """sigma's cycle 0, sigma_s(0), sigma_s^2(0), ... when the DP counts the stage.
-
-    The DP takes a partition cover and one shift s whose sigma_s, read off
-    its image array, is a single d-cycle, on any group: a microstate's
-    penalty is then a sum of neighbour terms along the cycle.  Every other
-    stage returns None and goes to the scan.
-    """
-    if len(shifts) != 1 or not cover.is_partition:
-        return None
-    perm = sigma.image_array(shifts[0])
-    order = [0]
-    for _ in range(len(perm) - 1):
-        order.append(perm[order[-1]])
-    if perm[order[-1]] != 0 or len(set(order)) != len(perm):
-        return None
-    return order
+# frontier DP ----------------------------------------------------------------------
 
 
 def counting_method(system: SymbolicSystem, F, sigma, cover: Cover) -> str:
-    """The path count_microstates takes on this stage: "dp" for the
-    merged-state DP (one shift, a sigma_s that is a single d-cycle and a
-    partition cover, on any group), "scan" for the tuple scan."""
-    shifts = [system.group.coerce(g) for g in F]
-    return "scan" if _cycle_order(shifts, sigma, cover) is None else "dp"
+    """The path count_microstates takes on a stage: "dp" (the frontier DP)
+    for a partition cover, "scan" (the tuple scan) for a general cover.
+    Only the cover decides: the DP counts every partition stage, on every
+    group, F and sigma."""
+    return "dp" if cover.is_partition else "scan"
 
 
-class _CycleDP:
-    """The counts of one stage whose sigma_s is a single d-cycle.
+_FWD, _BWD, _LOOP = 0, 1, 2  # a term's penalty: pen(y, x), pen(x, y), pen(x, x)
 
-    Read along the cycle c_0, ..., c_{d-1} (c_{k+1} = sigma_s(c_k)), a
-    microstate is a sequence x_0, ..., x_{d-1} of language indices, and its
-    penalty is pen(x_0, x_1) + ... + pen(x_{d-2}, x_{d-1}) plus the closing
-    term pen(x_{d-1}, x_0), with lo^2 for outer and hi^2 for inner.  An
-    integer penalty sum passes when it is below cap.  Filter sums are carried
-    exactly as integers; required tables (the pruning filter, and a tally's
-    own filter in the signature DP) drop a partial sequence as soon as no
-    completion can pass them.
+
+class _PenaltyTable:
+    """One shift's penalties over one window language, kept on the system.
+
+    lo[p][q] and hi[p][q] are lo^2 and hi^2 of rho(s . lang[p], lang[q])
+    scaled by the plan's scale.  A frontier DP term between a new pattern x
+    and a placed partner y reads them by kind: _FWD pen(y, x) (the edge
+    y -> x), _BWD pen(x, y), and _LOOP pen(x, x), whose only partner is 0.
+    The views below are built on first use and kept with the table.
     """
 
-    def __init__(self, plan, lang, delta, sigma, order, table, budget):
-        t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
-        self.cap = -(-t_num // t_den)  # integer s: s < cap exactly when s * t_den < t_num
+    def __init__(self, plan, lang, s_index):
+        rows = [[plan.distances(p, q, s_index) for q in lang] for p in lang]
+        self.lo = [[lo * lo for lo, _ in row] for row in rows]
+        self.hi = [[hi * hi for _, hi in row] for row in rows]
+        self._views = {}
+
+    def matrix(self, kind, inner):
+        """M[y][x]: the penalty of a kind term (hi^2 if inner, else lo^2)."""
+        key = (kind, inner)
+        hit = self._views.get(key)
+        if hit is None:
+            pen = self.hi if inner else self.lo
+            if kind == _FWD:
+                hit = pen
+            elif kind == _BWD:
+                hit = [list(column) for column in zip(*pen)]
+            else:
+                hit = [[row[x] for x, row in enumerate(pen)]]
+            self._views[key] = hit
+        return hit
+
+    def candidates(self, kind, cells):
+        """C[y][c]: cell c's patterns x as (lo^2, hi^2, x), cheapest first."""
+        key = (kind, cells)
+        hit = self._views.get(key)
+        if hit is None:
+            hit = self._views[key] = [
+                [sorted((lo[x], hi[x], x) for x in cell) for cell in cells]
+                for lo, hi in zip(self.matrix(kind, False), self.matrix(kind, True))]
+        return hit
+
+    def ordered(self, kind, inner):
+        """O[y]: every pattern x as (penalty, x), cheapest first; only the
+        counting DPs read these."""
+        key = (kind, inner, "ordered")
+        hit = self._views.get(key)
+        if hit is None:
+            hit = self._views[key] = [sorted((p, x) for x, p in enumerate(row))
+                                      for row in self.matrix(kind, inner)]
+        return hit
+
+
+def _penalty_table(plan, lang, s_index) -> _PenaltyTable:
+    """The system's penalty table for the plan's window and shift s_index."""
+    cache = plan.system._penalty_cache
+    key = (plan.window.elements, plan.shifts[s_index])
+    table = cache.get(key)
+    if table is None:
+        table = cache[key] = _PenaltyTable(plan, lang, s_index)
+    return table
+
+
+class _Step(NamedTuple):
+    """Placing one point.  The frontier before the step holds width points
+    in slot order; keep lists the slots still on it after the step, which
+    come first, followed by the point itself when it stays (has an unplaced
+    neighbour).  terms lists (shift index, slot or None, kind), one per
+    sigma-edge between the point and a placed point or itself."""
+
+    point: int
+    width: int
+    keep: tuple
+    stays: bool
+    terms: tuple
+
+    @property
+    def kind(self):
+        """Everything a step's transition reads: equal kinds, equal maps."""
+        return self.width, self.keep, self.stays, self.terms
+
+
+def _placement(images, d, prefer_closed=False):
+    """The frontier DP's steps: every point of sigma once, in order.
+
+    The sigma-graph joins i and sigma_s(i) for each shift s; a placed point
+    with an unplaced neighbour is on the frontier.  Each step places the
+    point that leaves the frontier smallest (greedy elimination, after
+    Dechter 1999).  Ties go, if prefer_closed, to the point with the most
+    placed neighbours, then to a neighbour of the latest placed point,
+    images sigma_s(u) before preimages and shifts in order, then to the
+    least index.  On a single cycle this is 0, sigma(0), sigma^2(0), ...
+
+    Returns (steps, closing).  When the last point has several terms, its
+    step scores only the first and keeps the other terms' partners on the
+    frontier, followed by the point; closing lists those other terms as
+    (shift index, partner slot or None, kind) on that final frontier, to
+    be scored on the final maps.  So the last step is like the ones before
+    it (on a cycle it is one of them), and its successors can be looked up.
+    """
+    nbrs = [[] for _ in range(d)]  # images first, then preimages
+    preimages = [[[] for _ in range(d)] for _ in images]
+    for perm, pre in zip(images, preimages):
+        for i, j in enumerate(perm):
+            if i != j:
+                nbrs[i].append(j)
+                pre[j].append(i)
+    for pre in preimages:
+        for j, us in enumerate(pre):
+            nbrs[j].extend(us)
+    distinct = [tuple(dict.fromkeys(a)) for a in nbrs]
+    unplaced = [set(a) for a in nbrs]  # each point's unplaced neighbours
+    placed = [False] * d
+    touched = [-1] * d  # the latest step that placed a neighbour of each point
+    adjacent = set()  # the unplaced points with a placed neighbour
+    isolated = iter([v for v in range(d) if not nbrs[v]])
+    next_isolated = next(isolated, None)
+    lowest = 0  # no unplaced point with a neighbour lies below it
+    frontier = []  # the placed points with an unplaced neighbour, in slot order
+    slot = {}  # frontier point -> its slot
+    steps = []
+    closing = ()
+    for count in range(d):
+        candidates = adjacent
+        if not adjacent:
+            while lowest < d and (placed[lowest] or not nbrs[lowest]):
+                lowest += 1
+            candidates = [lowest] if lowest < d else []
+        # rank: (frontier growth, -placed neighbours if prefer_closed,
+        # -latest touch, order among the latest's neighbours, index)
+        best = None if next_isolated is None else (0, 0, 1, 0, next_isolated)
+        for v in candidates:
+            grow = 1 if unplaced[v] else 0
+            for u in distinct[v]:
+                if placed[u] and len(unplaced[u]) == 1:
+                    grow -= 1  # v is u's last unplaced neighbour
+            if best is None or grow <= best[0]:
+                t = touched[v]
+                rank = (grow, -sum(placed[u] for u in distinct[v]) if prefer_closed else 0, -t,
+                        nbrs[steps[t].point].index(v) if t >= 0 else 0, v)
+                if best is None or rank < best:
+                    best = rank
+        v = best[-1]
+        placed[v] = True
+        if v == next_isolated:
+            next_isolated = next(isolated, None)
+        terms = []
+        for s, pre in enumerate(preimages):
+            for u in pre[v]:
+                if u in slot:
+                    terms.append((s, slot[u], _FWD))
+        for s, perm in enumerate(images):
+            if perm[v] == v:
+                terms.append((s, None, _LOOP))
+            elif perm[v] in slot:
+                terms.append((s, slot[perm[v]], _BWD))
+        for u in nbrs[v]:
+            unplaced[u].discard(v)
+            touched[u] = count
+        adjacent.discard(v)
+        adjacent.update(unplaced[v])
+        keep = tuple([j for j, u in enumerate(frontier) if unplaced[u]])
+        stays = bool(unplaced[v])
+        if count == d - 1 and len(terms) > 1:  # defer all terms but the lead
+            keep = tuple(sorted({j for _, j, _ in terms[1:] if j is not None}))
+            closing = tuple((s, None if j is None else keep.index(j), kind)
+                            for s, j, kind in terms[1:])
+            terms, stays = terms[:1], True
+        steps.append(_Step(v, len(frontier), keep, stays, tuple(terms)))
+        frontier = [frontier[j] for j in keep]
+        if stays:
+            frontier.append(v)
+        slot = {u: j for j, u in enumerate(frontier)}
+    return steps, closing
+
+
+class _Context(NamedTuple):
+    """What _FrontierDP._successors reads for one kind of step."""
+
+    before: int  # n^width before the step
+    after: int  # and after it
+    runs: list  # blocks of kept slots, see _FrontierDP._layout
+    kinc: list  # per pattern, the key increment of placing it
+    s0: int  # the lead term's shift index
+    div0: int  # and the divisor of its partner's digit
+    lead: list  # per partner pattern, per cell: candidates, cheapest first
+    extra: list  # the other terms, as by _FrontierDP._rows
+    feasible: object  # the required tables' check, or None
+    several: bool  # several shifts: Pareto entries
+    decoded: object  # a memo of decoded keys, or None for one per map
+
+
+class _FrontierDP:
+    """The counts of one stage with a partition cover, on any group.
+
+    A microstate's penalty in shift s is the sum over the points i of
+    pen_s(x_i, x_{sigma_s(i)}), with lo^2 for outer and hi^2 for inner, and
+    an integer penalty sum passes when it is below cap.  The points are
+    placed one at a time (_placement).  A term is scored when the later of
+    its two points is placed, a self-loop when its point is, except that the
+    last point scores its other terms on the final maps.  The patterns
+    on the frontier, read as base-n digits, form one int code, and a state
+    key packs it with the filter sums: code + n^width * sums.  Filter sums
+    are carried exactly as integers; required tables (the pruning filter,
+    and a tally's own filter in the signature DP) drop a partial sequence
+    as soon as no completion can pass them.
+    """
+
+    def __init__(self, plan, lang, delta, sigma, table, budget):
+        threshold = sigma.d * delta * delta * plan.scale * plan.scale
+        self.cap = -(-threshold.numerator // threshold.denominator)  # s < cap: passes
         self.n = n = len(lang)
         self.d = sigma.d
-        self.order = order
-        pens = [[penalties(0, p, q) for q in range(n)] for p in range(n)]
-        self.pen_lo = [[lo for lo, _ in row] for row in pens]
-        self.pen_hi = [[hi for _, hi in row] for row in pens]
-        self.cells = [[c for c in range(n) if table[c] == key]
-                      for key in dict.fromkeys(table)]
-        # successors of each last pattern, cheapest first, per cell
-        self.succ_cell = [[sorted((pens[p][x][0], pens[p][x][1], x) for x in cell)
-                           for cell in self.cells] for p in range(n)]
+        self.tables = [_penalty_table(plan, lang, k) for k in range(len(plan.shifts))]
+        self.cells = tuple(tuple(c for c in range(n) if table[c] == key)
+                           for key in dict.fromkeys(table))
+        images = [sigma.image_array(s) for s in plan.shifts]
+        self.steps, self.closing = _placement(images, sigma.d)
+        if max(step.width for step in self.steps) > 2:  # wider than a cycle's
+            # keep the order whose frontiers can hold fewer codes in all
+            other = _placement(images, sigma.d, prefer_closed=True)
+            if sum(n ** step.width for step in other[0]) < sum(
+                    n ** step.width for step in self.steps):
+                self.steps, self.closing = other
         self.budget = budget
         self.spent = 0
-
-    # successors over the whole language, cheapest first: only sequences reads them
-    @cached_property
-    def succ_lo(self):
-        return [sorted((row[x], x) for x in range(self.n)) for row in self.pen_lo]
-
-    @cached_property
-    def succ_hi(self):
-        return [sorted((row[x], x) for x in range(self.n)) for row in self.pen_hi]
+        self._values = {}
+        self._decoded = plan.system._penalty_cache.setdefault(
+            (plan.window.elements, plan.shifts, self.cells), {})  # step kind -> _read's
 
     def spend(self, live):
-        """Charge one step: its live states times the language size."""
+        """Charge one step: the states it extends times the language size."""
         self.spent += live * self.n
         if self.spent > self.budget:
             raise ResourceBudgetError("merged-state DP budget exceeded")
+
+    def _layout(self, step, increment):
+        """How one step rewrites state keys: (n^width before, n^width after,
+        runs, kinc).  A run (divisor, modulus, weight) moves a block of kept
+        slots: code // divisor % modulus * weight is its part of the new
+        code.  kinc[x] is the key increment of placing pattern x: its filter
+        sums, and its own digit when the point stays."""
+        n = self.n
+        runs = []
+        for pos, j in enumerate(step.keep):
+            if runs and step.keep[pos - 1] == j - 1:
+                div, mod, weight = runs[-1]
+                runs[-1] = (div, mod * n, weight)
+            else:
+                runs.append((n ** j, n, n ** pos))
+        after = n ** (len(step.keep) + step.stays)
+        own = n ** len(step.keep) if step.stays else 0
+        return (n ** step.width, after, runs,
+                [inc * after + x * own for x, inc in enumerate(increment)])
+
+    def _rows(self, terms, width, inner=None):
+        """Per term (shift index, slot or None, kind) on a frontier of width
+        slots: (shift index, divisor, rows), where the partner's pattern is
+        code // divisor % n (0 for a loop) and rows[partner][x] the term's
+        penalty, lo^2 and hi^2 as a pair of rows if inner is None."""
+        out = []
+        for s, slot, kind in terms:
+            table = self.tables[s]
+            rows = ((table.matrix(kind, False), table.matrix(kind, True)) if inner is None
+                    else table.matrix(kind, inner))
+            out.append((s, self.n ** (width if slot is None else slot), rows))
+        return out
 
     def signatures(self, packing):
         """(n_inner, n_outer): how many cell sequences some microstate passing
         every table of packing.required realises, in each certified mode.
 
-        After a prefix of cells, what the rest of the cycle can still do
-        depends only on one map: (first pattern, last pattern, packed sums)
-        -> (least lo^2 sum, least hi^2 sum) over the prefix's realisations,
-        entries at or above cap dropped and hi sums capped at cap.  Prefixes
-        with equal maps merge and carry their multiplicity; the closing term
-        decides acceptance at the end.  Only equal maps merge, so the counts
-        are exact.
+        After a prefix of placed points, what the rest can still do depends
+        only on one map: state key -> least penalties over the prefix's
+        realisations.  With one shift that is (least lo^2 sum, least hi^2
+        sum), entries at or above cap dropped and hi capped at cap; with
+        several, the Pareto-least vectors of per-shift lo^2 sums and of
+        per-shift hi^2 sums below cap, since outer and inner each ask one
+        existence question.  Prefixes with equal maps merge and carry their
+        multiplicity; only equal maps merge, so the counts are exact.
 
-        With no required table a map's successors do not depend on the step,
-        so each live map's are built once (_successors) and looked up after,
-        with equal maps held as one object.  A required table is decided on
-        the count of placed patterns, so with one they are rebuilt each step.
+        A map's successors depend only on the step's kind unless a table is
+        required, which is decided on the count of placed points.  So with
+        no required table each live map's successors are built once per run
+        of equal kinds (_successors) and looked up after, with equal maps
+        held as one object; with one, or when the next step's kind differs,
+        nothing is kept.
         """
-        d, cap, increment = self.d, self.cap, packing.increment
-        states = {}
-        for cell in self.cells:
-            entries = {(x, x, increment[x]): (0, 0) for x in cell
-                       if packing.feasible(increment[x], 1)}
-            if entries:
-                state = frozenset(entries.items())
-                states[state] = states.get(state, 0) + 1
-        self.spend(len(self.cells))
-        memo = None if packing.required else {}  # live map -> its successor maps
-        canonical = {}  # live map -> the one object held for it
-        for count in range(2, d + 1):
-            self.spend(len(states))
+        several = len(self.tables) > 1
+        self._values = {}  # with several shifts: one object per equal entry value
+        start = ((0,) * len(self.tables),)
+        states = {frozenset({(0, (start, start) if several else (0, 0))}): 1}
+        self.spend(len(self.cells))  # the first step starts one map per cell
+        kind = None
+        for count, step in enumerate(self.steps, 1):
+            if count > 1:
+                self.spend(len(states))
+            if step.kind != kind:
+                kind, ctx = step.kind, self._context(step, packing, several)
+                memo, canonical = {}, {}  # live map -> its successors
+            # keep successors only for a next step of the same kind
+            store = (not packing.required and count < len(self.steps)
+                     and self.steps[count].kind == kind)
             merged = {}
             for state, multiplicity in states.items():
-                if memo is None:
-                    row = self._successors(state, packing, count)
-                else:
-                    row = memo.get(state)
-                    if row is None:
-                        row = memo[state] = [canonical.setdefault(nxt, nxt) for nxt in
-                                             self._successors(state, packing, count)]
+                row = memo.get(state)
+                if row is None:
+                    row = self._successors(ctx, state, count)
+                    if store:
+                        row = memo[state] = [canonical.setdefault(nxt, nxt) for nxt in row]
                 for nxt in row:
                     merged[nxt] = merged.get(nxt, 0) + multiplicity
-            if memo is not None:  # forget the maps that left
+            if store:  # forget the maps that left
                 memo = {s: memo[s] for s in merged if s in memo}
                 canonical = {s: s for s in merged}
             states = merged
         n_inner = n_outer = 0
+        closing = self._closing()
         for state, multiplicity in states.items():
-            if any(lo + self.pen_lo[last][first] < cap for (first, last, _), (lo, _) in state):
-                n_outer += multiplicity
-            if any(hi + self.pen_hi[last][first] < cap for (first, last, _), (_, hi) in state):
-                n_inner += multiplicity
+            inner, outer = self._accepts(state, closing, several)
+            n_inner += inner * multiplicity
+            n_outer += outer * multiplicity
         return n_inner, n_outer
 
-    def _successors(self, state, packing, count):
-        """The maps after state and one more cell, one for each cell under
-        which some entry survives.  count is the number of placed patterns
+    def _closing(self, inner=None):
+        """(n^width, terms) of the final frontier: a final key's code is key
+        % n^width, its last digit is the last point's pattern, and the
+        closing terms are laid out as by _rows."""
+        width = len(self.steps[-1].keep) + self.steps[-1].stays
+        return self.n ** width, self._rows(self.closing, width, inner)
+
+    def _accepts(self, state, closing, several):
+        """(inner, outer): whether a final map holds an inner, an outer
+        realisation once the closing terms are scored."""
+        size, terms = closing
+        cap, n = self.cap, self.n
+        inner = outer = False
+        for key, value in state:
+            key %= size  # the frontier code
+            x = key * n // size
+            if several:
+                outs, ins = value
+                for s, div, (lo, hi) in terms:
+                    y = key // div % n
+                    outs = [v[:s] + (v[s] + lo[y][x],) + v[s + 1:] for v in outs]
+                    ins = [v[:s] + (v[s] + hi[y][x],) + v[s + 1:] for v in ins]
+                outer = outer or any(max(v) < cap for v in outs)
+                inner = any(max(v) < cap for v in ins)
+            else:
+                lo, hi = value
+                for _, div, (tlo, thi) in terms:
+                    y = key // div % n
+                    lo += tlo[y][x]
+                    hi += thi[y][x]
+                outer = outer or lo < cap
+                inner = hi < cap
+            if inner:
+                return True, True
+        return False, outer
+
+    def _context(self, step, packing, several):
+        """The _Context of one kind of step under packing."""
+        terms = self._rows(step.terms, step.width)
+        if terms:
+            s0, div0, _ = terms[0]
+            lead = self.tables[s0].candidates(step.terms[0][2], self.cells)
+        else:  # no term: every pattern of a cell costs nothing
+            s0, div0 = 0, self.n ** step.width
+            lead = [[[(0, 0, x) for x in cell] for cell in self.cells]]
+        # Few codes: with no filter sums a key is its code, decoded once for
+        # every stage of the system, else once a step.  Many codes: each map's
+        # keys are decoded once for all its cells (decoded is None).
+        decoded = (None if self.n ** step.width > 1024 else {} if packing.span > 1
+                   else self._decoded.setdefault(step.kind, {}))
+        return _Context(*self._layout(step, packing.increment), s0, div0, lead, terms[1:],
+                        packing.feasible if packing.required else None, several, decoded)
+
+    def _read(self, ctx, key, decoded):
+        """(base, lead candidates per cell, other terms) of one state key, kept
+        in decoded: base is its part of every successor's key."""
+        before, after, runs, div0, lead, extra = (
+            ctx.before, ctx.after, ctx.runs, ctx.div0, ctx.lead, ctx.extra)
+        n = self.n
+        sums, code = divmod(key, before)
+        base = sums * after
+        for div, mod, weight in runs:
+            base += code // div % mod * weight
+        hit = decoded[key] = (base, lead[code // div0 % n], [
+            (s, lo[code // div % n], hi[code // div % n]) for s, div, (lo, hi) in extra])
+        return hit
+
+    def _successors(self, ctx, state, count):
+        """The maps after state and one more point, one for each cell under
+        which some entry survives.  count is the number of placed points
         after the step; only a required table reads it."""
-        cap, increment = self.cap, packing.increment
+        if ctx.several:
+            return self._pareto_successors(ctx, state, count)
+        after, kinc, feasible, decoded = ctx.after, ctx.kinc, ctx.feasible, ctx.decoded
+        if decoded is None:
+            decoded = {}
+        cap = self.cap
         row = []
-        for ci in range(len(self.cells)):
+        for cell in range(len(self.cells)):
             entries = {}
-            for (first, last, sums), (lo, hi) in state:
-                for plo, phi, x in self.succ_cell[last][ci]:
+            for key, (lo, hi) in state:
+                base, rows, terms = decoded.get(key) or self._read(ctx, key, decoded)
+                for plo, phi, x in rows[cell]:
                     nlo = lo + plo
                     if nlo >= cap:
-                        break  # successors are sorted: all later ones bust too
-                    nsums = sums + increment[x]
-                    if packing.required and not packing.feasible(nsums, count):
+                        break  # candidates are sorted: all later ones bust too
+                    if terms:
+                        for _, tlo, thi in terms:
+                            nlo += tlo[x]
+                            phi += thi[x]
+                        if nlo >= cap:
+                            continue
+                    nkey = base + kinc[x]
+                    if feasible is not None and not feasible(nkey // after, count):
                         continue
                     nhi = hi + phi
                     if nhi > cap:
                         nhi = cap
-                    key = (first, x, nsums)
-                    old = entries.get(key)
+                    old = entries.get(nkey)
                     if old is None:
-                        entries[key] = (nlo, nhi)
+                        entries[nkey] = (nlo, nhi)
                     elif nlo < old[0] or nhi < old[1]:
-                        entries[key] = (min(nlo, old[0]), min(nhi, old[1]))
+                        entries[nkey] = (min(nlo, old[0]), min(nhi, old[1]))
+            if entries:
+                row.append(frozenset(entries.items()))
+        return row
+
+    def _pareto_successors(self, ctx, state, count):
+        """_successors for several shifts, whose entries hold the Pareto-least
+        lo^2 and hi^2 vectors.  Adding one vector to a sorted Pareto-least set
+        keeps it so; only entries reached twice are reduced again.  Equal
+        entry values are held as one object."""
+        after, kinc, s0, feasible, decoded = (
+            ctx.after, ctx.kinc, ctx.s0, ctx.feasible, ctx.decoded)
+        if decoded is None:
+            decoded = {}
+        cap, values = self.cap, self._values
+        k = len(self.tables)
+        row = []
+        for cell in range(len(self.cells)):
+            entries, merged = {}, set()
+            for key, (outs, ins) in state:
+                base, rows, terms = decoded.get(key) or self._read(ctx, key, decoded)
+                floors = outs[0] if len(outs) == 1 else [min(v[s] for v in outs)
+                                                         for s in range(k)]
+                for plo, phi, x in rows[cell]:
+                    if floors[s0] + plo >= cap:
+                        break  # candidates are sorted: all later ones bust too
+                    add = [0] * k
+                    add[s0] = plo
+                    for s, tlo, _ in terms:
+                        add[s] += tlo[x]
+                        if floors[s] + add[s] >= cap:
+                            break  # every vector busts shift s
+                    else:
+                        if len(outs) == 1:  # the floors check was exact
+                            nouts = (tuple(map(int.__add__, outs[0], add)),)
+                        else:
+                            nouts = tuple(t for t in (tuple(map(int.__add__, v, add))
+                                                      for v in outs) if max(t) < cap)
+                            if not nouts:
+                                continue
+                        nkey = base + kinc[x]
+                        if feasible is not None and not feasible(nkey // after, count):
+                            continue
+                        nins = ins
+                        if ins:
+                            add = [0] * k
+                            add[s0] = phi
+                            for s, _, thi in terms:
+                                add[s] += thi[x]
+                            nins = tuple(t for t in (tuple(map(int.__add__, v, add))
+                                                     for v in ins) if max(t) < cap)
+                        value = (nouts, nins)
+                        old = entries.get(nkey)
+                        if old is None:
+                            entries[nkey] = values.setdefault(value, value)
+                        elif old != value:
+                            entries[nkey] = (old[0] + nouts, old[1] + nins)
+                            merged.add(nkey)
+            for nkey in merged:
+                outs, ins = entries[nkey]
+                value = (_least(outs), _least(ins))
+                entries[nkey] = values.setdefault(value, value)
             if entries:
                 row.append(frozenset(entries.items()))
         return row
@@ -718,73 +1065,150 @@ class _CycleDP:
     def sequences(self, inner, packing, rows_wanted=0):
         """Microstate counts in one certified mode (inner: hi^2 sums).
 
-        A counting DP per first pattern over (last pattern, penalty sum s,
-        packed filter sums): a layer maps the last pattern to a dict from
-        the code s * packing.span + sums to how many sequences reach it.
-        Returns (per_tally, unmatched, rows): per_tally[0] counts the
-        microstates passing packing.required, per_tally[k + 1] those also
-        passing packing.filters[k], unmatched those passing none of the
-        filters, and rows holds up to rows_wanted of the latter as index
-        rows in position order, walked back through their first pattern's
-        layers.
+        A counting DP over state keys code + n^width * (sums + span * pens),
+        pens the per-shift penalty sums as base-cap digits: a layer maps
+        each key to how many partial sequences reach it.  Returns
+        (per_tally, unmatched, rows): per_tally[0] counts the microstates
+        passing packing.required, per_tally[k + 1] those also passing
+        packing.filters[k], unmatched those passing none of the filters, and
+        rows holds up to rows_wanted of the latter as index rows in position
+        order, walked back through the layers.
         """
-        d, cap, span, increment = self.d, self.cap, packing.span, packing.increment
-        pen = self.pen_hi if inner else self.pen_lo
-        succ = self.succ_hi if inner else self.succ_lo
+        n, cap, span = self.n, self.cap, packing.span
+        feasible = packing.feasible if packing.required else None
+        weights = [cap ** s for s in range(len(self.tables))]
+        layer = {0: 1}
+        layers = [layer]
+        for count, step in enumerate(self.steps, 1):
+            self.spend(len(layer))
+            before, after, runs, kinc = self._layout(step, packing.increment)
+            terms = self._rows(step.terms, step.width, inner)
+            if terms:
+                s0, div0, _ = terms[0]
+                lead = self.tables[s0].ordered(step.terms[0][2], inner)
+            else:
+                s0, div0, lead = 0, before, [[(0, x) for x in range(n)]]
+            stride, w0, extra = after * span, weights[s0], terms[1:]
+            nxt = {}
+            for key, multiplicity in layer.items():
+                rest, code = divmod(key, before)
+                base = rest * after
+                for div, mod, weight in runs:
+                    base += code // div % mod * weight
+                if extra:
+                    pens = [rest // span // w % cap for w in weights]
+                    room = cap - pens[s0]
+                    others = [(s, rows[code // div % n]) for s, div, rows in extra]
+                else:
+                    room = cap - rest // span // w0 % cap
+                for p, x in lead[code // div0 % n]:
+                    if p >= room:
+                        break  # successors are sorted: all later ones bust too
+                    added = p * w0
+                    if extra:
+                        total = pens[:]
+                        total[s0] += p
+                        for s, row in others:
+                            total[s] += row[x]
+                            added += row[x] * weights[s]
+                        if max(total) >= cap:
+                            continue
+                    new = base + kinc[x] + added * stride
+                    if feasible is not None and not feasible(new // after % span, count):
+                        continue
+                    nxt[new] = nxt.get(new, 0) + multiplicity
+            layer = nxt
+            if rows_wanted:
+                layers.append(layer)
         per_tally = [0] * (len(packing.filters) + 1)
         unmatched = 0
         rows = []
-        self.spend(1)
-        for first in range(self.n):
-            if not packing.feasible(increment[first], 1):
+        size, closing = self._closing(inner)
+        for key, multiplicity in layer.items():
+            rest, code = divmod(key, size)
+            if closing:
+                pens = [rest // span // w % cap for w in weights]
+                for s, div, pen in closing:
+                    pens[s] += pen[code // div % n][code * n // size]
+                if max(pens) >= cap:
+                    continue
+            per_tally[0] += multiplicity
+            passed = packing.passed(rest % span)
+            for k, ok in enumerate(passed):
+                if ok:
+                    per_tally[k + 1] += multiplicity
+            if any(passed):
                 continue
-            layer = {first: {increment[first]: 1}}
-            layers = [layer]
-            for count in range(2, d + 1):
-                self.spend(sum(map(len, layer.values())))
-                nxt = {}
-                for last, codes in layer.items():
-                    for p, x in succ[last]:
-                        if p >= cap:
-                            break  # successors are sorted: all later ones bust too
-                        limit = (cap - p) * span  # code < limit exactly when s + p < cap
-                        shift = p * span + increment[x]
-                        target = nxt.get(x)
-                        for code, multiplicity in codes.items():
-                            if code >= limit:
-                                continue
-                            new = code + shift
-                            if packing.required and not packing.feasible(new % span, count):
-                                continue
-                            if target is None:
-                                target = nxt[x] = {}
-                            target[new] = target.get(new, 0) + multiplicity
-                layer = nxt
-                if len(rows) < rows_wanted:
-                    layers.append(layer)
-            for last, codes in layer.items():
-                limit = (cap - pen[last][first]) * span
-                for code, multiplicity in codes.items():
-                    if code >= limit:
-                        continue
-                    per_tally[0] += multiplicity
-                    passed = packing.passed(code % span)
-                    for k, ok in enumerate(passed):
-                        if ok:
-                            per_tally[k + 1] += multiplicity
-                    if any(passed):
-                        continue
-                    unmatched += multiplicity
-                    if len(rows) == rows_wanted:
-                        continue
-                    for path in _walk_back(layers, pen, packing, last, code):
-                        row = [0] * d
-                        for position, x in zip(self.order, path):
-                            row[position] = x
-                        rows.append(tuple(row))
-                        if len(rows) == rows_wanted:
-                            break
+            unmatched += multiplicity
+            if len(rows) == rows_wanted:
+                continue
+            for row in self._walk_back(layers, key, inner, packing):
+                rows.append(row)
+                if len(rows) == rows_wanted:
+                    break
         return per_tally, unmatched, tuple(rows)
+
+    def _walk_back(self, layers, key, inner, packing):
+        """Every index row, in position order, whose partial sequences pass
+        through layers to key in the last one."""
+        n, cap, span, increment = self.n, self.cap, packing.span, packing.increment
+        weights = [cap ** s for s in range(len(self.tables))]
+        shapes = {}  # step number -> what undoing the step reads
+        stack = [(len(layers) - 1, key, ())]
+        while stack:
+            k, key, tail = stack.pop()
+            if k == 0:
+                row = [0] * self.d
+                for step, x in zip(self.steps, tail):
+                    row[step.point] = x
+                yield tuple(row)
+                continue
+            step = self.steps[k - 1]
+            shape = shapes.get(k)
+            if shape is None:
+                shape = shapes[k] = (
+                    [n ** j for j in range(step.width)], n ** step.width,
+                    n ** (len(step.keep) + step.stays),
+                    [j for j in range(step.width) if j not in step.keep],
+                    [(s, step.width if slot is None else slot, self.tables[s].matrix(kind, inner))
+                     for s, slot, kind in step.terms])
+            powers, before, after, unknown, terms = shape
+            rest, code = divmod(key, after)
+            pencode, sums = divmod(rest, span)
+            pens = [pencode // w % cap for w in weights]
+            ys = [0] * (step.width + 1)  # the old frontier's patterns, then 0 for a loop
+            known = 0  # the kept digits' part of the old code
+            for j in step.keep:
+                code, ys[j] = divmod(code, n)
+                known += ys[j] * powers[j]
+            found = []
+            for x in [code] if step.stays else range(n):
+                low = sums - increment[x]
+                if low < 0:
+                    continue
+                for guess in itertools.product(range(n), repeat=len(unknown)):
+                    old = known
+                    for j, y in zip(unknown, guess):
+                        ys[j] = y
+                        old += y * powers[j]
+                    prev = pens[:]
+                    for s, slot, rows in terms:
+                        prev[s] -= rows[ys[slot]][x]
+                    if min(prev) < 0:
+                        continue
+                    old += before * (low + span * sum(map(int.__mul__, prev, weights)))
+                    if old in layers[k - 1]:
+                        found.append((k - 1, old, (x,) + tail))
+            stack.extend(reversed(found))  # popped in ascending order
+
+
+def _least(vectors):
+    """The Pareto-least of some vectors, sorted: none is dominated."""
+    out = []
+    for v in sorted(set(vectors)):
+        if not any(all(a <= b for a, b in zip(u, v)) for u in out):
+            out.append(v)
+    return tuple(out)
 
 
 class _PackedSums:
@@ -844,25 +1268,6 @@ class _PackedSums:
                 sums = sums[len(own):]
             hit = self._passed[packed] = tuple(out)
         return hit
-
-
-def _walk_back(layers, pen, packing, last, code):
-    """Every pattern sequence that ends at (last, code) in layers[-1], in
-    cycle order; layers come from one first pattern's counting DP."""
-    span, increment = packing.span, packing.increment
-    stack = [(len(layers) - 1, last, code, ())]
-    while stack:
-        k, last, code, tail = stack.pop()
-        path = (last,) + tail
-        if k == 0:
-            yield path
-            continue
-        s = code // span
-        for x in range(len(pen) - 1, -1, -1):  # pushed in reverse, popped ascending
-            p = pen[x][last]
-            prev = code - p * span - increment[last]
-            if p <= s and prev in layers[k - 1].get(x, ()):
-                stack.append((k - 1, x, prev, path))
 
 
 # test oracles ---------------------------------------------------------------------

@@ -189,6 +189,7 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}
+        self._penalty_cache = {}  # microstates' penalty tables and decoded frontier codes
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden
         )

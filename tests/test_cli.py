@@ -298,7 +298,7 @@ def test_microstates_cut_while_reading_m_keeps_stage_context(tmp_path, capsys, m
     def cut(*args, **kwargs):
         raise ResourceBudgetError("merged-state DP budget exceeded", upper_bound=9)
 
-    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", cut)
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", cut)
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "budget exhausted in task microstates: stage d=4" in err

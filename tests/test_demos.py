@@ -17,6 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "demo_covers_and_pairs": "13ea2a314d88844f5c322b0bc0cc329f9c93fe02d1cb9458563423996954c764",
     "demo_entropy_traces": "d99112b116f0d3622a75a9e3deebc09859a41c1f746627e72f61c171d07eabf0",
+    "demo_free_group": "ec91c36b79f4b56af019621263f2c260f27e2d50204c3960b6f8a67dbab6f5eb",
     "demo_partition_bound": "4c43b024012c070b971baeeed7045ccbab9e4663e6b07280ce2b4b6b49022fc9",
     "demo_sofic_defects": "d6b1545295e31c8ff169423e3745d6d2d99e2691e9d3042ddaefd0379a38aac7",
     "demo_tiling": "e8dbd7f9270e8e06c652f26ba3d3836a61622b89b67b48b5d1321e48d6f157d1",

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 import soficlab.microstates
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
-                      LatticeGroup, MeasureFilter, MicrostateCounts, ResourceBudgetError,
-                      SoficMap, SymbolicSystem, TestFunction, check_amenable_agreement,
+                      FreeGroup, LatticeGroup, MeasureFilter, MicrostateCounts,
+                      ResourceBudgetError, SoficMap, SymbolicSystem, TestFunction,
+                      check_amenable_agreement,
                       check_variational, count_microstates, counting_method, cyclic_model,
-                      exact_min_cover, full_shift, golden_mean_system, origin_partition,
-                      random_free_model, regular_representation, select_dominant_measure,
-                      sofic_measure_trace, sofic_topological_trace, zero_defect_delta)
+                      exact_min_cover, folner_set, from_folner, full_shift, golden_mean_system,
+                      origin_partition, random_free_model, regular_representation,
+                      select_dominant_measure, sofic_measure_trace, sofic_topological_trace,
+                      zero_defect_delta)
 from soficlab.microstates import (count_cover, enumerate_microstates_both, filter_microstates,
                                   microstate_check)
 
@@ -425,7 +427,8 @@ def test_stage_charges_scan_and_searches_to_one_budget(fs, fair, monkeypatch):
 def test_scan_prunes_on_the_table_range_over_the_language(gm, gm_origin, parry, monkeypatch):
     """A test function's declared range may be wider than what it takes on
     the window language (here a default of 5 no pattern reaches); the
-    scan's pruning cut reads the table, so both visit the same nodes."""
+    pruning cut reads the table, so the scan visits the same nodes and the
+    DP counts the same."""
     w = gm.interval_window(-1, 1)
     sigma = cyclic_model(gm.group, 5)
     at = gm.window([0])
@@ -433,13 +436,15 @@ def test_scan_prunes_on_the_table_range_over_the_language(gm, gm_origin, parry, 
     scan = soficlab.microstates._scan
     monkeypatch.setattr(soficlab.microstates, "_scan",
                         lambda *args: nodes.append(scan(*args)) or nodes[-1])
-    counts = []
+    counts, sizes = [], []
     for default in (0, 5):
         f = TestFunction(at, {("0",): 1, ("1",): 0}, default=default)
         mf = MeasureFilter.build(parry, [f], "0.1")
         counts.append(count_microstates(gm, [1, 2], "0.3", sigma, w, gm_origin,
                                         measure_filter=mf))
-    assert counts[0] == counts[1] and nodes[0] == nodes[1]
+        sizes.append(tuple(map(len, enumerate_microstates_both(gm, [1, 2], "0.3", sigma, w,
+                                                               measure_filter=mf))))
+    assert counts[0] == counts[1] and sizes[0] == sizes[1] and nodes[0] == nodes[1]
 
 
 def test_streaming_budget_cut_raises_and_trace_marks_row(fs, fs_origin):
@@ -611,16 +616,16 @@ def test_cycle_dp_on_finite_and_free_groups_matches_naive_oracle(stage, delta):
 
 
 def test_counting_method_names_the_path(gm, gm_origin, fs):
-    """The DP runs on one shift, a partition and a single d-cycle, read off
-    the image array; a two-cycle sigma, two shifts or a general cover scan."""
+    """The DP runs on every partition cover, whatever sigma and F; only a
+    general cover scans."""
     w = gm.interval_window(-1, 1)
     delta = "0.3"
     one_cycle = SoficMap(gm.group, 5, images={(1,): [3, 0, 4, 2, 1]}, provenance="random")
     two_cycles = SoficMap(gm.group, 5, images={(1,): [2, 0, 1, 4, 3]}, provenance="random")
     cases = [([1], cyclic_model(gm.group, 5), gm_origin, "dp"),
              ([1], one_cycle, gm_origin, "dp"),
-             ([1], two_cycles, gm_origin, "scan"),
-             ([1, 2], cyclic_model(gm.group, 5), gm_origin, "scan")]
+             ([1], two_cycles, gm_origin, "dp"),
+             ([1, 2], cyclic_model(gm.group, 5), gm_origin, "dp")]
     for F, sigma, cover, method in cases:
         assert counting_method(gm, F, sigma, cover) == method
         assert count_microstates(gm, F, delta, sigma, w, cover)[0].method == method
@@ -666,6 +671,209 @@ def test_dp_zero_defect_outer_is_lucas(gm, gm_origin):
         assert got.m_inner == got.n_inner == 0
 
 
+# the frontier DP counts every partition stage ------------------------------
+
+
+def _hard_core(group, generators):
+    """Forbid 11 along each generator: independent sets of the sigma-graph."""
+    e = group.identity
+    return SymbolicSystem(("0", "1"), group,
+                          forbidden=[((e, g), ("1", "1")) for g in generators])
+
+
+def _frontier_systems():
+    """(system, window, the shift sets F to draw from, sigma model(d) or None);
+    the Z/n and Z^2 models have a size of their own."""
+    out = {}
+    for label, system in (("full", STREAM_FS), ("golden", STREAM_GM)):
+        out[f"Z-{label}"] = (system, system.interval_window(-1, 1),
+                             [[1], [-1], [2], [1, 2], [1, -1]],
+                             lambda d, g=system.group: cyclic_model(g, d))
+        out[f"Z-{label}-folner"] = (system, system.interval_window(0, 1), [[1]],
+                                    lambda d, g=system.group: from_folner(g, folner_set(g, d)))
+    Z2 = LatticeGroup(2)
+    for label, system in (("full", full_shift(("0", "1"), Z2)),
+                          ("hard-square", _hard_core(Z2, [(1, 0), (0, 1)]))):
+        shifts = [[(1, 0)], [(0, 1)], [(1, 0), (0, 1)]]
+        window = system.window([(0, 0), (1, 0), (0, 1)])
+        out[f"Z2-{label}"] = (system, window, shifts, lambda d: cyclic_model(Z2, 2))
+        out[f"Z2-{label}-folner"] = (system, window, shifts,
+                                     lambda d: from_folner(Z2, folner_set(Z2, 2)))
+    for n in (3, 4, 5):
+        group = FiniteTableGroup.cyclic(n)
+        system = _hard_core(group, [1])
+        out[f"Z{n}-golden"] = (system, system.window([0, 1]), [[1], [n - 1], [1, n - 1]],
+                               lambda d, g=group: regular_representation(g))
+    F2 = FreeGroup(2)
+    a, b = (1,), (2,)
+    for label, system in (("full", full_shift(("0", "1"), F2)),
+                          ("hard-core", _hard_core(F2, [a, b]))):
+        out[f"F2-{label}"] = (system, system.window([(), a, b]), [[a], [b], [a, b]], None)
+    return out
+
+
+FRONTIER_SYSTEMS = _frontier_systems()
+
+
+@st.composite
+def _partition_stages(draw):
+    """Any partition stage the naive oracle can check: Z, Z^2, Z/n and F_2;
+    one or two shifts; each sigma_s a single cycle, a permutation with
+    several cycles, a self-map that is not a permutation, or the group's
+    own model (cyclic, Folner identity fallback, regular, random free)."""
+    name = draw(st.sampled_from(sorted(FRONTIER_SYSTEMS)))
+    system, window, shift_sets, model = FRONTIER_SYSTEMS[name]
+    F = draw(st.sampled_from(shift_sets))
+    n = len(system.language_values(window))
+    d = draw(st.integers(2, 6))
+    while d > 2 and n ** d > NAIVE_TUPLES:
+        d -= 1
+    kind = draw(st.sampled_from(["model", "cycle", "permutation", "self-map"]))
+    if kind == "model" and model is not None:
+        sigma = model(d)
+    elif kind == "model" and name.startswith("F2"):
+        _, sigma = random_free_model(2, d, draw(st.integers(0, 50)))
+        sigma = SoficMap(system.group, d, images={s: sigma.image_array(s) for s in F})
+    else:
+        images = {}
+        for s in F:
+            if kind == "cycle":
+                cycle = draw(st.permutations(range(d)))
+                image = [0] * d
+                for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                    image[i] = j
+            elif kind == "self-map":
+                image = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+            else:
+                image = draw(st.permutations(range(d)))
+            images[s] = image
+        sigma = SoficMap(system.group, d, images=images, provenance="random")
+    delta = draw(st.sampled_from([None, "0.1", "0.2", "0.35", "0.6", "1"]))
+    if delta is None:
+        delta = zero_defect_delta(system, window, F, sigma.d)
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+
+    def measure_filter():
+        sites = draw(st.lists(st.sampled_from(window.elements), min_size=1, max_size=2,
+                              unique=True))
+        functions = [TestFunction.indicator(system.pattern(system.window([g]),
+                                                           (draw(st.sampled_from("01")),)))
+                     for g in sites]
+        return MeasureFilter.build(fair, functions, draw(st.sampled_from(["0.2", "0.3", "0.5"])))
+
+    mf = measure_filter() if draw(st.booleans()) else None
+    filters = [measure_filter() for _ in range(draw(st.integers(0, 2)))]
+    return system, window, sigma, F, delta, mf, filters
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partition_stages())
+def test_frontier_dp_matches_naive_oracle(stage):
+    """Every partition stage takes the DP, and its m, N, filtered counts,
+    unmatched and unmatched_rows equal the naive oracle's."""
+    _check_dp_against_naive(*stage)
+
+
+@pytest.mark.parametrize("system, window, F, images, delta", [
+    (STREAM_GM, (0, 2), [1, -1], {1: [3, 0, 1, 4, 2], -1: [4, 3, 2, 0, 1]}, "0.35"),
+    (STREAM_GM, (-1, 1), [1, -1], {1: [3, 2, 0, 1], -1: [1, 0, 2, 3]}, "0.5"),
+    (STREAM_FS, (0, 2), [1, 2], {1: [2, 1, 3, 0], 2: [2, 0, 3, 1]}, "0.6"),
+])
+def test_frontier_dp_keeps_every_pareto_least_vector(system, window, F, images, delta):
+    """Two shifts: a partial microstate cheap in one shift and another cheap
+    in the other both have to be kept, since either may be the one that
+    passes.  Keeping only the lexicographically least vector loses outer
+    microstates in the first stage and inner ones in the other two."""
+    d = len(images[1])
+    sigma = SoficMap(STREAM_GM.group, d, images={(s,): image for s, image in images.items()},
+                     provenance="random")
+    _check_dp_against_naive(system, system.interval_window(*window), sigma, F, delta, None, [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(12)))
+def test_placement_follows_a_single_cycle(cycle):
+    """On a single d-cycle the DP places 0, sigma(0), sigma^2(0), ..., and
+    the frontier never holds more than its two ends."""
+    image = [0] * len(cycle)
+    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+        image[i] = j
+    steps, _ = soficlab.microstates._placement([tuple(image)], len(image))
+    order = [0]
+    while len(order) < len(image):
+        order.append(image[order[-1]])
+    assert [step.point for step in steps] == order
+    assert max(step.width for step in steps) == 2
+
+
+def _independent_sets(d, edges):
+    """Independent sets of a graph on range(d), by branching on a vertex of
+    greatest degree; a self-loop keeps its vertex out of every set."""
+    neighbours = [set() for _ in range(d)]
+    looped = set()
+    for i, j in edges:
+        if i == j:
+            looped.add(i)
+        else:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+
+    def count(free):
+        if not free:
+            return 1
+        v = max(free, key=lambda u: (len(neighbours[u] & free), -u))
+        rest = free - {v}
+        if not neighbours[v] & free and v not in looped:
+            return 2 * count(rest)
+        return count(rest) + (0 if v in looped else count(rest - neighbours[v]))
+
+    return count(frozenset(range(d)))
+
+
+@pytest.mark.parametrize("d, seed", [(6, 1), (9, 2), (12, 1), (16, 3)])
+def test_free_group_hard_core_zero_defect_counts_independent_sets(d, seed):
+    """F_2 hard core (11 forbidden along a and b), window {e, a, b},
+    F = {a, b}: at zero defect an outer microstate is an independent set of
+    the Schreier graph of sigma, so N_outer is their number."""
+    group, sigma = random_free_model(2, d, seed)
+    a, b = (1,), (2,)
+    system = _hard_core(group, [a, b])
+    window = system.window([(), a, b])
+    got, _ = count_microstates(system, [a, b], zero_defect_delta(system, window, [a, b], d),
+                               sigma, window, origin_partition(system))
+    edges = [(i, perm[i]) for perm in (sigma.image_array(a), sigma.image_array(b))
+             for i in range(d)]
+    assert got.method == "dp"
+    assert got.n_outer == _independent_sets(d, edges)
+
+
+def _torus_hard_squares(n):
+    """Independent sets of the n x n torus grid: the trace of T^n, where T
+    joins two cyclic rows of length n without adjacent 1s if they share no 1
+    (OEIS A027683)."""
+    rows = [r for r in range(2 ** n) if not r & (r << 1 | r >> (n - 1)) & (2 ** n - 1)]
+    power = [[int(i == j) for j in rows] for i in rows]
+    for _ in range(n):
+        power = [[sum(p for p, r in zip(line, rows) if not r & c) for c in rows]
+                 for line in power]
+    return sum(power[k][k] for k in range(len(rows)))
+
+
+@pytest.mark.parametrize("n, expected", [(3, 34), (4, 743)])
+def test_torus_hard_squares_match_the_transfer_trace(n, expected):
+    """Hard squares on the cyclic model of Z^2 with side n, window
+    {0, e1, e2}, F = {e1, e2}: at zero defect N_outer counts the
+    independent sets of the torus grid, trace(T^n)."""
+    Z2 = LatticeGroup(2)
+    system = _hard_core(Z2, [(1, 0), (0, 1)])
+    window = system.window([(0, 0), (1, 0), (0, 1)])
+    F = [(1, 0), (0, 1)]
+    got, _ = count_microstates(system, F, zero_defect_delta(system, window, F, n * n),
+                               cyclic_model(Z2, n), window, origin_partition(system))
+    assert got.method == "dp"
+    assert got.n_outer == _torus_hard_squares(n) == expected
+
+
 # the signature DP builds each map's successors once per stage -----------------
 
 
@@ -673,14 +881,14 @@ def test_signature_dp_builds_no_transition_once_the_maps_saturate(fs, fs_origin,
     """Full shift, window [-2, 2], zero defect: the reachable maps stop
     changing after a few steps, and from then on a step only looks up
     successors built before, so d = 64 builds no more than d = 16."""
-    successors = soficlab.microstates._CycleDP._successors
+    successors = soficlab.microstates._FrontierDP._successors
     built = []
 
     def spy(dp, *args):
         built.append(1)
         return successors(dp, *args)
 
-    monkeypatch.setattr(soficlab.microstates._CycleDP, "_successors", spy)
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "_successors", spy)
     w = fs.interval_window(-2, 2)
     per_d = {}
     for d in (16, 64):
@@ -717,10 +925,9 @@ def test_traces_and_variational_never_run_a_counting_dp(gm, gm_origin, parry, mo
     maps = [cyclic_model(gm.group, d) for d in (6, 9)]
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
     expected = [(_lucas(6), _lucas(6)), (_lucas(9), _lucas(9))]  # (inner, outer)
-    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", _no_counting_dp)
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", _no_counting_dp)
     # nor are the counting DPs' successor lists built
-    for name in ("succ_lo", "succ_hi"):
-        monkeypatch.setattr(soficlab.microstates._CycleDP, name, property(_no_counting_dp))
+    monkeypatch.setattr(soficlab.microstates._PenaltyTable, "ordered", _no_counting_dp)
     for trace in (sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w),
                   sofic_measure_trace(gm, gm_origin, parry, [at_origin], [1], "0.1", maps, w)):
         assert [r.method for r in trace.rows] == ["dp", "dp"]
@@ -742,14 +949,14 @@ def test_dominant_measure_runs_only_the_outer_counting_dp(gm, gm_origin, parry, 
     reads m_inner."""
     w = gm.interval_window(-2, 2)
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
-    sequences = soficlab.microstates._CycleDP.sequences
+    sequences = soficlab.microstates._FrontierDP.sequences
     modes = []
 
     def spy(dp, inner, *args, **kwargs):
         modes.append(inner)
         return sequences(dp, inner, *args, **kwargs)
 
-    monkeypatch.setattr(soficlab.microstates._CycleDP, "sequences", spy)
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", spy)
     candidates = [parry, BernoulliMeasure(gm, ["0.5", "0.5"])]
     res = select_dominant_measure(gm, gm_origin, candidates, [at_origin], [1], "0.1",
                                   cyclic_model(gm.group, 8), w, "0.1", require_net=False)
