@@ -12,15 +12,16 @@ true set), 'inner' uses the upper bound (a subset).  All comparisons are
 exact: dyadic weights are rescaled to integers, delta is read as a decimal
 literal, and the strict < of the definition is preserved bit-for-bit.
 
-count_microstates counts a stage by one of two paths.  A partition cover
-takes the frontier DP, whatever the group, F and sigma: a microstate's
-penalty is a sum of edge terms over the sigma-graph, one sum per shift, so
-the points can be placed one at a time and equal partial maps merged
-(min-plus determinisation of a weighted automaton, after Mohri 1997, along
-a greedy elimination order, after Dechter 1999), and no tuple is visited.
-A general cover goes to a depth-first scan of the tuples.  Both paths
-carry a measure filter's sums as one packed int (_PackedSums), which
-decides the filters for both.
+count_microstates counts a stage by one of two paths over one step plan,
+_FrontierDP's.  A microstate's penalty is a sum of edge terms over the
+sigma-graph, one sum per shift, so the points can be placed one at a time
+along a greedy elimination order (after Dechter 1999).  A partition cover
+takes the frontier DP, whatever the group, F and sigma: equal partial maps
+merge (min-plus determinisation of a weighted automaton, after Mohri
+1997), and no tuple is visited.  A general cover takes the same steps
+without merging, as a depth-first scan of the tuples.  Both paths read
+one penalty table per shift, compare with one integer cap, and carry a
+measure filter's sums as one packed int (_PackedSums).
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -246,7 +247,8 @@ class MicrostateCounts:
     unmatched are counted on first read, under the budget of the call that
     made the object, so reading them can raise ResourceBudgetError.
     Equality and hashing take (m_inner, m_outer, n_inner, n_outer), so they
-    read m; method, unmatched and unmatched_rows take no part.
+    read m; method, unmatched and unmatched_rows take no part.  repr shows
+    m and unmatched only once they have been read, so it never runs a DP.
     """
 
     __slots__ = ("n_inner", "n_outer", "method", "_sizes", "_tally")
@@ -282,10 +284,11 @@ class MicrostateCounts:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"MicrostateCounts(m_inner={self.m_inner!r}, m_outer={self.m_outer!r}, "
-                f"n_inner={self.n_inner!r}, n_outer={self.n_outer!r}, "
-                f"unmatched={self.unmatched!r}, unmatched_rows={self.unmatched_rows!r}, "
-                f"method={self.method!r})")
+        fields = ("m_inner", "m_outer", "n_inner", "n_outer", "unmatched", "unmatched_rows",
+                  "method")
+        return "MicrostateCounts({})".format(", ".join(
+            f"{name}={getattr(self, name)!r}" for name in fields
+            if name in ("n_inner", "n_outer", "method") or self._sizes.known(name)))
 
 
 @dataclass(frozen=True)
@@ -296,6 +299,10 @@ class _Sizes:
     m_outer: tuple
     unmatched: tuple
     unmatched_rows: tuple
+
+    def known(self, name):
+        """Whether reading field name counts nothing: always, here."""
+        return True
 
 
 class _DPSizes:
@@ -324,6 +331,10 @@ class _DPSizes:
     def m_inner(self):
         return self.dp.sequences(True, self.packing)[0]
 
+    def known(self, name):
+        """Whether field name has been counted, so reading it runs no DP."""
+        return (name if name == "m_inner" else "_outer") in self.__dict__
+
 
 class _Tally:
     """Running counts of the microstates passing one filter."""
@@ -351,11 +362,12 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     that also passes filters[k], and counts reports the outer microstates
     that pass none of filters.
 
-    A partition cover takes the frontier DP (method "dp"; see _FrontierDP),
-    which never visits a tuple.  A general cover takes one streaming scan
-    (method "scan"): each microstate reaches the counter as language
-    indices, its key row is the tuple of the indices themselves, and only
-    the set of key rows is kept.  The counts are read off those
+    Both paths walk the steps of one _FrontierDP.  A partition cover takes
+    the frontier DP (method "dp"), which never visits a tuple.  A general
+    cover takes one streaming scan of those steps (method "scan", see
+    _scan): each microstate reaches the counter as language indices, its
+    key row is the tuple of the indices themselves, and only the set of
+    key rows is kept.  The counts are read off those
     sets once the scan ends.  Both paths decide every filter on the same
     packed integer sums (_PackedSums).  The whole stage, the general
     cover's set-cover searches included, runs under one budget: each search
@@ -372,9 +384,9 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     keys = _CoverKeys(window, lang, cover)
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []
     tables = [_filter_tables(window, lang, f, d) for f in filters]
+    dp = _FrontierDP(plan, lang, delta, sigma, keys.table, budget)
     if cover.is_partition:
-        return _count_by_dp(_FrontierDP(plan, lang, delta, sigma, keys.table, budget), prune,
-                            tables)
+        return _count_by_dp(dp, prune, tables)
     packing = _PackedSums(prune, tables, d, len(lang))
     tallies = [_Tally() for _ in range(len(tables) + 1)]  # the unfiltered tally first
     keeping = {}  # packed sums -> the tallies a microstate with them enters
@@ -383,7 +395,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
 
     def leaf(indices, inner_ok, packed):
         nonlocal n_unmatched
-        signature = tuple(indices)  # a general cover's key table is the identity
+        signature = indices  # a general cover's key table is the identity
         kept = keeping.get(packed)
         if kept is None:
             kept = keeping[packed] = [tallies[0]] + [
@@ -397,9 +409,9 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
         if len(kept) == 1:  # only the unfiltered tally: no filter keeps it
             n_unmatched += 1
             if n_unmatched <= 5:
-                unmatched.append(tuple(indices))
+                unmatched.append(signature)
 
-    spent = _scan(plan, lang, delta, sigma, packing, leaf, budget)
+    spent = _scan(dp, packing, leaf)
 
     def cover_count(rows):
         nonlocal spent
@@ -423,135 +435,78 @@ def _count_by_dp(dp, prune, tables):
     return counts[0], tuple(counts[1:])
 
 
-def _penalties(plan, lang, delta, sigma):
-    """The scaled threshold and a cached penalty lookup for one stage.
-
-    Returns (t_num, t_den, penalties): penalties(s_index, p, q) is
-    (lo^2, hi^2) for rho(s . lang[p], lang[q]) scaled by plan.scale, and a
-    shift's sum of lo^2 (hi^2) over the d coordinates passes the outer
-    (inner) test when sum * t_den < t_num.
-    """
-    threshold = sigma.d * delta * delta * plan.scale * plan.scale
-    pen_cache = {}
-
-    def penalties(s_index, pi, qi):
-        key = (s_index, pi, qi)
-        hit = pen_cache.get(key)
-        if hit is None:
-            lo, hi = plan.distances(lang[pi], lang[qi], s_index)
-            hit = (lo * lo, hi * hi)
-            pen_cache[key] = hit
-        return hit
-
-    return threshold.numerator, threshold.denominator, penalties
-
-
-def _scan(plan, lang, delta, sigma, packing, leaf, budget) -> int:
+def _scan(dp, packing, leaf) -> int:
     """Call leaf(indices, inner_ok, packed) on every certified-outer
-    microstate that passes packing.required; return the nodes visited.
+    microstate of dp's stage that passes packing.required; return the nodes
+    visited.
 
-    indices lists the microstate's patterns as indices into lang (the list
-    may be reused after the call), inner_ok says whether it is also
-    certified-inner, and packed is its packed filter sums.  The scan is
-    depth first.  At each position the first pending constraint drives
-    candidate order: candidates are visited by ascending penalty against
-    the already-fixed partner pattern, so the scan breaks out of a position
-    as soon as the cheapest remaining candidate would cross the (monotone)
-    threshold.  A partial tuple is dropped as soon as no completion can
+    indices is the microstate as a tuple of language indices in position
+    order, inner_ok says whether it is also certified-inner, and packed is
+    its packed filter sums.  The scan is the frontier DP without merging: a
+    depth first walk of dp.steps, placing one point a step.  A step tries
+    its lead term's candidates cheapest first, so it breaks out as soon as
+    the cheapest left would reach dp.cap, scores its other terms, and the
+    leaf scores dp.closing.  Every candidate tried is one node of
+    dp.budget.  A partial tuple is dropped as soon as no completion can
     pass packing.required.
     """
-    d = sigma.d
-    n_lang = len(lang)
-    n_shifts = len(plan.shifts)
-    t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+    d, cap, budget = dp.d, dp.cap, dp.budget
     required, feasible, increment = packing.required, packing.feasible, packing.increment
+    everything = (tuple(range(dp.n)),)  # one cell: every pattern
 
-    # term (s, i, j=sigma_s(i)) is evaluated once both ends are assigned
-    terms_at = [[] for _ in range(d)]
-    for s_index, s in enumerate(plan.shifts):
-        perm = sigma.image_array(s)
-        for i in range(d):
-            j = perm[i]
-            terms_at[max(i, j)].append((s_index, i, j))
+    def resolve(terms, frontier):  # per term: shift, partner point (d: a loop's), rows
+        return [(s, d if slot is None else frontier[slot],
+                 dp.tables[s].matrix(kind, False), dp.tables[s].matrix(kind, True))
+                for s, slot, kind in terms]
 
-    assign = [0] * d
-    sums_out = [0] * n_shifts
-    sums_in = [0] * n_shifts
+    plan = []  # per step: point, lead shift, its partner, its candidates, other terms
+    frontier = []
+    for step in dp.steps:
+        if step.terms:
+            s0, slot0, kind0 = step.terms[0]
+            lead = [cells[0] for cells in dp.tables[s0].candidates(kind0, everything)]
+            partner0 = d if slot0 is None else frontier[slot0]
+        else:  # no term: every pattern costs nothing
+            s0, partner0, lead = 0, d, [[(0, 0, x) for x in everything[0]]]
+        plan.append((step.point, s0, partner0, lead, resolve(step.terms[1:], frontier)))
+        frontier = [frontier[j] for j in step.keep] + [step.point] * step.stays
+    closing = resolve(dp.closing, frontier)
+    last = dp.steps[-1].point
+    assign = [0] * (d + 1)  # each point's pattern, then a loop's partner 0
     nodes = 0
-    free_list = [(0, 0, c) for c in range(n_lang)]
-    sorted_cache = {}
 
-    def sorted_candidates(s_index, role, fixed):
-        key = (s_index, role, fixed)
-        hit = sorted_cache.get(key)
-        if hit is None:
-            out = []
-            for c in range(n_lang):
-                if role == "p":
-                    po, pi_ = penalties(s_index, c, fixed)
-                elif role == "q":
-                    po, pi_ = penalties(s_index, fixed, c)
-                else:
-                    po, pi_ = penalties(s_index, c, c)
-                out.append((po, pi_, c))
-            out.sort(key=lambda t: (t[0], t[2]))
-            sorted_cache[key] = out
-            hit = out
-        return hit
-
-    def rec(pos, packed):
+    def rec(k, packed, outs, ins):
         nonlocal nodes
-        if pos == d:
-            leaf(assign, max(sums_in) * t_den < t_num, packed)  # penalties are >= 0
+        if k == d:
+            x = assign[last]
+            for s, y, lo, hi in closing:
+                outs[s] += lo[assign[y]][x]
+                ins[s] += hi[assign[y]][x]
+            if max(outs) < cap:
+                leaf(tuple(assign[:d]), max(ins) < cap, packed)
             return
-        terms = terms_at[pos]
-        if terms:
-            s0, i0, j0 = terms[0]
-            if i0 == pos and j0 == pos:
-                cands = sorted_candidates(s0, "self", None)
-            elif i0 == pos:
-                cands = sorted_candidates(s0, "p", assign[j0])
-            else:
-                cands = sorted_candidates(s0, "q", assign[i0])
-            rest = terms[1:]
-        else:
-            s0 = None
-            cands = free_list
-            rest = ()
-        for po0, pi0, c in cands:
+        point, s0, partner0, lead, terms = plan[k]
+        for plo, phi, x in lead[assign[partner0]]:
             nodes += 1
             if nodes > budget:
                 raise ResourceBudgetError("microstate enumeration budget exceeded")
-            if s0 is not None:
-                if not (sums_out[s0] + po0) * t_den < t_num:
-                    break  # candidates are sorted: all later ones bust too
-                sums_out[s0] += po0
-                sums_in[s0] += pi0
-            assign[pos] = c
-            ok = True
-            added = []
-            for s_index, i, j in rest:
-                po, pi_ = penalties(s_index, assign[i], assign[j])
-                sums_out[s_index] += po
-                sums_in[s_index] += pi_
-                added.append((s_index, po, pi_))
-                if not sums_out[s_index] * t_den < t_num:
-                    ok = False
-                    break
-            if ok:
-                nxt = packed + increment[c]
-                if not required or feasible(nxt, pos + 1):
-                    rec(pos + 1, nxt)
-            for s_index, po, pi_ in added:
-                sums_out[s_index] -= po
-                sums_in[s_index] -= pi_
-            if s0 is not None:
-                sums_out[s0] -= po0
-                sums_in[s0] -= pi0
-        assign[pos] = 0
+            if outs[s0] + plo >= cap:
+                break  # candidates are sorted: all later ones bust too
+            assign[point] = x
+            nouts, nins = outs[:], ins[:]
+            nouts[s0] += plo
+            nins[s0] += phi
+            for s, y, lo, hi in terms:
+                nouts[s] += lo[assign[y]][x]
+                nins[s] += hi[assign[y]][x]
+            if max(nouts) >= cap:
+                continue
+            nxt = packed + increment[x]
+            if not required or feasible(nxt, k + 1):
+                rec(k + 1, nxt, nouts, nins)
 
     try:
-        rec(0, 0)
+        rec(0, 0, [0] * len(dp.tables), [0] * len(dp.tables))
     finally:
         del rec  # rec reaches itself through its closure: break the cycle
     return nodes
@@ -575,10 +530,11 @@ class _PenaltyTable:
     """One shift's penalties over one window language, kept on the system.
 
     lo[p][q] and hi[p][q] are lo^2 and hi^2 of rho(s . lang[p], lang[q])
-    scaled by the plan's scale.  A frontier DP term between a new pattern x
-    and a placed partner y reads them by kind: _FWD pen(y, x) (the edge
-    y -> x), _BWD pen(x, y), and _LOOP pen(x, x), whose only partner is 0.
-    The views below are built on first use and kept with the table.
+    scaled by the plan's scale, the only penalties the DPs and the scan
+    read.  A term between a new pattern x and a placed partner y reads them
+    by kind: _FWD pen(y, x) (the edge y -> x), _BWD pen(x, y), and _LOOP
+    pen(x, x), whose only partner is 0.  The views below are built on first
+    use and kept with the table.
     """
 
     def __init__(self, plan, lang, s_index):
@@ -763,7 +719,9 @@ class _Context(NamedTuple):
 
 
 class _FrontierDP:
-    """The counts of one stage with a partition cover, on any group.
+    """The counts of one stage with a partition cover, on any group, and
+    the step plan, penalty tables, cap and budget that _scan walks for a
+    general cover (whose cells are the single patterns).
 
     A microstate's penalty in shift s is the sum over the points i of
     pen_s(x_i, x_{sigma_s(i)}), with lo^2 for outer and hi^2 for inner, and
@@ -1333,8 +1291,7 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
     strategy 'pruned' runs the scan behind count_microstates; 'naive'
     checks every tuple of the full product space.
     """
-    scans = {"pruned": _scan, "naive": _naive_scan}
-    if strategy not in scans:
+    if strategy not in ("pruned", "naive"):
         raise ArgumentError(f"unknown strategy {strategy!r}")
     delta, plan, lang = _stage(system, F, delta, sigma, window)
     inner_out = []
@@ -1349,8 +1306,11 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
             if inner_ok:
                 inner_out.append(t)
 
-        scans[strategy](plan, lang, delta, sigma, _PackedSums(prune, [], sigma.d, len(lang)),
-                        leaf, budget)
+        packing = _PackedSums(prune, [], sigma.d, len(lang))
+        if strategy == "naive":
+            _naive_scan(plan, lang, delta, sigma, packing, leaf, budget)
+        else:
+            _scan(_FrontierDP(plan, lang, delta, sigma, range(len(lang)), budget), packing, leaf)
         inner_out.sort()
         outer_out.sort()
     return (MicrostateSet(system, window, sigma.d, tuple(inner_out)),
@@ -1360,24 +1320,31 @@ def enumerate_microstates_both(system: SymbolicSystem, F, delta, sigma,
 def _naive_scan(plan, lang, delta, sigma, packing, leaf, budget):
     """_scan by checking each of the len(lang)^d tuples in full.
 
-    The filter is checked on packing.required's tables directly, not on
-    packed sums, and leaf gets None for them.
+    The penalties come from plan.distances, memoised here, and each sum is
+    compared with the exact threshold d delta^2 scale^2.  The filter is
+    checked on packing.required's tables directly, not on packed sums, and
+    leaf gets None for them.
     """
     d = sigma.d
     if len(lang) ** d > budget:
         raise ResourceBudgetError(f"naive scan of {len(lang)}^{d} tuples exceeds budget")
-    t_num, t_den, penalties = _penalties(plan, lang, delta, sigma)
+    threshold = d * delta * delta * plan.scale * plan.scale
     perms = [sigma.image_array(s) for s in plan.shifts]
+    squares = {}  # (shift index, p, q) -> (lo^2, hi^2)
     for combo in itertools.product(range(len(lang)), repeat=d):
         sums_out = [0] * len(perms)
         sums_in = [0] * len(perms)
         for s_index, perm in enumerate(perms):
             for i in range(d):
-                po, pi_ = penalties(s_index, combo[i], combo[perm[i]])
-                sums_out[s_index] += po
-                sums_in[s_index] += pi_
-        if all(v * t_den < t_num for v in sums_out) and _passes(packing.required, combo):
-            leaf(combo, all(v * t_den < t_num for v in sums_in), None)
+                key = (s_index, combo[i], combo[perm[i]])
+                if key not in squares:
+                    lo, hi = plan.distances(lang[key[1]], lang[key[2]], s_index)
+                    squares[key] = lo * lo, hi * hi
+                lo2, hi2 = squares[key]
+                sums_out[s_index] += lo2
+                sums_in[s_index] += hi2
+        if all(v < threshold for v in sums_out) and _passes(packing.required, combo):
+            leaf(combo, all(v < threshold for v in sums_in), None)
 
 
 def _passes(tables, indices) -> bool:

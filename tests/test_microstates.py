@@ -312,6 +312,14 @@ def _overlapping_cover(system):
                              [v for v in lang if "1" in v]])
 
 
+def _two_sided_cover(system, sites):
+    """{a 0 in x_a x_b} and {a 1 in x_a x_b} for two sites a, b: a cover,
+    not a partition, whose product cover family holds at most 2^d sets."""
+    w = system.window(sites)
+    lang = system.language_values(w)
+    return Cover(system, w, [[v for v in lang if "0" in v], [v for v in lang if "1" in v]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(_instances())
 def test_streamed_counts_match_naive_oracle(instance):
@@ -550,14 +558,19 @@ def _cycle_instances(draw):
 @settings(max_examples=80, deadline=None)
 @given(_cycle_instances())
 def test_cycle_dp_matches_naive_oracle(instance):
-    _check_dp_against_naive(*instance)
+    _check_against_naive(*instance)
 
 
-def _check_dp_against_naive(system, window, sigma, F, delta, mf, filters):
-    cover = origin_partition(system)
+def _check_against_naive(system, window, sigma, F, delta, mf, filters, cover=None):
+    """count_microstates' m, N, filtered counts and unmatched against the
+    naive oracle; cover None is origin_partition.  A partition takes the
+    DP, any other cover the scan."""
+    if cover is None:
+        cover = origin_partition(system)
+    method = "dp" if cover.is_partition else "scan"
     got, got_filtered = count_microstates(system, F, delta, sigma, window, cover,
                                           measure_filter=mf, filters=filters)
-    assert got.method == "dp" and all(c.method == "dp" for c in got_filtered)
+    assert got.method == method and all(c.method == method for c in got_filtered)
     inner, outer = enumerate_microstates_both(system, F, delta, sigma, window,
                                               measure_filter=mf, strategy="naive")
 
@@ -612,7 +625,7 @@ def test_cycle_dp_on_finite_and_free_groups_matches_naive_oracle(stage, delta):
     mf = MeasureFilter.build(fair, at[:1], "0.25")
     filters = [MeasureFilter.build(fair, at, "0.2"), MeasureFilter.build(fair, at[1:], "0.4")]
     for prune in (None, mf):
-        _check_dp_against_naive(system, window, sigma, [s], delta, prune, filters)
+        _check_against_naive(system, window, sigma, [s], delta, prune, filters)
 
 
 def test_counting_method_names_the_path(gm, gm_origin, fs):
@@ -716,11 +729,12 @@ FRONTIER_SYSTEMS = _frontier_systems()
 
 
 @st.composite
-def _partition_stages(draw):
-    """Any partition stage the naive oracle can check: Z, Z^2, Z/n and F_2;
-    one or two shifts; each sigma_s a single cycle, a permutation with
-    several cycles, a self-map that is not a permutation, or the group's
-    own model (cyclic, Folner identity fallback, regular, random free)."""
+def _frontier_stages(draw, general=False):
+    """Any stage the naive oracle can check: Z, Z^2, Z/n and F_2; one or
+    two shifts; each sigma_s a single cycle, a permutation with several
+    cycles, a self-map that is not a permutation, or the group's own model
+    (cyclic, Folner identity fallback, regular, random free).  The cover is
+    origin_partition, or if general a two-sided cover on two window sites."""
     name = draw(st.sampled_from(sorted(FRONTIER_SYSTEMS)))
     system, window, shift_sets, model = FRONTIER_SYSTEMS[name]
     F = draw(st.sampled_from(shift_sets))
@@ -763,15 +777,29 @@ def _partition_stages(draw):
 
     mf = measure_filter() if draw(st.booleans()) else None
     filters = [measure_filter() for _ in range(draw(st.integers(0, 2)))]
-    return system, window, sigma, F, delta, mf, filters
+    cover = None
+    if general:
+        sites = draw(st.lists(st.sampled_from(window.elements), min_size=2, max_size=2,
+                              unique=True))
+        cover = _two_sided_cover(system, sites)
+    return system, window, sigma, F, delta, mf, filters, cover
 
 
 @settings(max_examples=200, deadline=None)
-@given(_partition_stages())
+@given(_frontier_stages())
 def test_frontier_dp_matches_naive_oracle(stage):
     """Every partition stage takes the DP, and its m, N, filtered counts,
     unmatched and unmatched_rows equal the naive oracle's."""
-    _check_dp_against_naive(*stage)
+    _check_against_naive(*stage)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_frontier_stages(general=True))
+def test_scan_matches_naive_oracle_on_every_stage_shape(stage):
+    """The scan walks the frontier DP's steps on every stage shape: with a
+    general cover it counts, and its m, N, filtered counts, unmatched and
+    unmatched_rows equal the naive oracle's."""
+    _check_against_naive(*stage)
 
 
 @pytest.mark.parametrize("system, window, F, images, delta", [
@@ -787,7 +815,7 @@ def test_frontier_dp_keeps_every_pareto_least_vector(system, window, F, images, 
     d = len(images[1])
     sigma = SoficMap(STREAM_GM.group, d, images={(s,): image for s, image in images.items()},
                      provenance="random")
-    _check_dp_against_naive(system, system.interval_window(*window), sigma, F, delta, None, [])
+    _check_against_naive(system, system.interval_window(*window), sigma, F, delta, None, [])
 
 
 @settings(max_examples=30, deadline=None)
@@ -913,6 +941,19 @@ def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
         count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, budget=2326)
 
 
+def test_scan_budget_cut_point_is_pinned(gm):
+    """Golden mean, d = 8, delta = 1/5, window [-1, 1], F = {1}: every
+    candidate the scan tries is one node, the break candidate of a step
+    included, so the stage's 4,695 outer microstates take 22,447 nodes and
+    one node less raises."""
+    w = gm.interval_window(-1, 1)
+    sigma = cyclic_model(gm.group, 8)
+    inner, outer = enumerate_microstates_both(gm, [1], Fraction(1, 5), sigma, w, budget=22447)
+    assert (len(inner), len(outer)) == (0, 4695)
+    with pytest.raises(ResourceBudgetError, match="enumeration budget"):
+        enumerate_microstates_both(gm, [1], Fraction(1, 5), sigma, w, budget=22446)
+
+
 # the tuple counts m on the DP path are counted on first read ------------------
 
 
@@ -979,6 +1020,32 @@ def test_dp_m_read_is_cut_by_the_budget_and_never_a_number(gm, gm_origin):
                 read()
 
 
+def test_repr_shows_only_the_sizes_already_read(gm, gm_origin, monkeypatch):
+    """repr never runs a counting DP: on a stage whose m the budget cuts it
+    still works, and m and unmatched appear once a read has counted them."""
+    w = gm.interval_window(-2, 2)
+    cut, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 12), w,
+                               gm_origin, budget=2327)
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 6), w,
+                               gm_origin)
+    sequences = soficlab.microstates._FrontierDP.sequences
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", _no_counting_dp)
+    assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
+    assert repr(got) == "MicrostateCounts(n_inner=18, n_outer=18, method='dp')"
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", sequences)
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        cut.m_outer
+    assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
+    got.m_outer
+    assert repr(got).startswith("MicrostateCounts(m_outer=6010, n_inner=18, n_outer=18, "
+                                "unmatched=6010, unmatched_rows=((0, 0, 0, 0, 0, 0), ")
+    got.m_inner
+    assert repr(got).startswith("MicrostateCounts(m_inner=427, m_outer=6010, ")
+    assert repr(MicrostateCounts(1, 2, 3, 4)) == (
+        "MicrostateCounts(m_inner=1, m_outer=2, n_inner=3, n_outer=4, unmatched=0, "
+        "unmatched_rows=(), method='scan')")
+
+
 def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):
     """m read lazily equals m counted eagerly, only the unfiltered counts
     carry unmatched, and equality, hashing and the positional constructor
@@ -1019,13 +1086,17 @@ def test_dp_trace_reach_at_delta_one_tenth(gm, gm_origin, d, inner, outer):
 
 ORACLE_ONLY = {"_passes", "_naive_scan", "enumerate_microstates_both", "filter_microstates",
                "count_cover", "MicrostateSet", "microstate_check"}
+# what the oracles that decide membership must compute on their own
+PRODUCTION_ONLY = {"_FrontierDP", "_PenaltyTable", "_penalty_table", "cap"}
 
 
 def test_oracle_only_code_stays_in_the_oracle_block():
     """No library path goes through the materialised microstates: in
     soficlab's source their names occur only in the test-oracle block at
-    the end of microstates.py."""
-    seen = set()
+    the end of microstates.py.  And the oracles stay independent:
+    _naive_scan and microstate_check read neither the DP's penalty tables
+    nor its integer cap."""
+    seen, guarded = set(), set()
     for path in sorted(Path(soficlab.microstates.__file__).parent.glob("*.py")):
         text = path.read_text()
         block = math.inf
@@ -1037,4 +1108,11 @@ def test_oracle_only_code_stays_in_the_oracle_block():
             for name in names & ORACLE_ONLY:
                 assert node.lineno > block, f"{path.name}:{node.lineno} uses {name}"
                 seen.add(name)
-    assert seen == ORACLE_ONLY
+            if path.name == "microstates.py" and isinstance(node, ast.FunctionDef) and (
+                    node.name in ("_naive_scan", "microstate_check")):
+                for inner in ast.walk(node):
+                    names = {getattr(inner, field, None) for field in ("id", "attr", "arg")}
+                    used = names & PRODUCTION_ONLY
+                    assert not used, f"{node.name} uses {used}"
+                guarded.add(node.name)
+    assert seen == ORACLE_ONLY and guarded == {"_naive_scan", "microstate_check"}
