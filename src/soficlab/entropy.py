@@ -87,7 +87,7 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
         log_cover_count=log_big(n_cover) if n_cover else NEG_INF,
     )
     for stage, sigma in enumerate(maps):
-        method = counting_method(system, F, sigma, cover)
+        method = counting_method(cover)
         try:
             counts, _ = count_microstates(system, F, delta, sigma, window, cover,
                                           measure_filter=measure_filter, budget=budget)

@@ -21,7 +21,10 @@ merge (min-plus determinisation of a weighted automaton, after Mohri
 1997), and no tuple is visited.  A general cover takes the same steps
 without merging, as a depth-first scan of the tuples.  Both paths read
 one penalty table per shift, compare with one integer cap, and carry a
-measure filter's sums as one packed int (_PackedSums).
+measure filter's sums as one packed int (_PackedSums).  The DP carries
+the sums of a table constant on cells beside its maps, not in their
+keys, so one DP run counts the unfiltered tally and every filter of that
+kind, and keeps its successor memo.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -378,7 +381,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
     if not lang:
-        empty = MicrostateCounts(0, 0, 0, 0, method=counting_method(system, F, sigma, cover))
+        empty = MicrostateCounts(0, 0, 0, 0, method=counting_method(cover))
         return empty, (empty,) * len(filters)
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
@@ -425,13 +428,17 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
 
 
 def _count_by_dp(dp, prune, tables):
-    """count_microstates' result from the frontier DP: the signature DP per
-    tally now, the counting DPs behind m when a caller reads m."""
+    """count_microstates' result from the frontier DP: the signature DPs now,
+    the counting DPs behind m when a caller reads m.  One signature DP
+    tallies the unfiltered counts and every filter whose tables are constant
+    on cells; a filter holding any other table takes a run of its own."""
     sizes = _DPSizes(dp, _PackedSums(prune, tables, dp.d, dp.n))
-    counts = []
-    for k, own in enumerate([[]] + tables):
-        n_inner, n_outer = dp.signatures(_PackedSums(prune + own, [], dp.d, dp.n))
-        counts.append(MicrostateCounts._read_later(sizes, k, n_inner, n_outer, "dp"))
+    beside = [all(map(dp.on_cells, own)) for own in tables]
+    shared = iter(dp.signatures(prune, [own for own, ok in zip(tables, beside) if ok]))
+    found = [next(shared)] + [next(shared) if ok else dp.signatures(prune + own)[0]
+                              for own, ok in zip(tables, beside)]
+    counts = [MicrostateCounts._read_later(sizes, k, n_inner, n_outer, "dp")
+              for k, (n_inner, n_outer) in enumerate(found)]
     return counts[0], tuple(counts[1:])
 
 
@@ -515,7 +522,7 @@ def _scan(dp, packing, leaf) -> int:
 # frontier DP ----------------------------------------------------------------------
 
 
-def counting_method(system: SymbolicSystem, F, sigma, cover: Cover) -> str:
+def counting_method(cover: Cover) -> str:
     """The path count_microstates takes on a stage: "dp" (the frontier DP)
     for a partition cover, "scan" (the tuple scan) for a general cover.
     Only the cover decides: the DP counts every partition stage, on every
@@ -730,10 +737,13 @@ class _FrontierDP:
     its two points is placed, a self-loop when its point is, except that the
     last point scores its other terms on the final maps.  The patterns
     on the frontier, read as base-n digits, form one int code, and a state
-    key packs it with the filter sums: code + n^width * sums.  Filter sums
-    are carried exactly as integers; required tables (the pruning filter,
-    and a tally's own filter in the signature DP) drop a partial sequence
-    as soon as no completion can pass them.
+    key packs it with the sums of the filter tables kept in the keys: code
+    + n^width * sums.  Filter sums are carried exactly as integers;
+    required tables (the pruning filter, and in the signature DP a
+    filter's own tables when it takes a run of its own) drop a partial
+    sequence as soon as no completion can pass them.  The signature DP
+    keeps the sums of tables constant on cells beside its maps instead
+    (see signatures).
     """
 
     def __init__(self, plan, lang, delta, sigma, table, budget):
@@ -796,9 +806,18 @@ class _FrontierDP:
             out.append((s, self.n ** (width if slot is None else slot), rows))
         return out
 
-    def signatures(self, packing):
-        """(n_inner, n_outer): how many cell sequences some microstate passing
-        every table of packing.required realises, in each certified mode.
+    def on_cells(self, table):
+        """Whether table takes one value on each cell, so that a sequence's
+        sum is fixed by its cells (as an origin-site indicator's is under
+        origin_partition)."""
+        values = table.values
+        return all(len({values[x] for x in cell}) == 1 for cell in self.cells)
+
+    def signatures(self, required, filters=()):
+        """Per tally, (n_inner, n_outer): how many cell sequences some
+        microstate passing every table of required realises, in each
+        certified mode.  Tally 0 counts those, tally k + 1 those that also
+        pass filters[k], every table of which must be constant on cells.
 
         After a prefix of placed points, what the rest can still do depends
         only on one map: state key -> least penalties over the prefix's
@@ -809,27 +828,41 @@ class _FrontierDP:
         existence question.  Prefixes with equal maps merge and carry their
         multiplicity; only equal maps merge, so the counts are exact.
 
-        A map's successors depend only on the step's kind unless a table is
-        required, which is decided on the count of placed points.  So with
-        no required table each live map's successors are built once per run
-        of equal kinds (_successors) and looked up after, with equal maps
-        held as one object; with one, or when the next step's kind differs,
-        nothing is kept.
+        A table constant on cells (on_cells) has its sums fixed by the cell
+        sequence, so they ride beside the maps: each map carries {beside
+        sums: multiplicity}, a successor under cell c advances them by c's
+        increment, a required one is checked once per (map, sums) pair, and
+        the tallies are read off the final pairs.  With no such table a
+        multiplicity is a plain int.  A required table that is not constant
+        on cells stays in the entry keys (code + n^width * sums) and is
+        decided on the count of placed points.
+
+        So a map's successors depend only on the step's kind unless a table
+        stays in the keys.  Without one, each live map's successors are built
+        once per run of equal kinds (_successors) and looked up after, with
+        equal maps held as one object; with one, or when the next step's
+        kind differs, nothing is kept.
         """
+        d, n = self.d, self.n
+        keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
+        beside = _PackedSums([t for t in required if self.on_cells(t)], filters, d, n)
+        moves = [beside.increment[cell[0]] for cell in self.cells]
+        feasible = beside.feasible if beside.required else None
+        plain = not (beside.required or filters)  # a multiplicity is an int
         several = len(self.tables) > 1
         self._values = {}  # with several shifts: one object per equal entry value
         start = ((0,) * len(self.tables),)
-        states = {frozenset({(0, (start, start) if several else (0, 0))}): 1}
+        states = {frozenset({(0, (start, start) if several else (0, 0))}): 1 if plain else {0: 1}}
         self.spend(len(self.cells))  # the first step starts one map per cell
         kind = None
         for count, step in enumerate(self.steps, 1):
             if count > 1:
                 self.spend(len(states))
             if step.kind != kind:
-                kind, ctx = step.kind, self._context(step, packing, several)
+                kind, ctx = step.kind, self._context(step, keyed, several)
                 memo, canonical = {}, {}  # live map -> its successors
             # keep successors only for a next step of the same kind
-            store = (not packing.required and count < len(self.steps)
+            store = (not keyed.required and count < len(self.steps)
                      and self.steps[count].kind == kind)
             merged = {}
             for state, multiplicity in states.items():
@@ -837,20 +870,40 @@ class _FrontierDP:
                 if row is None:
                     row = self._successors(ctx, state, count)
                     if store:
-                        row = memo[state] = [canonical.setdefault(nxt, nxt) for nxt in row]
-                for nxt in row:
-                    merged[nxt] = merged.get(nxt, 0) + multiplicity
+                        row = memo[state] = [(cell, canonical.setdefault(nxt, nxt))
+                                             for cell, nxt in row]
+                if plain:
+                    for _, nxt in row:
+                        merged[nxt] = merged.get(nxt, 0) + multiplicity
+                    continue
+                for cell, nxt in row:
+                    move, bucket = moves[cell], merged.get(nxt)
+                    for sums, m in multiplicity.items():
+                        sums += move
+                        if feasible is None or feasible(sums, count):
+                            if bucket is None:
+                                bucket = merged[nxt] = {}
+                            bucket[sums] = bucket.get(sums, 0) + m
             if store:  # forget the maps that left
                 memo = {s: memo[s] for s in merged if s in memo}
                 canonical = {s: s for s in merged}
             states = merged
-        n_inner = n_outer = 0
         closing = self._closing()
+        realised = {}  # beside sums -> [inner, outer] cell sequences with them
         for state, multiplicity in states.items():
             inner, outer = self._accepts(state, closing, several)
-            n_inner += inner * multiplicity
-            n_outer += outer * multiplicity
-        return n_inner, n_outer
+            if outer:
+                for sums, m in [(0, multiplicity)] if plain else multiplicity.items():
+                    found = realised.setdefault(sums, [0, 0])
+                    found[0] += inner * m
+                    found[1] += m
+        tallies = [[0, 0] for _ in range(len(filters) + 1)]
+        for sums, found in realised.items():
+            for tally, ok in zip(tallies, (True, *beside.passed(sums))):
+                if ok:
+                    tally[0] += found[0]
+                    tally[1] += found[1]
+        return [tuple(tally) for tally in tallies]
 
     def _closing(self, inner=None):
         """(n^width, terms) of the final frontier: a final key's code is key
@@ -920,9 +973,9 @@ class _FrontierDP:
         return hit
 
     def _successors(self, ctx, state, count):
-        """The maps after state and one more point, one for each cell under
-        which some entry survives.  count is the number of placed points
-        after the step; only a required table reads it."""
+        """(cell, map) for each cell under which some entry of state survives
+        one more point: the map after it.  count is the number of placed
+        points after the step; only a required table in the keys reads it."""
         if ctx.several:
             return self._pareto_successors(ctx, state, count)
         after, kinc, feasible, decoded = ctx.after, ctx.kinc, ctx.feasible, ctx.decoded
@@ -956,7 +1009,7 @@ class _FrontierDP:
                     elif nlo < old[0] or nhi < old[1]:
                         entries[nkey] = (min(nlo, old[0]), min(nhi, old[1]))
             if entries:
-                row.append(frozenset(entries.items()))
+                row.append((cell, frozenset(entries.items())))
         return row
 
     def _pareto_successors(self, ctx, state, count):
@@ -1017,7 +1070,7 @@ class _FrontierDP:
                 value = (_least(outs), _least(ins))
                 entries[nkey] = values.setdefault(value, value)
             if entries:
-                row.append(frozenset(entries.items()))
+                row.append((cell, frozenset(entries.items())))
         return row
 
     def sequences(self, inner, packing, rows_wanted=0):
@@ -1192,8 +1245,10 @@ class _PackedSums:
         self.radix = [d * (high - low) + 1 for low, high in zip(self.low, self.high)]
         self.base = [math.prod(self.radix[:k]) for k in range(len(tables))]
         self.span = math.prod(self.radix)  # every packed value is below span
-        self.increment = [sum((t.values[x] - low) * b
-                         for t, low, b in zip(tables, self.low, self.base)) for x in range(n)]
+        self.increment = [0] * n
+        for t, low, b in zip(tables, self.low, self.base):
+            for x, value in enumerate(t.values):
+                self.increment[x] += (value - low) * b
         self._feasible = [{} for _ in range(d + 1)]  # per count: packed -> verdict
         self._passed = {}
 

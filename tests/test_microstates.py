@@ -618,7 +618,7 @@ def test_cycle_dp_on_finite_and_free_groups_matches_naive_oracle(stage, delta):
     _, system, window, sigma, s = stage
     if delta is None:
         delta = zero_defect_delta(system, window, [s], sigma.d)
-    assert counting_method(system, [s], sigma, origin_partition(system)) == "dp"
+    assert counting_method(origin_partition(system)) == "dp"
     fair = BernoulliMeasure(system, ["0.5", "0.5"])
     at = [TestFunction.indicator(system.pattern(system.window([g]), ("0",)))
           for g in window.elements]
@@ -640,19 +640,19 @@ def test_counting_method_names_the_path(gm, gm_origin, fs):
              ([1], two_cycles, gm_origin, "dp"),
              ([1, 2], cyclic_model(gm.group, 5), gm_origin, "dp")]
     for F, sigma, cover, method in cases:
-        assert counting_method(gm, F, sigma, cover) == method
+        assert counting_method(cover) == method
         assert count_microstates(gm, F, delta, sigma, w, cover)[0].method == method
         assert sofic_topological_trace(gm, cover, F, delta, [sigma], w).rows[0].method == method
     general = _overlapping_cover(fs)
     sigma = cyclic_model(fs.group, 3)
     got = count_microstates(fs, [1], delta, sigma, fs.interval_window(0, 1), general)[0]
-    assert got.method == "scan" == counting_method(fs, [1], sigma, general)
+    assert got.method == "scan" == counting_method(general)
 
 
 def test_dp_budget_cut_raises_and_trace_marks_row(gm, gm_origin):
     sigma = cyclic_model(gm.group, 8)
     w = gm.interval_window(-2, 2)
-    assert counting_method(gm, [1], sigma, gm_origin) == "dp"
+    assert counting_method(gm_origin) == "dp"
     with pytest.raises(ResourceBudgetError, match="DP"):
         count_microstates(gm, [1], "0.1", sigma, w, gm_origin, budget=1000)
     row = sofic_topological_trace(gm, gm_origin, [1], "0.1", [sigma], w, budget=1000).rows[0]
@@ -802,6 +802,67 @@ def test_scan_matches_naive_oracle_on_every_stage_shape(stage):
     _check_against_naive(*stage)
 
 
+@st.composite
+def _mixed_filter_stages(draw):
+    """A stage of _frontier_stages whose one call mixes filters constant on
+    cells (indicators at the origin, the site origin_partition reads) with
+    filters holding a table that is not (an indicator at another window
+    site, which each of these languages leaves free within a cell); the
+    pruning filter is of either kind, or absent.  Returns the stage and the
+    number of filters holding a table that is not constant on cells."""
+    system, window, sigma, F, delta, _, _, _ = draw(_frontier_stages())
+    origin = system.group.identity
+    others = [g for g in window.elements if g != origin]
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+
+    def measure_filter(constant):
+        sites = [origin] if constant else draw(st.sampled_from(
+            [[g] for g in others] + [[origin, g] for g in others]))
+        functions = [TestFunction.indicator(system.pattern(system.window([g]),
+                                                           (draw(st.sampled_from("01")),)))
+                     for g in sites]
+        return MeasureFilter.build(fair, functions, draw(st.sampled_from(["0.2", "0.3", "0.5"])))
+
+    kinds = draw(st.permutations([True, False] + draw(st.lists(st.booleans(), max_size=1))))
+    filters = [measure_filter(constant) for constant in kinds]
+    prune = draw(st.sampled_from([None, True, False]))
+    mf = None if prune is None else measure_filter(prune)
+    return (system, window, sigma, F, delta, mf, filters, None), kinds.count(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_filter_stages())
+def test_one_signature_dp_tallies_every_filter_constant_on_cells(stage):
+    """Filters constant on cells and filters that are not, in one call, with
+    a pruning filter of either kind: the counts equal the naive oracle's,
+    and the signature DP runs once for the unfiltered tally and every
+    constant filter, plus once per filter holding another table."""
+    stage, own_runs = stage
+    signatures = soficlab.microstates._FrontierDP.signatures
+    runs = []
+
+    def spy(dp, *args, **kwargs):
+        runs.append(1)
+        return signatures(dp, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soficlab.microstates._FrontierDP, "signatures", spy)
+        _check_against_naive(*stage)
+    assert len(runs) == 1 + own_runs
+
+
+@pytest.mark.parametrize("pruning", [True, False])
+def test_filter_with_one_value_on_the_language_is_decided(pruning):
+    """The golden mean never shows 11, so the indicator of 11 is 0 on every
+    pattern: constant on cells, with one possible sum.  Its share must be
+    near 1/4, so no microstate passes it, pruning or tallied."""
+    window = STREAM_GM.interval_window(-1, 1)
+    never = TestFunction.indicator(STREAM_GM.pattern(STREAM_GM.window([0, 1]), ("1", "1")))
+    mf = MeasureFilter.build(BernoulliMeasure(STREAM_GM, ["0.5", "0.5"]), [never], "0.1")
+    _check_against_naive(STREAM_GM, window, cyclic_model(STREAM_GM.group, 5), [1], "0.35",
+                         mf if pruning else None, [] if pruning else [mf])
+
+
 @pytest.mark.parametrize("system, window, F, images, delta", [
     (STREAM_GM, (0, 2), [1, -1], {1: [3, 0, 1, 4, 2], -1: [4, 3, 2, 0, 1]}, "0.35"),
     (STREAM_GM, (-1, 1), [1, -1], {1: [3, 2, 0, 1], -1: [1, 0, 2, 3]}, "0.5"),
@@ -928,6 +989,37 @@ def test_signature_dp_builds_no_transition_once_the_maps_saturate(fs, fs_origin,
     assert 0 < per_d[64] <= per_d[16]
 
 
+def test_signature_dp_memo_works_under_a_filter_constant_on_cells(fs, fs_origin, fair,
+                                                                  monkeypatch):
+    """The same stages under a pruning filter constant on cells (the share
+    of 1s at the origin): its sums ride beside the maps, so the maps still
+    saturate and d = 64 builds no more successor rows than d = 16.  At zero
+    defect a full-shift microstate is any word, so N_outer counts the words
+    whose share of 1s is within delta of 1/2."""
+    successors = soficlab.microstates._FrontierDP._successors
+    built = []
+
+    def spy(dp, *args):
+        built.append(1)
+        return successors(dp, *args)
+
+    monkeypatch.setattr(soficlab.microstates._FrontierDP, "_successors", spy)
+    w = fs.interval_window(-2, 2)
+    at_origin = TestFunction.indicator(fs.pattern(fs.window([0]), ("1",)))
+    per_d = {}
+    for d in (16, 64):
+        built.clear()
+        delta = zero_defect_delta(fs, w, [1], d)
+        row = sofic_measure_trace(fs, fs_origin, fair, [at_origin], [1], delta,
+                                  [cyclic_model(fs.group, d)], w).rows[0]
+        expected = sum(math.comb(d, k) for k in range(d + 1)
+                       if abs(Fraction(k, d) - Fraction(1, 2)) < delta)
+        assert row.method == "dp" and not row.incomplete
+        assert row.count_outer == expected > 0
+        per_d[d] = len(built)
+    assert 0 < per_d[64] <= per_d[16]
+
+
 def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
     """Golden mean, d = 12, delta = 1/10, window [-2, 2]: a step charges its
     live maps times the language size, whether their successors are built
@@ -939,6 +1031,23 @@ def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
     assert got.n_inner == got.n_outer == _lucas(12)
     with pytest.raises(ResourceBudgetError, match="DP"):
         count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, budget=2326)
+
+
+def test_filtered_signature_dp_budget_cut_point_is_pinned(gm, gm_origin, parry):
+    """The same stage with the Parry filter at the origin, which is constant
+    on cells: it is tallied in the unfiltered run, so the stage costs what
+    the unfiltered one does, 2,327 units, and one unit less raises."""
+    w = gm.interval_window(-2, 2)
+    sigma = cyclic_model(gm.group, 12)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    mf = MeasureFilter.build(parry, [at_origin], Fraction(1, 10))
+    got, (filtered,) = count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin,
+                                         filters=[mf], budget=2327)
+    assert got.n_inner == got.n_outer == _lucas(12)
+    assert filtered.n_inner == filtered.n_outer == 217
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, filters=[mf],
+                          budget=2326)
 
 
 def test_scan_budget_cut_point_is_pinned(gm):
@@ -1082,6 +1191,20 @@ def test_dp_trace_reach_at_delta_one_tenth(gm, gm_origin, d, inner, outer):
                                   [cyclic_model(gm.group, d)], w).rows[0]
     assert not row.incomplete and row.method == "dp"
     assert (row.count_inner, row.count_outer) == (inner, outer)
+
+
+def test_variational_reach_at_delta_one_tenth(gm, gm_origin, parry):
+    """check_variational on the golden mean, window [-2, 2], delta = 1/10,
+    the Parry filter at the origin, d = 32, under the default budget: one
+    signature DP gives the unfiltered and the filtered counts."""
+    w = gm.interval_window(-2, 2)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    report = check_variational(gm, gm_origin, [("parry", parry)], [at_origin], [1],
+                               [Fraction(1, 10)], [cyclic_model(gm.group, 32)], w)
+    (row,) = report.rows
+    assert report.ok
+    assert (row.count_unfiltered_inner, row.count_unfiltered_outer) == (_lucas(32),) * 2
+    assert (row.count_filtered_inner, row.count_filtered_outer) == (4_695_844, 4_695_844)
 
 
 ORACLE_ONLY = {"_passes", "_naive_scan", "enumerate_microstates_both", "filter_microstates",
