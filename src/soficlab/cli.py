@@ -25,8 +25,7 @@ from .entropy import (amenable_measure_trace, amenable_topological_trace,
 from .errors import ResourceBudgetError, SoficLabError, SpecError
 from .microstates import count_microstates
 from .sofic import freeness_defect, mult_defect
-from .specfile import (build_system, build_task_arguments, cross_validate, load_spec,
-                       spec_hash)
+from .specfile import build_system, build_task_arguments, cross_validate, load_spec, read_spec
 from .symbolic import as_fraction
 from .tiling import amenable_exact_tile, sofic_quasi_tile
 
@@ -320,7 +319,7 @@ def run(spec_path, out_dir=None, budget_nodes=None) -> int:
     if budget_nodes is not None and budget_nodes < 1:
         raise SpecError(f"node budget must be >= 1, got {budget_nodes}",
                         field="--budget-nodes")
-    spec = load_spec(spec_path)
+    spec, digest = read_spec(spec_path)  # one read, so the header names the bytes that ran
     diagnostics = cross_validate(spec)
     if diagnostics:
         for d in diagnostics:
@@ -330,7 +329,7 @@ def run(spec_path, out_dir=None, budget_nodes=None) -> int:
     out = Path(out_dir or os.environ.get("SOFICLAB_OUT") or ".")
     out.mkdir(parents=True, exist_ok=True)
     prefix = spec.get("out", {}).get("prefix") or Path(spec_path).stem
-    writer = ArtifactWriter(out, prefix, spec_hash(spec_path), spec["task"],
+    writer = ArtifactWriter(out, prefix, digest, spec["task"],
                             spec.get("params", {}))
     budget = 2_000_000 if budget_nodes is None else budget_nodes
     try:

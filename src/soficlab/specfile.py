@@ -2,15 +2,24 @@
 
 One spec file describes one task over one symbolic system.  Every parameter
 is echoed into output headers together with the sha256 of the spec file, so
-a result is reproducible from the artifact alone.
+a result is reproducible from the artifact alone; ``read_spec`` parses and
+hashes one read of the file, so that digest names the bytes that ran.
+
+``SCHEMA`` is a JSON Schema (Draft 2020-12) and the single source of truth
+for a spec's shape.  A small walker over it (``_violations``,
+``_best_match``) validates on the standard library alone: it interprets just
+the keywords SCHEMA uses, refuses any other at import, and reports the error
+``jsonschema.validate`` would raise, with jsonschema's message and its
+best-match choice.  jsonschema itself is a test-only oracle for the walker.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import io
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import SpecError
 from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, folner_set
@@ -42,8 +51,6 @@ _PATTERN = {
     },
     "additionalProperties": False,
 }
-
-_NUMBER = {"anyOf": [{"type": "string"}, {"type": "number"}]}
 
 SCHEMA = {
     "type": "object",
@@ -83,44 +90,158 @@ SCHEMA = {
 }
 
 
-@functools.cache
-def _validator():
-    """SCHEMA's validator, built on the first spec load and reused.
+# the keywords of JSON Schema Draft 2020-12 that SCHEMA uses, the only ones
+# _violations interprets; _check_schema holds SCHEMA to them at import
+_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties", "items",
+             "minItems", "minimum", "anyOf"}
 
-    jsonschema is imported here and not with soficlab, which runs without it
-    until a spec is read; jsonschema.validate would also check SCHEMA
-    against its metaschema on every call, which costs far more than
-    validating a spec.
+# Draft 2020-12 types of parsed JSON: a bool is no integer, and 1.0 is one
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: (not isinstance(x, bool) and isinstance(x, int)
+                          or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: not isinstance(x, bool) and isinstance(x, (int, float)),
+}
+
+
+def _check_schema(schema: dict) -> None:
+    """Raise unless schema keeps to the keywords and forms _violations reads."""
+    unknown = set(schema) - _KEYWORDS
+    if (unknown or schema.get("type", "object") not in _TYPES
+            or schema.get("additionalProperties", False) is not False
+            # `in` agrees with jsonschema's enum equality on strings only (True == 1)
+            or not all(isinstance(v, str) for v in schema.get("enum", ()))):
+        raise ValueError(f"spec schema fragment not interpreted by the validator: {schema}")
+    for sub in (*schema.get("properties", {}).values(), *schema.get("anyOf", ()),
+                *([schema["items"]] if "items" in schema else ())):
+        _check_schema(sub)
+
+
+_check_schema(SCHEMA)
+
+
+class _Violation(NamedTuple):
+    """One schema error as jsonschema's Draft 2020-12 validator reports it.
+
+    path is relative to the instance the schema walk started at: the spec's
+    root, or the instance of the anyOf whose context holds the error.
     """
-    import jsonschema
 
-    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
-
-
-def spec_hash(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    path: tuple
+    keyword: str
+    message: str
+    matches_type: bool  # the error's schema has a type and the instance has it
+    context: tuple = ()  # an anyOf's errors, one run per failed alternative
 
 
-def load_spec(path) -> dict:
+def _violations(instance, schema: dict, path: tuple = ()):
+    """jsonschema's errors for instance under schema, in its order: schema
+    keyword order, then instance order, with jsonschema's messages."""
+    matches = "type" in schema and _TYPES[schema["type"]](instance)
+    for keyword, value in schema.items():
+        message, context = None, ()
+        if keyword == "type":
+            if not matches:
+                message = f"{instance!r} is not of type {value!r}"
+        elif keyword == "enum":
+            if instance not in value:
+                message = f"{instance!r} is not one of {value!r}"
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                for name in value:
+                    if name not in instance:
+                        yield _Violation(path, keyword, f"{name!r} is a required property",
+                                         matches)
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _violations(instance[name], sub, path + (name,))
+        elif keyword == "additionalProperties":  # false, as _check_schema holds
+            if isinstance(instance, dict):
+                extras = sorted(k for k in instance if k not in schema.get("properties", {}))
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = (f"Additional properties are not allowed "
+                               f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _violations(item, value, path + (index,))
+        elif keyword == "minItems":
+            if isinstance(instance, list) and len(instance) < value:
+                message = f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif keyword == "minimum":
+            if _TYPES["number"](instance) and instance < value:
+                message = f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "anyOf":
+            context = []
+            for sub in value:
+                errors = list(_violations(instance, sub))
+                if not errors:
+                    break
+                context += errors
+            else:
+                message = f"{instance!r} is not valid under any of the given schemas"
+        if message is not None:
+            yield _Violation(path, keyword, message, matches, tuple(context))
+
+
+def _relevance(v: _Violation) -> tuple:
+    """jsonschema's relevance key: max picks the shallowest, then the largest
+    path, then a keyword other than anyOf, then an instance off its type."""
+    return -len(v.path), v.path, v.keyword != "anyOf", not v.matches_type
+
+
+def _best_match(violations):
+    """(error, absolute path) as jsonschema's best_match picks them, or None.
+
+    From the most relevant error it descends into an anyOf's context, to the
+    least relevant error there, unless the two least relevant ones tie.
+    """
+    best = max(violations, key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best.path
+    while best.context:
+        smallest = sorted(best.context, key=_relevance)[:2]
+        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
+            break
+        best = smallest[0]
+        path += best.path
+    return best, path
+
+
+def read_spec(path) -> tuple[dict, str]:
+    """The schema-checked spec at path and the sha256 of the bytes it was read from."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read spec file: {exc}", field="<file>") from exc
+    try:
+        # newline=None reads line ends as a text-mode open() does
+        raw = json.load(io.StringIO(text, newline=None))
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}",
                         field="<json>") from exc
-    from jsonschema.exceptions import best_match
-
-    exc = best_match(_validator().iter_errors(raw))
-    if exc is not None:  # the error jsonschema.validate would raise
-        parts = [str(p) for p in exc.absolute_path]
-        if exc.validator == "required":
+    found = _best_match(_violations(raw, SCHEMA))
+    if found is not None:  # the error jsonschema.validate would raise
+        error, where = found
+        parts = [str(p) for p in where]
+        if error.keyword == "required":
             # name the missing property itself, e.g. system.alphabet
-            missing = exc.message.split("'")[1]
-            parts.append(missing)
+            parts.append(error.message.split("'")[1])
         field = ".".join(parts) or "<root>"
-        raise SpecError(f"schema violation at {field}: {exc.message}", field=field) from exc
-    return raw
+        raise SpecError(f"schema violation at {field}: {error.message}", field=field)
+    return raw, hashlib.sha256(data).hexdigest()
+
+
+def load_spec(path) -> dict:
+    return read_spec(path)[0]
 
 
 def build_group(gspec: dict) -> Group:
@@ -140,7 +261,6 @@ def build_group(gspec: dict) -> Group:
 
 def build_system(spec: dict) -> SymbolicSystem:
     sysspec = spec["system"]
-    group = build_group(sysspec["group"])
     forbidden = []
     for fp in sysspec.get("forbidden", ()):
         if len(fp["window"]) != len(fp["values"]):
@@ -148,6 +268,7 @@ def build_system(spec: dict) -> SymbolicSystem:
                             field="system.forbidden")
         forbidden.append((tuple(fp["window"]), tuple(fp["values"])))
     try:
+        group = build_group(sysspec["group"])
         return SymbolicSystem(tuple(sysspec["alphabet"]), group,
                               forbidden=forbidden,
                               label=sysspec.get("label", spec.get("label", "system")))

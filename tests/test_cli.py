@@ -1,4 +1,7 @@
+import builtins
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,13 +9,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soficlab.cli
 import soficlab.microstates
 from soficlab import (MarkovMeasure, ResourceBudgetError, SpecError, TestFunction,
                       cyclic_model, golden_mean_system, origin_partition, sofic_measure_trace)
 from soficlab.cli import main, run, validate
-from soficlab.specfile import SCHEMA, load_spec
+from soficlab.specfile import SCHEMA, _best_match, _check_schema, _violations, load_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 ALL_SPECS = sorted(SPEC_DIR.glob("*.spec"))
@@ -162,7 +167,7 @@ def test_missing_alphabet_exit_2_names_field(tmp_path, capsys):
 
 
 def test_spec_schema_passes_its_metaschema():
-    """load_spec keeps one validator and skips this check on each call."""
+    """SCHEMA is a valid Draft 2020-12 schema, so jsonschema can be the walker's oracle."""
     jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
 
@@ -182,8 +187,20 @@ def _extra_root_key(spec):
     spec["seed"] = 3
 
 
+def _bool_rank(spec):
+    spec["system"]["group"]["rank_or_order"] = True  # a bool is no integer
+
+
 def _numeric_forbidden_value(spec):
     spec["system"]["forbidden"] = [{"window": [0, 1], "values": ["1", 1]}]
+
+
+def _float_window_element(spec):
+    spec["system"]["forbidden"][0]["window"][0] = 1.5  # no anyOf alternative fits
+
+
+def _float_in_window_vector(spec):
+    spec["system"]["forbidden"][0]["window"][0] = [1.5]  # the array alternative is nearest
 
 
 def _two_faults(spec):
@@ -196,12 +213,15 @@ def _two_faults(spec):
     (_drop_alphabet, "system.alphabet"),
     (_unknown_task, "task"),
     (_rank_zero, "system.group.rank_or_order"),
+    (_bool_rank, "system.group.rank_or_order"),
     (_extra_root_key, "<root>"),
     (_numeric_forbidden_value, "system.forbidden.0.values.1"),
+    (_float_window_element, "system.forbidden.0.window.0"),
+    (_float_in_window_vector, "system.forbidden.0.window.0.0"),
     (_two_faults, "<root>"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
-    """The one cached validator reports the error jsonschema.validate picks."""
+    """The spec walker reports the error jsonschema.validate picks."""
     spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
     corrupt(spec)
     with pytest.raises(jsonschema.ValidationError) as reference:
@@ -212,6 +232,169 @@ def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
         load_spec(bad)
     assert got.value.field == field
     assert str(got.value) == f"schema violation at {field}: {reference.value.message}"
+
+
+def _reference_field(error: jsonschema.ValidationError) -> str:
+    """The field load_spec names for jsonschema's best-match error."""
+    parts = [str(p) for p in error.absolute_path]
+    if error.validator == "required":
+        parts.append(error.message.split("'")[1])
+    return ".".join(parts) or "<root>"
+
+
+def _nodes(node, path=()):
+    """(path, value) of every value in a JSON document, the root first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# a value of each JSON type, with 1.0 (an integer in Draft 2020-12) beside 1.5
+_OTHER_VALUES = [False, True, 1.0, 1.5, 0, "1", [], ["0"], {}, {"kind": "lattice"}]
+_NEW_KEYS = ["seed", "label", "task", "kind", "extra"]
+
+
+def _mutate(data, spec):
+    """Drop a key or item, add a key, empty an array or retype a value, at a
+    drawn place of spec."""
+    nodes = list(_nodes(spec))
+    kind = data.draw(st.sampled_from(["drop", "add", "empty", "retype"]))
+    if kind == "add":
+        path = data.draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]))
+        value = copy.deepcopy(data.draw(st.sampled_from(_OTHER_VALUES)))
+        _at(spec, path)[data.draw(st.sampled_from(_NEW_KEYS))] = value
+    elif kind == "empty":
+        arrays = [p for p, v in nodes if isinstance(v, list)]
+        if arrays:
+            path = data.draw(st.sampled_from(arrays))
+            _at(spec, path[:-1])[path[-1]] = []
+    else:
+        path = data.draw(st.sampled_from([p for p, _ in nodes[1:]]))
+        parent = _at(spec, path[:-1])
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_OTHER_VALUES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_SPECS), st.integers(1, 3), st.data())
+def test_mutated_specs_get_jsonschema_verdict(tmp_path_factory, spec_path, mutations, data):
+    """load_spec accepts what jsonschema.validate accepts and otherwise
+    names its best-match field and message."""
+    spec = json.loads(spec_path.read_text())
+    for _ in range(mutations):
+        _mutate(data, spec)
+    bad = tmp_path_factory.getbasetemp() / "mutated.spec"
+    bad.write_text(json.dumps(spec))
+    try:
+        jsonschema.validate(spec, SCHEMA)
+    except jsonschema.ValidationError as reference:
+        field = _reference_field(reference)
+        with pytest.raises(SpecError) as got:
+            load_spec(bad)
+        assert got.value.field == field
+        assert str(got.value) == f"schema violation at {field}: {reference.message}"
+    else:
+        assert load_spec(bad) == spec
+
+
+@pytest.mark.parametrize("schema, instance", [
+    # an anyOf error gives way to another error at its path
+    ({"anyOf": [{"type": "string"}], "minItems": 1}, []),
+    ({"minItems": 1, "anyOf": [{"type": "string"}]}, []),
+    # in an anyOf context, an error whose instance has its schema's type is nearest
+    ({"anyOf": [{"type": "string"}, {"type": "integer", "minimum": 5}]}, 3),
+    ({"anyOf": [{"type": "integer", "minimum": 5}, {"type": "string"}]}, 3),
+    # two alternatives fail alike: the anyOf error itself
+    ({"anyOf": [{"type": "string"}, {"type": "array"}]}, 3),
+    # nested anyOf, the deepest error wins
+    ({"anyOf": [{"type": "array", "items": {"anyOf": [{"type": "integer", "minimum": 2},
+                                                      {"type": "string"}]}},
+                {"type": "string"}]}, [3, 1]),
+    ({"type": "object", "required": ["a", "b"], "additionalProperties": False}, {"c": 1}),
+    ({"type": "integer", "minimum": 1}, 0.5),
+    ({"enum": ["a"]}, True),
+])
+def test_walker_ranks_as_best_match_on_schema_fragments(schema, instance):
+    """Relevance rules that SCHEMA's own shapes never put to the test."""
+    _check_schema(schema)
+    reference = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(instance))
+    error, path = _best_match(_violations(instance, schema))
+    assert (error.message, list(path)) == (reference.message, list(reference.absolute_path))
+
+
+@pytest.mark.parametrize("fragment", [
+    {"type": "object", "maxProperties": 3},
+    {"type": "null"},
+    {"additionalProperties": {"type": "string"}},
+    {"enum": ["a", 1]},
+    {"type": "object", "properties": {"a": {"anyOf": [{"pattern": "x"}]}}},
+])
+def test_schema_keywords_outside_the_walker_are_refused(fragment):
+    with pytest.raises(ValueError):
+        _check_schema(fragment)
+
+
+def _unreadable(tmp_path, case):
+    if case == "missing":
+        return tmp_path / "absent.spec"
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.spec"
+    path.write_bytes(b'{"task": "language", "label": "caf\xe9"}')
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_spec_exits_2_with_one_error_line(tmp_path, capsys, case, command):
+    path = _unreadable(tmp_path, case)
+    assert main([command, "--spec", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error (<file>): cannot read spec file")
+
+
+def test_integral_float_rank_is_a_diagnostic(tmp_path, capsys):
+    """1.0 passes the schema (an integer in Draft 2020-12); building the
+    group from it then fails as a diagnostic, not a traceback."""
+    spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
+    spec["system"]["group"]["rank_or_order"] = 1.0
+    bad = tmp_path / "bad.spec"
+    bad.write_text(json.dumps(spec))
+    assert load_spec(bad) == spec
+    assert [d.split(":")[0] for d in validate(bad)] == ["system"]
+    assert main(["run", "--spec", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: system: bad system:")
+
+
+def test_run_reads_the_spec_once(tmp_path, monkeypatch):
+    """The spec_sha256 header hashes the very bytes that were parsed."""
+    spec = SPEC_DIR / "goldenmean_language.spec"
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == spec.resolve():
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert run(spec, out_dir=tmp_path) == 0
+    assert len(opened) == 1
+    digest = hashlib.sha256(spec.read_bytes()).hexdigest()
+    text = (tmp_path / "goldenmean_language_language.csv").read_text()
+    assert f"# spec_sha256={digest}" in text
 
 
 def test_zero_delta_rejected(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""soficlab starts on the standard library alone.
+"""soficlab starts, and runs every bundled spec, on the standard library alone.
 
-numpy is imported only by ``random_free_model`` and jsonschema only by the
-first ``load_spec``; scipy only by the tiling's max flow.  The amenable
-measure trace, which runs on integer masses, loads none.  Each check runs in
-a fresh interpreter, since the test session itself has loaded all three.
+numpy is imported only by ``random_free_model`` and scipy only by the
+tiling's max flow; specs are validated by a walker over ``SCHEMA``, so
+jsonschema is never imported outside the tests, which keep it as the
+validator's oracle.  ``cli.run`` on every bundled spec, and the amenable
+measure trace, which runs on integer masses, load none of the three.  Each
+check runs in a fresh interpreter, since the test session itself has loaded
+all three.
 """
 
 import json
@@ -38,10 +41,16 @@ def test_import_loads_neither_numpy_nor_jsonschema_nor_scipy():
     assert _loaded_after("pass") == {"start": [], "after": []}
 
 
-def test_load_spec_imports_jsonschema():
-    spec = ROOT / "specs" / "goldenmean_amenable.spec"
-    got = _loaded_after(f"soficlab.cli.load_spec({str(spec)!r})")
-    assert got == {"start": [], "after": ["jsonschema"]}
+def test_running_every_bundled_spec_loads_no_heavy_module(tmp_path):
+    specs = sorted(str(p) for p in (ROOT / "specs").glob("*.spec"))
+    code = (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [soficlab.cli.run(s, out_dir={str(tmp_path)!r}) for s in {specs!r}]\n"
+        "assert codes == [0] * len(codes), codes"
+    )
+    assert specs
+    assert _loaded_after(code) == {"start": [], "after": []}
 
 
 def test_random_free_model_imports_numpy():
