@@ -314,12 +314,17 @@ def validate(spec_path) -> list:
     return cross_validate(spec)
 
 
-def run(spec_path, out_dir=None, budget_nodes=None) -> int:
-    """Execute one spec; returns the exit status."""
+def run(spec_path, out_dir=None, budget_nodes=None, task=None) -> int:
+    """Execute one spec; returns the exit status.  Given task (a
+    subcommand's), a spec with another task is refused with status 2."""
     if budget_nodes is not None and budget_nodes < 1:
         raise SpecError(f"node budget must be >= 1, got {budget_nodes}",
                         field="--budget-nodes")
     spec, digest = read_spec(spec_path)  # one read, so the header names the bytes that ran
+    if task is not None and spec["task"] != task:
+        print(f"error: task: the subcommand requires task {task!r}, spec has "
+              f"{spec['task']!r}", file=sys.stderr)
+        return 2
     diagnostics = cross_validate(spec)
     if diagnostics:
         for d in diagnostics:
@@ -377,14 +382,8 @@ def main(argv=None) -> int:
             for d in diagnostics:
                 print(f"error: {d}", file=sys.stderr)
             return 2 if diagnostics else 0
-        if args.command in required_task:
-            spec = load_spec(args.spec)
-            if spec["task"] != required_task[args.command]:
-                print(f"error: task: subcommand {args.command!r} requires task "
-                      f"{required_task[args.command]!r}, spec has {spec['task']!r}",
-                      file=sys.stderr)
-                return 2
-        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes)
+        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes,
+                   task=required_task.get(args.command))
     except SpecError as exc:
         where = f" ({exc.field})" if exc.field else ""
         print(f"error{where}: {exc}", file=sys.stderr)

@@ -24,7 +24,9 @@ one penalty table per shift, compare with one integer cap, and carry a
 measure filter's sums as one packed int (_PackedSums).  The DP carries
 the sums of a table constant on cells beside its maps, not in their
 keys, so one DP run counts the unfiltered tally and every filter of that
-kind, and keeps its successor memo.
+kind, and keeps its successor memo.  On a cycle that memo depends on
+neither d nor delta, only on the integer cap, so the system keeps one
+cap's memo across stages and a trace determinises the cycle about once.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -531,6 +533,7 @@ def counting_method(cover: Cover) -> str:
 
 
 _FWD, _BWD, _LOOP = 0, 1, 2  # a term's penalty: pen(y, x), pen(x, y), pen(x, x)
+_AUTOMATON = "successors"  # the penalty cache's key of the kept successor memos
 
 
 class _PenaltyTable:
@@ -756,7 +759,8 @@ class _FrontierDP:
                            for key in dict.fromkeys(table))
         images = [sigma.image_array(s) for s in plan.shifts]
         self.steps, self.closing = _placement(images, sigma.d)
-        if max(step.width for step in self.steps) > 2:  # wider than a cycle's
+        self.narrow = max(step.width for step in self.steps) <= 2  # as a cycle's
+        if not self.narrow:
             # keep the order whose frontiers can hold fewer codes in all
             other = _placement(images, sigma.d, prefer_closed=True)
             if sum(n ** step.width for step in other[0]) < sum(
@@ -765,14 +769,25 @@ class _FrontierDP:
         self.budget = budget
         self.spent = 0
         self._values = {}
-        self._decoded = plan.system._penalty_cache.setdefault(
-            (plan.window.elements, plan.shifts, self.cells), {})  # step kind -> _read's
+        self._cache = plan.system._penalty_cache
+        self._key = (plan.window.elements, plan.shifts, self.cells)
+        self._decoded = self._cache.setdefault(self._key, {})  # step kind -> _read's
 
     def spend(self, live):
         """Charge one step: the states it extends times the language size."""
         self.spent += live * self.n
         if self.spent > self.budget:
             raise ResourceBudgetError("merged-state DP budget exceeded")
+
+    def _automaton(self):
+        """The system's successor memos of this stage's window, shifts and
+        cells under its cap: step kind -> (memo, canonical), one per kind
+        an earlier run of steps met.  They hold at most one cap: a stage
+        with another cap drops them."""
+        held = self._cache.get(_AUTOMATON)
+        if held is None or held[0] != self.cap:
+            held = self._cache[_AUTOMATON] = (self.cap, {})
+        return held[1].setdefault(self._key, {})
 
     def _layout(self, step, increment):
         """How one step rewrites state keys: (n^width before, n^width after,
@@ -837,11 +852,16 @@ class _FrontierDP:
         on cells stays in the entry keys (code + n^width * sums) and is
         decided on the count of placed points.
 
-        So a map's successors depend only on the step's kind unless a table
-        stays in the keys.  Without one, each live map's successors are built
-        once per run of equal kinds (_successors) and looked up after, with
-        equal maps held as one object; with one, or when the next step's
-        kind differs, nothing is kept.
+        So a map's successors depend only on the step's kind and the cap
+        unless a table stays in the keys.  Without one, each live map's
+        successors are built once per run of equal kinds (_successors) and
+        looked up after, with equal maps held as one object; with one, they
+        are rebuilt at every step.  On a plan whose frontiers hold at most
+        two points, as a cycle's do, the memos outlive the stage: each run
+        of steps leaves its memo on the system (_automaton), and a later run
+        of a kind met before, at the same cap, looks up and keeps every map's
+        successors, so a trace over many d determinises about once.  A wider
+        plan keeps nothing past the run.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -854,16 +874,19 @@ class _FrontierDP:
         start = ((0,) * len(self.tables),)
         states = {frozenset({(0, (start, start) if several else (0, 0))}): 1 if plain else {0: 1}}
         self.spend(len(self.cells))  # the first step starts one map per cell
+        kept = self._automaton() if self.narrow and not keyed.required else None
         kind = None
         for count, step in enumerate(self.steps, 1):
             if count > 1:
                 self.spend(len(states))
             if step.kind != kind:
                 kind, ctx = step.kind, self._context(step, keyed, several)
-                memo, canonical = {}, {}  # live map -> its successors
-            # keep successors only for a next step of the same kind
-            store = (not keyed.required and count < len(self.steps)
-                     and self.steps[count].kind == kind)
+                held = None if kept is None else kept.get(kind)
+                memo, canonical = held or ({}, {})  # map -> its successors
+            last = count == len(self.steps) or self.steps[count].kind != kind
+            # keep every map's successors for a kind met before, else only
+            # the live maps', for a next step of the same kind
+            store = held is not None or not (keyed.required or last)
             merged = {}
             for state, multiplicity in states.items():
                 row = memo.get(state)
@@ -884,9 +907,11 @@ class _FrontierDP:
                             if bucket is None:
                                 bucket = merged[nxt] = {}
                             bucket[sums] = bucket.get(sums, 0) + m
-            if store:  # forget the maps that left
+            if store and held is None:  # forget the maps that left
                 memo = {s: memo[s] for s in merged if s in memo}
                 canonical = {s: s for s in merged}
+            if last and kept is not None:  # the next run of this kind keeps them all
+                kept.setdefault(kind, (memo, canonical))
             states = merged
         closing = self._closing()
         realised = {}  # beside sums -> [inner, outer] cell sequences with them

@@ -52,6 +52,60 @@ _PATTERN = {
     "additionalProperties": False,
 }
 
+_ELEMENTS = {"type": "array", "items": _ELEMENT}
+_INTEGERS = {"type": "array", "items": {"type": "integer"}}
+_DECIMAL = {"anyOf": [{"type": "string"}, {"type": "number"}]}  # as as_fraction reads it
+
+# the JSON type of every key a task reads (TASK_PARAMS); a task reads only
+# its own keys, and the others pass unchecked
+_PARAMS = {
+    "type": "object",
+    "properties": {
+        "window": _ELEMENTS,
+        "F": _ELEMENTS,
+        "sigma": {
+            "type": "object",
+            "required": ["model"],
+            "properties": {"model": {"type": "string"}, "n": {"type": "integer"},
+                           "d": {"type": "integer"}, "seed": {"type": "integer"}},
+        },
+        "stages": _INTEGERS,
+        "ns": _INTEGERS,
+        "pairs": {"type": "array", "items": _ELEMENTS},
+        "cover": {
+            "type": "object",
+            "properties": {"kind": {"type": "string"}, "window": _ELEMENTS,
+                           "elements": {"type": "array"}},
+        },
+        "delta": _DECIMAL,
+        "deltas": {"anyOf": [{"type": "array", "items": _DECIMAL}, *_DECIMAL["anyOf"]]},
+        "measure": {"type": "string"},
+        "measure_labels": {"type": "array", "items": {"type": "string"}},
+        "L": {"type": "array", "items": _PATTERN},
+        "filter": {
+            "type": "object",
+            "required": ["measure"],
+            "properties": {"measure": {"type": "string"},
+                           "functions": {"type": "array", "items": _PATTERN},
+                           "delta": _DECIMAL},
+        },
+        "a": _DECIMAL,
+        "slack": _DECIMAL,
+        "shapes": {"type": "array", "items": _ELEMENTS},
+        "eta": _DECIMAL,
+        "tau": _DECIMAL,
+        "V": _INTEGERS,
+        "flavor": {"type": "string"},
+        "check_good": {"type": "boolean"},
+        "candidates": {"type": "array", "items": {"type": "array", "items": _PATTERN}},
+        "threshold": _DECIMAL,
+        "n": {"type": "integer"},
+        "lam_size": {"type": "integer"},
+        "p": {"type": "array", "items": _DECIMAL},
+        "eps": _DECIMAL,
+    },
+}
+
 SCHEMA = {
     "type": "object",
     "required": ["task", "system", "params"],
@@ -79,7 +133,7 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "measures": {"type": "object"},
-        "params": {"type": "object"},
+        "params": _PARAMS,
         "out": {
             "type": "object",
             "properties": {"prefix": {"type": "string"}},
@@ -100,6 +154,7 @@ _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
     "integer": lambda x: (not isinstance(x, bool) and isinstance(x, int)
                           or isinstance(x, float) and x.is_integer()),
     "number": lambda x: not isinstance(x, bool) and isinstance(x, (int, float)),

@@ -189,7 +189,10 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}
-        self._penalty_cache = {}  # microstates' penalty tables and decoded frontier codes
+        # microstates' penalty tables, decoded frontier codes and, on plans
+        # with two-point frontiers, one cap's successor memos, all shared
+        # across stages
+        self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden
         )

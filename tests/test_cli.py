@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 import soficlab.cli
 import soficlab.microstates
+import soficlab.specfile
 from soficlab import (MarkovMeasure, ResourceBudgetError, SpecError, TestFunction,
                       cyclic_model, golden_mean_system, origin_partition, sofic_measure_trace)
 from soficlab.cli import main, run, validate
-from soficlab.specfile import SCHEMA, _best_match, _check_schema, _violations, load_spec
+from soficlab.specfile import (SCHEMA, TASK_PARAMS, _best_match, _check_schema, _violations,
+                               load_spec)
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 ALL_SPECS = sorted(SPEC_DIR.glob("*.spec"))
@@ -209,6 +211,14 @@ def _two_faults(spec):
     spec["seed"] = 3
 
 
+def _int_F(spec):
+    spec["params"]["F"] = 5
+
+
+def _string_ns(spec):
+    spec["params"]["ns"] = "8"
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (_drop_alphabet, "system.alphabet"),
     (_unknown_task, "task"),
@@ -219,6 +229,8 @@ def _two_faults(spec):
     (_float_window_element, "system.forbidden.0.window.0"),
     (_float_in_window_vector, "system.forbidden.0.window.0.0"),
     (_two_faults, "<root>"),
+    (_int_F, "params.F"),
+    (_string_ns, "params.ns"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
     """The spec walker reports the error jsonschema.validate picks."""
@@ -232,6 +244,29 @@ def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
         load_spec(bad)
     assert got.value.field == field
     assert str(got.value) == f"schema violation at {field}: {reference.value.message}"
+
+
+@pytest.mark.parametrize("corrupt, field", [(_int_F, "params.F"), (_string_ns, "params.ns")],
+                         ids=lambda x: getattr(x, "__name__", x))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_param_of_another_json_type_exits_2(tmp_path, capsys, corrupt, field, command):
+    """A param of the wrong JSON type is a schema violation that names it,
+    in validate and in run, not a traceback."""
+    spec = json.loads((SPEC_DIR / "goldenmean_compare.spec").read_text())
+    corrupt(spec)
+    bad = tmp_path / "bad.spec"
+    bad.write_text(json.dumps(spec))
+    out = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, "--spec", str(bad), *out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error ({field}): schema violation at {field}:")
+
+
+def test_every_task_param_has_a_json_type():
+    """The schema types every key a task reads, and only those."""
+    read = {key for required, optional in TASK_PARAMS.values() for key in (*required, *optional)}
+    typed = set(SCHEMA["properties"]["params"]["properties"])
+    assert typed == read | {"delta"}  # deltas falls back to a single delta
 
 
 def _reference_field(error: jsonschema.ValidationError) -> str:
@@ -423,6 +458,22 @@ def test_subcommand_task_gate(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert "requires task 'defects'" in capsys.readouterr().err
+
+
+def test_subcommand_reads_the_spec_once(tmp_path, monkeypatch):
+    """A task-gated subcommand checks the task on the read it runs."""
+    reads = []
+    real = soficlab.cli.read_spec
+
+    def counting_read(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(soficlab.cli, "read_spec", counting_read)
+    monkeypatch.setattr(soficlab.specfile, "read_spec", counting_read)
+    assert main(["microstates", "--spec", str(SPEC_DIR / "fullshift_microstates.spec"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(reads) == 1
 
 
 def test_subcommand_aliases_run(tmp_path):

@@ -963,54 +963,61 @@ def test_torus_hard_squares_match_the_transfer_trace(n, expected):
     assert got.n_outer == _torus_hard_squares(n) == expected
 
 
-# the signature DP builds each map's successors once per stage -----------------
+# the signature DP builds each map's successors once per cap ---------------------
 
 
-def test_signature_dp_builds_no_transition_once_the_maps_saturate(fs, fs_origin, monkeypatch):
-    """Full shift, window [-2, 2], zero defect: the reachable maps stop
-    changing after a few steps, and from then on a step only looks up
-    successors built before, so d = 64 builds no more than d = 16."""
+@pytest.fixture
+def built(monkeypatch):
+    """The successor rows the signature DPs build from now on, one 1 a row."""
     successors = soficlab.microstates._FrontierDP._successors
-    built = []
+    rows = []
 
     def spy(dp, *args):
-        built.append(1)
+        rows.append(1)
         return successors(dp, *args)
 
     monkeypatch.setattr(soficlab.microstates._FrontierDP, "_successors", spy)
-    w = fs.interval_window(-2, 2)
+    return rows
+
+
+def _kept_memos(system):
+    """The successor memos the system holds: (cap, {(window, shifts, cells):
+    {step kind: (memo, canonical)}}), or None."""
+    return system._penalty_cache.get(soficlab.microstates._AUTOMATON)
+
+
+def test_signature_dp_builds_no_transition_once_the_maps_saturate(built):
+    """Full shift, window [-2, 2], zero defect, each d on a fresh system: the
+    reachable maps stop changing after a few steps, and from then on a step
+    only looks up successors built before, so d = 64 builds no more than
+    d = 16."""
     per_d = {}
     for d in (16, 64):
+        fs = full_shift(("0", "1"), LatticeGroup(1))
+        w = fs.interval_window(-2, 2)
         built.clear()
         got, _ = count_microstates(fs, [1], zero_defect_delta(fs, w, [1], d),
-                                   cyclic_model(fs.group, d), w, fs_origin)
+                                   cyclic_model(fs.group, d), w, origin_partition(fs))
         assert got.method == "dp" and got.n_outer == 2 ** d
         per_d[d] = len(built)
     assert 0 < per_d[64] <= per_d[16]
 
 
-def test_signature_dp_memo_works_under_a_filter_constant_on_cells(fs, fs_origin, fair,
-                                                                  monkeypatch):
+def test_signature_dp_memo_works_under_a_filter_constant_on_cells(built):
     """The same stages under a pruning filter constant on cells (the share
     of 1s at the origin): its sums ride beside the maps, so the maps still
     saturate and d = 64 builds no more successor rows than d = 16.  At zero
     defect a full-shift microstate is any word, so N_outer counts the words
     whose share of 1s is within delta of 1/2."""
-    successors = soficlab.microstates._FrontierDP._successors
-    built = []
-
-    def spy(dp, *args):
-        built.append(1)
-        return successors(dp, *args)
-
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "_successors", spy)
-    w = fs.interval_window(-2, 2)
-    at_origin = TestFunction.indicator(fs.pattern(fs.window([0]), ("1",)))
     per_d = {}
     for d in (16, 64):
+        fs = full_shift(("0", "1"), LatticeGroup(1))
+        w = fs.interval_window(-2, 2)
+        at_origin = TestFunction.indicator(fs.pattern(fs.window([0]), ("1",)))
+        fair = BernoulliMeasure(fs, ["0.5", "0.5"])
         built.clear()
         delta = zero_defect_delta(fs, w, [1], d)
-        row = sofic_measure_trace(fs, fs_origin, fair, [at_origin], [1], delta,
+        row = sofic_measure_trace(fs, origin_partition(fs), fair, [at_origin], [1], delta,
                                   [cyclic_model(fs.group, d)], w).rows[0]
         expected = sum(math.comb(d, k) for k in range(d + 1)
                        if abs(Fraction(k, d) - Fraction(1, 2)) < delta)
@@ -1018,6 +1025,124 @@ def test_signature_dp_memo_works_under_a_filter_constant_on_cells(fs, fs_origin,
         assert row.count_outer == expected > 0
         per_d[d] = len(built)
     assert 0 < per_d[64] <= per_d[16]
+
+
+def test_signature_dp_memo_outlives_the_stage_on_a_cycle(built):
+    """Golden mean, window [-2, 2], zero defect, d = 12, 14, ..., 22: the
+    cap is the same at every d, so a trace over one system builds at most a
+    quarter of the successor rows that a fresh system per stage builds, and
+    counts the same."""
+    stages = range(12, 23, 2)
+
+    def rows_built(shared):
+        built.clear()
+        for d in stages:
+            gm = shared or golden_mean_system()
+            w = gm.interval_window(-2, 2)
+            got, _ = count_microstates(gm, [1], zero_defect_delta(gm, w, [1], d),
+                                       cyclic_model(gm.group, d), w, origin_partition(gm))
+            assert got.n_outer == _lucas(d)
+        return len(built)
+
+    fresh = rows_built(None)
+    assert 0 < 4 * rows_built(golden_mean_system()) <= fresh
+
+
+def test_signature_dp_keeps_one_cap(built):
+    """Golden mean, delta = 1/10, where d = 12 and d = 16 have different
+    caps.  The first stage at a cap keeps only its live maps' successors;
+    the next keeps every map's, so a third at that cap builds no row.  A
+    stage with another cap drops them: d = 12 after d = 16 builds as many
+    rows as on a fresh system."""
+
+    def stage(gm, d):
+        built.clear()
+        got, _ = count_microstates(gm, [1], "0.1", cyclic_model(gm.group, d),
+                                   gm.interval_window(-2, 2), origin_partition(gm))
+        assert got.n_outer == _lucas(d)
+        return len(built), _kept_memos(gm)[0]
+
+    fresh, cap = stage(golden_mean_system(), 12)
+    gm = golden_mean_system()
+    assert stage(gm, 12) == (fresh, cap)
+    rows, held = stage(gm, 12)
+    assert rows <= fresh and held == cap
+    assert stage(gm, 12) == (0, cap)
+    assert stage(gm, 16)[1] != cap
+    assert stage(gm, 12) == (fresh, cap)
+
+
+def test_wide_frontier_leaves_no_successor_memo():
+    """The Z^2 torus of side 3 under hard squares has frontiers wider than
+    two points: its stages, repeated at one cap, keep no successor memo on
+    the system, while a cycle's do."""
+    Z2 = LatticeGroup(2)
+    system = _hard_core(Z2, [(1, 0), (0, 1)])
+    window = system.window([(0, 0), (1, 0), (0, 1)])
+    F = [(1, 0), (0, 1)]
+    delta = zero_defect_delta(system, window, F, 9)
+    for _ in range(2):
+        got, _ = count_microstates(system, F, delta, cyclic_model(Z2, 3), window,
+                                   origin_partition(system))
+        assert got.n_outer == _torus_hard_squares(3)
+    assert _kept_memos(system) is None
+    gm = golden_mean_system()
+    w = gm.interval_window(-1, 1)
+    for _ in range(2):
+        count_microstates(gm, [1], "0.1", cyclic_model(gm.group, 8), w, origin_partition(gm))
+    assert _kept_memos(gm) is not None
+
+
+MEMO_PLANS = {  # system maker, window, F, the stage sides: n -> sigma
+    "Z-golden": (golden_mean_system, lambda s: s.interval_window(-2, 2), [1], range(4, 9)),
+    "Z-full-two-shifts": (lambda: full_shift(("0", "1"), LatticeGroup(1)),
+                          lambda s: s.interval_window(-1, 1), [1, -1], range(4, 9)),
+    "Z2-torus": (lambda: _hard_core(LatticeGroup(2), [(1, 0), (0, 1)]),
+                 lambda s: s.window([(0, 0), (1, 0), (0, 1)]), [(1, 0), (0, 1)], (2, 3)),
+}
+
+
+def _memo_stage(system, plan, n, delta, prune, filters):
+    """(n_inner, n_outer) of a stage and of each filter; a filter tests one
+    window site, the origin (its sums ride beside the maps) or another (its
+    sums stay in the keys)."""
+    _, window_of, F, _ = MEMO_PLANS[plan]
+    window = window_of(system)
+    sigma = cyclic_model(system.group, n)
+    if delta is None:
+        delta = zero_defect_delta(system, window, F, sigma.d)
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+
+    def at(site):
+        g = window.elements[0] if site == "beside" else window.elements[-1]
+        return MeasureFilter.build(
+            fair, [TestFunction.indicator(system.pattern(system.window([g]), ("1",)))], "0.3")
+
+    got, found = count_microstates(system, F, delta, sigma, window, origin_partition(system),
+                                   measure_filter=prune and at(prune),
+                                   filters=[at(site) for site in filters])
+    return [(c.n_inner, c.n_outer) for c in (got, *found)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=st.sampled_from(sorted(MEMO_PLANS)), data=st.data())
+def test_counts_on_a_shared_system_equal_counts_on_fresh_systems(plan, data):
+    """A trace whose stages mix d and delta, so that caps both repeat and
+    differ, counts on one system what fresh systems count stage by stage:
+    with no filter, a filter beside the maps and a filter in the keys, and
+    on the torus, whose frontiers are wider than a cycle's."""
+    make, window_of, _, sides = MEMO_PLANS[plan]
+    assert window_of(make()).elements[0] == make().group.identity  # the origin comes first
+    stages = data.draw(st.lists(st.tuples(st.sampled_from(sides),
+                                          st.sampled_from([None, "0.05", "0.1", "0.2"])),
+                                min_size=2, max_size=5))
+    sites = st.sampled_from(["beside", "keys"])
+    prune = data.draw(st.one_of(st.none(), sites))
+    filters = data.draw(st.lists(sites, max_size=2))
+    shared = make()
+    for n, delta in stages:
+        assert (_memo_stage(shared, plan, n, delta, prune, filters)
+                == _memo_stage(make(), plan, n, delta, prune, filters))
 
 
 def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
@@ -1047,6 +1172,30 @@ def test_filtered_signature_dp_budget_cut_point_is_pinned(gm, gm_origin, parry):
     assert filtered.n_inner == filtered.n_outer == 217
     with pytest.raises(ResourceBudgetError, match="DP"):
         count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, filters=[mf],
+                          budget=2326)
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_budget_cut_points_stay_when_the_system_holds_the_memo(gm, gm_origin, parry, built,
+                                                              filtered):
+    """The two pinned stages above on a system that already holds their
+    successor memo: every step looks its successors up, and still charges
+    its live maps times the language size, so 2,327 units finish and one
+    unit less raises."""
+    w = gm.interval_window(-2, 2)
+    sigma = cyclic_model(gm.group, 12)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    filters = [MeasureFilter.build(parry, [at_origin], Fraction(1, 10))] if filtered else []
+    for _ in range(2):
+        count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, filters=filters)
+    built.clear()
+    got, found = count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin,
+                                   filters=filters, budget=2327)
+    assert not built
+    assert got.n_inner == got.n_outer == _lucas(12)
+    assert [(f.n_inner, f.n_outer) for f in found] == [(217, 217)] * len(filters)
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, filters=filters,
                           budget=2326)
 
 
