@@ -77,6 +77,17 @@ def _exact_count(result) -> int:
     return result.count
 
 
+def _longest_first(maps):
+    """The stage indices of maps, longest stage first (ties in input order).
+
+    At one delta the longest stage has the largest cap, and a stage may run
+    through the successor memo a longer one left at a larger cap, so counting
+    longest first determinises a trace about once.  Each stage counts and
+    charges what it does on a fresh system, so the order shows in no row.
+    """
+    return sorted(range(len(maps)), key=lambda stage: -maps[stage].d)
+
+
 def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     delta = as_fraction(delta)
     n_cover = _exact_count(min_subcover(cover))
@@ -86,7 +97,10 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
         delta=delta,
         log_cover_count=log_big(n_cover) if n_cover else NEG_INF,
     )
-    for stage, sigma in enumerate(maps):
+    maps = list(maps)
+    rows = [None] * len(maps)
+    for stage in _longest_first(maps):
+        sigma = maps[stage]
         method = counting_method(cover)
         try:
             counts, _ = count_microstates(system, F, delta, sigma, window, cover,
@@ -101,7 +115,8 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
         except ResourceBudgetError:
             row = TraceRow(stage, sigma.d, 0, 0, NEG_INF, NEG_INF, incomplete=True,
                            method=method)
-        trace.rows.append(row)
+        rows[stage] = row
+    trace.rows.extend(rows)
     return trace
 
 
@@ -369,18 +384,35 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
     For every stage, measure and delta the filtered counts never exceed the
     unfiltered ones (exact integer comparison, both certification modes).
     measures is a list of (label, measure) pairs; the same L filters each.
+    Rows come per delta, stage and measure in input order.  A stage cut by
+    the budget raises ResourceBudgetError naming its d and delta: the first
+    such stage in input order, though the stages are counted longest first.
     """
+    maps = list(maps)
     rows = []
     ok = True
     for delta in deltas:
         delta = as_fraction(delta)
         filters = [MeasureFilter.build(mu, L, delta) for _, mu in measures]
+        counted = {}  # stage -> (n_inner, n_outer) unfiltered, then per measure
+        cut = None  # (stage, error) of the first stage in input order cut so far
+        for stage in _longest_first(maps):
+            if cut is not None and stage > cut[0]:
+                continue  # a stage before it raises first
+            try:
+                unfiltered, filtered = count_microstates(system, F, delta, maps[stage], window,
+                                                         cover, filters=filters, budget=budget)
+            except ResourceBudgetError as exc:
+                cut = stage, exc
+                continue
+            counted[stage] = [(c.n_inner, c.n_outer) for c in (unfiltered, *filtered)]
+        if cut is not None:
+            stage, exc = cut
+            raise ResourceBudgetError(f"stage d={maps[stage].d}, delta={float(delta)}: {exc}",
+                                      upper_bound=exc.upper_bound) from exc
         for stage, sigma in enumerate(maps):
-            unfiltered, filtered = count_microstates(system, F, delta, sigma, window, cover,
-                                                     filters=filters, budget=budget)
-            cui, cuo = unfiltered.n_inner, unfiltered.n_outer
-            for (label, mu), counts in zip(measures, filtered):
-                cfi, cfo = counts.n_inner, counts.n_outer
+            (cui, cuo), *filtered = counted[stage]
+            for (label, mu), (cfi, cfo) in zip(measures, filtered):
                 ordered = cfi <= cui and cfo <= cuo
                 ok = ok and ordered
                 vu = stage_value(cuo, sigma.d)

@@ -25,8 +25,11 @@ measure filter's sums as one packed int (_PackedSums).  The DP carries
 the sums of a table constant on cells beside its maps, not in their
 keys, so one DP run counts the unfiltered tally and every filter of that
 kind, and keeps its successor memo.  On a cycle that memo depends on
-neither d nor delta, only on the integer cap, so the system keeps one
-cap's memo across stages and a trace determinises the cycle about once.
+neither d nor delta, only on the integer cap, and the map a prefix
+reaches under one cap fixes its map under every smaller cap.  So the
+system keeps the memo across stages, a stage no longer than one the memo
+has finished runs through it under its larger cap, and a trace counted
+longest first determinises the cycle about once.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -726,6 +729,19 @@ class _Context(NamedTuple):
     feasible: object  # the required tables' check, or None
     several: bool  # several shifts: Pareto entries
     decoded: object  # a memo of decoded keys, or None for one per map
+    cap: int  # the cap the run's maps are built under
+
+
+class _Automaton:
+    """The successor memos a system holds for one window, shifts and cells
+    on a narrow plan: kinds maps a step kind to (memo, canonical), every
+    map's successors under cap met so far.  reach is the largest d of a
+    stage that ran all its steps through them, 0 until one has."""
+
+    __slots__ = ("cap", "reach", "kinds")
+
+    def __init__(self, cap):
+        self.cap, self.reach, self.kinds = cap, 0, {}
 
 
 class _FrontierDP:
@@ -780,14 +796,17 @@ class _FrontierDP:
             raise ResourceBudgetError("merged-state DP budget exceeded")
 
     def _automaton(self):
-        """The system's successor memos of this stage's window, shifts and
-        cells under its cap: step kind -> (memo, canonical), one per kind
-        an earlier run of steps met.  They hold at most one cap: a stage
-        with another cap drops them."""
-        held = self._cache.get(_AUTOMATON)
-        if held is None or held[0] != self.cap:
-            held = self._cache[_AUTOMATON] = (self.cap, {})
-        return held[1].setdefault(self._key, {})
+        """The _Automaton of this stage's window, shifts and cells that the
+        system holds, which its steps then run through.  A held automaton
+        serves the stage when its cap is the stage's, or when it is larger
+        and the automaton has finished a stage at least as long (reach >=
+        d), whose maps then project onto the stage's (see signatures).
+        Otherwise the stage replaces it with an empty one at its own cap."""
+        automata = self._cache.setdefault(_AUTOMATON, {})
+        held = automata.get(self._key)
+        if held is None or held.cap < self.cap or held.cap > self.cap and held.reach < self.d:
+            held = automata[self._key] = _Automaton(self.cap)
+        return held
 
     def _layout(self, step, increment):
         """How one step rewrites state keys: (n^width before, n^width after,
@@ -856,12 +875,23 @@ class _FrontierDP:
         unless a table stays in the keys.  Without one, each live map's
         successors are built once per run of equal kinds (_successors) and
         looked up after, with equal maps held as one object; with one, they
-        are rebuilt at every step.  On a plan whose frontiers hold at most
-        two points, as a cycle's do, the memos outlive the stage: each run
-        of steps leaves its memo on the system (_automaton), and a later run
-        of a kind met before, at the same cap, looks up and keeps every map's
-        successors, so a trace over many d determinises about once.  A wider
-        plan keeps nothing past the run.
+        are rebuilt at every step.  A wider plan keeps only the live maps'
+        successors, and nothing past the run.
+
+        On a plan whose frontiers hold at most two points, as a cycle's do,
+        every map's successors are kept on the system (_automaton) and
+        outlive the stage.  The map a prefix reaches under a cap C fixes its
+        map under every cap c <= C: drop the entries with lo >= c and cap
+        hi at c, or with several shifts drop the vectors whose max is >= c
+        (_projected).  That projection commutes with the successors, the
+        sums beside the maps do not read the cap, and _accepts reads only
+        the stage's own cap, so a stage runs its steps under the held
+        automaton's cap when that is larger and the automaton has finished
+        a stage at least as long.  It then drops the maps whose projection
+        is empty, and each step still charges the distinct projections of
+        its live maps: the live maps of the run under its own cap, so no
+        charge depends on what the system held before.  A trace counted
+        longest first so determinises about once.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -874,18 +904,22 @@ class _FrontierDP:
         start = ((0,) * len(self.tables),)
         states = {frozenset({(0, (start, start) if several else (0, 0))}): 1 if plain else {0: 1}}
         self.spend(len(self.cells))  # the first step starts one map per cell
-        kept = self._automaton() if self.narrow and not keyed.required else None
+        held = self._automaton() if self.narrow and not keyed.required else None
+        cap = self.cap if held is None else held.cap  # the cap the maps are built under
+        projections = {} if cap > self.cap else None  # map -> its projection onto self.cap
         kind = None
         for count, step in enumerate(self.steps, 1):
             if count > 1:
-                self.spend(len(states))
+                self.spend(len(states) if projections is None
+                           else self._project(states, projections, several))
             if step.kind != kind:
-                kind, ctx = step.kind, self._context(step, keyed, several)
-                held = None if kept is None else kept.get(kind)
-                memo, canonical = held or ({}, {})  # map -> its successors
+                kind, ctx = step.kind, self._context(step, keyed, several, cap)
+                # map -> its successors: the held automaton's, else this run's
+                memo, canonical = ({}, {}) if held is None else held.kinds.setdefault(
+                    kind, ({}, {}))
             last = count == len(self.steps) or self.steps[count].kind != kind
-            # keep every map's successors for a kind met before, else only
-            # the live maps', for a next step of the same kind
+            # keep every map's successors in a held automaton, else only the
+            # live maps', for a next step of the same kind
             store = held is not None or not (keyed.required or last)
             merged = {}
             for state, multiplicity in states.items():
@@ -910,9 +944,9 @@ class _FrontierDP:
             if store and held is None:  # forget the maps that left
                 memo = {s: memo[s] for s in merged if s in memo}
                 canonical = {s: s for s in merged}
-            if last and kept is not None:  # the next run of this kind keeps them all
-                kept.setdefault(kind, (memo, canonical))
             states = merged
+        if held is not None:
+            held.reach = max(held.reach, self.d)
         closing = self._closing()
         realised = {}  # beside sums -> [inner, outer] cell sequences with them
         for state, multiplicity in states.items():
@@ -929,6 +963,38 @@ class _FrontierDP:
                     tally[0] += found[0]
                     tally[1] += found[1]
         return [tuple(tally) for tally in tallies]
+
+    def _project(self, states, projections, several):
+        """Drop the maps of a run under a larger cap whose projection onto
+        self.cap (_projected, memoised in projections) is empty, and return
+        how many distinct projections the rest have: the number of live
+        maps of the run under self.cap."""
+        seen = set()
+        for state in list(states):
+            image = projections.get(state)
+            if image is None:
+                image = projections[state] = self._projected(state, several)
+            if image:
+                seen.add(image)
+            else:
+                del states[state]
+        return len(seen)
+
+    def _projected(self, state, several):
+        """The map a prefix reaches under self.cap, from the one it reaches
+        under a larger cap: with one shift, drop the entries with lo >= cap
+        and cap hi at it; with several, drop the vectors whose max is >=
+        cap, and the entries left with no lo^2 vector."""
+        cap = self.cap
+        if not several:  # an item is (key, (lo, hi)); most are kept as they are
+            return frozenset([item if item[1][1] <= cap else (item[0], (item[1][0], cap))
+                              for item in state if item[1][0] < cap])
+        entries = []
+        for key, (outs, ins) in state:
+            outs = tuple([v for v in outs if max(v) < cap])
+            if outs:
+                entries.append((key, (outs, tuple([v for v in ins if max(v) < cap]))))
+        return frozenset(entries)
 
     def _closing(self, inner=None):
         """(n^width, terms) of the final frontier: a final key's code is key
@@ -966,8 +1032,8 @@ class _FrontierDP:
                 return True, True
         return False, outer
 
-    def _context(self, step, packing, several):
-        """The _Context of one kind of step under packing."""
+    def _context(self, step, packing, several, cap):
+        """The _Context of one kind of step under packing and cap."""
         terms = self._rows(step.terms, step.width)
         if terms:
             s0, div0, _ = terms[0]
@@ -981,7 +1047,8 @@ class _FrontierDP:
         decoded = (None if self.n ** step.width > 1024 else {} if packing.span > 1
                    else self._decoded.setdefault(step.kind, {}))
         return _Context(*self._layout(step, packing.increment), s0, div0, lead, terms[1:],
-                        packing.feasible if packing.required else None, several, decoded)
+                        packing.feasible if packing.required else None, several, decoded,
+                        cap)
 
     def _read(self, ctx, key, decoded):
         """(base, lead candidates per cell, other terms) of one state key, kept
@@ -1006,7 +1073,7 @@ class _FrontierDP:
         after, kinc, feasible, decoded = ctx.after, ctx.kinc, ctx.feasible, ctx.decoded
         if decoded is None:
             decoded = {}
-        cap = self.cap
+        cap = ctx.cap
         row = []
         for cell in range(len(self.cells)):
             entries = {}
@@ -1046,7 +1113,7 @@ class _FrontierDP:
             ctx.after, ctx.kinc, ctx.s0, ctx.feasible, ctx.decoded)
         if decoded is None:
             decoded = {}
-        cap, values = self.cap, self._values
+        cap, values = ctx.cap, self._values
         k = len(self.tables)
         row = []
         for cell in range(len(self.cells)):

@@ -539,6 +539,21 @@ def test_microstates_cut_while_reading_m_keeps_stage_context(tmp_path, capsys, m
     assert "(upper bound 9, not a count)" in err
 
 
+@pytest.mark.parametrize("budget, d", [(10, 6), (14, 8)])
+def test_variational_budget_cut_names_its_stage(tmp_path, capsys, budget, d):
+    """A cut in the variational task names its stage's d and delta, as the
+    microstates task does, and writes no CSV.  The stages are counted
+    longest first, but the stage named is the first in input order that
+    the budget cuts: at 10 units every stage is cut, at 14 d = 6 finishes
+    and d = 8 and d = 10 are cut."""
+    assert main(["run", "--spec", str(SPEC_DIR / "fullshift_variational.spec"),
+                 "--out", str(tmp_path), "--budget-nodes", str(budget)]) == 1
+    err = capsys.readouterr().err
+    assert (f"budget exhausted in task variational: stage d={d}, delta=0.2: "
+            "merged-state DP budget exceeded") in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_neg_inf_rendered_as_token(tmp_path):
     spec = json.loads((SPEC_DIR / "fullshift_sofic_trace.spec").read_text())
     spec["params"]["stages"] = [5]

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import gc
 import itertools
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import soficlab.microstates
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
-                      FreeGroup, LatticeGroup, MeasureFilter, MicrostateCounts,
+                      FreeGroup, LatticeGroup, MarkovMeasure, MeasureFilter, MicrostateCounts,
                       ResourceBudgetError, SoficMap, SymbolicSystem, TestFunction,
                       check_amenable_agreement,
                       check_variational, count_microstates, counting_method, cyclic_model,
@@ -981,8 +982,8 @@ def built(monkeypatch):
 
 
 def _kept_memos(system):
-    """The successor memos the system holds: (cap, {(window, shifts, cells):
-    {step kind: (memo, canonical)}}), or None."""
+    """The successor memos the system holds: {(window, shifts, cells):
+    _Automaton}, or None."""
     return system._penalty_cache.get(soficlab.microstates._AUTOMATON)
 
 
@@ -1049,27 +1050,31 @@ def test_signature_dp_memo_outlives_the_stage_on_a_cycle(built):
 
 
 def test_signature_dp_keeps_one_cap(built):
-    """Golden mean, delta = 1/10, where d = 12 and d = 16 have different
-    caps.  The first stage at a cap keeps only its live maps' successors;
-    the next keeps every map's, so a third at that cap builds no row.  A
-    stage with another cap drops them: d = 12 after d = 16 builds as many
-    rows as on a fresh system."""
+    """Golden mean, window [-2, 2], where d = 12 and d = 16 at delta = 1/10
+    have different caps.  The first stage at a cap keeps every map's
+    successors, so the same stage again builds no row.  The longer stage
+    has the larger cap and replaces the held automaton with one at its
+    cap; d = 12 after it reads that automaton through its own cap, builds
+    no row and leaves it held.  A stage longer than any the automaton
+    finished, d = 18 at delta = 1/20 (a smaller cap), replaces it again."""
 
-    def stage(gm, d):
+    def stage(gm, d, delta="0.1"):
         built.clear()
-        got, _ = count_microstates(gm, [1], "0.1", cyclic_model(gm.group, d),
+        got, _ = count_microstates(gm, [1], delta, cyclic_model(gm.group, d),
                                    gm.interval_window(-2, 2), origin_partition(gm))
         assert got.n_outer == _lucas(d)
-        return len(built), _kept_memos(gm)[0]
+        (held,) = _kept_memos(gm).values()
+        return len(built), held.cap
 
     fresh, cap = stage(golden_mean_system(), 12)
     gm = golden_mean_system()
-    assert stage(gm, 12) == (fresh, cap)
-    rows, held = stage(gm, 12)
-    assert rows <= fresh and held == cap
+    assert stage(gm, 12) == (fresh, cap) and fresh > 0
     assert stage(gm, 12) == (0, cap)
-    assert stage(gm, 16)[1] != cap
-    assert stage(gm, 12) == (fresh, cap)
+    rows, larger = stage(gm, 16)
+    assert rows > 0 and larger > cap
+    assert stage(gm, 12) == (0, larger)
+    assert stage(gm, 18, "0.05") == stage(golden_mean_system(), 18, "0.05")
+    assert stage(gm, 18, "0.05")[1] < larger
 
 
 def test_wide_frontier_leaves_no_successor_memo():
@@ -1145,6 +1150,88 @@ def test_counts_on_a_shared_system_equal_counts_on_fresh_systems(plan, data):
                 == _memo_stage(make(), plan, n, delta, prune, filters))
 
 
+def _fresh_counts(plan, n, delta, measure_filter=None, filters=()):
+    """The counts of one stage of plan on a fresh system, per tally."""
+    make, window_of, F, _ = MEMO_PLANS[plan]
+    system = make()
+    got, found = count_microstates(system, F, delta, cyclic_model(system.group, n),
+                                   window_of(system), origin_partition(system),
+                                   measure_filter=measure_filter and measure_filter(system),
+                                   filters=[f(system) for f in filters])
+    return [(c.n_inner, c.n_outer) for c in (got, *found)]
+
+
+def _fair_at_origin(delta):
+    """system -> the fair coin's filter on the indicator of 1 at the origin."""
+    def build(system):
+        at_origin = TestFunction.indicator(system.pattern(system.window([system.group.identity]),
+                                                          ("1",)))
+        return MeasureFilter.build(BernoulliMeasure(system, ["0.5", "0.5"]), [at_origin], delta)
+    return build
+
+
+@contextlib.contextmanager
+def _charges():
+    """The (d, cap, units charged) of every signature DP run in the block."""
+    log = []
+    signatures = soficlab.microstates._FrontierDP.signatures
+
+    def logged(dp, *args):
+        out = signatures(dp, *args)
+        log.append((dp.d, dp.cap, dp.spent))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soficlab.microstates._FrontierDP, "signatures", logged)
+        yield log
+
+
+@settings(max_examples=30, deadline=None)
+@given(plan=st.sampled_from(sorted(MEMO_PLANS)), data=st.data())
+def test_traces_on_a_shared_system_count_each_stage_as_a_fresh_system(plan, data):
+    """The traces and check_variational count their stages longest first on
+    one system, so shorter stages run through a longer one's automaton.
+    With the sides shuffled and repeated and one or two deltas, every row
+    holds what its stage counts on a fresh system, in input order, and
+    every stage charges the budget what it charges there."""
+    make, window_of, F, sides = MEMO_PLANS[plan]
+    ns = data.draw(st.lists(st.sampled_from(sides), min_size=2, max_size=5))
+    deltas = data.draw(st.lists(st.sampled_from(["0.05", "0.1", "0.2", "0.3"]), min_size=1,
+                                max_size=2, unique=True))
+    kind = data.draw(st.sampled_from(["topological", "measure", "variational"]))
+    shared = make()
+    window, cover = window_of(shared), origin_partition(shared)
+    maps = [cyclic_model(shared.group, n) for n in ns]
+    fair = BernoulliMeasure(shared, ["0.5", "0.5"])
+    L = _fair_at_origin("0.5")(shared).functions
+    with _charges() as charged:
+        if kind == "variational":
+            report = check_variational(shared, cover, [("fair", fair)], L, F, deltas, maps,
+                                       window)
+            got = [((r.delta, r.stage, r.d), (r.count_unfiltered_inner, r.count_unfiltered_outer),
+                    (r.count_filtered_inner, r.count_filtered_outer)) for r in report.rows]
+        else:
+            got = []
+            for delta in deltas:
+                trace = (sofic_topological_trace(shared, cover, F, delta, maps, window)
+                         if kind == "topological" else
+                         sofic_measure_trace(shared, cover, fair, L, F, delta, maps, window))
+                assert not any(r.incomplete for r in trace.rows)
+                got += [((Fraction(delta), r.stage, r.d), (r.count_inner, r.count_outer))
+                        for r in trace.rows]
+    with _charges() as fresh:
+        expected = []
+        for delta in deltas:
+            for i, n in enumerate(ns):
+                counts = _fresh_counts(
+                    plan, n, delta,
+                    measure_filter=_fair_at_origin(delta) if kind == "measure" else None,
+                    filters=[_fair_at_origin(delta)] if kind == "variational" else ())
+                expected.append(((Fraction(delta), i, maps[i].d), *counts))
+    assert got == expected
+    assert sorted(charged) == sorted(fresh)
+
+
 def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
     """Golden mean, d = 12, delta = 1/10, window [-2, 2]: a step charges its
     live maps times the language size, whether their successors are built
@@ -1197,6 +1284,91 @@ def test_budget_cut_points_stay_when_the_system_holds_the_memo(gm, gm_origin, pa
     with pytest.raises(ResourceBudgetError, match="DP"):
         count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, filters=filters,
                           budget=2326)
+
+
+@pytest.mark.parametrize("side, F, delta, long, short, rows_after", [
+    (1, [1], "0.3", 16, 8, 0), (1, [1, -1], "0.3", 16, 8, 9), (3, [1], "0.25", 12, 10, 0)])
+def test_shorter_stage_charges_its_own_cap_through_a_larger_one(built, side, F, delta, long,
+                                                                short, rows_after):
+    """Golden mean, window [-side, side]: a short stage after a long one on
+    one system runs through the long one's automaton, whose cap is larger.
+    Some of its maps there hold nothing under its own cap and are dropped,
+    and on window [-3, 3] some share a projection onto it (120 live maps
+    project onto 117 at one step of d = 10), yet each step charges exactly
+    the own-cap live maps: the counts and the units charged are a fresh
+    system's, with one shift and (the Pareto path) with two.  With one
+    shift the stage builds no row; with two its last step, of a kind of its
+    own, builds 9 (64 on a fresh system)."""
+
+    def stage(gm, d):
+        built.clear()
+        with _charges() as charged:
+            got, _ = count_microstates(gm, F, delta, cyclic_model(gm.group, d),
+                                       gm.interval_window(-side, side), origin_partition(gm))
+        return (got.n_inner, got.n_outer), charged, len(built)
+
+    counts, charged, fresh_rows = stage(golden_mean_system(), short)
+    gm = golden_mean_system()
+    stage(gm, long)
+    assert stage(gm, short) == (counts, charged, rows_after) and rows_after < fresh_rows
+
+
+def _golden_parry(system):
+    """The Parry chain of a golden mean system, as the parry fixture's."""
+    phi = (1 + 5 ** 0.5) / 2
+    return MarkovMeasure.stationary(
+        system, {"0": {"0": 1 / phi, "1": 1 - 1 / phi}, "1": {"0": 1, "1": 0}})
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+def test_budget_cut_points_stay_when_a_longer_stage_left_its_automaton(built, filtered):
+    """The two pinned stages above (d = 12, delta = 1/10) on a system that
+    holds the automaton of d = 16 at delta = 1/10, whose cap is larger: the
+    stage reads it through its own cap and builds no row, yet each step
+    still charges its own-cap live maps, so 2,327 units finish and one unit
+    less raises."""
+    gm = golden_mean_system()
+    w, origin = gm.interval_window(-2, 2), origin_partition(gm)
+    at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+    filters = ([MeasureFilter.build(_golden_parry(gm), [at_origin], Fraction(1, 10))]
+               if filtered else [])
+    count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 16), w, origin,
+                      filters=filters)
+    (held,) = _kept_memos(gm).values()
+    sigma = cyclic_model(gm.group, 12)
+    built.clear()
+    got, found = count_microstates(gm, [1], Fraction(1, 10), sigma, w, origin,
+                                   filters=filters, budget=2327)
+    assert not built
+    assert got.n_inner == got.n_outer == _lucas(12)
+    assert [(f.n_inner, f.n_outer) for f in found] == [(217, 217)] * len(filters)
+    with pytest.raises(ResourceBudgetError, match="DP"):
+        count_microstates(gm, [1], Fraction(1, 10), sigma, w, origin, filters=filters,
+                          budget=2326)
+    assert _kept_memos(gm) == {next(iter(_kept_memos(gm))): held}
+
+
+def test_variational_stage_list_determinises_its_longest_stage_once(built):
+    """The golden mean with the Parry filter at the origin, delta = 1/10,
+    d = 6, 7, 8 (the variational benchmark's stages): counted longest
+    first, the list builds no more successor rows than d = 8 alone."""
+    expected = {6: (18, 9), 7: (29, 14), 8: (47, 36)}  # unfiltered, filtered outer
+
+    def rows_built(ds):
+        gm = golden_mean_system()
+        at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
+        built.clear()
+        report = check_variational(gm, origin_partition(gm), [("parry", _golden_parry(gm))],
+                                   [at_origin], [1], [Fraction(1, 10)],
+                                   [cyclic_model(gm.group, d) for d in ds],
+                                   gm.interval_window(-2, 2))
+        assert [(r.d, r.count_unfiltered_outer, r.count_filtered_outer)
+                for r in report.rows] == [(d, *expected[d]) for d in ds]
+        return len(built)
+
+    alone = rows_built([8])
+    assert 0 < rows_built([6, 7, 8]) <= alone
+    assert rows_built([7, 6, 8, 6]) <= alone
 
 
 def test_scan_budget_cut_point_is_pinned(gm):
