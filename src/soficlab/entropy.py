@@ -225,17 +225,8 @@ class DominantMeasureResult:
     counts: tuple
     net_ok: bool
     # up to five empirical vectors near no candidate, in the order the
-    # counting path finds them
+    # counting path meets them
     uncovered: tuple
-
-
-def _empirical_vector(window: Window, values, L) -> tuple:
-    """(1/d) sum_i f(x_i) for each f in L, x_i the d patterns in values."""
-    out = []
-    for f in L:
-        proj = [window.index[g] for g in f.window.elements]
-        out.append(float(sum(f(tuple(v[i] for i in proj)) for v in values) / len(values)))
-    return tuple(out)
 
 
 def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L, F, delta,
@@ -249,8 +240,9 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
     (every microstate's empirical vector lies within filter_delta of some
     candidate's expectations); with a covering net the winner provably
     satisfies count >= ceil(unfiltered / |D|).  uncovered holds the
-    empirical vectors of up to five microstates no candidate keeps, in the
-    order the counting path finds them.
+    empirical vectors (1/d) sum_i f(x_i), f in L, of up to five microstates
+    no candidate keeps, in the order the counting path meets them, read off
+    the filter sums the count carries (MicrostateCounts.unmatched_sums).
     """
     if not candidates:
         raise ArgumentError("need at least one candidate measure")
@@ -260,9 +252,8 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
                                         filters=filters, budget=budget)
     # a microstate is near a candidate exactly when it passes that candidate's
     # filter: |(1/d) sum_i f(x_i) - nu(f)| < filter_delta for every f in L
-    lang = system.language_values(window)
-    uncovered = [_empirical_vector(window, [lang[c] for c in row], L)
-                 for row in total.unmatched_rows]
+    # every filter tests the same L, so the first filter's sums serve
+    uncovered = [tuple(float(s / sigma.d) for s in sums[0]) for sums in total.unmatched_sums]
     net_ok = not total.unmatched
     if require_net and not net_ok:
         raise ArgumentError(

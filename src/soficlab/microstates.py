@@ -51,6 +51,7 @@ from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
 from .covers import Cover, exact_min_cover, undominated
 
 DEFAULT_NODE_BUDGET = 2_000_000
+_SHOWN = 5  # the unmatched microstates whose filter sums a count reports
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,16 @@ def zero_defect_delta(system: SymbolicSystem, window: Window, F, d: int) -> Frac
 class _ScaledFunction:
     """One test function of a measure filter, rescaled to integers.
 
-    values[c] is f on language pattern c times the common denominator of
-    the f-values and of the bounds.  A tuple passes when lo < sum of its
-    values < hi, i.e. d (mu(f) - delta) < sum_i f(x_i) < d (mu(f) + delta).
+    values[c] is f on language pattern c times scale, the common
+    denominator of the f-values and of the bounds.  A tuple passes when lo
+    < sum of its values < hi, i.e. d (mu(f) - delta) < sum_i f(x_i) < d
+    (mu(f) + delta).
     """
 
     values: tuple
     lo: int
     hi: int
+    scale: int
 
 
 def _filter_tables(window, lang, measure_filter, d):
@@ -160,7 +163,7 @@ def _filter_tables(window, lang, measure_filter, d):
         bounds = [d * (mu_f - measure_filter.delta), d * (mu_f + measure_filter.delta)]
         scale = math.lcm(*(q.denominator for q in exact + bounds))
         lo, hi = (int(q * scale) for q in bounds)
-        tables.append(_ScaledFunction(tuple(int(q * scale) for q in exact), lo, hi))
+        tables.append(_ScaledFunction(tuple(int(q * scale) for q in exact), lo, hi, scale))
     return tables
 
 
@@ -246,25 +249,26 @@ class MicrostateCounts:
     """Sizes m and cover counts N(U^d, .) of one stage's microstate sets.
 
     On the unfiltered counts of count_microstates, unmatched is the number
-    of outer microstates that pass none of its filters, and unmatched_rows
-    holds up to five of them as index rows into the window language, in the
-    order the counting path finds them.  method names that path: "dp" for
-    the frontier DP, "scan" for the tuple scan.
+    of outer microstates that pass none of its filters, and unmatched_sums
+    holds the filter sums of up to five of them, repeats allowed, in the
+    order the counting path meets them: per filter, sum_i f(x_i) for each
+    of its test functions, as exact Fractions.  method names that path:
+    "dp" for the frontier DP, "scan" for the tuple scan.
 
     n_inner and n_outer are counted with the object.  On the DP path m and
     unmatched are counted on first read, under the budget of the call that
     made the object, so reading them can raise ResourceBudgetError.
     Equality and hashing take (m_inner, m_outer, n_inner, n_outer), so they
-    read m; method, unmatched and unmatched_rows take no part.  repr shows
+    read m; method, unmatched and unmatched_sums take no part.  repr shows
     m and unmatched only once they have been read, so it never runs a DP.
     """
 
     __slots__ = ("n_inner", "n_outer", "method", "_sizes", "_tally")
 
     def __init__(self, m_inner, m_outer, n_inner, n_outer, unmatched=0,
-                 unmatched_rows=(), method="scan"):
+                 unmatched_sums=(), method="scan"):
         self.n_inner, self.n_outer, self.method = n_inner, n_outer, method
-        self._sizes = _Sizes((m_inner,), (m_outer,), (unmatched,), (unmatched_rows,))
+        self._sizes = _Sizes((m_inner,), (m_outer,), (unmatched,), (unmatched_sums,))
         self._tally = 0
 
     @classmethod
@@ -278,7 +282,7 @@ class MicrostateCounts:
     m_inner = property(lambda self: self._sizes.m_inner[self._tally])
     m_outer = property(lambda self: self._sizes.m_outer[self._tally])
     unmatched = property(lambda self: self._sizes.unmatched[self._tally])
-    unmatched_rows = property(lambda self: self._sizes.unmatched_rows[self._tally])
+    unmatched_sums = property(lambda self: self._sizes.unmatched_sums[self._tally])
 
     def _key(self):
         return self.m_inner, self.m_outer, self.n_inner, self.n_outer
@@ -292,31 +296,30 @@ class MicrostateCounts:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ("m_inner", "m_outer", "n_inner", "n_outer", "unmatched", "unmatched_rows",
+        fields = ("m_inner", "m_outer", "n_inner", "n_outer", "unmatched", "unmatched_sums",
                   "method")
         return "MicrostateCounts({})".format(", ".join(
             f"{name}={getattr(self, name)!r}" for name in fields
             if name in ("n_inner", "n_outer", "method") or self._sizes.known(name)))
 
 
-@dataclass(frozen=True)
-class _Sizes:
-    """m and unmatched per tally, the unfiltered tally first."""
+class _Sizes(NamedTuple):
+    """m and unmatched per tally, the unfiltered tally first: reading any
+    field counts nothing, so known holds for every name."""
 
     m_inner: tuple
     m_outer: tuple
     unmatched: tuple
-    unmatched_rows: tuple
+    unmatched_sums: tuple
 
     def known(self, name):
-        """Whether reading field name counts nothing: always, here."""
         return True
 
 
 class _DPSizes:
     """_Sizes of every tally of one DP stage, each DP run on first read.
 
-    The outer counting DP gives m_outer, unmatched and unmatched_rows, the
+    The outer counting DP gives m_outer, unmatched and unmatched_sums, the
     inner one m_inner.  Both run on the stage's _FrontierDP, so they charge
     the budget the signatures charged; a cut raises at the read and is not
     kept.
@@ -327,13 +330,13 @@ class _DPSizes:
 
     @cached_property
     def _outer(self):
-        per_tally, unmatched, rows = self.dp.sequences(False, self.packing, rows_wanted=5)
+        per_tally, unmatched, sums = self.dp.sequences(False, self.packing)
         rest = len(per_tally) - 1
-        return per_tally, (unmatched,) + (0,) * rest, (rows,) + ((),) * rest
+        return per_tally, (unmatched,) + (0,) * rest, (sums,) + ((),) * rest
 
     m_outer = property(lambda self: self._outer[0])
     unmatched = property(lambda self: self._outer[1])
-    unmatched_rows = property(lambda self: self._outer[2])
+    unmatched_sums = property(lambda self: self._outer[2])
 
     @cached_property
     def m_inner(self):
@@ -398,26 +401,25 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     packing = _PackedSums(prune, tables, d, len(lang))
     tallies = [_Tally() for _ in range(len(tables) + 1)]  # the unfiltered tally first
     keeping = {}  # packed sums -> the tallies a microstate with them enters
-    unmatched = []
+    unmatched_sums = []
     n_unmatched = 0
 
     def leaf(indices, inner_ok, packed):
         nonlocal n_unmatched
-        signature = indices  # a general cover's key table is the identity
         kept = keeping.get(packed)
         if kept is None:
             kept = keeping[packed] = [tallies[0]] + [
                 t for t, ok in zip(tallies[1:], packing.passed(packed)) if ok]
         for tally in kept:
             tally.m_outer += 1
-            tally.outer.add(signature)
+            tally.outer.add(indices)  # a general cover's key row is the index row
             if inner_ok:
                 tally.m_inner += 1
-                tally.inner.add(signature)
+                tally.inner.add(indices)
         if len(kept) == 1:  # only the unfiltered tally: no filter keeps it
             n_unmatched += 1
-            if n_unmatched <= 5:
-                unmatched.append(signature)
+            if n_unmatched <= _SHOWN:
+                unmatched_sums.append(packing.exact(packed))
 
     spent = _scan(dp, packing, leaf)
 
@@ -428,7 +430,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
         return n
 
     return (tallies[0].counts(cover_count, unmatched=n_unmatched,
-                              unmatched_rows=tuple(unmatched)),
+                              unmatched_sums=tuple(unmatched_sums)),
             tuple(t.counts(cover_count) for t in tallies[1:]))
 
 
@@ -784,10 +786,8 @@ class _FrontierDP:
                 self.steps, self.closing = other
         self.budget = budget
         self.spent = 0
-        self._values = {}
         self._cache = plan.system._penalty_cache
         self._key = (plan.window.elements, plan.shifts, self.cells)
-        self._decoded = self._cache.setdefault(self._key, {})  # step kind -> _read's
 
     def spend(self, live):
         """Charge one step: the states it extends times the language size."""
@@ -1041,11 +1041,10 @@ class _FrontierDP:
         else:  # no term: every pattern of a cell costs nothing
             s0, div0 = 0, self.n ** step.width
             lead = [[[(0, 0, x) for x in cell] for cell in self.cells]]
-        # Few codes: with no filter sums a key is its code, decoded once for
-        # every stage of the system, else once a step.  Many codes: each map's
-        # keys are decoded once for all its cells (decoded is None).
-        decoded = (None if self.n ** step.width > 1024 else {} if packing.span > 1
-                   else self._decoded.setdefault(step.kind, {}))
+        # Few codes: each key is decoded once for the run of this step kind.
+        # Many codes: each map's keys are decoded once for all its cells
+        # (decoded is None).
+        decoded = None if self.n ** step.width > 1024 else {}
         return _Context(*self._layout(step, packing.increment), s0, div0, lead, terms[1:],
                         packing.feasible if packing.required else None, several, decoded,
                         cap)
@@ -1070,10 +1069,8 @@ class _FrontierDP:
         points after the step; only a required table in the keys reads it."""
         if ctx.several:
             return self._pareto_successors(ctx, state, count)
-        after, kinc, feasible, decoded = ctx.after, ctx.kinc, ctx.feasible, ctx.decoded
-        if decoded is None:
-            decoded = {}
-        cap = ctx.cap
+        after, kinc, feasible, cap = ctx.after, ctx.kinc, ctx.feasible, ctx.cap
+        decoded = {} if ctx.decoded is None else ctx.decoded
         row = []
         for cell in range(len(self.cells)):
             entries = {}
@@ -1109,10 +1106,8 @@ class _FrontierDP:
         lo^2 and hi^2 vectors.  Adding one vector to a sorted Pareto-least set
         keeps it so; only entries reached twice are reduced again.  Equal
         entry values are held as one object."""
-        after, kinc, s0, feasible, decoded = (
-            ctx.after, ctx.kinc, ctx.s0, ctx.feasible, ctx.decoded)
-        if decoded is None:
-            decoded = {}
+        after, kinc, s0, feasible = ctx.after, ctx.kinc, ctx.s0, ctx.feasible
+        decoded = {} if ctx.decoded is None else ctx.decoded
         cap, values = ctx.cap, self._values
         k = len(self.tables)
         row = []
@@ -1165,23 +1160,23 @@ class _FrontierDP:
                 row.append((cell, frozenset(entries.items())))
         return row
 
-    def sequences(self, inner, packing, rows_wanted=0):
+    def sequences(self, inner, packing):
         """Microstate counts in one certified mode (inner: hi^2 sums).
 
         A counting DP over state keys code + n^width * (sums + span * pens),
         pens the per-shift penalty sums as base-cap digits: a layer maps
         each key to how many partial sequences reach it.  Returns
-        (per_tally, unmatched, rows): per_tally[0] counts the microstates
+        (per_tally, unmatched, sums): per_tally[0] counts the microstates
         passing packing.required, per_tally[k + 1] those also passing
         packing.filters[k], unmatched those passing none of the filters, and
-        rows holds up to rows_wanted of the latter as index rows in position
-        order, walked back through the layers.
+        sums holds the exact filter sums (packing.exact) of up to five of the
+        latter, read off the final keys, a key of multiplicity m at most m
+        times.
         """
         n, cap, span = self.n, self.cap, packing.span
         feasible = packing.feasible if packing.required else None
         weights = [cap ** s for s in range(len(self.tables))]
         layer = {0: 1}
-        layers = [layer]
         for count, step in enumerate(self.steps, 1):
             self.spend(len(layer))
             before, after, runs, kinc = self._layout(step, packing.increment)
@@ -1221,11 +1216,9 @@ class _FrontierDP:
                         continue
                     nxt[new] = nxt.get(new, 0) + multiplicity
             layer = nxt
-            if rows_wanted:
-                layers.append(layer)
         per_tally = [0] * (len(packing.filters) + 1)
         unmatched = 0
-        rows = []
+        sums = []
         size, closing = self._closing(inner)
         for key, multiplicity in layer.items():
             rest, code = divmod(key, size)
@@ -1243,66 +1236,9 @@ class _FrontierDP:
             if any(passed):
                 continue
             unmatched += multiplicity
-            if len(rows) == rows_wanted:
-                continue
-            for row in self._walk_back(layers, key, inner, packing):
-                rows.append(row)
-                if len(rows) == rows_wanted:
-                    break
-        return per_tally, unmatched, tuple(rows)
-
-    def _walk_back(self, layers, key, inner, packing):
-        """Every index row, in position order, whose partial sequences pass
-        through layers to key in the last one."""
-        n, cap, span, increment = self.n, self.cap, packing.span, packing.increment
-        weights = [cap ** s for s in range(len(self.tables))]
-        shapes = {}  # step number -> what undoing the step reads
-        stack = [(len(layers) - 1, key, ())]
-        while stack:
-            k, key, tail = stack.pop()
-            if k == 0:
-                row = [0] * self.d
-                for step, x in zip(self.steps, tail):
-                    row[step.point] = x
-                yield tuple(row)
-                continue
-            step = self.steps[k - 1]
-            shape = shapes.get(k)
-            if shape is None:
-                shape = shapes[k] = (
-                    [n ** j for j in range(step.width)], n ** step.width,
-                    n ** (len(step.keep) + step.stays),
-                    [j for j in range(step.width) if j not in step.keep],
-                    [(s, step.width if slot is None else slot, self.tables[s].matrix(kind, inner))
-                     for s, slot, kind in step.terms])
-            powers, before, after, unknown, terms = shape
-            rest, code = divmod(key, after)
-            pencode, sums = divmod(rest, span)
-            pens = [pencode // w % cap for w in weights]
-            ys = [0] * (step.width + 1)  # the old frontier's patterns, then 0 for a loop
-            known = 0  # the kept digits' part of the old code
-            for j in step.keep:
-                code, ys[j] = divmod(code, n)
-                known += ys[j] * powers[j]
-            found = []
-            for x in [code] if step.stays else range(n):
-                low = sums - increment[x]
-                if low < 0:
-                    continue
-                for guess in itertools.product(range(n), repeat=len(unknown)):
-                    old = known
-                    for j, y in zip(unknown, guess):
-                        ys[j] = y
-                        old += y * powers[j]
-                    prev = pens[:]
-                    for s, slot, rows in terms:
-                        prev[s] -= rows[ys[slot]][x]
-                    if min(prev) < 0:
-                        continue
-                    old += before * (low + span * sum(map(int.__mul__, prev, weights)))
-                    if old in layers[k - 1]:
-                        found.append((k - 1, old, (x,) + tail))
-            stack.extend(reversed(found))  # popped in ascending order
+            if len(sums) < _SHOWN:
+                sums += [packing.exact(rest % span)] * min(multiplicity, _SHOWN - len(sums))
+        return per_tally, unmatched, tuple(sums)
 
 
 def _least(vectors):
@@ -1362,16 +1298,24 @@ class _PackedSums:
                                                self.low, self.high))
         return hit
 
+    def _by_filter(self, packed):
+        """Per filter, (table, sum) for each of its tables over a complete
+        sequence with these sums."""
+        sums = iter(self.sums(packed, self.d)[len(self.required):])
+        return [list(zip(own, sums)) for own in self.filters]
+
+    def exact(self, packed):
+        """Per filter, sum_i f(x_i) for each of its test functions over a
+        complete sequence with these sums, as exact Fractions."""
+        return tuple(tuple(Fraction(total, t.scale) for t, total in pairs)
+                     for pairs in self._by_filter(packed))
+
     def passed(self, packed):
         """Per filter, whether a complete sequence with these sums passes it."""
         hit = self._passed.get(packed)
         if hit is None:
-            sums = self.sums(packed, self.d)[len(self.required):]
-            out = []
-            for own in self.filters:
-                out.append(all(t.lo < total < t.hi for t, total in zip(own, sums)))
-                sums = sums[len(own):]
-            hit = self._passed[packed] = tuple(out)
+            hit = self._passed[packed] = tuple(all(t.lo < total < t.hi for t, total in pairs)
+                                               for pairs in self._by_filter(packed))
         return hit
 
 

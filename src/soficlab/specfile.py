@@ -351,6 +351,10 @@ def build_cover(system: SymbolicSystem, cspec) -> Cover:
                   else system.window([system.group.identity]))
         return trivial_cover(system, window)
     if kind == "pattern-sets":
+        for key in ("window", "elements"):
+            if key not in cspec:
+                raise SpecError(f"a pattern-sets cover needs {key!r}",
+                                field=f"params.cover.{key}")
         window = system.window(cspec["window"])
         elements = [[_placed(system, window, cspec["window"], values) for values in elem]
                     for elem in cspec["elements"]]
@@ -504,14 +508,24 @@ def cross_validate(spec: dict) -> list:
     for name, mspec in spec.get("measures", {}).items():
         try:
             build_measure(system, mspec)
-        except SpecError as exc:
-            diagnostics.append(f"measures.{name}: {exc}")
         except Exception as exc:
             diagnostics.append(f"measures.{name}: {exc}")
     task = spec["task"]
-    for key in TASK_PARAMS[task][0]:
+    required, optional = TASK_PARAMS[task]
+    for key in required:
         if key not in params:
             diagnostics.append(f"params.{key}: required for task {task!r}")
+    # every measure label the task reads, by the field naming it, is declared
+    reads = {key: params.get(key) for key in required + tuple(optional)}
+    fspec = reads.get("filter") or {}
+    labels = [("params.measure", reads.get("measure")),
+              ("params.filter.measure", fspec.get("measure")),
+              *(("params.measure_labels", label) for label in reads.get("measure_labels") or ())]
+    for field, label in labels:
+        if label is not None and label not in spec.get("measures", {}):
+            diagnostics.append(f"{field}: measure {label!r} is not declared in measures")
+    if fspec and "delta" not in fspec and "delta" not in params:
+        diagnostics.append("params.filter.delta: required when params.delta is absent")
     if task == "compare" and params.get("measure") is not None and "L" not in params:
         # without L the sofic side would be the unfiltered topological count,
         # set against the measure entropy H_mu(V_F)/|F| on the amenable side

@@ -189,9 +189,9 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}
-        # microstates' penalty tables, decoded frontier codes and, on plans
-        # with two-point frontiers, the successor memos (one cap each per
-        # window, shifts and cells), all shared across stages
+        # microstates' penalty tables and, on plans with two-point frontiers,
+        # the successor memos (one cap each per window, shifts and cells),
+        # both shared across stages
         self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden

@@ -661,3 +661,64 @@ def test_compare_with_measure_needs_L(tmp_path, capsys):
     assert code == 2
     assert "params.L" in capsys.readouterr().err
     assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
+def _edited_spec(tmp_path, name, edit):
+    spec = json.loads((SPEC_DIR / name).read_text())
+    edit(spec)
+    p = tmp_path / "edited.spec"
+    p.write_text(json.dumps(spec))
+    return p
+
+
+def _argv(command, path, tmp_path):
+    return [command, "--spec", str(path)] + (["--out", str(tmp_path)] if command == "run" else [])
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("name, field, edit", [
+    ("goldenmean_amenable.spec", "params.measure",
+     lambda spec: spec["params"].update(measure="chain")),
+    ("fullshift_variational.spec", "params.measure_labels",
+     lambda spec: spec["params"]["measure_labels"].append("chain")),
+    ("fullshift_microstates.spec", "params.filter.measure",
+     lambda spec: spec["params"].update(filter={"measure": "chain", "delta": "0.1"})),
+], ids=["measure", "measure_labels", "filter.measure"])
+def test_undeclared_measure_label_exits_2_naming_its_field(tmp_path, capsys, command, name,
+                                                           field, edit):
+    """A label missing from measures is a diagnostic, not a KeyError traceback."""
+    path = _edited_spec(tmp_path, name, edit)
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: measure 'chain' is not declared in measures\n")
+    assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_filter_without_a_tolerance_exits_2(tmp_path, capsys, command):
+    """A filter with no delta of its own and no params.delta is refused up
+    front; given either, the spec validates."""
+    fair = {"kind": "bernoulli", "probs": ["0.5", "0.5"]}
+
+    def edit(spec):
+        spec["measures"] = {"fair": fair}
+        spec["params"]["filter"] = {"measure": "fair"}
+
+    path = _edited_spec(tmp_path, "fullshift_microstates.spec", edit)
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: params.filter.delta: required")
+    for tolerance in ({"filter": {"measure": "fair", "delta": "0.1"}}, {"delta": "0.1"}):
+        path = _edited_spec(tmp_path, "fullshift_microstates.spec",
+                            lambda spec: (edit(spec), spec["params"].update(tolerance)))
+        assert validate(path) == []
+
+
+@pytest.mark.parametrize("missing", ["window", "elements"])
+def test_pattern_sets_cover_without_its_keys_exits_2(tmp_path, capsys, missing):
+    cover = {"kind": "pattern-sets", "window": [[0]], "elements": [[["0"]], [["1"]]]}
+    del cover[missing]
+    path = _edited_spec(tmp_path, "fullshift_microstates.spec",
+                        lambda spec: spec["params"].update(cover=cover))
+    assert main(_argv("run", path, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error (params.cover.{missing}): a pattern-sets cover needs {missing!r}\n")

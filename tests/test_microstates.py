@@ -1,4 +1,5 @@
 import ast
+import collections
 import contextlib
 import gc
 import itertools
@@ -360,11 +361,12 @@ def test_unmatched_counts_the_microstates_no_filter_keeps(fs, fs_origin):
                                           filters=filters)
     assert got == MicrostateCounts(256, 256, 256, 256)
     assert got.unmatched == 2
-    assert sorted(got.unmatched_rows) == [(0,) * 8, (1,) * 8]
-    assert all(c.unmatched == 0 and c.unmatched_rows == () for c in got_filtered)
+    # per filter, the number of 0s: none in the all-1 tuple, eight in the all-0
+    assert sorted(got.unmatched_sums) == [((0,),) * 3, ((8,),) * 3]
+    assert all(c.unmatched == 0 and c.unmatched_sums == () for c in got_filtered)
     # with no filters, no filter keeps any microstate
     got, _ = count_microstates(fs, [0], "1.0", sigma, w, fs_origin)
-    assert got.unmatched == 256 and len(got.unmatched_rows) == 5
+    assert got.unmatched == 256 and got.unmatched_sums == ((),) * 5
 
 
 def test_general_cover_counts_through_count_cover(fs, fair):
@@ -587,8 +589,16 @@ def _check_against_naive(system, window, sigma, F, delta, mf, filters, cover=Non
         kept.update(filtered_outer.rows)
     unmatched = set(outer.rows) - kept
     assert got.unmatched == len(unmatched)
-    assert len(set(got.unmatched_rows)) == len(got.unmatched_rows) == min(5, len(unmatched))
-    assert set(got.unmatched_rows) <= unmatched
+    assert len(got.unmatched_sums) == min(5, len(unmatched))
+
+    def sums(values):  # per filter, per test function: sum_i f(x_i), f read directly
+        return tuple(tuple(sum(f(tuple(v[window.index[g]] for g in f.window.elements))
+                               for v in values) for f in own.functions) for own in filters)
+
+    naive = collections.Counter(sums(t) for t, row in zip(outer.tuples, outer.rows)
+                                if row in unmatched)
+    assert collections.Counter(got.unmatched_sums) <= naive
+    assert all(type(s) is Fraction for found in got.unmatched_sums for own in found for s in own)
 
 
 def _single_cycle_stages():
@@ -790,7 +800,7 @@ def _frontier_stages(draw, general=False):
 @given(_frontier_stages())
 def test_frontier_dp_matches_naive_oracle(stage):
     """Every partition stage takes the DP, and its m, N, filtered counts,
-    unmatched and unmatched_rows equal the naive oracle's."""
+    unmatched and unmatched_sums agree with the naive oracle's."""
     _check_against_naive(*stage)
 
 
@@ -799,7 +809,7 @@ def test_frontier_dp_matches_naive_oracle(stage):
 def test_scan_matches_naive_oracle_on_every_stage_shape(stage):
     """The scan walks the frontier DP's steps on every stage shape: with a
     general cover it counts, and its m, N, filtered counts, unmatched and
-    unmatched_rows equal the naive oracle's."""
+    unmatched_sums agree with the naive oracle's."""
     _check_against_naive(*stage)
 
 
@@ -1467,13 +1477,13 @@ def test_repr_shows_only_the_sizes_already_read(gm, gm_origin, monkeypatch):
         cut.m_outer
     assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
     got.m_outer
-    assert repr(got).startswith("MicrostateCounts(m_outer=6010, n_inner=18, n_outer=18, "
-                                "unmatched=6010, unmatched_rows=((0, 0, 0, 0, 0, 0), ")
+    assert repr(got) == ("MicrostateCounts(m_outer=6010, n_inner=18, n_outer=18, "
+                         "unmatched=6010, unmatched_sums=((), (), (), (), ()), method='dp')")
     got.m_inner
     assert repr(got).startswith("MicrostateCounts(m_inner=427, m_outer=6010, ")
     assert repr(MicrostateCounts(1, 2, 3, 4)) == (
         "MicrostateCounts(m_inner=1, m_outer=2, n_inner=3, n_outer=4, unmatched=0, "
-        "unmatched_rows=(), method='scan')")
+        "unmatched_sums=(), method='scan')")
 
 
 def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):
@@ -1490,7 +1500,7 @@ def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):
     kept = filter_microstates(outer, mf)
     assert (dp.m_outer, dp_f.m_outer) == (len(outer), len(kept))
     assert dp.unmatched == len(outer) - len(kept) > 0
-    assert (dp_f.unmatched, dp_f.unmatched_rows) == (0, ())
+    assert (dp_f.unmatched, dp_f.unmatched_sums) == (0, ())
     assert dp == scan and hash(dp) == hash(scan) and dp.method != scan.method
     assert {dp: 1}[scan] == 1
     assert MicrostateCounts(1, 2, 3, 4, 5, ((0,),), "dp") == MicrostateCounts(1, 2, 3, 4)
