@@ -25,8 +25,7 @@ from .entropy import (amenable_measure_trace, amenable_topological_trace,
 from .errors import ResourceBudgetError, SoficLabError, SpecError
 from .microstates import count_microstates
 from .sofic import freeness_defect, mult_defect
-from .specfile import build_system, build_task_arguments, cross_validate, load_spec, read_spec
-from .symbolic import as_fraction
+from .specfile import build_task, load_spec, read_spec
 from .tiling import amenable_exact_tile, sofic_quasi_tile
 
 
@@ -88,10 +87,6 @@ class ArtifactWriter:
         return path
 
 
-def _element_name(system, g):
-    return system.group.element_name(system.group.coerce(g))
-
-
 # task handlers ------------------------------------------------------------------
 
 
@@ -109,12 +104,11 @@ def _task_language(system, args, writer, budget):
 def _task_defects(system, args, writer, budget):
     rows = []
     for i, sigma in enumerate(args["stages"]):
-        for s, t in args["pairs"]:
-            gs, gt = system.group.coerce(s), system.group.coerce(t)
+        for gs, gt in args["pairs"]:
             md = mult_defect(sigma, gs, gt)
             fd = freeness_defect(sigma, gs, gt) if gs != gt else ""
             rows.append((i, sigma.d,
-                         f"{_element_name(system, gs)}|{_element_name(system, gt)}",
+                         f"{system.group.element_name(gs)}|{system.group.element_name(gt)}",
                          md, fd))
     writer.csv("defects", ("i", "d_i", "pair", "mult_defect", "freeness_defect"), rows)
     return 0, []
@@ -147,7 +141,7 @@ def _trace_rows(trace, F_id, delta):
 
 def _task_entropy_sofic(system, args, writer, budget):
     cover, F, maps, window = args["cover"], args["F"], args["stages"], args["window"]
-    F_id = ";".join(_element_name(system, g) for g in F)
+    F_id = ";".join(system.group.element_name(g) for g in F)
     measure = args["measure"]
     rows = []
     warnings = []
@@ -236,8 +230,7 @@ def _task_tile(system, args, writer, budget):
     group = system.group
     sigma = args["sigma"]()
     shapes, V = args["shapes"], args["V"]
-    eta = as_fraction(args["eta"])
-    tau = as_fraction(args["tau"])
+    eta, tau = args["eta"], args["tau"]
     if args["flavor"] == "amenable-exact":
         tiling = amenable_exact_tile(sigma, shapes, tau, eta, V=V)
     else:
@@ -309,36 +302,38 @@ _HANDLERS = {
 
 
 def validate(spec_path) -> list:
-    """Schema and cross-reference check only; returns diagnostics."""
-    spec = load_spec(spec_path)
-    return cross_validate(spec)
+    """[] if run would accept the spec, else its first error as
+    '<field>: <message>': the spec is read and built as run builds it."""
+    try:
+        build_task(load_spec(spec_path))
+    except SpecError as exc:
+        return [f"{exc.field}: {exc}"]
+    return []
+
+
+def _read(spec_path, task=None) -> tuple[dict, str]:
+    """read_spec's result, refused if task (a subcommand's) is not the spec's."""
+    spec, digest = read_spec(spec_path)
+    if task is not None and spec["task"] != task:
+        raise SpecError(f"the subcommand requires task {task!r}, spec has {spec['task']!r}",
+                        field="task")
+    return spec, digest
 
 
 def run(spec_path, out_dir=None, budget_nodes=None, task=None) -> int:
-    """Execute one spec; returns the exit status.  Given task (a
-    subcommand's), a spec with another task is refused with status 2."""
+    """Execute one spec; returns the exit status.  A spec error, or a task
+    other than the given one, raises SpecError before any output is opened."""
     if budget_nodes is not None and budget_nodes < 1:
         raise SpecError(f"node budget must be >= 1, got {budget_nodes}",
                         field="--budget-nodes")
-    spec, digest = read_spec(spec_path)  # one read, so the header names the bytes that ran
-    if task is not None and spec["task"] != task:
-        print(f"error: task: the subcommand requires task {task!r}, spec has "
-              f"{spec['task']!r}", file=sys.stderr)
-        return 2
-    diagnostics = cross_validate(spec)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"error: {d}", file=sys.stderr)
-        return 2
-    system = build_system(spec)
-    out = Path(out_dir or os.environ.get("SOFICLAB_OUT") or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    prefix = spec.get("out", {}).get("prefix") or Path(spec_path).stem
-    writer = ArtifactWriter(out, prefix, digest, spec["task"],
-                            spec.get("params", {}))
+    spec, digest = _read(spec_path, task)  # one read, so the header names the bytes that ran
     budget = 2_000_000 if budget_nodes is None else budget_nodes
     try:
-        args = build_task_arguments(system, spec)
+        system, args = build_task(spec)
+        out = Path(out_dir or os.environ.get("SOFICLAB_OUT") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        prefix = spec.get("out", {}).get("prefix") or Path(spec_path).stem
+        writer = ArtifactWriter(out, prefix, digest, spec["task"], spec["params"])
         code, warnings = _HANDLERS[spec["task"]](system, args, writer, budget)
     except ResourceBudgetError as exc:
         bound = "" if exc.upper_bound is None else f" (upper bound {exc.upper_bound}, not a count)"
@@ -377,13 +372,11 @@ def main(argv=None) -> int:
 
     required_task = {"sofic": "defects", "microstates": "microstates", "tile": "tile"}
     try:
-        if args.command == "validate" or getattr(args, "validate", False):
-            diagnostics = validate(args.spec)
-            for d in diagnostics:
-                print(f"error: {d}", file=sys.stderr)
-            return 2 if diagnostics else 0
-        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes,
-                   task=required_task.get(args.command))
+        task = required_task.get(args.command)
+        if args.command == "validate" or args.validate:
+            build_task(_read(args.spec, task)[0])
+            return 0
+        return run(args.spec, out_dir=args.out, budget_nodes=args.budget_nodes, task=task)
     except SpecError as exc:
         where = f" ({exc.field})" if exc.field else ""
         print(f"error{where}: {exc}", file=sys.stderr)

@@ -18,16 +18,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import SpecError
+from .errors import ArgumentError, SpecError, UnsupportedOperationError
 from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, folner_set
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicSystem, TestFunction,
                        as_fraction)
 from .covers import Cover, origin_partition, trivial_cover
 from .microstates import MeasureFilter
-from .sofic import SoficMap, cyclic_model, from_folner, random_free_model, regular_representation
+from .sofic import cyclic_model, from_folner, random_free_model, regular_representation
 
 TASKS = (
     "language", "defects", "microstates", "entropy-sofic", "entropy-amenable",
@@ -339,7 +340,7 @@ def build_measure(system: SymbolicSystem, mspec: dict):
         if "initial" in mspec:
             return MarkovMeasure(system, mspec["initial"], mspec["transition"])
         return MarkovMeasure.stationary(system, mspec["transition"])
-    raise SpecError(f"unknown measure kind {kind!r}", field="measures")
+    raise ArgumentError(f"unknown measure kind {kind!r}")
 
 
 def build_cover(system: SymbolicSystem, cspec) -> Cover:
@@ -363,23 +364,27 @@ def build_cover(system: SymbolicSystem, cspec) -> Cover:
     raise SpecError(f"unknown cover kind {kind!r}", field="params.cover")
 
 
-def build_sigma(system: SymbolicSystem, sspec: dict, stage_value=None) -> SoficMap:
-    group = system.group
-    model = sspec["model"]
-    if model == "cyclic":
-        n = stage_value if stage_value is not None else sspec["n"]
-        return cyclic_model(group, n)
-    if model == "folner-identity":
-        n = stage_value if stage_value is not None else sspec["n"]
-        return from_folner(group, folner_set(group, n))
-    if model == "regular":
-        return regular_representation(group)
-    if model == "random-free":
-        d = stage_value if stage_value is not None else sspec["d"]
-        _, sigma = random_free_model(group.rank, d, int(sspec.get("seed", 0)),
-                                     names=getattr(group, "names", None))
-        return sigma
-    raise SpecError(f"unknown sigma model {model!r}", field="params.sigma")
+# the group kinds each sigma model is defined on
+SIGMA_MODELS = {"cyclic": ("lattice",), "folner-identity": ("lattice", "finite"),
+                "regular": ("finite",), "random-free": ("free",)}
+
+
+def build_sigma(system: SymbolicSystem, sspec: dict):
+    """stage value -> sspec's sofic map, by default at sspec's own "n" (or
+    "d", for random-free).  A model the group cannot take is refused here,
+    not when a task first calls the function."""
+    group, model = system.group, sspec["model"]
+    if model not in SIGMA_MODELS:
+        raise SpecError(f"unknown sigma model {model!r}", field="params.sigma")
+    if group.kind not in SIGMA_MODELS[model]:
+        raise SpecError(f"sigma model {model!r} needs a {' or '.join(SIGMA_MODELS[model])} "
+                        f"group, not a {group.kind} one", field="params.sigma")
+    build = {"cyclic": lambda n: cyclic_model(group, n),
+             "folner-identity": lambda n: from_folner(group, folner_set(group, n)),
+             "regular": lambda n: regular_representation(group),
+             "random-free": lambda n: random_free_model(group.rank, n, int(sspec.get("seed", 0)),
+                                                        names=group.names)[1]}[model]
+    return lambda n=sspec.get("n", sspec.get("d") if model == "random-free" else None): build(n)
 
 
 def _placed(system: SymbolicSystem, window, elements, values) -> tuple:
@@ -424,110 +429,110 @@ TASK_PARAMS = {
 }
 
 
-def build_task_arguments(system: SymbolicSystem, spec: dict) -> dict:
-    """The params the spec's task reads, each built once, defaults applied.
-
-    Keys are the task's TASK_PARAMS keys.  window, F, cover, deltas,
-    measure(s), L, filter, shapes and candidates hold built objects; sigma
-    holds a stage value -> sofic map function (with no stage, the sigma
-    spec's own "n") and stages the sofic maps at the listed stages; every
-    other key holds its raw value.
-    """
-    required, optional = TASK_PARAMS[spec["task"]]
-    params = {**optional, **spec["params"]}
-    args = {key: params[key] for key in required + tuple(optional)}
-    measures = spec.get("measures", {})
-    if "window" in args:
-        args["window"] = system.window(params["window"])
-    if "F" in args:
-        args["F"] = [system.group.coerce(g) for g in params["F"]]
-    if "cover" in args:
-        args["cover"] = build_cover(system, params["cover"])
-    if "sigma" in args:
-        sspec = params["sigma"]
-        args["sigma"] = lambda n=sspec.get("n"): build_sigma(system, sspec, stage_value=n)
-    if "stages" in args:
-        args["stages"] = [args["sigma"](n) for n in params["stages"]]
-    if "deltas" in args:
-        grid = params["deltas"] if params["deltas"] is not None else params.get("delta")
-        if grid is None:
-            raise SpecError("missing delta grid", field="params.deltas")
-        if not isinstance(grid, list):
-            grid = [grid]
-        args["deltas"] = [as_fraction(v) for v in grid]
-    if "measure" in args and params["measure"] is not None:
-        args["measure"] = build_measure(system, measures[params["measure"]])
-    if "measure_labels" in args:
-        args["measure_labels"] = [(label, build_measure(system, measures[label]))
-                                  for label in params["measure_labels"]]
-    if "L" in args:
-        args["L"] = build_test_functions(system, params["L"])
-    if "filter" in args and params["filter"] is not None:
-        fspec = params["filter"]
-        args["filter"] = MeasureFilter.build(
-            build_measure(system, measures[fspec["measure"]]),
-            build_test_functions(system, fspec.get("functions", ())),
-            as_fraction(fspec.get("delta", params.get("delta"))))
-    if "shapes" in args:
-        args["shapes"] = [FiniteSubset(system.group, shape) for shape in params["shapes"]]
-    if "candidates" in args:
-        args["candidates"] = [(build_pattern(system, a), build_pattern(system, b))
-                              for a, b in params["candidates"]]
-    return args
-
-
-def cross_validate(spec: dict) -> list:
-    """Semantic checks beyond the JSON schema; returns diagnostics."""
-    diagnostics = []
+@contextmanager
+def _building(field: str):
+    """Raise what building field's value raises on bad input as a SpecError
+    naming field; a SpecError naming a field of its own and a budget cut
+    (no spec error) pass.  The built-in errors are caught too: the schema
+    leaves some shapes open (measures, cover elements, group tables), and
+    a value of the right JSON type can still fail int() or Fraction()."""
     try:
-        system = build_system(spec)
-    except SpecError as exc:
-        return [f"{exc.field}: {exc}"]
-    params = spec.get("params", {})
+        yield
+    except (UnsupportedOperationError, ValueError, TypeError, LookupError) as exc:
+        raise SpecError(str(exc), field=field) from exc  # ArgumentError is a ValueError
+
+
+def _positive(value, field: str) -> Fraction:
+    """value as an exact tolerance, which must be > 0."""
+    with _building(field):
+        delta = as_fraction(value)
+    if delta <= 0:
+        raise SpecError(f"delta must be > 0 (strict inequalities), got {value}", field=field)
+    return delta
+
+
+def _delta_grid(params: dict) -> list:
+    """params.deltas (a list or one value), or else params.delta."""
+    key = "deltas" if params["deltas"] is not None else "delta"
+    grid = params.get(key)
+    if grid is None:
+        raise SpecError("missing delta grid", field="params.deltas")
+    return [_positive(v, f"params.{key}") for v in (grid if isinstance(grid, list) else [grid])]
+
+
+def _filter_delta(fspec: dict, params: dict) -> Fraction:
+    """The filter's own delta, or else params.delta."""
+    if "delta" in fspec:
+        return _positive(fspec["delta"], "params.filter.delta")
+    if params.get("delta") is None:
+        raise SpecError("required when params.delta is absent", field="params.filter.delta")
+    return _positive(params["delta"], "params.delta")
+
+
+def build_task(spec: dict) -> tuple[SymbolicSystem, dict]:
+    """The spec's system and the params its task reads, each built once.
+
+    The only check of a spec after the schema walk: the first value that
+    cannot be built raises a SpecError naming its field (``system``,
+    ``measures.<label>``, ``params.<key>``); a budget cut stays a
+    ResourceBudgetError.  Every declared measure is built; a params key
+    the task does not read is neither built nor checked.  The dict holds
+    the task's TASK_PARAMS keys, defaults applied, each built by its
+    builder below (sigma: see build_sigma) or else raw.
+    """
+    system = build_system(spec)
     group = system.group
-    for key in ("delta", "deltas"):
-        if key in params:
-            vals = params[key] if isinstance(params[key], list) else [params[key]]
-            for v in vals:
-                try:
-                    f = Fraction(str(v))
-                except ValueError:
-                    diagnostics.append(f"params.{key}: not a number: {v!r}")
-                    continue
-                if f <= 0:
-                    diagnostics.append(
-                        f"params.{key}: delta must be > 0 (strict inequalities), got {v}"
-                    )
-    for key in ("F", "window"):
-        if key in params:
-            for g in params[key]:
-                try:
-                    group.coerce(g)
-                except Exception:
-                    diagnostics.append(f"params.{key}: not a group element: {g!r}")
-    for name, mspec in spec.get("measures", {}).items():
-        try:
-            build_measure(system, mspec)
-        except Exception as exc:
-            diagnostics.append(f"measures.{name}: {exc}")
-    task = spec["task"]
+    measures = {}
+    for label, mspec in spec.get("measures", {}).items():
+        with _building(f"measures.{label}"):
+            measures[label] = build_measure(system, mspec)
+
+    def measure(label, field):
+        if label not in measures:
+            raise SpecError(f"measure {label!r} is not declared in measures", field=field)
+        return measures[label]
+
+    task, given = spec["task"], spec["params"]
     required, optional = TASK_PARAMS[task]
     for key in required:
-        if key not in params:
-            diagnostics.append(f"params.{key}: required for task {task!r}")
-    # every measure label the task reads, by the field naming it, is declared
-    reads = {key: params.get(key) for key in required + tuple(optional)}
-    fspec = reads.get("filter") or {}
-    labels = [("params.measure", reads.get("measure")),
-              ("params.filter.measure", fspec.get("measure")),
-              *(("params.measure_labels", label) for label in reads.get("measure_labels") or ())]
-    for field, label in labels:
-        if label is not None and label not in spec.get("measures", {}):
-            diagnostics.append(f"{field}: measure {label!r} is not declared in measures")
-    if fspec and "delta" not in fspec and "delta" not in params:
-        diagnostics.append("params.filter.delta: required when params.delta is absent")
-    if task == "compare" and params.get("measure") is not None and "L" not in params:
+        if key not in given:
+            raise SpecError(f"required for task {task!r}", field=f"params.{key}")
+    params = {**optional, **given}
+    args = {key: params[key] for key in required + tuple(optional)}
+    builders = {  # in the order values are built, and so errors met
+        "window": system.window,
+        "F": lambda v: [group.coerce(g) for g in v],
+        "cover": lambda v: build_cover(system, v),
+        "sigma": lambda v: build_sigma(system, v),
+        "stages": lambda v: [args["sigma"](n) for n in v],
+        "pairs": lambda v: [(group.coerce(s), group.coerce(t)) for s, t in v],
+        "deltas": lambda v: _delta_grid(params),
+        "measure": lambda v: None if v is None else measure(v, "params.measure"),
+        "measure_labels": lambda v: [(label, measure(label, "params.measure_labels"))
+                                     for label in v],
+        "L": lambda v: build_test_functions(system, v),
+        "filter": lambda v: None if v is None else MeasureFilter.build(
+            measure(v["measure"], "params.filter.measure"),
+            build_test_functions(system, v.get("functions", ())), _filter_delta(v, params)),
+        "shapes": lambda v: [FiniteSubset(group, shape) for shape in v],
+        "candidates": lambda v: [(build_pattern(system, a), build_pattern(system, b))
+                                 for a, b in v],
+        "p": lambda v: [as_fraction(x) for x in v],
+        **dict.fromkeys(("a", "slack", "eta", "tau", "threshold", "eps"),
+                        lambda v: None if v is None else as_fraction(v)),
+    }
+    for key, build in builders.items():
+        if key in args:
+            with _building(f"params.{key}"):
+                args[key] = build(args[key])
+    if "measure" in args and args["measure"] is None:
+        # a and L shape only the measure side, so without a measure they would be dropped
+        for key in ("a", "L"):
+            if key in args and key in given:
+                raise SpecError("read only with params.measure, which is absent",
+                                field=f"params.{key}")
+    elif task == "compare" and "L" not in given:
         # without L the sofic side would be the unfiltered topological count,
         # set against the measure entropy H_mu(V_F)/|F| on the amenable side
-        diagnostics.append("params.L: required for task 'compare' with a measure")
-    return diagnostics
+        raise SpecError("required for task 'compare' with a measure", field="params.L")
+    return system, args

@@ -409,7 +409,7 @@ def test_integral_float_rank_is_a_diagnostic(tmp_path, capsys):
     assert load_spec(bad) == spec
     assert [d.split(":")[0] for d in validate(bad)] == ["system"]
     assert main(["run", "--spec", str(bad), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: system: bad system:")
+    assert capsys.readouterr().err.startswith("error (system): bad system:")
 
 
 def test_run_reads_the_spec_once(tmp_path, monkeypatch):
@@ -690,7 +690,7 @@ def test_undeclared_measure_label_exits_2_naming_its_field(tmp_path, capsys, com
     path = _edited_spec(tmp_path, name, edit)
     assert main(_argv(command, path, tmp_path)) == 2
     assert capsys.readouterr().err == (
-        f"error: {field}: measure 'chain' is not declared in measures\n")
+        f"error ({field}): measure 'chain' is not declared in measures\n")
     assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
 
 
@@ -706,7 +706,7 @@ def test_filter_without_a_tolerance_exits_2(tmp_path, capsys, command):
 
     path = _edited_spec(tmp_path, "fullshift_microstates.spec", edit)
     assert main(_argv(command, path, tmp_path)) == 2
-    assert capsys.readouterr().err.startswith("error: params.filter.delta: required")
+    assert capsys.readouterr().err.startswith("error (params.filter.delta): required")
     for tolerance in ({"filter": {"measure": "fair", "delta": "0.1"}}, {"delta": "0.1"}):
         path = _edited_spec(tmp_path, "fullshift_microstates.spec",
                             lambda spec: (edit(spec), spec["params"].update(tolerance)))
@@ -722,3 +722,109 @@ def test_pattern_sets_cover_without_its_keys_exits_2(tmp_path, capsys, missing):
     assert main(_argv("run", path, tmp_path)) == 2
     assert capsys.readouterr().err == (
         f"error (params.cover.{missing}): a pattern-sets cover needs {missing!r}\n")
+
+
+FAIR = {"fair": {"kind": "bernoulli", "probs": ["0.5", "0.5"]}}
+ORIGIN_L = [{"window": [[0]], "values": ["1"]}]
+
+
+def _on_group(group, F, window):
+    """An edit moving a microstates spec onto group, with F and window its elements."""
+    def edit(spec):
+        spec["system"]["group"] = group
+        spec["params"].update(F=F, window=window,
+                              sigma={"model": "random-free", "seed": 1})
+    return edit
+
+
+@pytest.mark.parametrize("name, field, edit", [
+    ("fullshift_microstates.spec", "params.cover.elements",
+     lambda spec: spec["params"].update(cover={"kind": "pattern-sets", "window": [[0]]})),
+    ("fullshift_microstates.spec", "params.cover",
+     lambda spec: spec["params"].update(
+         cover={"kind": "pattern-sets", "window": [[0]], "elements": [[["2"]]]})),
+    ("fullshift_microstates.spec", "params.stages",
+     lambda spec: spec["params"].update(stages=[0])),
+    ("fullshift_microstates.spec", "params.sigma",
+     lambda spec: spec["params"].update(sigma={"model": "bogus"})),
+    ("fullshift_microstates.spec", "params.sigma",
+     _on_group({"kind": "lattice", "rank_or_order": 1}, [[1]], [[0], [1]])),
+    ("fullshift_microstates.spec", "params.sigma",
+     _on_group({"kind": "lattice", "rank_or_order": 2}, [[1, 0]], [[0, 0], [1, 0]])),
+    ("fullshift_microstates.spec", "params.sigma",
+     _on_group({"kind": "finite", "rank_or_order": 3}, [1], [0, 1])),
+    ("goldenmean_compare.spec", "params.sigma",
+     lambda spec: spec["params"].update(sigma={"model": "regular"})),
+    ("goldenmean_amenable.spec", "params.a", lambda spec: spec["params"].pop("measure")),
+    ("fullshift_sofic_trace.spec", "params.L", lambda spec: spec["params"].update(L=ORIGIN_L)),
+    ("goldenmean_compare.spec", "params.L", lambda spec: spec["params"].update(L=ORIGIN_L)),
+    ("goldenmean_amenable.spec", "params.measure",
+     lambda spec: spec["params"].update(measure="chain")),
+    ("fullshift_microstates.spec", "params.filter.delta",
+     lambda spec: (spec.update(measures=FAIR), spec["params"].update(filter={"measure": "fair"}))),
+    ("goldenmean_compare.spec", "params.L",
+     lambda spec: (spec.update(measures=FAIR), spec["params"].update(measure="fair"))),
+    ("goldenmean_compare.spec", "params.deltas",
+     lambda spec: spec["params"].update(deltas=["0"])),
+], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
+        "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
+        "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
+        "compare-L-without-measure", "undeclared-label", "filter-without-delta",
+        "compare-measure-without-L", "zero-delta"])
+def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
+    """validate builds what run builds: one edited spec gets exit 2 and the
+    same single error line from both, and run writes no CSV."""
+    path = _edited_spec(tmp_path, name, edit)
+    lines = []
+    for command in ("validate", "run"):
+        assert main(_argv(command, path, tmp_path)) == 2
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] and lines[0].startswith(f"error ({field}): ")
+    assert lines[0].count("\n") == 1
+    assert validate(path) == [f"{field}: {lines[0][len(f'error ({field}): '):-1]}"]
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("group, pairs, stages, model", [
+    ({"kind": "lattice", "rank_or_order": 1}, [[[1], [1]]], [4], "cyclic"),
+    ({"kind": "lattice", "rank_or_order": 2}, [[[1, 0], [0, 1]]], [3], "folner-identity"),
+    ({"kind": "finite", "rank_or_order": 3}, [[1, 2]], [3], "folner-identity"),
+    ({"kind": "finite", "rank_or_order": 3}, [[1, 2]], [3], "regular"),
+    ({"kind": "free", "rank_or_order": 2}, [["a", "b"]], [4], "random-free"),
+])
+def test_each_sigma_model_runs_on_the_groups_it_takes(tmp_path, group, pairs, stages, model):
+    def edit(spec):
+        spec["system"] = {"alphabet": ["0", "1"], "group": group}
+        spec["params"] = {"sigma": {"model": model, "seed": 1}, "stages": stages,
+                          "pairs": pairs}
+
+    path = _edited_spec(tmp_path, "goldenmean_defects.spec", edit)
+    assert validate(path) == []
+    assert main(_argv("run", path, tmp_path)) == 0
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda p: p.stem)
+def test_run_builds_the_system_and_each_measure_once(tmp_path, monkeypatch, spec):
+    built = {"system": 0, "measures": []}
+    real_system, real_measure = soficlab.specfile.build_system, soficlab.specfile.build_measure
+
+    def spy_system(spec):
+        built["system"] += 1
+        return real_system(spec)
+
+    def spy_measure(system, mspec):
+        built["measures"].append(json.dumps(mspec, sort_keys=True))
+        return real_measure(system, mspec)
+
+    for module in (soficlab.specfile, soficlab.cli):  # wherever run looks them up
+        monkeypatch.setattr(module, "build_system", spy_system, raising=False)
+        monkeypatch.setattr(module, "build_measure", spy_measure, raising=False)
+    assert run(spec, out_dir=tmp_path) == 0
+    declared = json.loads(spec.read_text()).get("measures", {}).values()
+    assert built["system"] == 1
+    assert sorted(built["measures"]) == sorted(json.dumps(m, sort_keys=True) for m in declared)
+
+
+def test_validate_flag_checks_the_subcommand_task(tmp_path, capsys):
+    assert main(["sofic", "--spec", str(SPEC_DIR / "cyclic_tile.spec"), "--validate"]) == 2
+    assert capsys.readouterr().err.startswith("error (task): the subcommand requires task")
