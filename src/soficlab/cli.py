@@ -228,7 +228,7 @@ def _task_variational(system, args, writer, budget):
 
 def _task_tile(system, args, writer, budget):
     group = system.group
-    sigma = args["sigma"]()
+    sigma = args["sigma"]  # built at its own size
     shapes, V = args["shapes"], args["V"]
     eta, tau = args["eta"], args["tau"]
     if args["flavor"] == "amenable-exact":

@@ -24,12 +24,15 @@ one penalty table per shift, compare with one integer cap, and carry a
 measure filter's sums as one packed int (_PackedSums).  The DP carries
 the sums of a table constant on cells beside its maps, not in their
 keys, so one DP run counts the unfiltered tally and every filter of that
-kind, and keeps its successor memo.  On a cycle that memo depends on
-neither d nor delta, only on the integer cap, and the map a prefix
-reaches under one cap fixes its map under every smaller cap.  So the
-system keeps the memo across stages, a stage no longer than one the memo
-has finished runs through it under its larger cap, and a trace counted
-longest first determinises the cycle about once.
+kind, and keeps its successor memo.  A map is held as rows, the entries
+that agree on the frontier digits a step neither reads nor moves (on a
+cycle, point 0's pattern), and successors are built once per distinct
+row.  On a cycle that memo depends on neither d nor delta, only on the
+integer cap, and the map a prefix reaches under one cap fixes its map
+under every smaller cap.  So the system keeps the memo across stages, a
+stage no longer than one the memo has finished runs through it under its
+larger cap, and a trace counted longest first determinises the cycle
+about once.
 
 The cover counts N are what the entropy traces read; the tuple counts m
 only the microstates task.  The scan gets m for free, but on the DP path
@@ -730,20 +733,25 @@ class _Context(NamedTuple):
     extra: list  # the other terms, as by _FrontierDP._rows
     feasible: object  # the required tables' check, or None
     several: bool  # several shifts: Pareto entries
-    decoded: object  # a memo of decoded keys, or None for one per map
+    decoded: object  # a memo of decoded keys, or None for one per row
     cap: int  # the cap the run's maps are built under
+    passive: tuple  # n^slot per passive slot, see _FrontierDP.signatures
 
 
 class _Automaton:
     """The successor memos a system holds for one window, shifts and cells
-    on a narrow plan: kinds maps a step kind to (memo, canonical), every
-    map's successors under cap met so far.  reach is the largest d of a
-    stage that ran all its steps through them, 0 until one has."""
+    on a narrow plan: kinds maps a step kind to (rows, maps), every row's
+    and map's successors under cap met so far, canonical holds each equal
+    row and map as one object, regrouped maps (passive, map) to the map
+    regrouped for those passive slots, and projections per smaller cap a
+    row to its projection.  reach is the largest d of a stage that ran all
+    its steps through them, 0 until one has."""
 
-    __slots__ = ("cap", "reach", "kinds")
+    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "projections")
 
     def __init__(self, cap):
-        self.cap, self.reach, self.kinds = cap, 0, {}
+        self.cap, self.reach, self.kinds, self.canonical = cap, 0, {}, {}
+        self.regrouped, self.projections = {}, {}
 
 
 class _FrontierDP:
@@ -871,27 +879,34 @@ class _FrontierDP:
         on cells stays in the entry keys (code + n^width * sums) and is
         decided on the count of placed points.
 
-        So a map's successors depend only on the step's kind and the cap
-        unless a table stays in the keys.  Without one, each live map's
-        successors are built once per run of equal kinds (_successors) and
-        looked up after, with equal maps held as one object; with one, they
-        are rebuilt at every step.  A wider plan keeps only the live maps'
-        successors, and nothing past the run.
+        A slot is passive for a step kind when the step keeps it in place
+        and no term reads it (a cycle's point 0 on its middle steps).  A map
+        is held as (passive code, row) pairs, a row holding the entries that
+        share those digits, with the digits cleared from its keys; so a
+        row's successors (_successors) need not know the passive code, and
+        a map's are its rows' at their codes (_joined).  Maps are regrouped
+        when the passive slots change (_regroup).  Successors depend only on
+        the step's kind and the cap unless a table stays in the keys.
+        Without one, each row's and each live map's successors are built
+        once per run of equal kinds and looked up after, equal rows and maps
+        held as one object; with one, they are rebuilt at every step.  A
+        wider plan keeps only the live maps' successors, nothing past the
+        run.
 
         On a plan whose frontiers hold at most two points, as a cycle's do,
-        every map's successors are kept on the system (_automaton) and
-        outlive the stage.  The map a prefix reaches under a cap C fixes its
-        map under every cap c <= C: drop the entries with lo >= c and cap
-        hi at c, or with several shifts drop the vectors whose max is >= c
-        (_projected).  That projection commutes with the successors, the
-        sums beside the maps do not read the cap, and _accepts reads only
-        the stage's own cap, so a stage runs its steps under the held
-        automaton's cap when that is larger and the automaton has finished
-        a stage at least as long.  It then drops the maps whose projection
-        is empty, and each step still charges the distinct projections of
-        its live maps: the live maps of the run under its own cap, so no
-        charge depends on what the system held before.  A trace counted
-        longest first so determinises about once.
+        every row's and map's successors are kept on the system (_automaton)
+        and outlive the stage.  The map a prefix reaches under a cap C fixes
+        its map under every cap c <= C: drop the entries with lo >= c and
+        cap hi at c, or with several shifts drop the vectors whose max is >=
+        c (_projected, row by row).  That projection commutes with the
+        successors, the sums beside the maps do not read the cap, and
+        _accepts reads only the stage's own cap, so a stage runs its steps
+        under the held automaton's cap when that is larger and the automaton
+        has finished a stage at least as long.  It then drops the maps whose
+        projection is empty, and each step still charges the distinct
+        projections of its live maps: the live maps of the run under its own
+        cap, so no charge depends on what the system held before.  A trace
+        counted longest first so determinises about once.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -902,38 +917,40 @@ class _FrontierDP:
         several = len(self.tables) > 1
         self._values = {}  # with several shifts: one object per equal entry value
         start = ((0,) * len(self.tables),)
-        states = {frozenset({(0, (start, start) if several else (0, 0))}): 1 if plain else {0: 1}}
+        entry = (0, (start, start) if several else (0, 0))
+        states = {frozenset({(0, frozenset({entry}))}): 1 if plain else {0: 1}}
         self.spend(len(self.cells))  # the first step starts one map per cell
         held = self._automaton() if self.narrow and not keyed.required else None
         cap = self.cap if held is None else held.cap  # the cap the maps are built under
-        projections = {} if cap > self.cap else None  # map -> its projection onto self.cap
-        kind = None
+        # row -> its projection onto self.cap, kept per cap on the held automaton
+        projections = held.projections.setdefault(self.cap, {}) if cap > self.cap else None
+        kind, passive, canonical = None, (), {} if held is None else held.canonical
+        store = not keyed.required  # else successors read count: nothing is kept
         for count, step in enumerate(self.steps, 1):
+            if step.kind != kind:
+                kind, ctx = step.kind, self._context(step, keyed, several, cap)
+                # row -> its successors, map -> its successors: the held
+                # automaton's, else this run's
+                rows, memo = ({}, {}) if held is None else held.kinds.setdefault(kind, ({}, {}))
+                if ctx.passive != passive:
+                    passive = ctx.passive
+                    states = {self._regroup(state, passive, canonical, held): m
+                              for state, m in states.items()}
             if count > 1:
                 self.spend(len(states) if projections is None
                            else self._project(states, projections, several))
-            if step.kind != kind:
-                kind, ctx = step.kind, self._context(step, keyed, several, cap)
-                # map -> its successors: the held automaton's, else this run's
-                memo, canonical = ({}, {}) if held is None else held.kinds.setdefault(
-                    kind, ({}, {}))
-            last = count == len(self.steps) or self.steps[count].kind != kind
-            # keep every map's successors in a held automaton, else only the
-            # live maps', for a next step of the same kind
-            store = held is not None or not (keyed.required or last)
             merged = {}
             for state, multiplicity in states.items():
-                row = memo.get(state)
-                if row is None:
-                    row = self._successors(ctx, state, count)
+                joined = memo.get(state)
+                if joined is None:
+                    joined = self._joined(ctx, state, count, rows if store else {}, canonical)
                     if store:
-                        row = memo[state] = [(cell, canonical.setdefault(nxt, nxt))
-                                             for cell, nxt in row]
+                        memo[state] = joined
                 if plain:
-                    for _, nxt in row:
+                    for _, nxt in joined:
                         merged[nxt] = merged.get(nxt, 0) + multiplicity
                     continue
-                for cell, nxt in row:
+                for cell, nxt in joined:
                     move, bucket = moves[cell], merged.get(nxt)
                     for sums, m in multiplicity.items():
                         sums += move
@@ -941,9 +958,9 @@ class _FrontierDP:
                             if bucket is None:
                                 bucket = merged[nxt] = {}
                             bucket[sums] = bucket.get(sums, 0) + m
-            if store and held is None:  # forget the maps that left
+            if held is None:  # keep only the live maps' successors
                 memo = {s: memo[s] for s in merged if s in memo}
-                canonical = {s: s for s in merged}
+                rows, canonical = {}, {}
             states = merged
         if held is not None:
             held.reach = max(held.reach, self.d)
@@ -966,19 +983,56 @@ class _FrontierDP:
 
     def _project(self, states, projections, several):
         """Drop the maps of a run under a larger cap whose projection onto
-        self.cap (_projected, memoised in projections) is empty, and return
-        how many distinct projections the rest have: the number of live
-        maps of the run under self.cap."""
+        self.cap is empty, and return how many distinct projections the
+        rest have: the number of live maps of the run under self.cap.  A
+        map projects row by row (_projected, memoised in projections)."""
         seen = set()
         for state in list(states):
-            image = projections.get(state)
-            if image is None:
-                image = projections[state] = self._projected(state, several)
+            image = []
+            for code, row in state:
+                low = projections.get(row)
+                if low is None:
+                    low = projections[row] = self._projected(row, several)
+                if low:
+                    image.append((code, low))
             if image:
-                seen.add(image)
+                seen.add(frozenset(image))
             else:
                 del states[state]
         return len(seen)
+
+    def _joined(self, ctx, state, count, rows, canonical):
+        """(cell, map) for each cell under which some row of state has a
+        successor: the map holding each such row's successor at the row's
+        passive code.  A row's successors are built once (_successors) and
+        kept in rows; successor rows and maps are interned in canonical."""
+        nexts = {}  # cell -> the next map's (passive code, row) pairs
+        for code, row in state:
+            built = rows.get(row)
+            if built is None:
+                built = rows[row] = [(cell, canonical.setdefault(nxt, nxt))
+                                     for cell, nxt in self._successors(ctx, row, count)]
+            for cell, nxt in built:
+                nexts.setdefault(cell, []).append((code, nxt))
+        return [(cell, canonical.setdefault(nxt, nxt))
+                for cell, nxt in ((cell, frozenset(pairs)) for cell, pairs in nexts.items())]
+
+    def _regroup(self, state, passive, canonical, held):
+        """state's entries as a map for a step whose passive slots have the
+        place values passive, its rows interned in canonical; memoised on
+        the held automaton, if any."""
+        memo = {} if held is None else held.regrouped
+        hit = memo.get((passive, state))
+        if hit is None:
+            rows = {}
+            for code, row in state:
+                for key, value in row:
+                    own = sum((key + code) // w % self.n * w for w in passive)
+                    rows.setdefault(own, []).append((key + code - own, value))
+            hit = memo[passive, state] = frozenset(
+                (own, canonical.setdefault(row, row))
+                for own, row in ((own, frozenset(e)) for own, e in rows.items()))
+        return hit
 
     def _projected(self, state, several):
         """The map a prefix reaches under self.cap, from the one it reaches
@@ -1009,27 +1063,28 @@ class _FrontierDP:
         size, terms = closing
         cap, n = self.cap, self.n
         inner = outer = False
-        for key, value in state:
-            key %= size  # the frontier code
-            x = key * n // size
-            if several:
-                outs, ins = value
-                for s, div, (lo, hi) in terms:
-                    y = key // div % n
-                    outs = [v[:s] + (v[s] + lo[y][x],) + v[s + 1:] for v in outs]
-                    ins = [v[:s] + (v[s] + hi[y][x],) + v[s + 1:] for v in ins]
-                outer = outer or any(max(v) < cap for v in outs)
-                inner = any(max(v) < cap for v in ins)
-            else:
-                lo, hi = value
-                for _, div, (tlo, thi) in terms:
-                    y = key // div % n
-                    lo += tlo[y][x]
-                    hi += thi[y][x]
-                outer = outer or lo < cap
-                inner = hi < cap
-            if inner:
-                return True, True
+        for code, row in state:
+            for key, value in row:
+                key = (key + code) % size  # the frontier code
+                x = key * n // size
+                if several:
+                    outs, ins = value
+                    for s, div, (lo, hi) in terms:
+                        y = key // div % n
+                        outs = [v[:s] + (v[s] + lo[y][x],) + v[s + 1:] for v in outs]
+                        ins = [v[:s] + (v[s] + hi[y][x],) + v[s + 1:] for v in ins]
+                    outer = outer or any(max(v) < cap for v in outs)
+                    inner = any(max(v) < cap for v in ins)
+                else:
+                    lo, hi = value
+                    for _, div, (tlo, thi) in terms:
+                        y = key // div % n
+                        lo += tlo[y][x]
+                        hi += thi[y][x]
+                    outer = outer or lo < cap
+                    inner = hi < cap
+                if inner:
+                    return True, True
         return False, outer
 
     def _context(self, step, packing, several, cap):
@@ -1045,9 +1100,12 @@ class _FrontierDP:
         # Many codes: each map's keys are decoded once for all its cells
         # (decoded is None).
         decoded = None if self.n ** step.width > 1024 else {}
+        # passive: slots the step keeps in place and no term reads
+        read = {slot for _, slot, _ in step.terms}
+        passive = tuple(self.n ** j for j, k in enumerate(step.keep) if j == k and j not in read)
         return _Context(*self._layout(step, packing.increment), s0, div0, lead, terms[1:],
                         packing.feasible if packing.required else None, several, decoded,
-                        cap)
+                        cap, passive)
 
     def _read(self, ctx, key, decoded):
         """(base, lead candidates per cell, other terms) of one state key, kept
@@ -1064,9 +1122,10 @@ class _FrontierDP:
         return hit
 
     def _successors(self, ctx, state, count):
-        """(cell, map) for each cell under which some entry of state survives
-        one more point: the map after it.  count is the number of placed
-        points after the step; only a required table in the keys reads it."""
+        """(cell, row) for each cell under which some entry of a row state
+        survives one more point: the row after it.  count is the number of
+        placed points after the step; only a required table in the keys
+        reads it."""
         if ctx.several:
             return self._pareto_successors(ctx, state, count)
         after, kinc, feasible, cap = ctx.after, ctx.kinc, ctx.feasible, ctx.cap

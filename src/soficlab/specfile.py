@@ -369,10 +369,11 @@ SIGMA_MODELS = {"cyclic": ("lattice",), "folner-identity": ("lattice", "finite")
                 "regular": ("finite",), "random-free": ("free",)}
 
 
-def build_sigma(system: SymbolicSystem, sspec: dict):
+def build_sigma(system: SymbolicSystem, sspec: dict, sized: bool = False):
     """stage value -> sspec's sofic map, by default at sspec's own "n" (or
-    "d", for random-free).  A model the group cannot take is refused here,
-    not when a task first calls the function."""
+    "d", for random-free); if sized, the map at that size, which sspec must
+    then give (regular takes none).  A model the group cannot take is
+    refused here, not when a task first calls the function."""
     group, model = system.group, sspec["model"]
     if model not in SIGMA_MODELS:
         raise SpecError(f"unknown sigma model {model!r}", field="params.sigma")
@@ -384,7 +385,13 @@ def build_sigma(system: SymbolicSystem, sspec: dict):
              "regular": lambda n: regular_representation(group),
              "random-free": lambda n: random_free_model(group.rank, n, int(sspec.get("seed", 0)),
                                                         names=group.names)[1]}[model]
-    return lambda n=sspec.get("n", sspec.get("d") if model == "random-free" else None): build(n)
+    own = sspec.get("n", sspec.get("d") if model == "random-free" else None)
+    if not sized:
+        return lambda n=own: build(n)
+    if own is None and model != "regular":
+        raise SpecError(f'sigma model {model!r} needs "n": the task reads sigma at its own '
+                        "size", field="params.sigma")
+    return build(own)
 
 
 def _placed(system: SymbolicSystem, window, elements, values) -> tuple:
@@ -451,6 +458,13 @@ def _positive(value, field: str) -> Fraction:
     return delta
 
 
+def _checked(value, ok, message: str):
+    """value, if ok(value); else an ArgumentError with message."""
+    if not ok(value):
+        raise ArgumentError(message)
+    return value
+
+
 def _delta_grid(params: dict) -> list:
     """params.deltas (a list or one value), or else params.delta."""
     key = "deltas" if params["deltas"] is not None else "delta"
@@ -503,7 +517,7 @@ def build_task(spec: dict) -> tuple[SymbolicSystem, dict]:
         "window": system.window,
         "F": lambda v: [group.coerce(g) for g in v],
         "cover": lambda v: build_cover(system, v),
-        "sigma": lambda v: build_sigma(system, v),
+        "sigma": lambda v: build_sigma(system, v, sized=task == "tile"),
         "stages": lambda v: [args["sigma"](n) for n in v],
         "pairs": lambda v: [(group.coerce(s), group.coerce(t)) for s, t in v],
         "deltas": lambda v: _delta_grid(params),
@@ -517,9 +531,12 @@ def build_task(spec: dict) -> tuple[SymbolicSystem, dict]:
         "shapes": lambda v: [FiniteSubset(group, shape) for shape in v],
         "candidates": lambda v: [(build_pattern(system, a), build_pattern(system, b))
                                  for a, b in v],
+        "ns": lambda v: _checked(v, lambda ns: all(n >= 1 for n in ns), "n must be >= 1"),
         "p": lambda v: [as_fraction(x) for x in v],
-        **dict.fromkeys(("a", "slack", "eta", "tau", "threshold", "eps"),
+        **dict.fromkeys(("slack", "eta", "tau", "threshold", "eps"),
                         lambda v: None if v is None else as_fraction(v)),
+        "a": lambda v: None if v is None else _checked(
+            as_fraction(v), lambda a: 0 < a < 1, "a must lie strictly between 0 and 1"),
     }
     for key, build in builders.items():
         if key in args:

@@ -190,8 +190,8 @@ class SymbolicSystem:
         self._windows = {}
         self._language_cache = {}
         # microstates' penalty tables and, on plans with two-point frontiers,
-        # the successor memos (one cap each per window, shifts and cells),
-        # both shared across stages
+        # the row and map successor memos (one cap each per window, shifts
+        # and cells), both shared across stages
         self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden

@@ -766,11 +766,16 @@ def _on_group(group, F, window):
      lambda spec: (spec.update(measures=FAIR), spec["params"].update(measure="fair"))),
     ("goldenmean_compare.spec", "params.deltas",
      lambda spec: spec["params"].update(deltas=["0"])),
+    ("cyclic_tile.spec", "params.sigma",
+     lambda spec: spec["params"].update(sigma={"model": "cyclic"})),
+    ("goldenmean_amenable.spec", "params.ns", lambda spec: spec["params"].update(ns=[0, 2])),
+    ("goldenmean_amenable.spec", "params.a", lambda spec: spec["params"].update(a="1.5")),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
         "compare-L-without-measure", "undeclared-label", "filter-without-delta",
-        "compare-measure-without-L", "zero-delta"])
+        "compare-measure-without-L", "zero-delta", "tile-sigma-without-n", "ns-zero",
+        "a-above-one"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

@@ -1297,7 +1297,7 @@ def test_budget_cut_points_stay_when_the_system_holds_the_memo(gm, gm_origin, pa
 
 
 @pytest.mark.parametrize("side, F, delta, long, short, rows_after", [
-    (1, [1], "0.3", 16, 8, 0), (1, [1, -1], "0.3", 16, 8, 9), (3, [1], "0.25", 12, 10, 0)])
+    (1, [1], "0.3", 16, 8, 0), (1, [1, -1], "0.3", 16, 8, 3), (3, [1], "0.25", 12, 10, 0)])
 def test_shorter_stage_charges_its_own_cap_through_a_larger_one(built, side, F, delta, long,
                                                                 short, rows_after):
     """Golden mean, window [-side, side]: a short stage after a long one on
@@ -1308,7 +1308,7 @@ def test_shorter_stage_charges_its_own_cap_through_a_larger_one(built, side, F, 
     the own-cap live maps: the counts and the units charged are a fresh
     system's, with one shift and (the Pareto path) with two.  With one
     shift the stage builds no row; with two its last step, of a kind of its
-    own, builds 9 (64 on a fresh system)."""
+    own, builds 3 (40 on a fresh system)."""
 
     def stage(gm, d):
         built.clear()
@@ -1379,6 +1379,60 @@ def test_variational_stage_list_determinises_its_longest_stage_once(built):
     alone = rows_built([8])
     assert 0 < rows_built([6, 7, 8]) <= alone
     assert rows_built([7, 6, 8, 6]) <= alone
+
+
+@st.composite
+def _row_stages(draw):
+    """A cycle stage on a fresh Z system whose middle steps have a passive
+    slot (point 0's pattern): the golden mean or the full shift, F = {1}
+    or {1, -1}, and a filter beside the maps (an indicator at the origin),
+    a required one in the keys (an indicator at another site), both, or
+    none.  longer is None, or a longer stage at the same delta whose
+    automaton (at a cap no smaller) then serves the stage."""
+    system = draw(st.sampled_from([golden_mean_system, lambda: full_shift(
+        ("0", "1"), LatticeGroup(1))]))()
+    start = draw(st.integers(-1, 0))
+    window = system.interval_window(start, start + draw(st.integers(1, 2)))
+    n = len(system.language_values(window))
+    d = draw(st.integers(3, max(d for d in range(3, 8) if n ** d <= NAIVE_TUPLES)))
+    F = draw(st.sampled_from([[1], [1, -1]]))
+    delta = draw(st.sampled_from(["0.2", "0.35", "0.5", "0.7"]))
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+
+    def at(g):
+        indicator = TestFunction.indicator(system.pattern(system.window([g]),
+                                                          (draw(st.sampled_from("01")),)))
+        return MeasureFilter.build(fair, [indicator], draw(st.sampled_from(["0.2", "0.4"])))
+
+    other = next(g for g in window.elements if g != system.group.identity)
+    mf = at(other) if draw(st.booleans()) else None
+    filters = [at(system.group.identity)] if draw(st.booleans()) else []
+    longer = draw(st.sampled_from([None, d + 1, d + 3]))
+    return system, window, F, d, delta, mf, filters, longer
+
+
+@settings(max_examples=40, deadline=None)
+@given(_row_stages())
+def test_row_dp_matches_naive_oracle(stage):
+    """The signature DP holds a map as rows that share point 0's pattern
+    and builds successors per row: with one shift and two, a filter beside
+    the maps, a required filter in the keys, and a stage served from a
+    longer one's automaton, its counts equal the naive oracle's."""
+    system, window, F, d, delta, mf, filters, longer = stage
+    if longer is not None:
+        count_microstates(system, F, delta, cyclic_model(system.group, longer), window,
+                          origin_partition(system), filters=filters)
+    _check_against_naive(system, window, cyclic_model(system.group, d), F, delta, mf, filters)
+
+
+def test_golden_mean_stage_at_d_80_keeps_its_counts():
+    """Golden mean, window [-2, 2], F = {1}, delta = 1/10, d = 80, the
+    default budget: the row DP finishes the stage with the counts the DP
+    gave when it built successors per map."""
+    gm = golden_mean_system()
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 80),
+                               gm.interval_window(-2, 2), origin_partition(gm))
+    assert (got.n_inner, got.n_outer) == (52_361_396_397_820_127, 767_912_942_301_137_247)
 
 
 def test_scan_budget_cut_point_is_pinned(gm):
