@@ -77,6 +77,7 @@ _PARAMS = {
             "type": "object",
             "properties": {"kind": {"type": "string"}, "window": _ELEMENTS,
                            "elements": {"type": "array"}},
+            "additionalProperties": False,
         },
         "delta": _DECIMAL,
         "deltas": {"anyOf": [{"type": "array", "items": _DECIMAL}, *_DECIMAL["anyOf"]]},
@@ -359,8 +360,7 @@ def build_cover(system: SymbolicSystem, cspec) -> Cover:
         window = system.window(cspec["window"])
         elements = [[_placed(system, window, cspec["window"], values) for values in elem]
                     for elem in cspec["elements"]]
-        return Cover(system, window, elements,
-                     drop_empty=bool(cspec.get("drop_empty", False)))
+        return Cover(system, window, elements)
     raise SpecError(f"unknown cover kind {kind!r}", field="params.cover")
 
 

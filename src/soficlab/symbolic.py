@@ -189,9 +189,7 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}
-        # microstates' penalty tables and, on plans with two-point frontiers,
-        # the row and map successor memos (one cap each per window, shifts
-        # and cells), both shared across stages
+        # soficlab._frontier's per-system caches, shared across stages
         self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden

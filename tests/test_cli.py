@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soficlab._frontier
 import soficlab.cli
-import soficlab.microstates
 import soficlab.specfile
 from soficlab import (MarkovMeasure, ResourceBudgetError, SpecError, TestFunction,
                       cyclic_model, golden_mean_system, origin_partition, sofic_measure_trace)
@@ -219,6 +219,14 @@ def _string_ns(spec):
     spec["params"]["ns"] = "8"
 
 
+def _cover_drop_empty(spec):
+    spec["params"]["cover"]["drop_empty"] = "false"  # a removed key
+
+
+def _cover_misspelt_key(spec):
+    spec["params"]["cover"] = {"kind": "pattern-sets", "window": [[0]], "elemnts": [[["0"]]]}
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (_drop_alphabet, "system.alphabet"),
     (_unknown_task, "task"),
@@ -231,6 +239,8 @@ def _string_ns(spec):
     (_two_faults, "<root>"),
     (_int_F, "params.F"),
     (_string_ns, "params.ns"),
+    (_cover_drop_empty, "params.cover"),
+    (_cover_misspelt_key, "params.cover"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_schema_errors_match_jsonschema_validate(tmp_path, corrupt, field):
     """The spec walker reports the error jsonschema.validate picks."""
@@ -532,7 +542,7 @@ def test_microstates_cut_while_reading_m_keeps_stage_context(tmp_path, capsys, m
     def cut(*args, **kwargs):
         raise ResourceBudgetError("merged-state DP budget exceeded", upper_bound=9)
 
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", cut)
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", cut)
     assert main(["run", "--spec", str(spec), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "budget exhausted in task microstates: stage d=4" in err
@@ -770,12 +780,17 @@ def _on_group(group, F, window):
      lambda spec: spec["params"].update(sigma={"model": "cyclic"})),
     ("goldenmean_amenable.spec", "params.ns", lambda spec: spec["params"].update(ns=[0, 2])),
     ("goldenmean_amenable.spec", "params.a", lambda spec: spec["params"].update(a="1.5")),
+    ("fullshift_microstates.spec", "params.cover", lambda spec: spec["params"].update(
+        cover={"kind": "pattern-sets", "window": [[0]], "elements": [[["0"]], [["1"]]],
+               "drop_empty": "false"})),
+    ("fullshift_microstates.spec", "params.cover", lambda spec: spec["params"].update(
+        cover={"kind": "pattern-sets", "window": [[0]], "elemnts": [[["0"]], [["1"]]]})),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
         "compare-L-without-measure", "undeclared-label", "filter-without-delta",
         "compare-measure-without-L", "zero-delta", "tile-sigma-without-n", "ns-zero",
-        "a-above-one"])
+        "a-above-one", "cover-drop-empty", "cover-misspelt-key"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soficlab._frontier
 import soficlab.microstates
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
                       FreeGroup, LatticeGroup, MarkovMeasure, MeasureFilter, MicrostateCounts,
@@ -849,7 +850,7 @@ def test_one_signature_dp_tallies_every_filter_constant_on_cells(stage):
     and the signature DP runs once for the unfiltered tally and every
     constant filter, plus once per filter holding another table."""
     stage, own_runs = stage
-    signatures = soficlab.microstates._FrontierDP.signatures
+    signatures = soficlab._frontier._FrontierDP.signatures
     runs = []
 
     def spy(dp, *args, **kwargs):
@@ -857,7 +858,7 @@ def test_one_signature_dp_tallies_every_filter_constant_on_cells(stage):
         return signatures(dp, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(soficlab.microstates._FrontierDP, "signatures", spy)
+        patch.setattr(soficlab._frontier._FrontierDP, "signatures", spy)
         _check_against_naive(*stage)
     assert len(runs) == 1 + own_runs
 
@@ -898,7 +899,7 @@ def test_placement_follows_a_single_cycle(cycle):
     image = [0] * len(cycle)
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
         image[i] = j
-    steps, _ = soficlab.microstates._placement([tuple(image)], len(image))
+    steps, _ = soficlab._frontier._placement([tuple(image)], len(image))
     order = [0]
     while len(order) < len(image):
         order.append(image[order[-1]])
@@ -980,21 +981,21 @@ def test_torus_hard_squares_match_the_transfer_trace(n, expected):
 @pytest.fixture
 def built(monkeypatch):
     """The successor rows the signature DPs build from now on, one 1 a row."""
-    successors = soficlab.microstates._FrontierDP._successors
+    successors = soficlab._frontier._FrontierDP._successors
     rows = []
 
     def spy(dp, *args):
         rows.append(1)
         return successors(dp, *args)
 
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "_successors", spy)
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "_successors", spy)
     return rows
 
 
 def _kept_memos(system):
-    """The successor memos the system holds: {(window, shifts, cells):
+    """The cycle automata the system holds: {(window, shifts, cells):
     _Automaton}, or None."""
-    return system._penalty_cache.get(soficlab.microstates._AUTOMATON)
+    return system._penalty_cache.get(soficlab._frontier._Automaton)
 
 
 def test_signature_dp_builds_no_transition_once_the_maps_saturate(built):
@@ -1108,6 +1109,31 @@ def test_wide_frontier_leaves_no_successor_memo():
     assert _kept_memos(gm) is not None
 
 
+def test_stage_with_a_table_in_the_keys_builds_each_row_once_a_step(built, monkeypatch):
+    """Golden mean, window [-2, 2], delta = 1/10, d = 12, pruned by the Parry
+    filter on the indicator of 1 at site 2, which is not constant on cells:
+    its sums stay in the keys, so the stage holds no automaton, yet each
+    step builds a row's successors once, 259 builds for 259 distinct (step,
+    row) pairs."""
+    successors = soficlab._frontier._FrontierDP._successors  # the built spy
+    pairs = set()
+
+    def spy(dp, ctx, row, count):
+        pairs.add((count, row))
+        return successors(dp, ctx, row, count)
+
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "_successors", spy)
+    gm = golden_mean_system()
+    at_2 = TestFunction.indicator(gm.pattern(gm.window([2]), ("1",)))
+    mf = MeasureFilter.build(_golden_parry(gm), [at_2], Fraction(1, 10))
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 12),
+                               gm.interval_window(-2, 2), origin_partition(gm),
+                               measure_filter=mf)
+    assert (got.n_inner, got.n_outer) == (321, 322)
+    assert len(built) == len(pairs) == 259
+    assert _kept_memos(gm) is None
+
+
 MEMO_PLANS = {  # system maker, window, F, the stage sides: n -> sigma
     "Z-golden": (golden_mean_system, lambda s: s.interval_window(-2, 2), [1], range(4, 9)),
     "Z-full-two-shifts": (lambda: full_shift(("0", "1"), LatticeGroup(1)),
@@ -1184,7 +1210,7 @@ def _fair_at_origin(delta):
 def _charges():
     """The (d, cap, units charged) of every signature DP run in the block."""
     log = []
-    signatures = soficlab.microstates._FrontierDP.signatures
+    signatures = soficlab._frontier._FrontierDP.signatures
 
     def logged(dp, *args):
         out = signatures(dp, *args)
@@ -1192,7 +1218,7 @@ def _charges():
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(soficlab.microstates._FrontierDP, "signatures", logged)
+        patch.setattr(soficlab._frontier._FrontierDP, "signatures", logged)
         yield log
 
 
@@ -1460,9 +1486,9 @@ def test_traces_and_variational_never_run_a_counting_dp(gm, gm_origin, parry, mo
     maps = [cyclic_model(gm.group, d) for d in (6, 9)]
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
     expected = [(_lucas(6), _lucas(6)), (_lucas(9), _lucas(9))]  # (inner, outer)
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", _no_counting_dp)
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", _no_counting_dp)
     # nor are the counting DPs' successor lists built
-    monkeypatch.setattr(soficlab.microstates._PenaltyTable, "ordered", _no_counting_dp)
+    monkeypatch.setattr(soficlab._frontier._PenaltyTable, "ordered", _no_counting_dp)
     for trace in (sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w),
                   sofic_measure_trace(gm, gm_origin, parry, [at_origin], [1], "0.1", maps, w)):
         assert [r.method for r in trace.rows] == ["dp", "dp"]
@@ -1484,14 +1510,14 @@ def test_dominant_measure_runs_only_the_outer_counting_dp(gm, gm_origin, parry, 
     reads m_inner."""
     w = gm.interval_window(-2, 2)
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
-    sequences = soficlab.microstates._FrontierDP.sequences
+    sequences = soficlab._frontier._FrontierDP.sequences
     modes = []
 
     def spy(dp, inner, *args, **kwargs):
         modes.append(inner)
         return sequences(dp, inner, *args, **kwargs)
 
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", spy)
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", spy)
     candidates = [parry, BernoulliMeasure(gm, ["0.5", "0.5"])]
     res = select_dominant_measure(gm, gm_origin, candidates, [at_origin], [1], "0.1",
                                   cyclic_model(gm.group, 8), w, "0.1", require_net=False)
@@ -1522,11 +1548,11 @@ def test_repr_shows_only_the_sizes_already_read(gm, gm_origin, monkeypatch):
                                gm_origin, budget=2327)
     got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 6), w,
                                gm_origin)
-    sequences = soficlab.microstates._FrontierDP.sequences
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", _no_counting_dp)
+    sequences = soficlab._frontier._FrontierDP.sequences
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", _no_counting_dp)
     assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
     assert repr(got) == "MicrostateCounts(n_inner=18, n_outer=18, method='dp')"
-    monkeypatch.setattr(soficlab.microstates._FrontierDP, "sequences", sequences)
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", sequences)
     with pytest.raises(ResourceBudgetError, match="DP"):
         cut.m_outer
     assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
