@@ -30,7 +30,8 @@ class _PenaltyTable:
     read.  A term between a new pattern x and a placed partner y reads them
     by kind: _FWD pen(y, x) (the edge y -> x), _BWD pen(x, y), and _LOOP
     pen(x, x), whose only partner is 0.  The views below are built on first
-    use and kept with the table.
+    use and kept with the table.  lo^2 and hi^2 sort alike (hi = lo + a tail
+    fixed per shift), so one sorted view (candidates) serves every reader.
     """
 
     def __init__(self, plan, lang, s_index):
@@ -62,16 +63,6 @@ class _PenaltyTable:
             hit = self._views[key] = [
                 [sorted((lo[x], hi[x], x) for x in cell) for cell in cells]
                 for lo, hi in zip(self.matrix(kind, False), self.matrix(kind, True))]
-        return hit
-
-    def ordered(self, kind, inner):
-        """O[y]: every pattern x as (penalty, x), cheapest first; only the
-        counting DPs read these."""
-        key = (kind, inner, "ordered")
-        hit = self._views.get(key)
-        if hit is None:
-            hit = self._views[key] = [sorted((p, x) for x, p in enumerate(row))
-                                      for row in self.matrix(kind, inner)]
         return hit
 
 
@@ -221,16 +212,15 @@ class _Automaton:
     the successors of every row and map that the narrow plan's stages have
     met under cap.  kinds maps a step kind to (rows, maps), each row's and
     map's successors; canonical holds each equal row and map as one object,
-    regrouped maps (passive, map) to the map regrouped for those passive
-    slots, and projections per smaller cap a row to its projection.  reach
-    is the largest d of a stage that ran all its steps through it, 0 until
-    one has."""
+    and regrouped maps (passive, map) to the map regrouped for those passive
+    slots.  reach is the largest d of a stage that ran all its steps through
+    it, 0 until one has.  A shorter stage's projections live for that stage
+    only (_FrontierDP.signatures): no other stage reads them."""
 
-    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "projections")
+    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped")
 
     def __init__(self, cap):
-        self.cap, self.reach, self.kinds, self.canonical = cap, 0, {}, {}
-        self.regrouped, self.projections = {}, {}
+        self.cap, self.reach, self.kinds, self.canonical, self.regrouped = cap, 0, {}, {}, {}
 
     @classmethod
     def serving(cls, dp, keyed):
@@ -384,16 +374,17 @@ class _FrontierDP:
         as one object, and outlive the stage.  The map a prefix reaches
         under a cap C fixes its map under every cap c <= C: drop the entries
         with lo >= c and cap hi at c, or with several shifts drop the vectors
-        whose max is >= c (_projected, row by row).  That projection commutes
-        with the successors, the sums beside the maps do not read the cap, and
-        _accepts reads only the stage's own cap, so a stage runs its steps
-        under the held automaton's cap when that is larger and the automaton
-        has finished a stage at least as long.  It then drops the maps whose
-        projection is empty, and each step still charges the distinct
-        projections of its live maps: the live maps of the run under its own
-        cap, so no charge depends on what the system held before.  A trace
-        counted longest first so determinises about once.  Every other stage
-        keeps one step's row successors and no map's.
+        whose max is >= c (_projected, row by row, kept for the stage only).
+        That projection commutes with the successors, the sums beside the
+        maps do not read the cap, and _accepts reads only the stage's own
+        cap, so a stage runs its steps under the held automaton's cap when
+        that is larger and the automaton has finished a stage at least as
+        long.  It then drops the maps whose projection is empty, and each
+        step still charges the distinct projections of its live maps: the
+        live maps of the run under its own cap, so no charge depends on what
+        the system held before.  A trace counted longest first so
+        determinises about once.  Every other stage keeps one step's row
+        successors and no map's.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -409,8 +400,8 @@ class _FrontierDP:
         self.spend(len(self.cells))  # the first step starts one map per cell
         held = _Automaton.serving(self, keyed.required)
         cap = self.cap if held is None else held.cap  # the cap the maps are built under
-        # row -> its projection onto self.cap, kept per cap on the held automaton
-        projections = held.projections.setdefault(self.cap, {}) if cap > self.cap else None
+        # row -> its projection onto self.cap, kept for this stage
+        projections = {} if cap > self.cap else None
         kind, passive = None, ()
         for count, step in enumerate(self.steps, 1):
             if held is None:  # one step's rows: row -> its successors
@@ -722,9 +713,9 @@ class _FrontierDP:
             terms = self._rows(step.terms, step.width, inner)
             if terms:
                 s0, div0, _ = terms[0]
-                lead = self.tables[s0].ordered(step.terms[0][2], inner)
+                lead = self.tables[s0].candidates(step.terms[0][2], (tuple(range(n)),))
             else:
-                s0, div0, lead = 0, before, [[(0, x) for x in range(n)]]
+                s0, div0, lead = 0, before, [[[(0, 0, x) for x in range(n)]]]
             stride, w0, extra = after * span, weights[s0], terms[1:]
             nxt = {}
             for key, multiplicity in layer.items():
@@ -738,7 +729,8 @@ class _FrontierDP:
                     others = [(s, rows[code // div % n]) for s, div, rows in extra]
                 else:
                     room = cap - rest // span // w0 % cap
-                for p, x in lead[code // div0 % n]:
+                for plo, phi, x in lead[code // div0 % n][0]:
+                    p = phi if inner else plo
                     if p >= room:
                         break  # successors are sorted: all later ones bust too
                     added = p * w0

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,7 +264,8 @@ def _task_tile(system, args, writer, budget):
     writer.csv("coverage", ("phase", "shape_size", "centers", "coverage"),
                [(k, len(s), len(c), record.coverage)
                 for k, (s, c) in enumerate(zip(tiling.shapes, tiling.centers))])
-    return (0 if record.all_ok(tiling.flavor) else 1), warnings
+    # a missed coverage guarantee only warns; the other conditions are hard
+    return (0 if replace(record, coverage_ok=True).all_ok(tiling.flavor) else 1), warnings
 
 
 def _task_pairs(system, args, writer, budget):

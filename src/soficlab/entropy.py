@@ -33,14 +33,11 @@ def stage_value(count: int, d: int) -> float:
 
 
 def log_big(n: int) -> float:
-    """Natural log of a (possibly huge) positive integer."""
+    """Natural log of a (possibly huge) positive integer: math.log takes
+    ints of any size."""
     if n <= 0:
         raise ArgumentError("log of non-positive count")
-    try:
-        return math.log(n)
-    except OverflowError:
-        shift = n.bit_length() - 500
-        return math.log(n >> shift) + shift * math.log(2)
+    return math.log(n)
 
 
 @dataclass(frozen=True)

@@ -188,8 +188,8 @@ class SymbolicSystem:
         self.weights = weights if weights is not None else MetricWeights(group)
         self.label = label
         self._windows = {}
-        self._language_cache = {}
-        # soficlab._frontier's per-system caches, shared across stages
+        self._language_cache = {}  # window -> (nodes its enumeration took, patterns)
+        # soficlab._frontier's penalty tables and cycle automata, shared across stages
         self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden
@@ -282,14 +282,18 @@ class SymbolicSystem:
         return by_last
 
     def language_values(self, window: Window, budget: int = None):
-        """All locally admissible value tuples on the window, sorted."""
+        """All locally admissible value tuples on the window, sorted.  Past
+        budget nodes (symbols tried) the enumeration raises ResourceBudgetError,
+        and so does a cached language whose enumeration took more."""
+        budget = budget if budget is not None else 5_000_000
         key = window.elements
         cached = self._language_cache.get(key)
         if cached is not None:
-            return cached
+            if cached[0] > budget:
+                raise ResourceBudgetError("language enumeration budget exceeded")
+            return cached[1]
         by_last = self._embeddings(window)
         m = len(window)
-        budget = budget if budget is not None else 5_000_000
         nodes = 0
         out = []
         values = [None] * m
@@ -319,7 +323,7 @@ class SymbolicSystem:
         finally:
             del rec  # rec reaches itself through its closure: break the cycle
         result = tuple(out)
-        self._language_cache[key] = result
+        self._language_cache[key] = (nodes, result)
         return result
 
 

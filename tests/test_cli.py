@@ -848,3 +848,131 @@ def test_run_builds_the_system_and_each_measure_once(tmp_path, monkeypatch, spec
 def test_validate_flag_checks_the_subcommand_task(tmp_path, capsys):
     assert main(["sofic", "--spec", str(SPEC_DIR / "cyclic_tile.spec"), "--validate"]) == 2
     assert capsys.readouterr().err.startswith("error (task): the subcommand requires task")
+
+
+# task branches no bundled spec takes, each on an edited copy of one ---------
+
+
+def _run_edited(tmp_path, name, edit):
+    """Run an edited copy of a bundled spec under the prefix "edited"; exit 0."""
+    def with_prefix(spec):
+        edit(spec)
+        spec["out"] = {"prefix": "edited"}
+
+    assert run(_edited_spec(tmp_path, name, with_prefix), out_dir=tmp_path) == 0
+
+
+def _csv_rows(path: Path) -> list:
+    """The CSV's data rows as dicts keyed by its column names."""
+    header, *rows = numeric_body(path).splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_sofic_trace_with_a_measure_filters_by_L(tmp_path):
+    def edit(spec):
+        spec["measures"] = FAIR
+        spec["params"].update(measure="fair", L=ORIGIN_L, deltas=["0.2"], stages=[4, 6])
+
+    _run_edited(tmp_path, "fullshift_sofic_trace.spec", edit)
+    rows = _csv_rows(tmp_path / "edited_trace.csv")
+    fs = soficlab.full_shift(("0", "1"), soficlab.LatticeGroup(1))
+    fair = soficlab.BernoulliMeasure(fs, ["0.5", "0.5"])
+    L = [TestFunction.indicator(fs.pattern(fs.window([0]), ("1",)))]
+    trace = sofic_measure_trace(fs, origin_partition(fs), fair, L, [1], "0.2",
+                                [cyclic_model(fs.group, d) for d in (4, 6)],
+                                fs.interval_window(-2, 2))
+    assert {row["kind"] for row in rows} == {trace.kind}
+    assert [(row["count_outer"], row["value_outer"]) for row in rows] == [
+        (str(r.count_outer), repr(r.value_outer)) for r in trace.rows]
+
+
+def test_amenable_topological_trace_counts_fibonacci(tmp_path):
+    def edit(spec):
+        del spec["params"]["measure"], spec["params"]["a"]
+
+    _run_edited(tmp_path, "goldenmean_amenable.spec", edit)
+    fib = [0, 1]
+    while len(fib) < 16:
+        fib.append(fib[-1] + fib[-2])
+    rows = _csv_rows(tmp_path / "edited_amenable.csv")
+    assert [(int(r["n"]), int(r["count"])) for r in rows] == [
+        (n, fib[n + 2]) for n in (2, 4, 6, 8, 10, 12)]
+
+
+def test_compare_uses_the_given_slack(tmp_path):
+    _run_edited(tmp_path, "goldenmean_compare.spec",
+                lambda spec: spec["params"].update(slack="0.5"))
+    report = json.loads((tmp_path / "edited_compare_report.json").read_text())
+    assert report["ok"] is True
+    assert set(report["slack_used"].values()) == {0.5}
+    assert len(report["slack_used"]) == 3  # one per n at the one delta
+
+
+def test_tile_amenable_exact_flavor_covers_the_cycle(tmp_path):
+    _run_edited(tmp_path, "cyclic_tile.spec",
+                lambda spec: spec["params"].update(flavor="amenable-exact"))
+    tiling = json.loads((tmp_path / "edited_tiling.json").read_text())
+    Z = soficlab.LatticeGroup(1)
+    oracle = soficlab.amenable_exact_tile(cyclic_model(Z, 12),
+                                          [soficlab.FiniteSubset(Z, [0, 1, 2])], 0, "0.1")
+    assert tiling["flavor"] == "amenable-exact"
+    assert tiling["verification"]["all_ok"] is True
+    assert tiling["centers"] == [list(c) for c in oracle.centers]
+    assert tiling["verification"]["coverage"] == float(oracle.coverage) == 1.0
+
+
+def test_tile_coverage_miss_warns(tmp_path, capsys):
+    """Shapes of five points cannot cover more than 10 of 12 points, short
+    of 1 - tau - eta = 0.9: the run warns and, the other conditions
+    holding, exits 0."""
+    _run_edited(tmp_path, "cyclic_tile.spec",
+                lambda spec: spec["params"].update(shapes=[[[i] for i in range(5)]]))
+    assert "warning: guarantee_missed: coverage 0.8333 < 1 - tau - eta" in capsys.readouterr().err
+    tiling = json.loads((tmp_path / "edited_tiling.json").read_text())
+    assert tiling["guarantee_missed"] is True
+    assert tiling["verification"]["coverage_ok"] is tiling["verification"]["all_ok"] is False
+
+
+def test_finite_group_from_its_table_matches_the_cyclic_default(tmp_path):
+    """Z/3 given by its multiplication table writes what Z/3 by order does."""
+    def on_z3(table):
+        def edit(spec):
+            spec["system"] = {"alphabet": ["0", "1"],
+                              "group": {"kind": "finite", "rank_or_order": 3, **table}}
+            spec["params"] = {"sigma": {"model": "regular"}, "stages": [3],
+                              "pairs": [[1, 1], [1, 2]]}
+        return edit
+
+    _run_edited(tmp_path, "goldenmean_defects.spec", on_z3({}))
+    by_order = numeric_body(tmp_path / "edited_defects.csv")
+    _run_edited(tmp_path, "goldenmean_defects.spec",
+                on_z3({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    assert numeric_body(tmp_path / "edited_defects.csv") == by_order
+    assert [r["mult_defect"] for r in _csv_rows(tmp_path / "edited_defects.csv")] == ["0.0"] * 2
+
+
+def test_markov_measure_with_its_initial_law_matches_the_stationary_one(tmp_path):
+    """On the golden mean, P = ((1/2, 1/2), (1, 0)) has stationary law
+    (2/3, 1/3): given as initial, every count and value is the one solved."""
+    chain = {"kind": "markov", "transition": [["0.5", "0.5"], ["1", "0"]]}
+
+    def with_chain(initial):
+        def edit(spec):
+            spec["measures"] = {"parry": {**chain, **initial}}
+        return edit
+
+    _run_edited(tmp_path, "goldenmean_amenable.spec", with_chain({}))
+    solved = numeric_body(tmp_path / "edited_amenable.csv")
+    _run_edited(tmp_path, "goldenmean_amenable.spec", with_chain({"initial": ["2/3", "1/3"]}))
+    assert numeric_body(tmp_path / "edited_amenable.csv") == solved
+
+
+def test_trivial_cover_has_one_element_at_every_stage(tmp_path):
+    def edit(spec):
+        del spec["params"]["measure"], spec["params"]["a"]
+        spec["params"]["cover"] = {"kind": "trivial"}
+
+    _run_edited(tmp_path, "goldenmean_amenable.spec", edit)
+    rows = _csv_rows(tmp_path / "edited_amenable.csv")
+    assert len(rows) == 6
+    assert all((r["count"], float(r["value"])) == ("1", 0.0) for r in rows)

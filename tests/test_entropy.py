@@ -29,6 +29,15 @@ def H(*probs):
     return -sum(p * math.log(p) for p in probs if p)
 
 
+def test_log_big_takes_counts_past_the_float_range():
+    from soficlab.entropy import log_big
+
+    assert log_big(2 ** 100000) == pytest.approx(100000 * LOG2, rel=1e-15)
+    assert log_big(3 ** 5000 + 1) == pytest.approx(5000 * math.log(3), rel=1e-15)
+    with pytest.raises(ArgumentError):
+        log_big(0)
+
+
 # --- sofic traces ----------------------------------------------------------------
 
 

@@ -4,6 +4,9 @@ import contextlib
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -1407,6 +1410,38 @@ def test_variational_stage_list_determinises_its_longest_stage_once(built):
     assert rows_built([7, 6, 8, 6]) <= alone
 
 
+_RETAINED = """
+import gc, tracemalloc
+from soficlab import cyclic_model, golden_mean_system, origin_partition, sofic_topological_trace
+gm = golden_mean_system()
+maps = [cyclic_model(gm.group, d) for d in {ds}]
+tracemalloc.start()
+trace = sofic_topological_trace(gm, origin_partition(gm), [1], "0.1", maps,
+                                gm.interval_window(-2, 2))
+gc.collect()
+print(tracemalloc.get_traced_memory()[0], trace.rows[-1].count_outer)
+"""
+
+
+def test_trace_leaves_the_system_holding_what_its_longest_stage_does():
+    """The golden mean, window [-2, 2], delta = 1/10: after a trace over
+    d = 8, 12, ..., 48 the system holds, within 1 %, the memory a lone
+    d = 48 stage leaves (each shorter stage's projections die with it).
+    Each side runs in a fresh interpreter, since what tracemalloc sees
+    allocated depends on the free lists that earlier code left."""
+    src = Path(soficlab.microstates.__file__).parents[1]  # the soficlab under test
+
+    def retained(ds):
+        proc = subprocess.run([sys.executable, "-c", _RETAINED.format(ds=list(ds))],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              stdout=subprocess.PIPE, text=True, timeout=300, check=True)
+        return tuple(map(int, proc.stdout.split()))
+
+    (lone, count), (traced, last) = retained([48]), retained(range(8, 49, 4))
+    assert last == count
+    assert abs(traced - lone) <= lone / 100, (traced, lone)
+
+
 @st.composite
 def _row_stages(draw):
     """A cycle stage on a fresh Z system whose middle steps have a passive
@@ -1487,8 +1522,6 @@ def test_traces_and_variational_never_run_a_counting_dp(gm, gm_origin, parry, mo
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
     expected = [(_lucas(6), _lucas(6)), (_lucas(9), _lucas(9))]  # (inner, outer)
     monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", _no_counting_dp)
-    # nor are the counting DPs' successor lists built
-    monkeypatch.setattr(soficlab._frontier._PenaltyTable, "ordered", _no_counting_dp)
     for trace in (sofic_topological_trace(gm, gm_origin, [1], "0.1", maps, w),
                   sofic_measure_trace(gm, gm_origin, parry, [at_origin], [1], "0.1", maps, w)):
         assert [r.method for r in trace.rows] == ["dp", "dp"]

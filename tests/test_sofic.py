@@ -145,6 +145,30 @@ def test_word_evaluation_outside_support_composes():
     assert direct == composed
 
 
+def test_explicit_map_on_a_finite_group_factors_by_breadth_first_search():
+    """Z/6 generated by 1 (so by 1 and 5): each element's image is composed
+    from the two declared images along a shortest word, and is rotation by
+    that element."""
+    from soficlab import FiniteTableGroup, SoficMap
+
+    group = FiniteTableGroup.cyclic(6, generators=[1])
+    sigma = SoficMap(group, 6, images={s: [(a + s) % 6 for a in range(6)] for s in (1, 5)})
+    for g in range(6):
+        assert sigma.image_array(g) == tuple((a + g) % 6 for a in range(6)), g
+
+
+def test_explicit_map_on_a_lattice_factors_along_each_axis(Z2):
+    """Only the four generator images of the cyclic model on Z^2, n = 3: a
+    word skips each zero coordinate and agrees with the model's rule."""
+    from soficlab import SoficMap
+
+    model = cyclic_model(Z2, 3)
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    sigma = SoficMap(Z2, 9, images={g: model.image_array(g) for g in steps})
+    for g in [(2, 0), (0, -1), (1, -2), (-2, 3), (0, 0)]:
+        assert sigma.image_array(g) == model.image_array(g), g
+
+
 def test_explicit_sigma_defect_brute_force(Z):
     """Explicit map with sigma_2 rebound to the identity while sigma_1 stays
     the cyclic shift: sigma_1 sigma_1 is the shift by two, which never agrees

@@ -129,6 +129,25 @@ def test_box_language_budget_cut_raises(Z2):
     assert count_box_language(hs, box(hs, (5, 5)), budget=52) == 55447
 
 
+def test_cached_language_keeps_the_callers_budget(Z2):
+    """The 3x3 box's 63 patterns take 246 nodes to enumerate: a budget
+    below that raises on a fresh system and again once the language is
+    cached, so a warm cache moves no cut point."""
+    hs = hard_square(Z2)
+    w = box(hs, (3, 3))
+    with pytest.raises(ResourceBudgetError, match="language"):
+        hs.language_values(w, budget=1)
+    assert len(hs.language_values(w)) == 63
+    for budget in (1, 245):
+        with pytest.raises(ResourceBudgetError, match="language"):
+            hs.language_values(w, budget=budget)
+    assert len(hs.language_values(w, budget=246)) == 63
+    fresh = hard_square(Z2)
+    with pytest.raises(ResourceBudgetError, match="language"):
+        fresh.language_values(box(fresh, (3, 3)), budget=245)
+    assert len(fresh.language_values(box(fresh, (3, 3)), budget=246)) == 63
+
+
 # random SFTs whose forbidden shapes lie within two consecutive slices;
 # module-level groups, so hypothesis draws no function-scoped fixtures
 Z1_GROUP = LatticeGroup(1)
