@@ -210,17 +210,21 @@ class _Context(NamedTuple):
 class _Automaton:
     """The cycle automaton a system holds for one window, shifts and cells:
     the successors of every row and map that the narrow plan's stages have
-    met under cap.  kinds maps a step kind to (rows, maps), each row's and
-    map's successors; canonical holds each equal row and map as one object,
-    and regrouped maps (passive, map) to the map regrouped for those passive
-    slots.  reach is the largest d of a stage that ran all its steps through
-    it, 0 until one has.  A shorter stage's projections live for that stage
-    only (_FrontierDP.signatures): no other stage reads them."""
+    met under cap.  kinds maps a step kind to (rows, maps, context), each
+    row's and map's successors and the kind's _Context under cap; canonical
+    holds each equal row and map as one object, and regrouped maps
+    (passive, map) to the map regrouped for those passive slots.  verdicts
+    maps (last step kind, closing terms) to {final map: _accepts' verdict}
+    under cap.  reach is the largest d of a stage that ran all its steps
+    through it, 0 until one has.  A shorter stage's projections and
+    verdicts live for that stage only (_FrontierDP.signatures): no other
+    stage reads them."""
 
-    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped")
+    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "verdicts")
 
     def __init__(self, cap):
-        self.cap, self.reach, self.kinds, self.canonical, self.regrouped = cap, 0, {}, {}, {}
+        self.cap, self.reach = cap, 0
+        self.kinds, self.canonical, self.regrouped, self.verdicts = {}, {}, {}, {}
 
     @classmethod
     def serving(cls, dp, keyed):
@@ -370,8 +374,9 @@ class _FrontierDP:
         keys (it reads the count of placed points), successors depend only
         on the step's kind and the cap.  So on a narrow plan with no table
         in the keys every row's and map's successors are kept on the
-        system's _Automaton (_Automaton.serving), equal rows and maps held
-        as one object, and outlive the stage.  The map a prefix reaches
+        system's _Automaton (_Automaton.serving), with each step kind's
+        context and each final map's _accepts verdict, equal rows and maps
+        held as one object, and outlive the stage.  The map a prefix reaches
         under a cap C fixes its map under every cap c <= C: drop the entries
         with lo >= c and cap hi at c, or with several shifts drop the vectors
         whose max is >= c (_projected, row by row, kept for the stage only).
@@ -382,9 +387,11 @@ class _FrontierDP:
         long.  It then drops the maps whose projection is empty, and each
         step still charges the distinct projections of its live maps: the
         live maps of the run under its own cap, so no charge depends on what
-        the system held before.  A trace counted longest first so
-        determinises about once.  Every other stage keeps one step's row
-        successors and no map's.
+        the system held before.  Such a stage judges its final maps under
+        its own cap and drops those verdicts; only a stage at the held cap
+        keeps them.  A trace counted longest first so determinises about
+        once.  Every other stage keeps one step's row successors and no
+        map's.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -407,9 +414,13 @@ class _FrontierDP:
             if held is None:  # one step's rows: row -> its successors
                 rows, canonical = {}, {}
             if step.kind != kind:
-                kind, ctx = step.kind, self._context(step, keyed, several, cap)
-                if held is not None:  # row -> its successors, map -> its successors
-                    rows, maps = held.kinds.setdefault(kind, ({}, {}))
+                kind = step.kind
+                if held is None:
+                    ctx = self._context(step, keyed, several, cap)
+                else:  # row -> its successors, map -> its successors, the context
+                    if kind not in held.kinds:
+                        held.kinds[kind] = ({}, {}, self._context(step, keyed, several, cap))
+                    rows, maps, ctx = held.kinds[kind]
                     canonical = held.canonical
                 if ctx.passive != passive:
                     passive = ctx.passive
@@ -442,9 +453,15 @@ class _FrontierDP:
         if held is not None:
             held.reach = max(held.reach, self.d)
         closing = self._closing()
+        # final map -> (inner, outer), kept on the automaton under its own cap
+        verdicts = ({} if held is None or cap > self.cap
+                    else held.verdicts.setdefault((self.steps[-1].kind, self.closing), {}))
         realised = {}  # beside sums -> [inner, outer] cell sequences with them
         for state, multiplicity in states.items():
-            inner, outer = self._accepts(state, closing, several)
+            verdict = verdicts.get(state)
+            if verdict is None:
+                verdict = verdicts[state] = self._accepts(state, closing, several)
+            inner, outer = verdict
             if outer:
                 for sums, m in [(0, multiplicity)] if plain else multiplicity.items():
                     found = realised.setdefault(sums, [0, 0])

@@ -64,9 +64,7 @@ class ComparisonPlan:
         group = system.group
         self.system = system
         self.window = window
-        self.shifts = tuple(
-            sorted((group.coerce(g) for g in F), key=group.enumeration_key)
-        )
+        self.shifts = _shifts(group, F)
         if not self.shifts:
             raise ArgumentError("F must be non-empty")
         denom = 1
@@ -101,6 +99,11 @@ class ComparisonPlan:
             if p_values[src] != q_values[dst]:
                 lo += w
         return lo, lo + self.tails[s_index]
+
+
+def _shifts(group, F) -> tuple:
+    """F's elements in the group's enumeration order."""
+    return tuple(sorted((group.coerce(g) for g in F), key=group.enumeration_key))
 
 
 def zero_defect_delta(system: SymbolicSystem, window: Window, F, d: int) -> Fraction:
@@ -224,11 +227,18 @@ class _CoverKeys:
 
 
 def _stage(system, F, delta, sigma, window):
-    """Validated delta, comparison plan and window language of one stage."""
+    """Validated delta, comparison plan and window language of one stage.
+    The plan is kept on the system, keyed by window and shifts as its
+    penalty tables are, so the stages of a trace build it once."""
     delta = as_fraction(delta)
     if delta <= 0:
         raise ArgumentError("delta must be positive")
-    return delta, ComparisonPlan(system, window, F), system.language_values(window)
+    shifts = _shifts(system.group, F)
+    key = (ComparisonPlan, window.elements, shifts)
+    plan = system._penalty_cache.get(key)
+    if plan is None:
+        plan = system._penalty_cache[key] = ComparisonPlan(system, window, shifts)
+    return delta, plan, system.language_values(window)
 
 
 class MicrostateCounts:

@@ -189,7 +189,8 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}  # window -> (nodes its enumeration took, patterns)
-        # soficlab._frontier's penalty tables and cycle automata, shared across stages
+        # the comparison plans, penalty tables and cycle automata of the
+        # microstate counts (soficlab._frontier), shared across stages
         self._penalty_cache = {}
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden

@@ -951,6 +951,38 @@ def test_free_group_hard_core_zero_defect_counts_independent_sets(d, seed):
     assert got.n_outer == _independent_sets(d, edges)
 
 
+@pytest.mark.parametrize("d, mean", [(3, Fraction(7, 3)), (4, Fraction(41, 12))])
+def test_free_group_hard_core_annealed_mean_is_exact(d, mean):
+    """F_2 hard core at zero defect, averaged over all (d!)^2 pairs of
+    permutations (sigma_a, sigma_b): N_outer is the mean number of
+    independent sets of a uniform random Schreier graph.  A k-set is
+    independent iff sigma_a and sigma_b each move it off itself, which each
+    does with probability C(d - k, k) / C(d, k), so the mean is
+    sum_k C(d - k, k)^2 / C(d, k), and its k-th term is the mean count of
+    the microstates with k 1s at the origin (a filter at mu(1 at e) = k/d
+    with tolerance 1/2d).  One system counts every pair, so the pairs whose
+    plans are narrow share its cycle automaton."""
+    F2 = FreeGroup(2)
+    a, b = (1,), (2,)
+    system = _hard_core(F2, [a, b])
+    window, cover = system.window([(), a, b]), origin_partition(system)
+    delta = zero_defect_delta(system, window, [a, b], d)
+    one = TestFunction.indicator(system.pattern(system.window([()]), ("1",)))
+    filters = [MeasureFilter.build(BernoulliMeasure(system, [1 - Fraction(k, d), Fraction(k, d)]),
+                                   [one], Fraction(1, 2 * d)) for k in range(d + 1)]
+    perms = list(itertools.permutations(range(d)))
+    total, per_k = 0, [0] * (d + 1)
+    for pa, pb in itertools.product(perms, repeat=2):
+        got, found = count_microstates(system, [a, b], delta,
+                                       SoficMap(F2, d, images={a: pa, b: pb}), window, cover,
+                                       filters=filters)
+        total += got.n_outer
+        per_k = [m + c.n_outer for m, c in zip(per_k, found)]
+    terms = [Fraction(math.comb(d - k, k) ** 2, math.comb(d, k)) for k in range(d + 1)]
+    assert [Fraction(m, len(perms) ** 2) for m in per_k] == terms
+    assert Fraction(total, len(perms) ** 2) == sum(terms) == mean
+
+
 def _torus_hard_squares(n):
     """Independent sets of the n x n torus grid: the trace of T^n, where T
     joins two cyclic rows of length n without adjacent 1s if they share no 1
@@ -1269,6 +1301,47 @@ def test_traces_on_a_shared_system_count_each_stage_as_a_fresh_system(plan, data
                 expected.append(((Fraction(delta), i, maps[i].d), *counts))
     assert got == expected
     assert sorted(charged) == sorted(fresh)
+
+
+def test_a_stage_at_the_held_cap_rebuilds_no_context_verdict_or_plan(monkeypatch):
+    """Golden mean, window [-2, 2], zero defect, where every d has cap 1:
+    after the d = 12 stage the system holds the automaton at that cap with
+    its step contexts and final maps' verdicts, and the comparison plan.  So
+    the d = 14 stage builds no _Context, judges no final map (_accepts) and
+    builds no plan, and counts and charges what it does on a fresh system."""
+    made = collections.Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            made[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(soficlab._frontier._FrontierDP, "_context")
+    spy(soficlab._frontier._FrontierDP, "_accepts")
+    spy(soficlab.microstates.ComparisonPlan, "__init__")
+
+    def stage(gm, d):
+        w = gm.interval_window(-2, 2)
+        delta = zero_defect_delta(gm, w, [1], d)
+        made.clear()
+        with _charges() as charged:
+            got, _ = count_microstates(gm, [1], delta, cyclic_model(gm.group, d), w,
+                                       origin_partition(gm))
+        return (got.n_inner, got.n_outer), charged, dict(made)
+
+    shared = golden_mean_system()
+    stage(shared, 12)
+    counts, charged, built = stage(shared, 14)
+    fresh_counts, fresh_charged, fresh_built = stage(golden_mean_system(), 14)
+    assert built == {}
+    assert fresh_built["_context"] > 0 and fresh_built["_accepts"] > 0
+    assert fresh_built["__init__"] == 1
+    assert counts == fresh_counts and counts[1] == _lucas(14)
+    assert charged == fresh_charged and charged[0][1] == 1
 
 
 def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
