@@ -142,28 +142,17 @@ def cyclic_model(group: Group, n: int) -> SoficMap:
     return SoficMap(group, d, provenance="cyclic-from-folner", direct_rule=rule)
 
 
-def from_folner(group: Group, F: FiniteSubset, model: str = "identity") -> SoficMap:
+def from_folner(group: Group, F: FiniteSubset) -> SoficMap:
     """Sofic map built from a Folner set F with d = |F|.
 
-    model="identity": index F by {1..d} in F's element order and set
-    sigma_g(a) = index(g . f_a) when the translate stays in F, else a.
-    Out-of-set translates can land on occupied points, so these images are
-    self-maps rather than permutations in general; their defects are
-    bounded by the invariance defect of F.
-
-    model="cyclic": for lattice boxes [0,n)^k, the exact cyclic model.
+    Index F by {1..d} in F's element order and set sigma_g(a) = index(g . f_a)
+    when the translate stays in F, else a.  Out-of-set translates can land on
+    occupied points, so these images are self-maps rather than permutations
+    in general; their defects are bounded by the invariance defect of F.
+    The exact cyclic model of a lattice box [0,n)^k is ``cyclic_model``.
     """
     if group.kind == "free":
         raise UnsupportedOperationError("free groups get random models, not Folner maps")
-    if model == "cyclic":
-        if group.kind != "lattice":
-            raise UnsupportedOperationError("cyclic model needs a lattice group")
-        n = round(len(F) ** (1.0 / group.rank))
-        if FiniteSubset(group, folner_set(group, n).elements) != F:
-            raise ArgumentError("cyclic model needs the box Folner set [0,n)^k")
-        return cyclic_model(group, n)
-    if model != "identity":
-        raise ArgumentError(f"unknown from_folner model {model!r}")
 
     elems = F.elements
     index = {f: i for i, f in enumerate(elems)}

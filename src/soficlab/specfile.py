@@ -29,6 +29,7 @@ from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicSystem, TestFunc
 from .covers import Cover, origin_partition, trivial_cover
 from .microstates import MeasureFilter
 from .sofic import cyclic_model, from_folner, random_free_model, regular_representation
+from .tiling import FLAVORS, check_eta, check_shapes, check_tau, check_V
 
 TASKS = (
     "language", "defects", "microstates", "entropy-sofic", "entropy-amenable",
@@ -528,12 +529,18 @@ def build_task(spec: dict) -> tuple[SymbolicSystem, dict]:
         "filter": lambda v: None if v is None else MeasureFilter.build(
             measure(v["measure"], "params.filter.measure"),
             build_test_functions(system, v.get("functions", ())), _filter_delta(v, params)),
-        "shapes": lambda v: [FiniteSubset(group, shape) for shape in v],
+        "shapes": lambda v: check_shapes([FiniteSubset(group, shape) for shape in v]),
         "candidates": lambda v: [(build_pattern(system, a), build_pattern(system, b))
                                  for a, b in v],
         "ns": lambda v: _checked(v, lambda ns: all(n >= 1 for n in ns), "n must be >= 1"),
         "p": lambda v: [as_fraction(x) for x in v],
-        **dict.fromkeys(("slack", "eta", "tau", "threshold", "eps"),
+        # a tile task's eta, tau, V and flavor pass the tilers' own checks
+        "eta": check_eta if task == "tile" else as_fraction,
+        "tau": check_tau,
+        "V": lambda v: check_V(v, args["sigma"].d, args["tau"]),
+        "flavor": lambda v: _checked(v, lambda f: f in FLAVORS,
+                                     f"flavor must be one of {', '.join(FLAVORS)}"),
+        **dict.fromkeys(("slack", "threshold", "eps"),
                         lambda v: None if v is None else as_fraction(v)),
         "a": lambda v: None if v is None else _checked(
             as_fraction(v), lambda a: 0 < a < 1, "a must lie strictly between 0 and 1"),

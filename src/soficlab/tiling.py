@@ -23,72 +23,65 @@ def _quota(size: int, eps: Fraction) -> int:
     return math.ceil((1 - eps) * size)
 
 
-def maximum_flow(graph, source, sink):
-    """scipy's exact max flow.  scipy is imported here, on the first call, and
-    not with soficlab: scipy.sparse costs more to import than soficlab itself."""
-    from scipy.sparse.csgraph import maximum_flow as scipy_maximum_flow
+def maximum_flow(sets, quotas):
+    """Disjoint cores: core i is quotas[i] points of sets[i], no point in two
+    cores; a list of sets, or None when no such cores exist.
 
-    return scipy_maximum_flow(graph, source, sink)
+    An exact b-matching by augmenting paths.  Each set first takes its free
+    points in sorted order; for each point it still lacks, a breadth-first
+    search passes points from set to set until some set takes a free point.
+    If none is reached, the sets reached own every point of their union and
+    some of them lack points, so Hall's condition fails on them (Berge).
+    """
+    ordered = [sorted(s) for s in sets]
+    owner = {}  # point -> the set whose core holds it
+    for i, quota in enumerate(quotas):
+        lacking = quota
+        for p in ordered[i]:
+            if not lacking:
+                break
+            if p not in owner:
+                owner[p] = i
+                lacking -= 1
+        for _ in range(lacking):
+            parent = {i: None}  # set k -> (set j, point p): j takes p from k
+            queue, free = [i], None
+            for j in queue:
+                for p in ordered[j]:
+                    k = owner.get(p)
+                    if k is None:
+                        free = j, p
+                        break
+                    if k not in parent:
+                        parent[k] = j, p
+                        queue.append(k)
+                if free is not None:
+                    break
+            if free is None:
+                return None
+            # back along the path, each set takes the point the next gives up
+            while free is not None:
+                j, p = free
+                owner[p] = j
+                free = parent[j]
+    cores = [set() for _ in sets]
+    for p, k in owner.items():
+        cores[k].add(p)
+    return cores
 
 
 def epsilon_disjoint_check(family, eps):
     """Decide eps-disjointness: pairwise disjoint cores B_i of size >= (1-eps)|A_i|.
 
-    A greedy pass (points claimed by the neediest set) answers most
-    instances; otherwise an exact max-flow formulation decides and
-    produces the core witnesses.
-    Returns (ok, witnesses) with witnesses a list of sets or None.
+    One exact b-matching (maximum_flow) decides and produces the core
+    witnesses.  Returns (ok, witnesses) with witnesses a list of sets or None.
     """
     eps = as_fraction(eps)
     if not 0 <= eps < 1:
         raise ArgumentError("eps must lie in [0, 1)")
     sets = [frozenset(s) for s in family]
-    if not sets:
-        return True, []
-    quotas = [_quota(len(s), eps) for s in sets]
-
-    # greedy: each point goes to the containing set with largest deficit
-    containing = {}
-    for i, s in enumerate(sets):
-        for p in s:
-            containing.setdefault(p, []).append(i)
-    deficit = list(quotas)
-    cores = [set() for _ in sets]
-    for p in sorted(containing):
-        owners = containing[p]
-        best = max(owners, key=lambda i: (deficit[i], -i))
-        if deficit[best] > 0:
-            cores[best].add(p)
-            deficit[best] -= 1
-    if all(d <= 0 for d in deficit):
-        return True, cores
-
-    # exact decision by max flow
-    from scipy.sparse import csr_matrix
-
-    points = sorted(containing)
-    pt_index = {p: k for k, p in enumerate(points)}
-    m, np_ = len(sets), len(points)
-    source, sink = 0, 1 + m + np_
-    rows, cols, caps = [], [], []
-    for i, q in enumerate(quotas):
-        rows.append(source); cols.append(1 + i); caps.append(q)
-    for i, s in enumerate(sets):
-        for p in sorted(s):
-            rows.append(1 + i); cols.append(1 + m + pt_index[p]); caps.append(1)
-    for k in range(np_):
-        rows.append(1 + m + k); cols.append(sink); caps.append(1)
-    graph = csr_matrix((caps, (rows, cols)), shape=(sink + 1, sink + 1))
-    result = maximum_flow(graph, source, sink)
-    if result.flow_value < sum(quotas):
-        return False, None
-    flow = result.flow
-    witnesses = []
-    for i in range(m):
-        row = flow.getrow(1 + i).tocoo()
-        core = {points[c - 1 - m] for c, v in zip(row.col, row.data) if v > 0}
-        witnesses.append(core)
-    return True, witnesses
+    cores = maximum_flow(sets, [_quota(len(s), eps) for s in sets])
+    return cores is not None, cores
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ class TilingRecord:
 
 @dataclass
 class QuasiTiling:
-    flavor: str  # 'sofic' or 'amenable-exact'
+    flavor: str  # one of FLAVORS
     d: int
     shapes: tuple  # FiniteSubset per phase
     centers: tuple  # tuple of sorted 1-based labels per phase
@@ -129,10 +122,49 @@ def _tile(sigma: SoficMap, shape: FiniteSubset, c: int):
     return frozenset(sigma.image_array(s)[c - 1] + 1 for s in shape)
 
 
-def _validate_shapes(shapes):
+FLAVORS = ("sofic", "amenable-exact")
+
+
+def check_eta(eta) -> Fraction:
+    eta = as_fraction(eta)
+    if not 0 < eta < 1:
+        raise ArgumentError("need 0 < eta < 1")
+    return eta
+
+
+def check_tau(tau) -> Fraction:
+    tau = as_fraction(tau)
+    if not 0 <= tau < 1:
+        raise ArgumentError("need 0 <= tau < 1")
+    return tau
+
+
+def check_shapes(shapes) -> list:
+    shapes = list(shapes)
+    if not shapes:
+        raise ArgumentError("need at least one tile shape")
     for small, big in zip(shapes, shapes[1:]):
         if not set(small.elements) <= set(big.elements):
             raise ArgumentError("shapes must be nested F_1 <= ... <= F_l")
+    return shapes
+
+
+def check_V(V, d: int, tau: Fraction) -> frozenset:
+    """V as a set of labels in 1..d (None: all of them), at least (1 - tau) d."""
+    V = frozenset(range(1, d + 1)) if V is None else frozenset(int(v) for v in V)
+    if not all(1 <= v <= d for v in V):
+        raise ArgumentError("V must be a set of 1-based point labels")
+    if Fraction(len(V), d) < 1 - tau:
+        raise ArgumentError("|V| must be at least (1 - tau) d")
+    return V
+
+
+def _arguments(sigma: SoficMap, V, shapes, eta, tau):
+    """Both tilers' one argument check, in this order; each check_* raises
+    ArgumentError on a bad value and returns the value as the tilers read it."""
+    eta, tau = check_eta(eta), check_tau(tau)
+    shapes = check_shapes(shapes)
+    return check_V(V, sigma.d, tau), shapes, eta, tau
 
 
 def sofic_quasi_tile(sigma: SoficMap, V, shapes, eta, tau,
@@ -144,20 +176,7 @@ def sofic_quasi_tile(sigma: SoficMap, V, shapes, eta, tau,
     (1-eta)|F_k| new points.  If final coverage misses 1-tau-eta the
     tiling is returned flagged guarantee_missed rather than raised.
     """
-    eta = as_fraction(eta)
-    tau = as_fraction(tau)
-    if not 0 < eta < 1 or not 0 <= tau < 1:
-        raise ArgumentError("need 0 < eta < 1 and 0 <= tau < 1")
-    shapes = list(shapes)
-    if not shapes:
-        raise ArgumentError("need at least one tile shape")
-    _validate_shapes(shapes)
-    d = sigma.d
-    V = frozenset(range(1, d + 1)) if V is None else frozenset(int(v) for v in V)
-    if not all(1 <= v <= d for v in V):
-        raise ArgumentError("V must be a set of 1-based point labels")
-    if Fraction(len(V), d) < 1 - tau:
-        raise ArgumentError("|V| must be at least (1 - tau) d")
+    V, shapes, eta, tau = _arguments(sigma, V, shapes, eta, tau)
     if check_good:
         group = sigma.group
         top = shapes[-1]
@@ -179,29 +198,19 @@ def amenable_exact_tile(sigma: SoficMap, shapes, tau, eta,
     and the product map (s, c) -> sigma_s(c) is bijective per phase."""
     if sigma.provenance not in ("cyclic-from-folner", "folner-identity-fallback"):
         raise ArgumentError("amenable exact tiling needs a Folner-built sigma")
-    eta = as_fraction(eta)
-    tau = as_fraction(tau)
-    shapes = list(shapes)
-    if not shapes:
-        raise ArgumentError("need at least one tile shape")
-    _validate_shapes(shapes)
-    d = sigma.d
-    V = frozenset(range(1, d + 1)) if V is None else frozenset(int(v) for v in V)
+    V, shapes, eta, tau = _arguments(sigma, V, shapes, eta, tau)
     return _greedy_tile(sigma, V, shapes, eta, tau, flavor="amenable-exact")
 
 
 def _greedy_tile(sigma, V, shapes, eta, tau, flavor) -> QuasiTiling:
-    d = sigma.d
     covered_other = set()
     centers_by_phase = []
-    tiles_by_phase = []
     exact = flavor == "amenable-exact"
     for shape in reversed(shapes):
         size = len(shape)
         threshold = size if exact else (1 - eta) * size
         covered_this = set()
         chosen = []
-        tiles = []
         tile_cache = {}
         candidates = sorted(V)
         while True:
@@ -222,18 +231,14 @@ def _greedy_tile(sigma, V, shapes, eta, tau, flavor) -> QuasiTiling:
                     best_c, best_new = c, new
             if best_c is None or not Fraction(best_new) >= threshold:
                 break
-            t = tile_cache[best_c]
             chosen.append(best_c)
-            tiles.append(t)
-            covered_this |= t
+            covered_this |= tile_cache[best_c]
         covered_other |= covered_this
         centers_by_phase.append(tuple(sorted(chosen)))
-        tiles_by_phase.append(tiles)
     centers_by_phase.reverse()
-    tiles_by_phase.reverse()
 
     tiling = QuasiTiling(
-        flavor=flavor, d=d, shapes=tuple(shapes),
+        flavor=flavor, d=sigma.d, shapes=tuple(shapes),
         centers=tuple(centers_by_phase), tau=tau, eta=eta,
         record=None, guarantee_missed=False,
     )
@@ -245,44 +250,18 @@ def _greedy_tile(sigma, V, shapes, eta, tau, flavor) -> QuasiTiling:
 
 def verify_tiling(tiling: QuasiTiling, sigma: SoficMap) -> TilingRecord:
     """Recompute every condition from the raw shapes and centers."""
-    d = sigma.d
-    all_tiles = []
-    per_phase_tiles = []
-    centers_bij = []
-    for shape, centers in zip(tiling.shapes, tiling.centers):
-        tiles = [_tile(sigma, shape, c) for c in centers]
-        per_phase_tiles.append(tiles)
-        all_tiles.append(frozenset().union(*tiles) if tiles else frozenset())
-        centers_bij.append(all(len(t) == len(shape) for t in tiles))
-
-    across = True
-    for i in range(len(all_tiles)):
-        for j in range(i + 1, len(all_tiles)):
-            if all_tiles[i] & all_tiles[j]:
-                across = False
-    union = frozenset().union(*all_tiles) if all_tiles else frozenset()
-    coverage = Fraction(len(union), d)
-    coverage_ok = coverage >= 1 - tiling.tau - tiling.eta
-
-    eta_flags = []
-    product_flags = []
-    for shape, centers, tiles in zip(tiling.shapes, tiling.centers, per_phase_tiles):
-        if tiles:
-            ok, _ = epsilon_disjoint_check(tiles, tiling.eta)
-            eta_flags.append(ok)
-            total = sum(len(t) for t in tiles)
-            phase_union = frozenset().union(*tiles)
-            product_flags.append(
-                total == len(shape) * len(centers) == len(phase_union)
-            )
-        else:
-            eta_flags.append(True)
-            product_flags.append(True)
+    phases = [[_tile(sigma, shape, c) for c in centers]
+              for shape, centers in zip(tiling.shapes, tiling.centers)]
+    unions = [frozenset().union(*tiles) for tiles in phases]
+    union = frozenset().union(*unions)
+    coverage = Fraction(len(union), sigma.d)
     return TilingRecord(
-        across_disjoint=across,
+        across_disjoint=sum(map(len, unions)) == len(union),
         coverage=coverage,
-        coverage_ok=coverage_ok,
-        eta_disjoint=tuple(eta_flags),
-        centers_bijective=tuple(centers_bij),
-        product_bijective=tuple(product_flags),
+        coverage_ok=coverage >= 1 - tiling.tau - tiling.eta,
+        eta_disjoint=tuple(epsilon_disjoint_check(tiles, tiling.eta)[0] for tiles in phases),
+        centers_bijective=tuple(all(len(t) == len(shape) for t in tiles)
+                                for shape, tiles in zip(tiling.shapes, phases)),
+        product_bijective=tuple(sum(map(len, tiles)) == len(shape) * len(tiles) == len(u)
+                                for shape, tiles, u in zip(tiling.shapes, phases, unions)),
     )

@@ -785,12 +785,24 @@ def _on_group(group, F, window):
                "drop_empty": "false"})),
     ("fullshift_microstates.spec", "params.cover", lambda spec: spec["params"].update(
         cover={"kind": "pattern-sets", "window": [[0]], "elemnts": [[["0"]], [["1"]]]})),
+    ("cyclic_tile.spec", "params.flavor",
+     lambda spec: spec["params"].update(flavor="amenable_exact")),
+    ("cyclic_tile.spec", "params.V",
+     lambda spec: spec["params"].update(V=[0, 2], flavor="amenable-exact")),
+    ("cyclic_tile.spec", "params.V", lambda spec: spec["params"].update(V=[1, 13])),
+    ("cyclic_tile.spec", "params.V", lambda spec: spec["params"].update(V=[1, 2])),
+    ("cyclic_tile.spec", "params.eta", lambda spec: spec["params"].update(eta="2")),
+    ("cyclic_tile.spec", "params.tau", lambda spec: spec["params"].update(tau=1)),
+    ("cyclic_tile.spec", "params.shapes",
+     lambda spec: spec["params"].update(shapes=[[[0], [1]], [[2], [3]]])),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
         "compare-L-without-measure", "undeclared-label", "filter-without-delta",
         "compare-measure-without-L", "zero-delta", "tile-sigma-without-n", "ns-zero",
-        "a-above-one", "cover-drop-empty", "cover-misspelt-key"])
+        "a-above-one", "cover-drop-empty", "cover-misspelt-key", "tile-flavor-misspelt",
+        "tile-V-label-zero", "tile-V-label-above-d", "tile-V-too-small", "tile-eta-two",
+        "tile-tau-one", "tile-shapes-not-nested"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

@@ -181,14 +181,6 @@ def test_explicit_sigma_defect_brute_force(Z):
     assert mult_defect(sigma, 1, 1) == 1
 
 
-def test_from_folner_cyclic_flag(Z):
-    sigma = from_folner(Z, folner_set(Z, 10), model="cyclic")
-    assert sigma.provenance == "cyclic-from-folner"
-    assert mult_defect(sigma, 1, 1) == 0
-    with pytest.raises(ArgumentError):
-        from_folner(Z, FiniteSubset(Z, [0, 2, 4]), model="cyclic")
-
-
 def test_is_good_random_ball2_observed_rate():
     """Good fractions on E = ball(2) hover near 0.9: pair collisions pile up
     linearly in |E|^2, so eta = 0.2 passes where eta = 0.05 mostly fails."""

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, FiniteSubset, amenable_exact_tile, cyclic_model,
                       epsilon_disjoint_check, from_folner, folner_set, is_good,
@@ -34,7 +37,8 @@ def test_eps_disjoint_small_overlap_witnessed():
 
 
 def test_import_soficlab_leaves_scipy_unimported():
-    """scipy serves only the exact max flow, and is imported there."""
+    """soficlab never imports scipy: eps-disjointness is decided on the
+    standard library."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     subprocess.run([sys.executable, "-c",
                     "import soficlab, sys; assert 'scipy' not in sys.modules"],
@@ -46,6 +50,47 @@ def test_eps_disjoint_flow_tightness():
     a, b = set(range(10)), set(range(8, 18))
     ok, cores = epsilon_disjoint_check([a, b], "0.1")
     assert ok and len(cores[0] | cores[1]) == 18
+
+
+def test_eps_disjoint_decides_on_the_standard_library_alone():
+    """With scipy unimportable, the tightness family (an exact fit) is still
+    decided, and so is one that needs an augmenting path: set 0 first takes
+    point 0, then passes it to set 1 and takes point 1 instead."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from soficlab import epsilon_disjoint_check as check\n"
+            "ok, cores = check([set(range(10)), set(range(8, 18))], '0.1')\n"
+            "assert ok and cores == [set(range(9)), set(range(9, 18))], cores\n"
+            "assert check([{0, 1}, {0}], '0.5') == (True, [{1}, {0}])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _hall(family, eps: Fraction) -> bool:
+    """Hall's condition for cores of ceil((1 - eps)|A_i|) points: every
+    subfamily's union holds at least the sum of its quotas."""
+    quotas = [-(-(eps.denominator - eps.numerator) * len(a) // eps.denominator)
+              for a in family]
+    return all(len(set().union(*(family[i] for i in I))) >= sum(quotas[i] for i in I)
+               for r in range(1, len(family) + 1)
+               for I in itertools.combinations(range(len(family)), r))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 24), max_size=12), max_size=6),
+       st.sampled_from(["0", "0.1", "0.2", "0.3", "0.5", "0.9"]))
+def test_eps_disjoint_is_halls_condition(family, eps):
+    eps = Fraction(eps)
+    ok, cores = epsilon_disjoint_check(family, eps)
+    assert ok == _hall(family, eps)
+    if ok:
+        assert len(cores) == len(family)
+        assert sum(map(len, cores)) == len(set().union(*cores))  # pairwise disjoint
+        for core, a in zip(cores, family):
+            assert core <= a and len(core) >= (1 - eps) * len(a)
+    else:
+        assert cores is None
 
 
 def test_sofic_tile_cyclic_12(Z):
@@ -104,6 +149,22 @@ def test_multi_shape_phases(Z):
     assert t.centers[1] == (1, 4, 7, 10)
     assert t.centers[0] == (13,)  # the leftover point picked up by the singleton
     assert t.coverage == 1
+
+
+@pytest.mark.parametrize("tile", [
+    lambda sigma, shapes, V, eta: sofic_quasi_tile(sigma, V, shapes, eta, 0),
+    lambda sigma, shapes, V, eta: amenable_exact_tile(sigma, shapes, 0, eta, V=V),
+], ids=["sofic", "amenable-exact"])
+@pytest.mark.parametrize("V, eta, match", [
+    (range(6), "0.1", "1-based"),  # label 0 would be read as image[-1]
+    ({1, 2, 3}, "0.1", "at least"),
+    (None, 1, "eta"),
+    (None, 0, "eta"),
+])
+def test_both_tilers_check_their_arguments_alike(Z, tile, V, eta, match):
+    sigma = cyclic_model(Z, 6)
+    with pytest.raises(ArgumentError, match=match):
+        tile(sigma, [FiniteSubset(Z, [0, 1])], V, eta)
 
 
 def test_shapes_must_be_nested(Z):
