@@ -286,6 +286,30 @@ class PartitionCountResult:
     holds: bool
 
 
+def partition_bound_arguments(lam_size, p, eta, eps):
+    """Yield partition_count_bound's arguments in order, checked and exact:
+    lam_size >= 1, p positive and summing to 1, 0 < eta < min p_k, eps > 0.
+    A bad one raises ArgumentError in place of its value, so a caller that
+    takes the values one by one knows which argument failed."""
+    if lam_size < 1:
+        raise ArgumentError("lam_size must be >= 1")
+    yield lam_size
+    probs = [as_fraction(x) for x in p]
+    if any(q <= 0 for q in probs):
+        raise ArgumentError("probabilities must be strictly positive")
+    if sum(probs) != 1:
+        raise ArgumentError("probabilities must sum to exactly 1")
+    yield probs
+    eta = as_fraction(eta)
+    if not 0 < eta < min(probs):
+        raise ArgumentError("eta must satisfy 0 < eta < min p_k")
+    yield eta
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ArgumentError("eps must be positive")
+    yield eps
+
+
 def partition_count_bound(lam_size: int, p, eta, eps) -> PartitionCountResult:
     """Exact count of proportion-pinned labelled partitions vs the entropy bound.
 
@@ -294,20 +318,7 @@ def partition_count_bound(lam_size: int, p, eta, eps) -> PartitionCountResult:
     summation in big integers, and compares log count against
     lam (H(p) + 2 eps).
     """
-    if lam_size < 1:
-        raise ArgumentError("lam_size must be >= 1")
-    probs = [as_fraction(x) for x in p]
-    if any(q <= 0 for q in probs):
-        raise ArgumentError("probabilities must be strictly positive")
-    if sum(probs) != 1:
-        raise ArgumentError("probabilities must sum to exactly 1")
-    eta = as_fraction(eta)
-    if not 0 < eta < min(probs):
-        raise ArgumentError("eta must satisfy 0 < eta < min p_k")
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise ArgumentError("eps must be positive")
-
+    lam_size, probs, eta, eps = partition_bound_arguments(lam_size, p, eta, eps)
     ranges = []
     for q in probs:
         lo_f = lam_size * (q - eta)

@@ -27,6 +27,7 @@ from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGro
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicSystem, TestFunction,
                        as_fraction)
 from .covers import Cover, origin_partition, trivial_cover
+from .entropy import partition_bound_arguments
 from .microstates import MeasureFilter
 from .sofic import cyclic_model, from_folner, random_free_model, regular_representation
 from .tiling import FLAVORS, check_eta, check_shapes, check_tau, check_V
@@ -533,18 +534,20 @@ def build_task(spec: dict) -> tuple[SymbolicSystem, dict]:
         "candidates": lambda v: [(build_pattern(system, a), build_pattern(system, b))
                                  for a, b in v],
         "ns": lambda v: _checked(v, lambda ns: all(n >= 1 for n in ns), "n must be >= 1"),
-        "p": lambda v: [as_fraction(x) for x in v],
         # a tile task's eta, tau, V and flavor pass the tilers' own checks
-        "eta": check_eta if task == "tile" else as_fraction,
+        "eta": check_eta,
         "tau": check_tau,
         "V": lambda v: check_V(v, args["sigma"].d, args["tau"]),
         "flavor": lambda v: _checked(v, lambda f: f in FLAVORS,
                                      f"flavor must be one of {', '.join(FLAVORS)}"),
-        **dict.fromkeys(("slack", "threshold", "eps"),
+        **dict.fromkeys(("slack", "threshold"),
                         lambda v: None if v is None else as_fraction(v)),
         "a": lambda v: None if v is None else _checked(
             as_fraction(v), lambda a: 0 < a < 1, "a must lie strictly between 0 and 1"),
     }
+    if task == "partition-bound":  # eta < min p ties two keys: one helper checks all four
+        checked = partition_bound_arguments(*(args[key] for key in required))
+        builders = dict.fromkeys(required, lambda v: next(checked))
     for key, build in builders.items():
         if key in args:
             with _building(f"params.{key}"):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,24 +263,17 @@ class SymbolicSystem:
     # language ------------------------------------------------------------------
 
     def _embeddings(self, window: Window):
-        """Positions where a translate of a forbidden pattern fits inside."""
-        group = self.group
+        """Per site j, the translates of forbidden patterns that fit inside
+        the window with j their largest position, as {positions: {values}}."""
+        group, at = self.group, window.index.get
         by_last = {}
         for elems, vals in self.forbidden:
             v0_inv = group.inverse(elems[0])
-            anchors = {group.multiply(v0_inv, w) for w in window.elements}
-            for g in sorted(anchors, key=group.enumeration_key):
-                positions = []
-                ok = True
-                for v in elems:
-                    t = group.multiply(v, g)
-                    if t not in window.index:
-                        ok = False
-                        break
-                    positions.append(window.index[t])
-                if ok:
-                    last = max(positions)
-                    by_last.setdefault(last, []).append((tuple(positions), vals))
+            for w in window.elements:  # the translate putting elems[0] on w
+                g = group.multiply(v0_inv, w)
+                positions = tuple(at(group.multiply(v, g)) for v in elems)
+                if None not in positions:
+                    by_last.setdefault(max(positions), {}).setdefault(positions, set()).add(vals)
         return by_last
 
     def language_values(self, window: Window, budget: int = None):
@@ -295,29 +289,31 @@ class SymbolicSystem:
             return cached[1]
         by_last = self._embeddings(window)
         m = len(window)
+        # per site, one (getter, banned values) pair per shape of the translates
+        # ending there; a one-site getter returns the bare symbol
+        checks = [[(operator.itemgetter(*p), {v for (v,) in banned} if len(p) == 1 else banned)
+                   for p, banned in by_last.get(j, {}).items()] for j in range(m)]
+        alphabet = self.alphabet
         nodes = 0
         out = []
-        values = [None] * m
-
-        def admissible_at(j):
-            for positions, vals in by_last.get(j, ()):
-                if all(values[p] == v for p, v in zip(positions, vals)):
-                    return False
-            return True
+        values = [None] * m  # checks at site j read sites <= j only: none is reset
 
         def rec(j):
             nonlocal nodes
             if j == m:
                 out.append(tuple(values))
                 return
-            for sym in self.alphabet:
+            tests = checks[j]
+            for sym in alphabet:
                 nodes += 1
                 if nodes > budget:
                     raise ResourceBudgetError("language enumeration budget exceeded")
                 values[j] = sym
-                if admissible_at(j):
+                for get, banned in tests:
+                    if get(values) in banned:
+                        break
+                else:
                     rec(j + 1)
-                values[j] = None
 
         try:
             rec(0)
@@ -614,14 +610,14 @@ def _slice_relation(system: SymbolicSystem, first: Window, budget: int):
     step = (0,) * (group.rank - 1) + (1,)
     upper = [group.multiply(g, step) for g in first.elements]
     pair = system.window(first.elements + tuple(upper))
-    lower_at = [pair.index[g] for g in first.elements]
-    upper_at = [pair.index[g] for g in upper]
+    lower_of = operator.itemgetter(*(pair.index[g] for g in first.elements))
+    upper_of = operator.itemgetter(*(pair.index[g] for g in upper))
     slices = system.language_values(first, budget=budget)
-    index = {v: i for i, v in enumerate(slices)}
+    # on a one-site slice the getters return the bare symbol
+    index = {v if len(first) > 1 else v[0]: i for i, v in enumerate(slices)}
     successors = [[] for _ in slices]
     for v in system.language_values(pair, budget=budget):
-        successors[index[tuple(v[i] for i in lower_at)]].append(
-            index[tuple(v[i] for i in upper_at)])
+        successors[index[lower_of(v)]].append(index[upper_of(v)])
     return slices, successors
 
 

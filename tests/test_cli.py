@@ -795,6 +795,10 @@ def _on_group(group, F, window):
     ("cyclic_tile.spec", "params.tau", lambda spec: spec["params"].update(tau=1)),
     ("cyclic_tile.spec", "params.shapes",
      lambda spec: spec["params"].update(shapes=[[[0], [1]], [[2], [3]]])),
+    ("partition_bound.spec", "params.eta", lambda spec: spec["params"].update(eta="2")),
+    ("partition_bound.spec", "params.eps", lambda spec: spec["params"].update(eps="0")),
+    ("partition_bound.spec", "params.p", lambda spec: spec["params"].update(p=["0.5", "0.6"])),
+    ("partition_bound.spec", "params.lam_size", lambda spec: spec["params"].update(lam_size=0)),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
@@ -802,7 +806,8 @@ def _on_group(group, F, window):
         "compare-measure-without-L", "zero-delta", "tile-sigma-without-n", "ns-zero",
         "a-above-one", "cover-drop-empty", "cover-misspelt-key", "tile-flavor-misspelt",
         "tile-V-label-zero", "tile-V-label-above-d", "tile-V-too-small", "tile-eta-two",
-        "tile-tau-one", "tile-shapes-not-nested"])
+        "tile-tau-one", "tile-shapes-not-nested", "partition-eta-two", "partition-eps-zero",
+        "partition-p-sum-above-one", "partition-lam-size-zero"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab import (ArgumentError, BernoulliMeasure, LatticeGroup, MarkovMeasure,
-                      MetricWeights, ResourceBudgetError, SymbolicSystem, TestFunction,
-                      UnsupportedOperationError, as_fraction, count_box_language,
-                      count_cyclic_words, full_shift, golden_mean_system, integrate,
-                      is_slice_box)
+from soficlab import (ArgumentError, BernoulliMeasure, FiniteTableGroup, FreeGroup,
+                      LatticeGroup, MarkovMeasure, MetricWeights, ResourceBudgetError,
+                      SymbolicSystem, TestFunction, UnsupportedOperationError, as_fraction,
+                      count_box_language, count_cyclic_words, full_shift,
+                      golden_mean_system, integrate, is_slice_box)
 
 # Independent sets in the n x n grid graph (OEIS A006506; Calkin and Wilf,
 # "The number of independent sets in a grid graph", SIAM J. Discrete Math.
@@ -146,6 +146,7 @@ def test_cached_language_keeps_the_callers_budget(Z2):
     with pytest.raises(ResourceBudgetError, match="language"):
         fresh.language_values(box(fresh, (3, 3)), budget=245)
     assert len(fresh.language_values(box(fresh, (3, 3)), budget=246)) == 63
+    assert _prefix_nodes(fresh, box(fresh, (3, 3))) == 246
 
 
 # random SFTs whose forbidden shapes lie within two consecutive slices;
@@ -216,6 +217,71 @@ def test_row_and_column_transfer_agree_on_hard_squares(Z2):
         assert (count_box_language(asym, box(asym, (cols, rows)))
                 == count_box_language(flip, box(flip, (rows, cols)))
                 == len(asym.language_values(box(asym, (cols, rows)))))
+
+
+# random forbidden sets on four groups, against the brute-force oracle
+F2_GROUP = FreeGroup(2)
+_POOLS = [  # each group, with the elements windows and forbidden shapes are drawn from
+    (Z1_GROUP, [(i,) for i in range(-2, 4)]),
+    (Z2_GROUP, list(itertools.product(range(-1, 2), repeat=2))),
+    (F2_GROUP, list(itertools.islice(F2_GROUP.enumerate_elements(), 17))),  # length <= 2
+    (FiniteTableGroup.cyclic(5), list(range(5))),
+]
+
+
+@st.composite
+def _forbidden_instances(draw):
+    """A system with 0-4 forbidden patterns of 1-3 sites (one-site ones and
+    repeats included) and a window of up to 6 sites, gaps allowed."""
+    group, pool = draw(st.sampled_from(_POOLS))
+    alphabet = ("0", "1", "2")[:draw(st.integers(2, 3))]
+    forbidden = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        values = draw(st.lists(st.sampled_from(alphabet), min_size=len(shape),
+                               max_size=len(shape)))
+        forbidden.append((shape, values))
+    if forbidden and draw(st.booleans()):
+        forbidden.append(draw(st.sampled_from(forbidden)))
+    system = SymbolicSystem(alphabet, group, forbidden=forbidden)
+    return system, system.window(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                               max_size=6, unique=True)))
+
+
+def _prefix_nodes(system, window):
+    """Symbols tried by a depth-first enumeration: |A| per prefix on the
+    first j < m sites that holds no whole forbidden translate."""
+    elems = window.elements
+    prefixes = 1 + sum(len(brute_force_language(system, system.window(elems[:j])))
+                       for j in range(1, len(elems)))
+    return len(system.alphabet) * prefixes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forbidden_instances())
+def test_language_matches_brute_force_on_every_group(instance):
+    system, window = instance
+    assert system.language_values(window) == brute_force_language(system, window)
+    assert system._language_cache[window.elements][0] == _prefix_nodes(system, window)
+
+
+def test_one_site_slices(Z, Z2):
+    """Width-1 boxes and cyclic words cut the box into one-site slices."""
+    hs = hard_square(Z2)
+    fib = [1, 2]
+    for _ in range(8):
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 9):
+        assert count_box_language(hs, box(hs, (n, 1))) == fib[n], n  # F(n + 2)
+        assert count_box_language(hs, box(hs, (1, n))) == fib[n], n
+    # a one-site ban ("2" nowhere) beside 11 leaves the golden mean's necklaces
+    banned = SymbolicSystem(("0", "1", "2"), Z, forbidden=[(((0,),), ("2",)),
+                                                           (((0,), (1,)), ("1", "1"))])
+    lucas = [2, 1]
+    for _ in range(10):
+        lucas.append(lucas[-1] + lucas[-2])
+    assert [count_cyclic_words(banned, n) for n in range(1, 11)] == lucas[1:11]
+    assert count_box_language(banned, banned.interval_window(0, 9)) == 144  # F(12)
 
 
 def test_act_examples(gm):
