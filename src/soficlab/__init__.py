@@ -24,8 +24,8 @@ from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      join, lift, min_subcover, origin_partition, partial_cover_count,
                      partial_cover_count_of, partitions_refining, pullback,
                      pullback_iterate, shannon_entropy, trivial_cover)
-from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, count_microstates,
-                          counting_method, zero_defect_delta)
+from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, TupleCounts,
+                          count_microstates, counting_method, zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,
                       PairScanReport, PartitionCountResult, VariationalReport,
                       amenable_measure_trace, amenable_topological_trace,

@@ -119,11 +119,11 @@ def _task_microstates(system, args, writer, budget):
     rows = []
     for delta in args["deltas"]:
         for sigma in args["stages"]:
-            try:  # on the DP path reading m runs the counting DPs, under the same budget
+            try:  # each tuples call runs a counting DP, under the stage's budget
                 counts, _ = count_microstates(system, args["F"], delta, sigma, args["window"],
                                               args["cover"], measure_filter=args["filter"],
                                               budget=budget)
-                rows.append((sigma.d, counts.m_inner, counts.m_outer,
+                rows.append((sigma.d, counts.tuples("inner").m, counts.tuples("outer").m,
                              counts.n_inner, counts.n_outer))
             except ResourceBudgetError as exc:
                 raise ResourceBudgetError(f"stage d={sigma.d}, delta={float(delta)}: {exc}",

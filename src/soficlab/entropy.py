@@ -222,7 +222,7 @@ class DominantMeasureResult:
     counts: tuple
     net_ok: bool
     # up to five empirical vectors near no candidate, in the order the
-    # counting path meets them
+    # outer counting DP meets them
     uncovered: tuple
 
 
@@ -231,15 +231,15 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
                             budget=2_000_000) -> DominantMeasureResult:
     """Pick the candidate measure whose filtered count dominates.
 
-    One scan of the stage's outer microstates (F, delta, sigma on window)
-    counts N(U^d, .) of the whole set and of the part within filter_delta of
-    each candidate nu on L.  The same scan validates the net condition
-    (every microstate's empirical vector lies within filter_delta of some
-    candidate's expectations); with a covering net the winner provably
-    satisfies count >= ceil(unfiltered / |D|).  uncovered holds the
-    empirical vectors (1/d) sum_i f(x_i), f in L, of up to five microstates
-    no candidate keeps, in the order the counting path meets them, read off
-    the filter sums the count carries (MicrostateCounts.unmatched_sums).
+    One count of the stage's outer microstates (F, delta, sigma on window)
+    gives N(U^d, .) of the whole set and of the part within filter_delta of
+    each candidate nu on L.  One outer counting DP on the same stage
+    validates the net condition (every microstate's empirical vector lies
+    within filter_delta of some candidate's expectations); with a covering
+    net the winner provably satisfies count >= ceil(unfiltered / |D|).
+    uncovered holds the empirical vectors (1/d) sum_i f(x_i), f in L, of up
+    to five microstates no candidate keeps, in the order that DP meets
+    them, read off its filter sums (TupleCounts.unmatched_sums).
     """
     if not candidates:
         raise ArgumentError("need at least one candidate measure")
@@ -250,8 +250,9 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
     # a microstate is near a candidate exactly when it passes that candidate's
     # filter: |(1/d) sum_i f(x_i) - nu(f)| < filter_delta for every f in L
     # every filter tests the same L, so the first filter's sums serve
-    uncovered = [tuple(float(s / sigma.d) for s in sums[0]) for sums in total.unmatched_sums]
-    net_ok = not total.unmatched
+    sizes = total.tuples("outer")
+    uncovered = [tuple(float(s / sigma.d) for s in sums[0]) for sums in sizes.unmatched_sums]
+    net_ok = not sizes.unmatched
     if require_net and not net_ok:
         raise ArgumentError(
             f"net condition violated: empirical vector {uncovered[0]} "

@@ -16,6 +16,7 @@ the default metric weights of symbolic systems.
 from __future__ import annotations
 
 import itertools
+import numbers
 from fractions import Fraction
 
 from .errors import ArgumentError, UnsupportedOperationError
@@ -59,6 +60,14 @@ class Group:
 
     def is_finite(self) -> bool:
         return False
+
+
+def _integer(x):
+    """x as an int when it is an integer, or a float holding one (JSON may
+    write 1 as 1.0); None for anything else, a bool or a string included."""
+    if type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    return int(x) if isinstance(x, float) and x.is_integer() else None
 
 
 def multiply(group: Group, g, h):
@@ -107,12 +116,13 @@ class LatticeGroup(Group):
         return (0,) * self.rank
 
     def coerce(self, x):
-        if isinstance(x, int) and self.rank == 1:
-            return (x,)
-        try:
-            v = tuple(int(c) for c in x)
+        try:  # on Z a bare coordinate stands for its 1-tuple
+            v = tuple(map(_integer, (x,) if self.rank == 1 and not isinstance(x, (tuple, list))
+                          else x))
         except TypeError as exc:
             raise ArgumentError(f"not a Z^{self.rank} element: {x!r}") from exc
+        if None in v:
+            raise ArgumentError(f"not a Z^{self.rank} element: {x!r}")
         if len(v) != self.rank:
             raise ArgumentError(f"wrong lattice rank for {x!r}: expected {self.rank}")
         return v
@@ -156,7 +166,9 @@ class FiniteTableGroup(Group):
         n = len(table)
         if n == 0:
             raise ArgumentError("empty multiplication table")
-        rows = [tuple(int(x) for x in row) for row in table]
+        rows = [tuple(map(_integer, row)) for row in table]
+        if any(None in row for row in rows):
+            raise ArgumentError("multiplication table entries must be integers")
         for row in rows:
             if len(row) != n or sorted(row) != list(range(n)):
                 raise ArgumentError("multiplication table is not a Latin square (row)")
@@ -191,9 +203,9 @@ class FiniteTableGroup(Group):
         return self._identity
 
     def coerce(self, x):
-        g = int(x)
-        if not 0 <= g < self.order:
-            raise ArgumentError(f"element index out of range: {x!r}")
+        g = _integer(x)
+        if g is None or not 0 <= g < self.order:
+            raise ArgumentError(f"not an element index in 0..{self.order - 1}: {x!r}")
         return g
 
     def multiply(self, g, h):
@@ -284,12 +296,13 @@ class FreeGroup(Group):
         if isinstance(x, str):
             return self.parse(x)
         try:
-            w = tuple(int(a) for a in x)
+            w = tuple(map(_integer, x))
         except TypeError as exc:
             raise ArgumentError(f"not a free-group word: {x!r}") from exc
         for a in w:
-            if a == 0 or abs(a) > self.rank:
-                raise ArgumentError(f"letter out of range in {x!r}")
+            if a is None or a == 0 or abs(a) > self.rank:
+                raise ArgumentError(
+                    f"letters are nonzero integers in -{self.rank}..{self.rank}: {x!r}")
         return self._reduce(w)
 
     @staticmethod

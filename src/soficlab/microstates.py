@@ -17,22 +17,23 @@ the frontier DP for a partition cover, which visits no tuple, and for a
 general cover a depth-first scan of the same steps (_scan), whose key rows
 _CoverKeys counts.
 
-The cover counts N are what the entropy traces read; the tuple counts m
-only the microstates task.  The scan gets m for free, but on the DP path
-m takes two counting DPs of their own, so they run only when m (or the
-unmatched count) is read.
+The cover counts N are what the entropy traces read; the sizes m only
+the microstates task, and the net check of select_dominant_measure only
+the unmatched count.  So a count holds N alone, and its sizes are one
+explicit call, MicrostateCounts.tuples, which runs a counting DP on the
+stage's _FrontierDP whichever path counted N.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from ._frontier import _SHOWN, _FrontierDP, _PackedSums, _scan
+from ._frontier import _FrontierDP, _PackedSums, _scan
 from .errors import ArgumentError, ResourceBudgetError
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
 from .covers import Cover, exact_min_cover, undominated
@@ -241,208 +242,128 @@ def _stage(system, F, delta, sigma, window):
     return delta, plan, system.language_values(window)
 
 
-class MicrostateCounts:
-    """Sizes m and cover counts N(U^d, .) of one stage's microstate sets.
+class TupleCounts(NamedTuple):
+    """Sizes of one stage's microstate set in one certified mode.
 
-    On the unfiltered counts of count_microstates, unmatched is the number
-    of outer microstates that pass none of its filters, and unmatched_sums
-    holds the filter sums of up to five of them, repeats allowed, in the
-    order the counting path meets them: per filter, sum_i f(x_i) for each
-    of its test functions, as exact Fractions.  method names that path:
-    "dp" for the frontier DP, "scan" for the tuple scan.
-
-    n_inner and n_outer are counted with the object.  On the DP path m and
-    unmatched are counted on first read, under the budget of the call that
-    made the object, so reading them can raise ResourceBudgetError.
-    Equality and hashing take (m_inner, m_outer, n_inner, n_outer), so they
-    read m; method, unmatched and unmatched_sums take no part.  repr shows
-    m and unmatched only once they have been read, so it never runs a DP.
+    m counts the set and filtered[k] its part that also passes filters[k].
+    unmatched counts its microstates that pass none of the filters, and
+    unmatched_sums holds the filter sums of up to five of them, repeats
+    allowed, in the order the counting DP meets them: per filter, sum_i
+    f(x_i) for each of its test functions, as exact Fractions.  The sizes
+    of a filtered count hold its own m only.
     """
 
-    __slots__ = ("n_inner", "n_outer", "method", "_sizes", "_tally")
-
-    def __init__(self, m_inner, m_outer, n_inner, n_outer, unmatched=0,
-                 unmatched_sums=(), method="scan"):
-        self.n_inner, self.n_outer, self.method = n_inner, n_outer, method
-        self._sizes = _Sizes((m_inner,), (m_outer,), (unmatched,), (unmatched_sums,))
-        self._tally = 0
-
-    @classmethod
-    def _read_later(cls, sizes, tally, n_inner, n_outer, method):
-        """Counts whose m and unmatched are tally's entries of sizes."""
-        self = cls.__new__(cls)
-        self.n_inner, self.n_outer, self.method = n_inner, n_outer, method
-        self._sizes, self._tally = sizes, tally
-        return self
-
-    m_inner = property(lambda self: self._sizes.m_inner[self._tally])
-    m_outer = property(lambda self: self._sizes.m_outer[self._tally])
-    unmatched = property(lambda self: self._sizes.unmatched[self._tally])
-    unmatched_sums = property(lambda self: self._sizes.unmatched_sums[self._tally])
-
-    def _key(self):
-        return self.m_inner, self.m_outer, self.n_inner, self.n_outer
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ("m_inner", "m_outer", "n_inner", "n_outer", "unmatched", "unmatched_sums",
-                  "method")
-        return "MicrostateCounts({})".format(", ".join(
-            f"{name}={getattr(self, name)!r}" for name in fields
-            if name in ("n_inner", "n_outer", "method") or self._sizes.known(name)))
-
-
-class _Sizes(NamedTuple):
-    """m and unmatched per tally, the unfiltered tally first: reading any
-    field counts nothing, so known holds for every name."""
-
-    m_inner: tuple
-    m_outer: tuple
-    unmatched: tuple
+    m: int
+    filtered: tuple
+    unmatched: int
     unmatched_sums: tuple
 
-    def known(self, name):
-        return True
 
-
-class _DPSizes:
-    """_Sizes of every tally of one DP stage, each DP run on first read.
-
-    The outer counting DP gives m_outer, unmatched and unmatched_sums, the
-    inner one m_inner.  Both run on the stage's _FrontierDP, so they charge
-    the budget the signatures charged; a cut raises at the read and is not
-    kept.
+@dataclass(frozen=True)
+class MicrostateCounts:
+    """Cover counts N(U^d, .) of one stage's microstate set, in both
+    certified modes.  method names the path that counted them: "dp" for the
+    frontier DP, "scan" for the tuple scan.  _source holds what tuples reads:
+    the stage's _FrontierDP, its _PackedSums and the tally of these counts
+    (0 unfiltered, k + 1 for filters[k]), or None for a stage with no
+    window pattern, whose sizes are all 0 and filtered empty.
     """
 
-    def __init__(self, dp, packing):
-        self.dp, self.packing = dp, packing
+    n_inner: int
+    n_outer: int
+    method: str = field(default="scan", compare=False)
+    _source: tuple = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def _outer(self):
-        per_tally, unmatched, sums = self.dp.sequences(False, self.packing)
-        rest = len(per_tally) - 1
-        return per_tally, (unmatched,) + (0,) * rest, (sums,) + ((),) * rest
-
-    m_outer = property(lambda self: self._outer[0])
-    unmatched = property(lambda self: self._outer[1])
-    unmatched_sums = property(lambda self: self._outer[2])
-
-    @cached_property
-    def m_inner(self):
-        return self.dp.sequences(True, self.packing)[0]
-
-    def known(self, name):
-        """Whether field name has been counted, so reading it runs no DP."""
-        return (name if name == "m_inner" else "_outer") in self.__dict__
-
-
-class _Tally:
-    """Running counts of the microstates passing one filter."""
-
-    __slots__ = ("m_inner", "m_outer", "inner", "outer")
-
-    def __init__(self):
-        self.m_inner = self.m_outer = 0
-        self.inner = set()  # key rows
-        self.outer = set()
-
-    def counts(self, cover_count, **unmatched) -> MicrostateCounts:
-        return MicrostateCounts(self.m_inner, self.m_outer, cover_count(self.inner),
-                                cover_count(self.outer), **unmatched)
+    def tuples(self, mode: str) -> TupleCounts:
+        """The sizes of the set in mode ("inner" or "outer"), from one
+        counting DP (_FrontierDP.sequences) on the stage, on every cover.
+        It is charged to the budget the cover counts charged, so it can
+        raise ResourceBudgetError."""
+        if mode not in ("inner", "outer"):
+            raise ArgumentError(f"unknown mode {mode!r}")
+        if self._source is None:
+            return TupleCounts(0, (), 0, ())
+        dp, packing, tally = self._source
+        per_tally, unmatched, sums = dp.sequences(mode == "inner", packing)
+        if tally:
+            return TupleCounts(per_tally[tally], (), 0, ())
+        return TupleCounts(per_tally[0], tuple(per_tally[1:]), unmatched, sums)
 
 
 def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
                       cover: Cover, measure_filter: MeasureFilter = None, filters=(),
                       budget: int = DEFAULT_NODE_BUDGET):
-    """Counts of one stage's microstate sets, in both certified modes.
+    """Cover counts of one stage's microstate sets, in both certified modes.
 
     The set holds the d-tuples of window patterns within delta of sigma on
     F (passing measure_filter too, when one is given: it prunes the count).
     Returns (counts, filtered), where filtered[k] counts the part of the set
-    that also passes filters[k], and counts reports the outer microstates
-    that pass none of filters.
+    that also passes filters[k].  Their sizes m are read with tuples.
 
     Both paths walk the steps of one _FrontierDP.  A partition cover takes
     the frontier DP (method "dp"), which never visits a tuple.  A general
     cover takes one streaming scan of those steps (method "scan", see
     _scan): each microstate reaches the counter as language indices, its
     key row is the tuple of the indices themselves, and only the set of
-    key rows is kept.  The counts are read off those
-    sets once the scan ends.  Both paths decide every filter on the same
-    packed integer sums (_PackedSums).  The whole stage, the general
-    cover's set-cover searches included, runs under one budget: each search
-    gets the nodes the scan and the searches before it left, and
-    ResourceBudgetError is raised when it runs out.  On the DP path m and
-    unmatched are counted when first read and charged to the same budget,
-    so that read can raise it too (see MicrostateCounts).
+    key rows is kept.  The counts are read off those sets once the scan
+    ends.  Both paths decide every filter on the same packed integer sums
+    (_PackedSums).  The whole stage, the general cover's set-cover searches
+    and any later tuples call included, runs under one budget: each part
+    gets what the parts before it left, and ResourceBudgetError is raised
+    when it runs out.
     """
     delta, plan, lang = _stage(system, F, delta, sigma, window)
+    method = counting_method(cover)
     if not lang:
-        empty = MicrostateCounts(0, 0, 0, 0, method=counting_method(cover))
+        empty = MicrostateCounts(0, 0, method)
         return empty, (empty,) * len(filters)
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []
     tables = [_filter_tables(window, lang, f, d) for f in filters]
     dp = _FrontierDP(plan, lang, delta, sigma, keys.table, budget)
-    if cover.is_partition:
-        return _count_by_dp(dp, prune, tables)
     packing = _PackedSums(prune, tables, d, len(lang))
-    tallies = [_Tally() for _ in range(len(tables) + 1)]  # the unfiltered tally first
+    found = _by_dp(dp, prune, tables) if cover.is_partition else _by_scan(dp, packing, keys)
+    counts = [MicrostateCounts(n_inner, n_outer, method, (dp, packing, k))
+              for k, (n_inner, n_outer) in enumerate(found)]
+    return counts[0], tuple(counts[1:])
+
+
+def _by_dp(dp, prune, tables):
+    """Per tally, (n_inner, n_outer) from the signature DPs.  One tallies
+    the unfiltered counts and every filter whose tables are constant on
+    cells; a filter holding any other table takes a run of its own."""
+    beside = [all(map(dp.on_cells, own)) for own in tables]
+    shared = iter(dp.signatures(prune, [own for own, ok in zip(tables, beside) if ok]))
+    return [next(shared)] + [next(shared) if ok else dp.signatures(prune + own)[0]
+                             for own, ok in zip(tables, beside)]
+
+
+def _by_scan(dp, packing, keys):
+    """Per tally, (n_inner, n_outer) from one scan of dp's steps, which
+    keeps each tally's inner and outer key rows; dp.spent is left at the
+    nodes the scan and the set-cover searches used."""
+    tallies = [(set(), set()) for _ in range(len(packing.filters) + 1)]  # unfiltered first
     keeping = {}  # packed sums -> the tallies a microstate with them enters
-    unmatched_sums = []
-    n_unmatched = 0
 
     def leaf(indices, inner_ok, packed):
-        nonlocal n_unmatched
         kept = keeping.get(packed)
         if kept is None:
             kept = keeping[packed] = [tallies[0]] + [
                 t for t, ok in zip(tallies[1:], packing.passed(packed)) if ok]
-        for tally in kept:
-            tally.m_outer += 1
-            tally.outer.add(indices)  # a general cover's key row is the index row
+        for inner, outer in kept:
+            outer.add(indices)  # a general cover's key row is the index row
             if inner_ok:
-                tally.m_inner += 1
-                tally.inner.add(indices)
-        if len(kept) == 1:  # only the unfiltered tally: no filter keeps it
-            n_unmatched += 1
-            if n_unmatched <= _SHOWN:
-                unmatched_sums.append(packing.exact(packed))
+                inner.add(indices)
 
-    spent = _scan(dp, packing, leaf)
+    dp.spent = _scan(dp, packing, leaf)
 
     def cover_count(rows):
-        nonlocal spent
-        n, nodes = keys.count(rows, budget, spent)
-        spent += nodes
+        n, nodes = keys.count(rows, dp.budget, dp.spent)
+        dp.spent += nodes
         return n
 
-    return (tallies[0].counts(cover_count, unmatched=n_unmatched,
-                              unmatched_sums=tuple(unmatched_sums)),
-            tuple(t.counts(cover_count) for t in tallies[1:]))
-
-
-def _count_by_dp(dp, prune, tables):
-    """count_microstates' result from the frontier DP: the signature DPs now,
-    the counting DPs behind m when a caller reads m.  One signature DP
-    tallies the unfiltered counts and every filter whose tables are constant
-    on cells; a filter holding any other table takes a run of its own."""
-    sizes = _DPSizes(dp, _PackedSums(prune, tables, dp.d, dp.n))
-    beside = [all(map(dp.on_cells, own)) for own in tables]
-    shared = iter(dp.signatures(prune, [own for own, ok in zip(tables, beside) if ok]))
-    found = [next(shared)] + [next(shared) if ok else dp.signatures(prune + own)[0]
-                              for own, ok in zip(tables, beside)]
-    counts = [MicrostateCounts._read_later(sizes, k, n_inner, n_outer, "dp")
-              for k, (n_inner, n_outer) in enumerate(found)]
-    return counts[0], tuple(counts[1:])
+    return [(cover_count(inner), cover_count(outer)) for inner, outer in tallies]
 
 
 def counting_method(cover: Cover) -> str:

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ArgumentError, SpecError, UnsupportedOperationError
-from .groups import FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, folner_set
+from .groups import (FiniteSubset, FiniteTableGroup, FreeGroup, Group, LatticeGroup, _integer,
+                     folner_set)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, SymbolicSystem, TestFunction,
                        as_fraction)
 from .covers import Cover, origin_partition, trivial_cover
@@ -159,8 +160,7 @@ _TYPES = {
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
-    "integer": lambda x: (not isinstance(x, bool) and isinstance(x, int)
-                          or isinstance(x, float) and x.is_integer()),
+    "integer": lambda x: _integer(x) is not None,  # as the groups read elements
     "number": lambda x: not isinstance(x, bool) and isinstance(x, (int, float)),
 }
 

@@ -799,6 +799,14 @@ def _on_group(group, F, window):
     ("partition_bound.spec", "params.eps", lambda spec: spec["params"].update(eps="0")),
     ("partition_bound.spec", "params.p", lambda spec: spec["params"].update(p=["0.5", "0.6"])),
     ("partition_bound.spec", "params.lam_size", lambda spec: spec["params"].update(lam_size=0)),
+    ("fullshift_microstates.spec", "params.window",
+     lambda spec: (spec["system"].update(group={"kind": "lattice", "rank_or_order": 2}),
+                   spec["params"].update(F=[[1, 0]], window=["00", "10", "01"]))),
+    ("fullshift_microstates.spec", "system",
+     lambda spec: (spec["system"].update(group={"kind": "finite", "rank_or_order": 4,
+                                                "generators": [1.5]}),
+                   spec["params"].update(F=[1], window=[0, 1], sigma={"model": "regular"},
+                                         stages=[4]))),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
@@ -807,7 +815,8 @@ def _on_group(group, F, window):
         "a-above-one", "cover-drop-empty", "cover-misspelt-key", "tile-flavor-misspelt",
         "tile-V-label-zero", "tile-V-label-above-d", "tile-V-too-small", "tile-eta-two",
         "tile-tau-one", "tile-shapes-not-nested", "partition-eta-two", "partition-eps-zero",
-        "partition-p-sum-above-one", "partition-lam-size-zero"])
+        "partition-p-sum-above-one", "partition-lam-size-zero", "Z2-window-as-digit-strings",
+        "Z4-generator-one-and-a-half"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

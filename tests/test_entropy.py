@@ -412,7 +412,10 @@ SELECT_SYSTEMS = (full_shift(("0", "1"), LatticeGroup(1)), golden_mean_system())
 def _selection_instances(draw):
     system = draw(st.sampled_from(SELECT_SYSTEMS))
     window = system.interval_window(0, 1)
-    d = draw(st.integers(2, 6))
+    # a general cover takes the scan, whose product-cover search needs d <= 3
+    general = draw(st.booleans())
+    cover = _overlapping_cover(system) if general else origin_partition(system)
+    d = draw(st.integers(2, 3 if general else 6))
     if draw(st.booleans()):
         sigma = cyclic_model(system.group, d)
     else:
@@ -426,15 +429,24 @@ def _selection_instances(draw):
     L = [TestFunction.indicator(system.pattern(system.window([g]), (a,)))
          for g, a in draw(st.lists(patterns, min_size=1, max_size=2))]
     filter_delta = draw(st.sampled_from(["0.1", "0.25", "0.5"]))
-    return system, window, sigma, delta, candidates, L, filter_delta
+    return system, window, sigma, delta, candidates, L, filter_delta, cover
+
+
+def _overlapping_cover(system):
+    """{x_0 = 0}, {x_1 = 0} and {a 1 in x_0 x_1}: a cover, not a partition."""
+    w = system.interval_window(0, 1)
+    lang = system.language_values(w)
+    return Cover(system, w, [[v for v in lang if v[0] == "0"], [v for v in lang if v[1] == "0"],
+                             [v for v in lang if "1" in v]])
 
 
 @settings(max_examples=60, deadline=None)
 @given(_selection_instances())
 def test_select_dominant_matches_materialised_oracle(instance):
-    """One streamed scan gives what enumerate -> filter -> count_cover gives."""
-    system, window, sigma, delta, candidates, L, filter_delta = instance
-    cover = origin_partition(system)
+    """On a partition (the frontier DP) and on an overlapping cover (the
+    scan), the counts and the net check give what enumerate -> filter ->
+    count_cover gives."""
+    system, window, sigma, delta, candidates, L, filter_delta, cover = instance
     outer = enumerate_microstates_both(system, [1], delta, sigma, window)[1]
     kept = [filter_microstates(outer, MeasureFilter.build(nu, L, filter_delta))
             for nu in candidates]

@@ -41,6 +41,33 @@ def test_bad_table_rejected():
         FiniteTableGroup([[1, 0], [1, 0]])  # bad column
 
 
+@pytest.mark.parametrize("value", ["12", "00", (1.5, 0), (True, 0), (1, "0"), 3])
+def test_lattice_coerce_refuses_all_but_integer_coordinates(Z2, value):
+    """A string is not read digit by digit, nor a bool or 1.5 as an int."""
+    with pytest.raises(ArgumentError, match="not a Z\\^2 element"):
+        Z2.coerce(value)
+
+
+def test_coerce_reads_integral_floats_and_refuses_the_rest(Z, Z2):
+    """JSON may write 1 as 1.0, which the schema counts as an integer: every
+    group reads it so, and refuses 1.5, a bool and (but for a free-group
+    word) a string."""
+    Z4, F2 = FiniteTableGroup.cyclic(4), FreeGroup(2)
+    assert Z.coerce(2.0) == Z.coerce((2.0,)) == (2,)
+    assert Z2.coerce([1.0, -2]) == (1, -2)
+    assert Z4.coerce(3.0) == 3
+    assert F2.coerce([1.0, -2.0]) == F2.coerce("a.b^-1") == (1, -2)
+    for group, value in ((Z, 1.5), (Z, True), (Z, "1"), (Z4, 1.5), (Z4, True), (Z4, "1"),
+                         (F2, [1.5]), (F2, [True])):
+        with pytest.raises(ArgumentError):
+            group.coerce(value)
+    with pytest.raises(ArgumentError, match="not an element index"):
+        FiniteTableGroup.cyclic(4, generators=[1.5])
+    with pytest.raises(ArgumentError, match="entries must be integers"):
+        FiniteTableGroup([[0, 1], [1, 0.5]])
+    assert FiniteTableGroup([[0.0, 1], [1, 0]]).table == [(0, 1), (1, 0)]
+
+
 def test_folner_sets(Z, Z2, Z3):
     assert folner_set(Z, 4).elements == ((0,), (1,), (2,), (3,))
     assert set(folner_set(Z2, 2).elements) == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -18,7 +18,7 @@ import soficlab._frontier
 import soficlab.microstates
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FiniteTableGroup,
                       FreeGroup, LatticeGroup, MarkovMeasure, MeasureFilter, MicrostateCounts,
-                      ResourceBudgetError, SoficMap, SymbolicSystem, TestFunction,
+                      ResourceBudgetError, SoficMap, SymbolicSystem, TestFunction, TupleCounts,
                       check_amenable_agreement,
                       check_variational, count_microstates, counting_method, cyclic_model,
                       exact_min_cover, folner_set, from_folner, full_shift, golden_mean_system,
@@ -280,8 +280,12 @@ def _product_cover_count(M, cover):
 
 
 def _oracle_counts(inner, outer, cover):
-    return MicrostateCounts(len(inner), len(outer), _product_cover_count(inner, cover),
-                            _product_cover_count(outer, cover))
+    return MicrostateCounts(_product_cover_count(inner, cover), _product_cover_count(outer, cover))
+
+
+def _m(counts):
+    """(m_inner, m_outer) of counts, one counting DP each."""
+    return counts.tuples("inner").m, counts.tuples("outer").m
 
 
 @st.composite
@@ -338,17 +342,22 @@ def test_streamed_counts_match_naive_oracle(instance):
     got, got_filtered = count_microstates(system, F, delta, sigma, window, cover,
                                           filters=filters)
     assert got == expected
-    assert got.m_inner <= got.m_outer and got.n_inner <= got.n_outer
+    assert _m(got) == (len(inner), len(outer))
+    assert len(inner) <= len(outer) and got.n_inner <= got.n_outer
     if mf is None:
         assert got_filtered == ()
         return
-    expected_f = _oracle_counts(filter_microstates(inner, mf),
-                                filter_microstates(outer, mf), cover)
+    f_inner, f_outer = filter_microstates(inner, mf), filter_microstates(outer, mf)
+    expected_f = _oracle_counts(f_inner, f_outer, cover)
     assert got_filtered == (expected_f,)
+    assert _m(got_filtered[0]) == (len(f_inner), len(f_outer))
+    assert got.tuples("inner").filtered == (len(f_inner),)
+    assert got.tuples("outer").filtered == (len(f_outer),)
     # the filter pruning the scan itself gives the same counts
-    assert count_microstates(system, F, delta, sigma, window, cover,
-                             measure_filter=mf) == (expected_f, ())
-    assert expected_f.m_inner <= expected_f.m_outer <= got.m_outer
+    pruned = count_microstates(system, F, delta, sigma, window, cover, measure_filter=mf)
+    assert pruned == (expected_f, ())
+    assert _m(pruned[0]) == (len(f_inner), len(f_outer))
+    assert len(f_inner) <= len(f_outer) <= len(outer)
     assert expected_f.n_inner <= expected_f.n_outer
     assert expected_f.n_inner <= got.n_inner and expected_f.n_outer <= got.n_outer
 
@@ -363,14 +372,15 @@ def test_unmatched_counts_the_microstates_no_filter_keeps(fs, fs_origin):
                for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))]
     got, got_filtered = count_microstates(fs, [0], "1.0", sigma, w, fs_origin,
                                           filters=filters)
-    assert got == MicrostateCounts(256, 256, 256, 256)
-    assert got.unmatched == 2
+    assert got == MicrostateCounts(256, 256)
+    outer = got.tuples("outer")
+    assert (outer.m, got.tuples("inner").m, outer.unmatched) == (256, 256, 2)
     # per filter, the number of 0s: none in the all-1 tuple, eight in the all-0
-    assert sorted(got.unmatched_sums) == [((0,),) * 3, ((8,),) * 3]
-    assert all(c.unmatched == 0 and c.unmatched_sums == () for c in got_filtered)
+    assert sorted(outer.unmatched_sums) == [((0,),) * 3, ((8,),) * 3]
+    assert all(c.tuples("outer")[1:] == ((), 0, ()) for c in got_filtered)
     # with no filters, no filter keeps any microstate
     got, _ = count_microstates(fs, [0], "1.0", sigma, w, fs_origin)
-    assert got.unmatched == 256 and got.unmatched_sums == ((),) * 5
+    assert got.tuples("outer") == TupleCounts(256, (), 256, ((),) * 5)
 
 
 def test_general_cover_counts_through_count_cover(fs, fair):
@@ -381,9 +391,10 @@ def test_general_cover_counts_through_count_cover(fs, fair):
                              "0.2")
     inner, outer = enumerate_microstates_both(fs, [1], "0.6", sigma, w)
     got, (got_f,) = count_microstates(fs, [1], "0.6", sigma, w, cover, filters=[mf])
+    f_inner, f_outer = filter_microstates(inner, mf), filter_microstates(outer, mf)
     assert got == _oracle_counts(inner, outer, cover)
-    assert got_f == _oracle_counts(filter_microstates(inner, mf),
-                                   filter_microstates(outer, mf), cover)
+    assert got_f == _oracle_counts(f_inner, f_outer, cover)
+    assert (_m(got), _m(got_f)) == ((len(inner), len(outer)), (len(f_inner), len(f_outer)))
 
 
 def test_general_cover_search_honours_the_budget(fs):
@@ -403,7 +414,9 @@ def test_stage_charges_scan_and_searches_to_one_budget(fs, fair, monkeypatch):
     """The scan and the product-cover searches of one stage (inner and
     outer, per tally) share the caller's budget: the nodes they charge never
     add up to more than it, and one node short of what the stage needs cuts
-    it, although each part alone would fit."""
+    it, although each part alone would fit.  A counting DP read after them
+    is charged to the same budget, so at exactly what the stage needs it is
+    cut."""
     sigma = cyclic_model(fs.group, 3)
     w = fs.interval_window(0, 1)
     cover = _overlapping_cover(fs)
@@ -425,7 +438,7 @@ def test_stage_charges_scan_and_searches_to_one_budget(fs, fair, monkeypatch):
     monkeypatch.setattr(soficlab.microstates, "exact_min_cover", charging_search)
     counts = count_microstates(fs, [1], "0.6", sigma, w, cover, filters=filters)
     assert len(charged) == 1 + 2 * 3  # the scan, then inner and outer per tally
-    assert charged[0] >= counts[0].m_outer > 0  # the scan visits every microstate
+    assert charged[0] >= counts[0].tuples("outer").m > 0  # the scan visits every microstate
     need = sum(charged)
     assert max(charged) < need - 1
     for budget in (need, need - 1, need // 2, charged[0] + 1, 100):
@@ -437,6 +450,9 @@ def test_stage_charges_scan_and_searches_to_one_budget(fs, fair, monkeypatch):
         except ResourceBudgetError:
             assert budget < need
         assert sum(charged) <= budget
+    exact, _ = count_microstates(fs, [1], "0.6", sigma, w, cover, filters=filters, budget=need)
+    with pytest.raises(ResourceBudgetError, match="merged-state DP budget exceeded"):
+        exact.tuples("outer")
 
 
 def test_scan_prunes_on_the_table_range_over_the_language(gm, gm_origin, parry, monkeypatch):
@@ -451,15 +467,17 @@ def test_scan_prunes_on_the_table_range_over_the_language(gm, gm_origin, parry, 
     scan = soficlab.microstates._scan
     monkeypatch.setattr(soficlab.microstates, "_scan",
                         lambda *args: nodes.append(scan(*args)) or nodes[-1])
-    counts, sizes = [], []
+    counts, sizes, m = [], [], []
     for default in (0, 5):
         f = TestFunction(at, {("0",): 1, ("1",): 0}, default=default)
         mf = MeasureFilter.build(parry, [f], "0.1")
         counts.append(count_microstates(gm, [1, 2], "0.3", sigma, w, gm_origin,
                                         measure_filter=mf))
+        m.append(_m(counts[-1][0]))
         sizes.append(tuple(map(len, enumerate_microstates_both(gm, [1, 2], "0.3", sigma, w,
                                                                measure_filter=mf))))
-    assert counts[0] == counts[1] and sizes[0] == sizes[1] and nodes[0] == nodes[1]
+    assert counts[0] == counts[1] and sizes[0] == sizes[1] == m[0] == m[1]
+    assert nodes[0] == nodes[1]
 
 
 def test_streaming_budget_cut_raises_and_trace_marks_row(fs, fs_origin):
@@ -582,27 +600,30 @@ def _check_against_naive(system, window, sigma, F, delta, mf, filters, cover=Non
                                               measure_filter=mf, strategy="naive")
 
     def oracle(inner, outer):
-        return MicrostateCounts(len(inner), len(outer), count_cover(inner, cover),
-                                count_cover(outer, cover))
+        return MicrostateCounts(count_cover(inner, cover), count_cover(outer, cover))
 
     assert got == oracle(inner, outer)
-    kept = set()
     for f, counts in zip(filters, got_filtered):
-        filtered_outer = filter_microstates(outer, f)
-        assert counts == oracle(filter_microstates(inner, f), filtered_outer)
-        kept.update(filtered_outer.rows)
-    unmatched = set(outer.rows) - kept
-    assert got.unmatched == len(unmatched)
-    assert len(got.unmatched_sums) == min(5, len(unmatched))
+        assert counts == oracle(filter_microstates(inner, f), filter_microstates(outer, f))
 
     def sums(values):  # per filter, per test function: sum_i f(x_i), f read directly
         return tuple(tuple(sum(f(tuple(v[window.index[g]] for g in f.window.elements))
                                for v in values) for f in own.functions) for own in filters)
 
-    naive = collections.Counter(sums(t) for t, row in zip(outer.tuples, outer.rows)
-                                if row in unmatched)
-    assert collections.Counter(got.unmatched_sums) <= naive
-    assert all(type(s) is Fraction for found in got.unmatched_sums for own in found for s in own)
+    for mode, M in (("inner", inner), ("outer", outer)):
+        kept = [filter_microstates(M, f) for f in filters]
+        sizes = got.tuples(mode)
+        assert (sizes.m, sizes.filtered) == (len(M), tuple(map(len, kept)))
+        for k, counts in zip(kept, got_filtered):
+            assert counts.tuples(mode) == TupleCounts(len(k), (), 0, ())
+        unmatched = set(M.rows).difference(*(k.rows for k in kept))
+        assert sizes.unmatched == len(unmatched)
+        assert len(sizes.unmatched_sums) == min(5, len(unmatched))
+        naive = collections.Counter(sums(t) for t, row in zip(M.tuples, M.rows)
+                                    if row in unmatched)
+        assert collections.Counter(sizes.unmatched_sums) <= naive
+        assert all(type(s) is Fraction
+                   for found in sizes.unmatched_sums for own in found for s in own)
 
 
 def _single_cycle_stages():
@@ -695,8 +716,8 @@ def test_dp_zero_defect_outer_is_lucas(gm, gm_origin):
         got, _ = count_microstates(gm, [1], zero_defect_delta(gm, w, [1], d),
                                    cyclic_model(gm.group, d), w, gm_origin)
         assert got.method == "dp"
-        assert got.m_outer == got.n_outer == _lucas(d)
-        assert got.m_inner == got.n_inner == 0
+        assert got.tuples("outer").m == got.n_outer == _lucas(d)
+        assert got.tuples("inner").m == got.n_inner == 0
 
 
 # the frontier DP counts every partition stage ------------------------------
@@ -1582,7 +1603,7 @@ def test_scan_budget_cut_point_is_pinned(gm):
         enumerate_microstates_both(gm, [1], Fraction(1, 5), sigma, w, budget=22446)
 
 
-# the tuple counts m on the DP path are counted on first read ------------------
+# the sizes m are one explicit call, tuples, on every cover -------------------
 
 
 def _no_counting_dp(*args, **kwargs):
@@ -1631,66 +1652,82 @@ def test_dominant_measure_runs_only_the_outer_counting_dp(gm, gm_origin, parry, 
     assert res.unfiltered_count == _lucas(8)
 
 
-def test_dp_m_read_is_cut_by_the_budget_and_never_a_number(gm, gm_origin):
+def test_tuples_read_is_cut_by_the_budget_and_never_a_number(gm, gm_origin):
     """d = 12, delta = 1/10: the signature DP fits in 10,000 budget units,
-    the counting DPs need far more.  The counts come back; reading m, or
-    comparing, raises every time."""
+    the counting DPs need far more.  The counts come back and compare as
+    plain values; reading their sizes raises every time."""
     w = gm.interval_window(-2, 2)
-    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 12), w,
-                               gm_origin, budget=10_000)
+    sigma = cyclic_model(gm.group, 12)
+    got, _ = count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin, budget=10_000)
+    assert got == count_microstates(gm, [1], Fraction(1, 10), sigma, w, gm_origin)[0]
     assert got.n_inner == got.n_outer == _lucas(12)
     for _ in range(2):
-        for read in (lambda: got.m_outer, lambda: got.m_inner, lambda: got.unmatched,
-                     lambda: got == got):
+        for mode in ("outer", "inner"):
             with pytest.raises(ResourceBudgetError, match="DP"):
-                read()
+                got.tuples(mode)
 
 
-def test_repr_shows_only_the_sizes_already_read(gm, gm_origin, monkeypatch):
-    """repr never runs a counting DP: on a stage whose m the budget cuts it
-    still works, and m and unmatched appear once a read has counted them."""
-    w = gm.interval_window(-2, 2)
-    cut, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 12), w,
-                               gm_origin, budget=2327)
-    got, _ = count_microstates(gm, [1], Fraction(1, 10), cyclic_model(gm.group, 6), w,
-                               gm_origin)
+@pytest.mark.parametrize("general", [False, True])
+def test_counts_are_plain_values(gm, gm_origin, monkeypatch, general):
+    """==, hash and repr of counts never run a counting DP, on either
+    path; tuples("outer") runs one, in outer mode, and an unknown mode
+    none."""
+    w = gm.interval_window(-1, 1)
+    cover = _two_sided_cover(gm, [-1, 1]) if general else gm_origin
+    got, _ = count_microstates(gm, [1], "0.3", cyclic_model(gm.group, 5), w, cover)
     sequences = soficlab._frontier._FrontierDP.sequences
-    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", _no_counting_dp)
-    assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
-    assert repr(got) == "MicrostateCounts(n_inner=18, n_outer=18, method='dp')"
-    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", sequences)
-    with pytest.raises(ResourceBudgetError, match="DP"):
-        cut.m_outer
-    assert repr(cut) == "MicrostateCounts(n_inner=322, n_outer=322, method='dp')"
-    got.m_outer
-    assert repr(got) == ("MicrostateCounts(m_outer=6010, n_inner=18, n_outer=18, "
-                         "unmatched=6010, unmatched_sums=((), (), (), (), ()), method='dp')")
-    got.m_inner
-    assert repr(got).startswith("MicrostateCounts(m_inner=427, m_outer=6010, ")
-    assert repr(MicrostateCounts(1, 2, 3, 4)) == (
-        "MicrostateCounts(m_inner=1, m_outer=2, n_inner=3, n_outer=4, unmatched=0, "
-        "unmatched_sums=(), method='scan')")
+    modes = []
+
+    def spy(dp, inner, *args, **kwargs):
+        modes.append(inner)
+        return sequences(dp, inner, *args, **kwargs)
+
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "sequences", spy)
+    method = "scan" if general else "dp"
+    same = MicrostateCounts(got.n_inner, got.n_outer, "other")
+    assert got == same and hash(got) == hash(same) and {same: 1}[got] == 1
+    assert repr(got) == (f"MicrostateCounts(n_inner={got.n_inner}, n_outer={got.n_outer}, "
+                         f"method='{method}')")
+    assert got != MicrostateCounts(got.n_inner, got.n_outer + 1)
+    with pytest.raises(ArgumentError, match="unknown mode"):
+        got.tuples("both")
+    assert modes == []
+    assert got.tuples("outer").m > 0
+    assert modes == [False]
+
+
+def test_stage_with_no_window_pattern_counts_nothing():
+    """Every pair on [0, 1] forbidden, single sites allowed: the window
+    language is empty, so on either path the counts and sizes are 0."""
+    system = SymbolicSystem(("0", "1"), LatticeGroup(1),
+                            forbidden=[((0, 1), (a, b)) for a in "01" for b in "01"])
+    w = system.interval_window(0, 1)
+    for cover in (origin_partition(system),
+                  Cover(system, system.window([0]), [[("0",)], [("0",), ("1",)]])):
+        got, _ = count_microstates(system, [1], "0.5", cyclic_model(system.group, 3), w, cover)
+        assert got == MicrostateCounts(0, 0) and got.method == counting_method(cover)
+        assert got.tuples("inner") == got.tuples("outer") == TupleCounts(0, (), 0, ())
 
 
 def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):
-    """m read lazily equals m counted eagerly, only the unfiltered counts
-    carry unmatched, and equality, hashing and the positional constructor
-    ignore method and unmatched."""
+    """The sizes a partition stage's counts read equal the enumerated
+    sets', only the unfiltered counts carry unmatched, and equality and
+    hashing ignore method."""
     w = gm.interval_window(-2, 2)
     sigma = cyclic_model(gm.group, 6)
     at_origin = TestFunction.indicator(gm.pattern(gm.window([0]), ("1",)))
     mf = MeasureFilter.build(parry, [at_origin], "0.1")
     dp, (dp_f,) = count_microstates(gm, [1], "0.1", sigma, w, gm_origin, filters=[mf])
-    scan = MicrostateCounts(dp.m_inner, dp.m_outer, dp.n_inner, dp.n_outer)
     _, outer = enumerate_microstates_both(gm, [1], "0.1", sigma, w)
     kept = filter_microstates(outer, mf)
-    assert (dp.m_outer, dp_f.m_outer) == (len(outer), len(kept))
-    assert dp.unmatched == len(outer) - len(kept) > 0
-    assert (dp_f.unmatched, dp_f.unmatched_sums) == (0, ())
+    sizes = dp.tuples("outer")
+    assert (sizes.m, sizes.filtered) == (len(outer), (len(kept),))
+    assert sizes.unmatched == len(outer) - len(kept) > 0
+    assert dp_f.tuples("outer") == TupleCounts(len(kept), (), 0, ())
+    scan = MicrostateCounts(dp.n_inner, dp.n_outer)
     assert dp == scan and hash(dp) == hash(scan) and dp.method != scan.method
-    assert {dp: 1}[scan] == 1
-    assert MicrostateCounts(1, 2, 3, 4, 5, ((0,),), "dp") == MicrostateCounts(1, 2, 3, 4)
-    assert MicrostateCounts(1, 2, 3, 4) != MicrostateCounts(1, 2, 3, 5)
+    assert MicrostateCounts(3, 4, "dp") == MicrostateCounts(3, 4)
+    assert MicrostateCounts(3, 4) != MicrostateCounts(3, 5)
 
 
 @pytest.mark.parametrize("d, inner, outer", [
