@@ -66,6 +66,14 @@ class _PenaltyTable:
         return hit
 
 
+def _stage_cap(plan, delta, d) -> int:
+    """The integer cap of a stage of d points at the Fraction delta under
+    plan: a penalty sum s passes when s < cap, i.e. s < d delta^2
+    plan.scale^2, computed on ints alone."""
+    a, b = delta.numerator * plan.scale, delta.denominator
+    return -(-d * a * a // (b * b))
+
+
 def _penalty_table(plan, lang, s_index) -> _PenaltyTable:
     """The system's penalty table for the plan's window and shift s_index."""
     cache = plan.system._penalty_cache
@@ -218,13 +226,22 @@ class _Automaton:
     under cap.  reach is the largest d of a stage that ran all its steps
     through it, 0 until one has.  A shorter stage's projections and
     verdicts live for that stage only (_FrontierDP.signatures): no other
-    stage reads them."""
+    stage reads them.
 
-    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "verdicts")
+    tail is where the longest plain stage (no filter) run under cap so far
+    stood one step before its end: (kinds, maps, charges), the kinds of
+    its first t steps, its live maps after them, each with its
+    multiplicity, and the charge each of its steps 2..t made.  Those maps
+    depend only on the t kinds and cap, so a plain stage under cap whose
+    first t + 1 kinds begin with them starts at step t + 1 from there;
+    ((), {}, ()) until a plain stage of d >= 2 has run."""
+
+    __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "verdicts", "tail")
 
     def __init__(self, cap):
         self.cap, self.reach = cap, 0
         self.kinds, self.canonical, self.regrouped, self.verdicts = {}, {}, {}, {}
+        self.tail = ((), {}, ())
 
     @classmethod
     def serving(cls, dp, keyed):
@@ -273,8 +290,7 @@ class _FrontierDP:
     """
 
     def __init__(self, plan, lang, delta, sigma, table, budget):
-        threshold = sigma.d * delta * delta * plan.scale * plan.scale
-        self.cap = -(-threshold.numerator // threshold.denominator)  # s < cap: passes
+        self.cap = _stage_cap(plan, delta, sigma.d)
         self.n = n = len(lang)
         self.d = sigma.d
         self.tables = [_penalty_table(plan, lang, k) for k in range(len(plan.shifts))]
@@ -389,9 +405,17 @@ class _FrontierDP:
         live maps of the run under its own cap, so no charge depends on what
         the system held before.  Such a stage judges its final maps under
         its own cap and drops those verdicts; only a stage at the held cap
-        keeps them.  A trace counted longest first so determinises about
-        once.  Every other stage keeps one step's row successors and no
-        map's.
+        keeps them.  A trace counted from its largest cap down so
+        determinises about once.  Every other stage keeps one step's row
+        successors and no map's.
+
+        The live maps after t steps, and their multiplicities, depend only
+        on the first t step kinds and the cap.  So a plain stage (no
+        filter) at the held cap starts from the automaton's tail when the
+        tail's kinds begin its own and are fewer: it replays the tail's
+        charges through spend one by one and walks only its later steps,
+        and leaves its own tail there when it is longer (_Automaton).  Its
+        counts, charges and cut points are a fresh system's.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -409,8 +433,17 @@ class _FrontierDP:
         cap = self.cap if held is None else held.cap  # the cap the maps are built under
         # row -> its projection onto self.cap, kept for this stage
         projections = {} if cap > self.cap else None
+        tailed = plain and held is not None and projections is None  # reads and writes the tail
+        start, charges = 0, []  # the steps taken from the tail; each step's charge after the first
         kind, passive = None, ()
-        for count, step in enumerate(self.steps, 1):
+        if tailed and 0 < len(held.tail[0]) < d and all(
+                step.kind == k for step, k in zip(self.steps, held.tail[0])):
+            kinds, states, charges = held.tail
+            start, charges = len(kinds), list(charges)
+            for charge in charges:
+                self.spend(charge)
+            passive = held.kinds[kinds[-1]][2].passive  # as the tail's maps are grouped
+        for count, step in enumerate(self.steps[start:], start + 1):
             if held is None:  # one step's rows: row -> its successors
                 rows, canonical = {}, {}
             if step.kind != kind:
@@ -428,8 +461,9 @@ class _FrontierDP:
                               else held.regroup(self, state, passive): m
                               for state, m in states.items()}
             if count > 1:
-                self.spend(len(states) if projections is None
-                           else self._project(states, projections, several))
+                charges.append(len(states) if projections is None
+                               else self._project(states, projections, several))
+                self.spend(charges[-1])
             merged = {}
             for state, multiplicity in states.items():
                 joined = None if held is None else maps.get(state)
@@ -450,6 +484,9 @@ class _FrontierDP:
                                 bucket = merged[nxt] = {}
                             bucket[sums] = bucket.get(sums, 0) + m
             states = merged
+            if tailed and count == d - 1 > len(held.tail[0]):
+                held.tail = (tuple(step.kind for step in self.steps[:count]), states,
+                             tuple(charges))
         if held is not None:
             held.reach = max(held.reach, self.d)
         closing = self._closing()

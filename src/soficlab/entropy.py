@@ -17,7 +17,8 @@ from .covers import (Cover, _cover_entropy, _cover_masses, _partial_cover_count,
                      cylinder_complement_cover, min_subcover, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
-from .microstates import MeasureFilter, count_microstates, counting_method
+from ._frontier import _stage_cap
+from .microstates import MeasureFilter, _held_plan, count_microstates, counting_method
 from .symbolic import SymbolicSystem, Window, as_fraction, count_box_language, is_slice_box
 
 NEG_INF = float("-inf")
@@ -74,15 +75,23 @@ def _exact_count(result) -> int:
     return result.count
 
 
-def _longest_first(maps):
-    """The stage indices of maps, longest stage first (ties in input order).
+def _counting_order(system, window, F, delta, maps):
+    """The stage indices of maps at delta in the order they are counted:
+    integer cap descending, and within one cap d ascending (ties in input
+    order).  The cap needs the comparison plan's scale, not the language.
 
-    At one delta the longest stage has the largest cap, and a stage may run
-    through the successor memo a longer one left at a larger cap, so counting
-    longest first determinises a trace about once.  Each stage counts and
-    charges what it does on a fresh system, so the order shows in no row.
+    At one delta the cap is nondecreasing in d, and a stage runs through
+    the automaton a longer one left at a larger cap, so the top cap
+    determinises once and serves every lower one.  A stage at the held cap
+    resumes the longest one before it there (_Automaton.tail), so a cap's
+    stages are counted shortest first.  Each stage counts and charges what
+    it does on a fresh system, so the order shows in no row.
     """
-    return sorted(range(len(maps)), key=lambda stage: -maps[stage].d)
+    if len(maps) < 2:  # nothing to order, so no plan to build
+        return range(len(maps))
+    plan = _held_plan(system, window, F)
+    return sorted(range(len(maps)),
+                  key=lambda stage: (-_stage_cap(plan, delta, maps[stage].d), maps[stage].d))
 
 
 def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
@@ -96,7 +105,7 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     )
     maps = list(maps)
     rows = [None] * len(maps)
-    for stage in _longest_first(maps):
+    for stage in _counting_order(system, window, F, delta, maps):
         sigma = maps[stage]
         method = counting_method(cover)
         try:
@@ -386,7 +395,8 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
     measures is a list of (label, measure) pairs; the same L filters each.
     Rows come per delta, stage and measure in input order.  A stage cut by
     the budget raises ResourceBudgetError naming its d and delta: the first
-    such stage in input order, though the stages are counted longest first.
+    such stage in input order, though the stages are counted in another
+    (_counting_order).
     """
     maps = list(maps)
     rows = []
@@ -396,7 +406,7 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
         filters = [MeasureFilter.build(mu, L, delta) for _, mu in measures]
         counted = {}  # stage -> (n_inner, n_outer) unfiltered, then per measure
         cut = None  # (stage, error) of the first stage in input order cut so far
-        for stage in _longest_first(maps):
+        for stage in _counting_order(system, window, F, delta, maps):
             if cut is not None and stage > cut[0]:
                 continue  # a stage before it raises first
             try:

@@ -227,19 +227,24 @@ class _CoverKeys:
         return result.count, result.nodes
 
 
-def _stage(system, F, delta, sigma, window):
-    """Validated delta, comparison plan and window language of one stage.
-    The plan is kept on the system, keyed by window and shifts as its
-    penalty tables are, so the stages of a trace build it once."""
-    delta = as_fraction(delta)
-    if delta <= 0:
-        raise ArgumentError("delta must be positive")
+def _held_plan(system, window, F) -> ComparisonPlan:
+    """The comparison plan of window and F, kept on the system, keyed by
+    window and shifts as its penalty tables are, so the stages of a trace
+    build it once."""
     shifts = _shifts(system.group, F)
     key = (ComparisonPlan, window.elements, shifts)
     plan = system._penalty_cache.get(key)
     if plan is None:
         plan = system._penalty_cache[key] = ComparisonPlan(system, window, shifts)
-    return delta, plan, system.language_values(window)
+    return plan
+
+
+def _stage(system, F, delta, sigma, window):
+    """Validated delta, comparison plan and window language of one stage."""
+    delta = as_fraction(delta)
+    if delta <= 0:
+        raise ArgumentError("delta must be positive")
+    return delta, _held_plan(system, window, F), system.language_values(window)
 
 
 class TupleCounts(NamedTuple):
@@ -265,8 +270,9 @@ class MicrostateCounts:
     certified modes.  method names the path that counted them: "dp" for the
     frontier DP, "scan" for the tuple scan.  _source holds what tuples reads:
     the stage's _FrontierDP, its _PackedSums and the tally of these counts
-    (0 unfiltered, k + 1 for filters[k]), or None for a stage with no
-    window pattern, whose sizes are all 0 and filtered empty.
+    (0 unfiltered, k + 1 for filters[k]); for a stage with no window
+    pattern, whose sizes are all 0, None, the number of filters and the
+    tally; and None for a count built by hand.
     """
 
     n_inner: int
@@ -284,7 +290,10 @@ class MicrostateCounts:
         if self._source is None:
             return TupleCounts(0, (), 0, ())
         dp, packing, tally = self._source
-        per_tally, unmatched, sums = dp.sequences(mode == "inner", packing)
+        if dp is None:  # no window pattern: packing is the number of filters
+            per_tally, unmatched, sums = [0] * (packing + 1), 0, ()
+        else:
+            per_tally, unmatched, sums = dp.sequences(mode == "inner", packing)
         if tally:
             return TupleCounts(per_tally[tally], (), 0, ())
         return TupleCounts(per_tally[0], tuple(per_tally[1:]), unmatched, sums)
@@ -315,8 +324,9 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     delta, plan, lang = _stage(system, F, delta, sigma, window)
     method = counting_method(cover)
     if not lang:
-        empty = MicrostateCounts(0, 0, method)
-        return empty, (empty,) * len(filters)
+        empty = [MicrostateCounts(0, 0, method, (None, len(filters), k))
+                 for k in range(len(filters) + 1)]
+        return empty[0], tuple(empty[1:])
     d = sigma.d
     keys = _CoverKeys(window, lang, cover)
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []

@@ -11,6 +11,7 @@ convention of the underlying definitions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,9 +136,9 @@ def cyclic_model(group: Group, n: int) -> SoficMap:
     # point a-1 <-> box vector in lexicographic (row-major) order
     strides = [n ** (k - 1 - i) for i in range(k)]
 
-    def rule(g):
-        return tuple(sum((a // stride + gi) % n * stride for stride, gi in zip(strides, g))
-                     for a in range(d))
+    def rule(g):  # per axis, coordinate c -> its image's part of the point index
+        axes = [[(c + gi) % n * stride for c in range(n)] for stride, gi in zip(strides, g)]
+        return tuple(map(sum, itertools.product(*axes)))
 
     return SoficMap(group, d, provenance="cyclic-from-folner", direct_rule=rule)
 

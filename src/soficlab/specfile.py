@@ -15,7 +15,6 @@ best-match choice.  jsonschema itself is a test-only oracle for the walker.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from contextlib import contextmanager
@@ -275,6 +274,8 @@ def _best_match(violations):
 
 def read_spec(path) -> tuple[dict, str]:
     """The schema-checked spec at path and the sha256 of the bytes it was read from."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which only a spec read needs
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()

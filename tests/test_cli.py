@@ -553,7 +553,7 @@ def test_microstates_cut_while_reading_m_keeps_stage_context(tmp_path, capsys, m
 def test_variational_budget_cut_names_its_stage(tmp_path, capsys, budget, d):
     """A cut in the variational task names its stage's d and delta, as the
     microstates task does, and writes no CSV.  The stages are counted
-    longest first, but the stage named is the first in input order that
+    largest cap first, but the stage named is the first in input order that
     the budget cuts: at 10 units every stage is cut, at 14 d = 6 finishes
     and d = 8 and d = 10 are cut."""
     assert main(["run", "--spec", str(SPEC_DIR / "fullshift_variational.spec"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import soficlab._frontier
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, FreeGroup,
                       LatticeGroup, MarkovMeasure, MeasureFilter, NEG_INF,
                       ResourceBudgetError, SoficMap,
@@ -82,6 +84,59 @@ def test_sofic_trace_golden_mean_lucas(gm, gm_origin):
                                  gm.interval_window(-2, 2))
     assert tr.rows[0].count_outer == 322
     assert abs(tr.rows[0].value_outer - math.log(322) / 12) < 1e-15
+
+
+def _counted_stages(monkeypatch):
+    """The (d, cap) of every signature DP run from now on, in run order."""
+    signatures = soficlab._frontier._FrontierDP.signatures
+    log = []
+
+    def logged(dp, *args):
+        log.append((dp.d, dp.cap))
+        return signatures(dp, *args)
+
+    monkeypatch.setattr(soficlab._frontier._FrontierDP, "signatures", logged)
+    return log
+
+
+def test_trace_counts_its_equal_cap_stages_shortest_first(monkeypatch):
+    """The golden mean on window [-2, 2] at zero_defect_delta for d = 64,
+    over d = 2..64 in a shuffled input order: every stage has cap 1, so
+    the trace counts them shortest first, each resuming the one before,
+    and reports them in input order, outer counts the Lucas numbers."""
+    gm = golden_mean_system()
+    w = gm.interval_window(-2, 2)
+    ds = list(range(2, 65))
+    random.Random(5).shuffle(ds)
+    lucas = {0: 2, 1: 1}
+    for d in range(2, 65):
+        lucas[d] = lucas[d - 1] + lucas[d - 2]
+    counted = _counted_stages(monkeypatch)
+    delta = zero_defect_delta(gm, w, [1], 64)
+    tr = sofic_topological_trace(gm, origin_partition(gm), [1], delta,
+                                 [cyclic_model(gm.group, d) for d in ds], w)
+    assert counted == [(d, 1) for d in range(2, 65)]
+    assert [(r.stage, r.d, r.count_outer) for r in tr.rows] == [
+        (stage, d, lucas[d]) for stage, d in enumerate(ds)]
+
+
+def test_trace_counts_its_caps_largest_first(monkeypatch):
+    """At delta = 1/10 the cap grows with d, a step at a time: the trace
+    counts from the largest cap down, and shortest first within a cap, and
+    every stage's count is the one it has alone."""
+    gm = golden_mean_system()
+    w = gm.interval_window(-2, 2)
+    ds = [9, 4, 12, 6, 5, 12, 8, 7, 10, 11]
+    counted = _counted_stages(monkeypatch)
+    tr = sofic_topological_trace(gm, origin_partition(gm), [1], "0.1",
+                                 [cyclic_model(gm.group, d) for d in ds], w)
+    assert len(counted) == len(ds) and len({cap for _, cap in counted}) > 2
+    assert counted == sorted(counted, key=lambda stage: (-stage[1], stage[0]))
+    monkeypatch.undo()
+    alone = [sofic_topological_trace(golden_mean_system(), origin_partition(gm), [1], "0.1",
+                                     [cyclic_model(gm.group, d)], w).rows[0] for d in ds]
+    assert [(r.d, r.count_inner, r.count_outer) for r in tr.rows] == [
+        (r.d, r.count_inner, r.count_outer) for r in alone]
 
 
 def test_measure_trace_empty_L_equals_topological(fs, fair, fs_origin):

@@ -1,12 +1,13 @@
 """soficlab starts, and runs every bundled spec, on the standard library alone.
 
-numpy is imported only by ``random_free_model`` and scipy only by the
-tiling's max flow; specs are validated by a walker over ``SCHEMA``, so
-jsonschema is never imported outside the tests, which keep it as the
-validator's oracle.  ``cli.run`` on every bundled spec, and the amenable
-measure trace, which runs on integer masses, load none of the three.  Each
-check runs in a fresh interpreter, since the test session itself has loaded
-all three.
+numpy is imported only by ``random_free_model``, and nothing in soficlab
+imports scipy, which the guard keeps so.  Specs are validated by a walker
+over ``SCHEMA``, so jsonschema is never imported outside the tests, which
+keep it as the validator's oracle.  ``cli.run`` on every bundled spec, and
+the amenable measure trace, which runs on integer masses, load none of the
+three.  ``hashlib`` (OpenSSL's ``_hashlib``) is loaded by the first spec
+read, for the spec digest, and not by the import.  Each check runs in a
+fresh interpreter, since the test session itself has loaded all of them.
 """
 
 import json
@@ -50,6 +51,18 @@ def test_running_every_bundled_spec_loads_no_heavy_module(tmp_path):
         "assert codes == [0] * len(codes), codes"
     )
     assert specs
+    assert _loaded_after(code) == {"start": [], "after": []}
+
+
+def test_openssl_is_loaded_by_a_spec_read_not_by_the_import(tmp_path):
+    spec = str(ROOT / "specs" / "goldenmean_defects.spec")
+    code = (
+        "import contextlib, io\n"
+        "assert '_hashlib' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert soficlab.cli.run({spec!r}, out_dir={str(tmp_path)!r}) == 0\n"
+        "assert '_hashlib' in sys.modules"
+    )
     assert _loaded_after(code) == {"start": [], "after": []}
 
 

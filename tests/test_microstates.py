@@ -2,6 +2,7 @@ import ast
 import collections
 import contextlib
 import gc
+import inspect
 import itertools
 import math
 import os
@@ -1281,8 +1282,9 @@ def _charges():
 @settings(max_examples=30, deadline=None)
 @given(plan=st.sampled_from(sorted(MEMO_PLANS)), data=st.data())
 def test_traces_on_a_shared_system_count_each_stage_as_a_fresh_system(plan, data):
-    """The traces and check_variational count their stages longest first on
-    one system, so shorter stages run through a longer one's automaton.
+    """The traces and check_variational count their stages largest cap
+    first on one system, so shorter stages run through a longer one's
+    automaton, and a cap's stages shortest first, so they resume its tail.
     With the sides shuffled and repeated and one or two deltas, every row
     holds what its stage counts on a fresh system, in input order, and
     every stage charges the budget what it charges there."""
@@ -1363,6 +1365,140 @@ def test_a_stage_at_the_held_cap_rebuilds_no_context_verdict_or_plan(monkeypatch
     assert fresh_built["__init__"] == 1
     assert counts == fresh_counts and counts[1] == _lucas(14)
     assert charged == fresh_charged and charged[0][1] == 1
+
+
+_SIGNATURES = soficlab._frontier._FrontierDP.signatures  # unwrapped by any spy
+
+
+def _steps_walked(run):
+    """run() and how many steps the signature DPs walk while it runs: the
+    times the line that opens a step's merged maps is executed, counted by
+    a line tracer, so a step taken from the held tail is not counted."""
+    signatures = _SIGNATURES
+    lines, first = inspect.getsourcelines(signatures)
+    target = first + next(i for i, line in enumerate(lines) if line.strip() == "merged = {}")
+    walked = 0
+
+    def local(frame, event, arg):
+        nonlocal walked
+        if event == "line" and frame.f_lineno == target:
+            walked += 1
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is signatures.__code__
+                 else None)
+    try:
+        got = run()
+    finally:
+        sys.settrace(previous)
+    return got, walked
+
+
+def _zero_defect_stage(system, d, budget=2_000_000, F=(1,)):
+    """(n_inner, n_outer) of the golden mean's zero-defect stage of d
+    points on window [-2, 2]."""
+    w = system.interval_window(-2, 2)
+    got, _ = count_microstates(system, F, zero_defect_delta(system, w, F, d),
+                               cyclic_model(system.group, d), w, origin_partition(system),
+                               budget=budget)
+    return got.n_inner, got.n_outer
+
+
+def test_a_stage_at_the_held_cap_resumes_the_held_tail():
+    """Golden mean, window [-2, 2], zero defect, where every d has cap 1:
+    the d = 12 stage leaves its live maps after 11 steps on the held
+    automaton, so the d = 14 stage walks steps 12 to 14 alone, where a
+    fresh system walks all 14, and counts and charges what it does there."""
+    shared = golden_mean_system()
+    assert _steps_walked(lambda: _zero_defect_stage(shared, 12)) == ((0, _lucas(12)), 12)
+    with _charges() as charged:
+        assert _steps_walked(lambda: _zero_defect_stage(shared, 14)) == ((0, _lucas(14)), 3)
+    with _charges() as fresh:
+        assert _steps_walked(lambda: _zero_defect_stage(golden_mean_system(), 14))[1] == 14
+    assert charged == fresh
+
+
+def test_a_resumed_stage_is_cut_where_a_fresh_one_is():
+    """The resumed d = 14 stage replays the tail's charges one step at a
+    time: it passes at the budget a fresh system spends on it and raises
+    at one unit less, and so does a stage cut while it replays them."""
+    with _charges() as fresh:
+        _zero_defect_stage(golden_mean_system(), 14)
+    ((_, _, spent),) = fresh
+    for budget in (spent - 1, spent // 2):
+        shared = golden_mean_system()
+        _zero_defect_stage(shared, 12)
+        with pytest.raises(ResourceBudgetError, match="DP"):
+            _zero_defect_stage(shared, 14, budget)
+    shared = golden_mean_system()
+    _zero_defect_stage(shared, 12)
+    assert _steps_walked(lambda: _zero_defect_stage(shared, 14, spent)) == ((0, _lucas(14)), 3)
+
+
+def test_a_tail_serves_only_a_stage_whose_steps_begin_with_its_own():
+    """F = {2} on the cyclic model: sigma_2 is one cycle at odd d and two
+    at even d, so the step kinds of d = 7, 8 and 9 part after a few steps
+    and none of them resumes the tail before it, while d = 11 resumes the
+    d = 9 stage's.  Each counts and charges what it does on a fresh
+    system."""
+    shared = golden_mean_system()
+    for d, walked in ((7, 7), (8, 8), (9, 9), (11, 3)):
+        with _charges() as fresh:
+            counts, fresh_walked = _steps_walked(
+                lambda: _zero_defect_stage(golden_mean_system(), d, F=(2,)))
+        with _charges() as charged:
+            assert _steps_walked(lambda: _zero_defect_stage(shared, d, F=(2,))) == (counts,
+                                                                                  walked)
+        assert fresh_walked == d and counts[1] > 0
+        assert charged == fresh
+
+
+def _stage_outcome(system, window, F, d, delta, budget):
+    """((n_inner, n_outer), (d, cap, units charged)) of one stage, or None
+    when the budget cuts it."""
+    with _charges() as charged:
+        try:
+            got, _ = count_microstates(system, F, delta, cyclic_model(system.group, d), window,
+                                       origin_partition(system), budget=budget)
+        except ResourceBudgetError:
+            return None
+    (stage,) = charged
+    return (got.n_inner, got.n_outer), stage
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stages_at_one_cap_count_and_charge_as_on_fresh_systems(data):
+    """Stages of one cap on one system, their d ascending, descending,
+    repeated or in any order, so that a stage resumes the held tail when it
+    is longer: the golden mean or the full shift, a window holding the
+    origin, F = {1}, {1, -1} or {2} (two cycles at even d), and a budget
+    that may cut any step.  Each stage counts and charges what it does on
+    a fresh system, or is cut there too."""
+    make = data.draw(st.sampled_from([golden_mean_system,
+                                      lambda: full_shift(("0", "1"), LatticeGroup(1))]))
+    F = data.draw(st.sampled_from([[1], [1, -1], [2]]))
+    width = data.draw(st.integers(max(F), max(F) + 1))
+    start = data.draw(st.integers(-width, 0))
+    ds = data.draw(st.lists(st.integers(2, 12), min_size=2, max_size=6))
+    order = data.draw(st.sampled_from(["ascending", "descending", "repeated", "drawn"]))
+    if order == "repeated":
+        ds = sorted(ds * 2)
+    elif order != "drawn":
+        ds = sorted(ds, reverse=order == "descending")
+    budget = data.draw(st.sampled_from([2_000_000, 5_000, 500]))
+    shared = make()
+    window = shared.interval_window(start, start + width)
+    plan = soficlab.microstates.ComparisonPlan(shared, window, F)
+    cap = soficlab._frontier._stage_cap(
+        plan, Fraction(data.draw(st.sampled_from(["0.05", "0.1", "0.2"]))), max(ds))
+    for d in ds:
+        # the delta whose threshold d delta^2 scale^2 lies in (cap - 1, cap]
+        delta = Fraction(math.isqrt(cap * 10 ** 12 // d), plan.scale * 10 ** 6)
+        assert soficlab._frontier._stage_cap(plan, delta, d) == cap
+        assert (_stage_outcome(shared, window, F, d, delta, budget)
+                == _stage_outcome(make(), window, F, d, delta, budget))
 
 
 def test_signature_dp_budget_cut_point_is_pinned(gm, gm_origin):
@@ -1698,15 +1834,23 @@ def test_counts_are_plain_values(gm, gm_origin, monkeypatch, general):
 
 def test_stage_with_no_window_pattern_counts_nothing():
     """Every pair on [0, 1] forbidden, single sites allowed: the window
-    language is empty, so on either path the counts and sizes are 0."""
+    language is empty, so on either path the counts and sizes are 0, and
+    the sizes still hold one filtered m per extra filter."""
     system = SymbolicSystem(("0", "1"), LatticeGroup(1),
                             forbidden=[((0, 1), (a, b)) for a in "01" for b in "01"])
     w = system.interval_window(0, 1)
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+    at_origin = TestFunction.indicator(system.pattern(system.window([0]), ("1",)))
     for cover in (origin_partition(system),
                   Cover(system, system.window([0]), [[("0",)], [("0",), ("1",)]])):
-        got, _ = count_microstates(system, [1], "0.5", cyclic_model(system.group, 3), w, cover)
-        assert got == MicrostateCounts(0, 0) and got.method == counting_method(cover)
-        assert got.tuples("inner") == got.tuples("outer") == TupleCounts(0, (), 0, ())
+        for filters in ([], [MeasureFilter.build(fair, [at_origin], "0.1")] * 2):
+            got, found = count_microstates(system, [1], "0.5", cyclic_model(system.group, 3), w,
+                                           cover, filters=filters)
+            assert got == MicrostateCounts(0, 0) and got.method == counting_method(cover)
+            assert got.tuples("inner") == got.tuples("outer") == TupleCounts(
+                0, (0,) * len(filters), 0, ())
+            assert found == (got,) * len(filters)
+            assert all(f.tuples("outer") == TupleCounts(0, (), 0, ()) for f in found)
 
 
 def test_dp_counts_read_once_keep_public_shape(gm, gm_origin, parry):

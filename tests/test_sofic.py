@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from soficlab import (ArgumentError, FiniteSubset, UnsupportedOperationError,
+from soficlab import (ArgumentError, FiniteSubset, LatticeGroup, UnsupportedOperationError,
                       cyclic_model, folner_set, freeness_defect, from_folner,
                       invariance_defect, is_good, mult_defect, random_free_model,
                       regular_representation)
@@ -14,6 +15,20 @@ def test_cyclic_model_is_exact_homomorphism(Z):
     for s in (-3, -1, 0, 1, 2, 7, 13):
         for t in (-2, 0, 1, 5):
             assert mult_defect(sigma, s, t) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_cyclic_model_images_are_the_box_translates(k, n):
+    """sigma_g sends the box vector of point a (row-major, base n) to that
+    vector plus g, mod n on every axis."""
+    group = LatticeGroup(k)
+    sigma = cyclic_model(group, n)
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    for g in itertools.product(range(-3, 4), repeat=k):
+        assert sigma.image_array(g) == tuple(
+            sum((a // stride + gi) % n * stride for stride, gi in zip(strides, g))
+            for a in range(n ** k))
 
 
 def test_cyclic_freeness(Z):
