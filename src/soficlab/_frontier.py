@@ -107,12 +107,13 @@ def _placement(images, d, prefer_closed=False):
     """The frontier DP's steps: every point of sigma once, in order.
 
     The sigma-graph joins i and sigma_s(i) for each shift s; a placed point
-    with an unplaced neighbour is on the frontier.  Each step places the
-    point that leaves the frontier smallest (greedy elimination, after
-    Dechter 1999).  Ties go, if prefer_closed, to the point with the most
-    placed neighbours, then to a neighbour of the latest placed point,
-    images sigma_s(u) before preimages and shifts in order, then to the
-    least index.  On a single cycle this is 0, sigma(0), sigma^2(0), ...
+    with an unplaced neighbour is on the frontier.  When sigma has one
+    shift and it is a single d-cycle with d >= 2, the steps are read off
+    the cycle: 0, sigma(0), sigma^2(0), ..., each point scoring its edge
+    from the one before and the last deferring its edge back to 0 to the
+    closing, which is the plan the greedy order gives there.  Otherwise
+    each step places the point that leaves the frontier smallest (greedy
+    elimination, after Dechter 1999, _greedy_placement).
 
     Returns (steps, closing).  When the last point has several terms, its
     step scores only the first and keeps the other terms' partners on the
@@ -121,6 +122,23 @@ def _placement(images, d, prefer_closed=False):
     be scored on the final maps.  So the last step is like the ones before
     it (on a cycle it is one of them), and its successors can be looked up.
     """
+    if len(images) == 1 and d >= 2:
+        perm, order = images[0], [0]
+        while len(order) < d and perm[order[-1]]:
+            order.append(perm[order[-1]])
+        if len(order) == d and perm[order[-1]] == 0:
+            return ([_Step(0, 0, (), True, ()), _Step(order[1], 1, (0,), True, ((0, 0, _FWD),))]
+                    + [_Step(u, 2, (0,), True, ((0, 1, _FWD),)) for u in order[2:]],
+                    ((0, 0, _BWD),))
+    return _greedy_placement(images, d, prefer_closed)
+
+
+def _greedy_placement(images, d, prefer_closed):
+    """_placement's steps and closing by greedy elimination: each step
+    places the point that leaves the frontier smallest.  Ties go, if
+    prefer_closed, to the point with the most placed neighbours, then to a
+    neighbour of the latest placed point, images sigma_s(u) before
+    preimages and shifts in order, then to the least index."""
     nbrs = [[] for _ in range(d)]  # images first, then preimages
     preimages = [[[] for _ in range(d)] for _ in images]
     for perm, pre in zip(images, preimages):

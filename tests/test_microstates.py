@@ -916,20 +916,120 @@ def test_frontier_dp_keeps_every_pareto_least_vector(system, window, F, images, 
     _check_against_naive(system, system.interval_window(*window), sigma, F, delta, None, [])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.permutations(range(12)))
-def test_placement_follows_a_single_cycle(cycle):
-    """On a single d-cycle the DP places 0, sigma(0), sigma^2(0), ..., and
-    the frontier never holds more than its two ends."""
+def _cycle_image(cycle):
+    """The permutation that sends each point of cycle to the next."""
     image = [0] * len(cycle)
     for i, j in zip(cycle, cycle[1:] + cycle[:1]):
         image[i] = j
-    steps, _ = soficlab._frontier._placement([tuple(image)], len(image))
+    return tuple(image)
+
+
+@contextlib.contextmanager
+def _greedy_searches():
+    """A list whose one item counts the greedy placement searches run in
+    the block."""
+    greedy = soficlab._frontier._greedy_placement
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return greedy(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(soficlab._frontier, "_greedy_placement", counted)
+        yield calls
+
+
+def _placed(images, d, prefer_closed=False):
+    """_placement's (steps, closing) and how many greedy searches it ran."""
+    with _greedy_searches() as calls:
+        plan = soficlab._frontier._placement(images, d, prefer_closed)
+    return plan, calls[0]
+
+
+def _check_cycle_plan(image, prefer_closed):
+    """One d-cycle's plan is read off the cycle, is the greedy's exactly,
+    and places 0, sigma(0), sigma^2(0), ... with at most two points on the
+    frontier."""
+    d = len(image)
+    plan, calls = _placed([image], d, prefer_closed)
+    assert calls == 0
+    assert plan == soficlab._frontier._greedy_placement([image], d, prefer_closed)
     order = [0]
-    while len(order) < len(image):
+    while len(order) < d:
         order.append(image[order[-1]])
-    assert [step.point for step in steps] == order
-    assert max(step.width for step in steps) == 2
+    assert [step.point for step in plan[0]] == order
+    assert max(step.width for step in plan[0]) == min(d, 3) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda d: st.permutations(range(d))), st.booleans())
+def test_placement_follows_a_single_cycle(cycle, prefer_closed):
+    """On any single d-cycle, not only a rotation, the plan read off the
+    cycle equals the greedy elimination's steps and closing."""
+    _check_cycle_plan(_cycle_image(cycle), prefer_closed)
+
+
+def test_placement_reads_every_coprime_rotation_off_the_cycle():
+    """Every rotation i -> i + k with gcd(k, d) = 1 is one d-cycle."""
+    for d in range(2, 31):
+        for k in range(1, d):
+            if math.gcd(k, d) == 1:
+                for prefer_closed in (False, True):
+                    _check_cycle_plan(tuple((i + k) % d for i in range(d)), prefer_closed)
+
+
+@pytest.mark.parametrize("images", [
+    [(0,)],  # d = 1: a fixed point
+    [(1, 2, 0, 4, 5, 3)],  # two 3-cycles
+    [(1, 2, 3, 0, 4)],  # a 4-cycle and a fixed point
+    [(1, 2, 0)] * 2,  # two shifts, each one cycle
+    [(1, 2, 3, 4, 0), (2, 3, 4, 0, 1)],
+    [(1, 2, 3, 1)],  # a self-map whose path from 0 never returns
+    [(1, 0, 0)],  # and one whose does, too early
+], ids=["d=1", "two-cycles", "fixed-point", "two-shifts", "two-rotations", "self-map",
+        "short-return"])
+def test_placement_runs_the_greedy_search_off_a_single_cycle(images):
+    """Any sigma but one shift that is one d-cycle with d >= 2 takes the
+    greedy search, once, in both tie orders."""
+    d = len(images[0])
+    for prefer_closed in (False, True):
+        plan, calls = _placed(images, d, prefer_closed)
+        assert calls == 1
+        assert plan == soficlab._frontier._greedy_placement(images, d, prefer_closed)
+
+
+def _greedy_searches_per_stage(system, window, F, sigmas):
+    """The greedy placement searches each zero-defect stage runs, one
+    trace per stage (its delta depends on d), all on one system."""
+    searches = []
+    for sigma in sigmas:
+        delta = zero_defect_delta(system, window, F, sigma.d)
+        with _greedy_searches() as calls:
+            trace = sofic_topological_trace(system, origin_partition(system), F, delta,
+                                            [sigma], window)
+        assert not trace.rows[0].incomplete
+        searches.append(calls[0])
+    return searches
+
+
+def test_a_cycle_stage_runs_no_greedy_search():
+    """Golden mean, window [-2, 2], zero defect, d = 12, 14, ..., 22 on the
+    cyclic model: with F = {1} sigma is one d-cycle, so no stage runs the
+    greedy search, while F = {2} (two cycles at even d), F = {1, 2} (two
+    shifts) and F_2 hard core on random_free_model still run it."""
+    gm = golden_mean_system()
+    window = gm.interval_window(-2, 2)
+    models = [cyclic_model(gm.group, d) for d in range(12, 23, 2)]
+    assert _greedy_searches_per_stage(gm, window, [1], models) == [0] * 6
+    assert _greedy_searches_per_stage(gm, window, [2], models) == [1] * 6
+    assert min(_greedy_searches_per_stage(gm, window, [1, 2], models)) >= 1
+    F2 = FreeGroup(2)
+    a, b = (1,), (2,)
+    hard_core = _hard_core(F2, [a, b])
+    free = [random_free_model(2, d, seed)[1] for d, seed in ((6, 1), (9, 2))]
+    assert min(_greedy_searches_per_stage(hard_core, hard_core.window([(), a, b]), [a, b],
+                                          free)) >= 1
 
 
 def _independent_sets(d, edges):
