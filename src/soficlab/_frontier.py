@@ -13,6 +13,7 @@ table in the keys runs through the cycle automaton its system holds
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,38 +86,35 @@ def _penalty_table(plan, lang, s_index) -> _PenaltyTable:
 
 
 class _Step(NamedTuple):
-    """Placing one point.  The frontier before the step holds width points
-    in slot order; keep lists the slots still on it after the step, which
-    come first, followed by the point itself when it stays (has an unplaced
+    """One step kind: all that placing a point reads, so equal steps have
+    equal transitions.  The frontier before the step holds width points in
+    slot order; keep lists the slots still on it after the step, which come
+    first, followed by the point itself when it stays (has an unplaced
     neighbour).  terms lists (shift index, slot or None, kind), one per
     sigma-edge between the point and a placed point or itself."""
 
-    point: int
     width: int
     keep: tuple
     stays: bool
     terms: tuple
 
-    @property
-    def kind(self):
-        """Everything a step's transition reads: equal kinds, equal maps."""
-        return self.width, self.keep, self.stays, self.terms
 
-
-def _placement(images, d, prefer_closed=False):
-    """The frontier DP's steps: every point of sigma once, in order.
+def _placement(images, d):
+    """The frontier DP's plan: every point of sigma once, in order.
 
     The sigma-graph joins i and sigma_s(i) for each shift s; a placed point
     with an unplaced neighbour is on the frontier.  When sigma has one
-    shift and it is a single d-cycle with d >= 2, the steps are read off
-    the cycle: 0, sigma(0), sigma^2(0), ..., each point scoring its edge
-    from the one before and the last deferring its edge back to 0 to the
-    closing, which is the plan the greedy order gives there.  Otherwise
-    each step places the point that leaves the frontier smallest (greedy
-    elimination, after Dechter 1999, _greedy_placement).
+    shift and it is a single d-cycle with d >= 2, the plan is read off the
+    cycle: 0, sigma(0), sigma^2(0), ..., each point scoring its edge from
+    the one before and the last deferring its edge back to 0 to the
+    closing, which is the plan the greedy order gives there; it is three
+    step kinds, the last one repeated d - 2 times.  Otherwise each step
+    places the point that leaves the frontier smallest (greedy elimination,
+    after Dechter 1999, _greedy_placement).
 
-    Returns (steps, closing).  When the last point has several terms, its
-    step scores only the first and keeps the other terms' partners on the
+    Returns (points, steps, closing): the points in placing order and each
+    one's step kind.  When the last point has several terms, its step
+    scores only the first and keeps the other terms' partners on the
     frontier, followed by the point; closing lists those other terms as
     (shift index, partner slot or None, kind) on that final frontier, to
     be scored on the final maps.  So the last step is like the ones before
@@ -127,15 +125,15 @@ def _placement(images, d, prefer_closed=False):
         while len(order) < d and perm[order[-1]]:
             order.append(perm[order[-1]])
         if len(order) == d and perm[order[-1]] == 0:
-            return ([_Step(0, 0, (), True, ()), _Step(order[1], 1, (0,), True, ((0, 0, _FWD),))]
-                    + [_Step(u, 2, (0,), True, ((0, 1, _FWD),)) for u in order[2:]],
-                    ((0, 0, _BWD),))
-    return _greedy_placement(images, d, prefer_closed)
+            first, second = _Step(0, (), True, ()), _Step(1, (0,), True, ((0, 0, _FWD),))
+            middle = _Step(2, (0,), True, ((0, 1, _FWD),))
+            return order, (first, second) + (middle,) * (d - 2), ((0, 0, _BWD),)
+    return _greedy_placement(images, d, False)
 
 
 def _greedy_placement(images, d, prefer_closed):
-    """_placement's steps and closing by greedy elimination: each step
-    places the point that leaves the frontier smallest.  Ties go, if
+    """_placement's points, steps and closing by greedy elimination: each
+    step places the point that leaves the frontier smallest.  Ties go, if
     prefer_closed, to the point with the most placed neighbours, then to a
     neighbour of the latest placed point, images sigma_s(u) before
     preimages and shifts in order, then to the least index."""
@@ -159,7 +157,7 @@ def _greedy_placement(images, d, prefer_closed):
     lowest = 0  # no unplaced point with a neighbour lies below it
     frontier = []  # the placed points with an unplaced neighbour, in slot order
     slot = {}  # frontier point -> its slot
-    steps = []
+    points, steps = [], []
     closing = ()
     for count in range(d):
         candidates = adjacent
@@ -178,7 +176,7 @@ def _greedy_placement(images, d, prefer_closed):
             if best is None or grow <= best[0]:
                 t = touched[v]
                 rank = (grow, -sum(placed[u] for u in distinct[v]) if prefer_closed else 0, -t,
-                        nbrs[steps[t].point].index(v) if t >= 0 else 0, v)
+                        nbrs[points[t]].index(v) if t >= 0 else 0, v)
                 if best is None or rank < best:
                     best = rank
         v = best[-1]
@@ -207,12 +205,13 @@ def _greedy_placement(images, d, prefer_closed):
             closing = tuple((s, None if j is None else keep.index(j), kind)
                             for s, j, kind in terms[1:])
             terms, stays = terms[:1], True
-        steps.append(_Step(v, len(frontier), keep, stays, tuple(terms)))
+        points.append(v)
+        steps.append(_Step(len(frontier), keep, stays, tuple(terms)))
         frontier = [frontier[j] for j in keep]
         if stays:
             frontier.append(v)
         slot = {u: j for j, u in enumerate(frontier)}
-    return steps, closing
+    return points, tuple(steps), closing
 
 
 class _Context(NamedTuple):
@@ -236,23 +235,23 @@ class _Context(NamedTuple):
 class _Automaton:
     """The cycle automaton a system holds for one window, shifts and cells:
     the successors of every row and map that the narrow plan's stages have
-    met under cap.  kinds maps a step kind to (rows, maps, context), each
+    met under cap.  kinds maps a _Step to (rows, maps, context), each
     row's and map's successors and the kind's _Context under cap; canonical
     holds each equal row and map as one object, and regrouped maps
     (passive, map) to the map regrouped for those passive slots.  verdicts
-    maps (last step kind, closing terms) to {final map: _accepts' verdict}
+    maps (last _Step, closing terms) to {final map: _accepts' verdict}
     under cap.  reach is the largest d of a stage that ran all its steps
     through it, 0 until one has.  A shorter stage's projections and
     verdicts live for that stage only (_FrontierDP.signatures): no other
     stage reads them.
 
     tail is where the longest plain stage (no filter) run under cap so far
-    stood one step before its end: (kinds, maps, charges), the kinds of
-    its first t steps, its live maps after them, each with its
+    stood one step before its end: (steps, maps, charges), its first t
+    _Steps as a tuple, its live maps after them, each with its
     multiplicity, and the charge each of its steps 2..t made.  Those maps
-    depend only on the t kinds and cap, so a plain stage under cap whose
-    first t + 1 kinds begin with them starts at step t + 1 from there;
-    ((), {}, ()) until a plain stage of d >= 2 has run."""
+    depend only on the t step kinds and cap, so a plain stage under cap
+    whose first t + 1 steps begin with them starts at step t + 1 from
+    there; ((), {}, ()) until a plain stage of d >= 2 has run."""
 
     __slots__ = ("cap", "reach", "kinds", "canonical", "regrouped", "verdicts", "tail")
 
@@ -315,14 +314,14 @@ class _FrontierDP:
         self.cells = tuple(tuple(c for c in range(n) if table[c] == key)
                            for key in dict.fromkeys(table))
         images = [sigma.image_array(s) for s in plan.shifts]
-        self.steps, self.closing = _placement(images, sigma.d)
+        self.points, self.steps, self.closing = _placement(images, sigma.d)
         self.narrow = max(step.width for step in self.steps) <= 2  # as a cycle's
         if not self.narrow:
             # keep the order whose frontiers can hold fewer codes in all
-            other = _placement(images, sigma.d, prefer_closed=True)
-            if sum(n ** step.width for step in other[0]) < sum(
+            other = _greedy_placement(images, sigma.d, True)
+            if sum(n ** step.width for step in other[1]) < sum(
                     n ** step.width for step in self.steps):
-                self.steps, self.closing = other
+                self.points, self.steps, self.closing = other
         self.plan = plan
         self.budget = budget
         self.spent = 0
@@ -428,12 +427,12 @@ class _FrontierDP:
         successors and no map's.
 
         The live maps after t steps, and their multiplicities, depend only
-        on the first t step kinds and the cap.  So a plain stage (no
-        filter) at the held cap starts from the automaton's tail when the
-        tail's kinds begin its own and are fewer: it replays the tail's
-        charges through spend one by one and walks only its later steps,
-        and leaves its own tail there when it is longer (_Automaton).  Its
-        counts, charges and cut points are a fresh system's.
+        on the first t steps (each is its kind, _Step) and the cap.  So a
+        plain stage (no filter) at the held cap starts from the automaton's
+        tail when the tail's steps begin its own and are fewer: it replays
+        the tail's charges through spend one by one and walks only its later
+        steps, and leaves its own tail there when it is longer (_Automaton).
+        Its counts, charges and cut points are a fresh system's.
         """
         d, n = self.d, self.n
         keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
@@ -454,8 +453,8 @@ class _FrontierDP:
         tailed = plain and held is not None and projections is None  # reads and writes the tail
         start, charges = 0, []  # the steps taken from the tail; each step's charge after the first
         kind, passive = None, ()
-        if tailed and 0 < len(held.tail[0]) < d and all(
-                step.kind == k for step, k in zip(self.steps, held.tail[0])):
+        kinds = held.tail[0] if tailed else ()
+        if 0 < len(kinds) < d and self.steps[:len(kinds)] == kinds:
             kinds, states, charges = held.tail
             start, charges = len(kinds), list(charges)
             for charge in charges:
@@ -464,8 +463,8 @@ class _FrontierDP:
         for count, step in enumerate(self.steps[start:], start + 1):
             if held is None:  # one step's rows: row -> its successors
                 rows, canonical = {}, {}
-            if step.kind != kind:
-                kind = step.kind
+            if step != kind:
+                kind = step
                 if held is None:
                     ctx = self._context(step, keyed, several, cap)
                 else:  # row -> its successors, map -> its successors, the context
@@ -503,14 +502,13 @@ class _FrontierDP:
                             bucket[sums] = bucket.get(sums, 0) + m
             states = merged
             if tailed and count == d - 1 > len(held.tail[0]):
-                held.tail = (tuple(step.kind for step in self.steps[:count]), states,
-                             tuple(charges))
+                held.tail = (self.steps[:count], states, tuple(charges))
         if held is not None:
             held.reach = max(held.reach, self.d)
         closing = self._closing()
         # final map -> (inner, outer), kept on the automaton under its own cap
         verdicts = ({} if held is None or cap > self.cap
-                    else held.verdicts.setdefault((self.steps[-1].kind, self.closing), {}))
+                    else held.verdicts.setdefault((self.steps[-1], self.closing), {}))
         realised = {}  # beside sums -> [inner, outer] cell sequences with them
         for state, multiplicity in states.items():
             verdict = verdicts.get(state)
@@ -880,7 +878,7 @@ class _PackedSums:
         for t, low, b in zip(tables, self.low, self.base):
             for x, value in enumerate(t.values):
                 self.increment[x] += (value - low) * b
-        self._feasible = [{} for _ in range(d + 1)]  # per count: packed -> verdict
+        self._feasible = defaultdict(dict)  # per count: packed -> verdict
         self._passed = {}
 
     def sums(self, packed, count):
@@ -948,17 +946,17 @@ def _scan(dp, packing, leaf) -> int:
 
     plan = []  # per step: point, lead shift, its partner, its candidates, other terms
     frontier = []
-    for step in dp.steps:
+    for point, step in zip(dp.points, dp.steps):
         if step.terms:
             s0, slot0, kind0 = step.terms[0]
             lead = [cells[0] for cells in dp.tables[s0].candidates(kind0, everything)]
             partner0 = d if slot0 is None else frontier[slot0]
         else:  # no term: every pattern costs nothing
             s0, partner0, lead = 0, d, [[(0, 0, x) for x in everything[0]]]
-        plan.append((step.point, s0, partner0, lead, resolve(step.terms[1:], frontier)))
-        frontier = [frontier[j] for j in step.keep] + [step.point] * step.stays
+        plan.append((point, s0, partner0, lead, resolve(step.terms[1:], frontier)))
+        frontier = [frontier[j] for j in step.keep] + [point] * step.stays
     closing = resolve(dp.closing, frontier)
-    last = dp.steps[-1].point
+    last = dp.points[-1]
     assign = [0] * (d + 1)  # each point's pattern, then a loop's partner 0
     nodes = 0
 

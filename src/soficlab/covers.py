@@ -253,11 +253,10 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
         keep = undominated(sets)
     else:
         keep = [i for i, s in enumerate(sets) if s]
-    index_map = keep
     work = [sets[i] for i in keep]
 
     greedy = _greedy_cover(work, universe)
-    best = {"count": len(greedy), "witness": tuple(greedy), "exact": True}
+    count, witness = len(greedy), tuple(greedy)  # the best cover found so far
     max_size = max(len(s) for s in work)
     # each point's candidate sets, and the key that branches on the point
     # with the fewest, found once per search rather than at every node
@@ -266,17 +265,16 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
     nodes = 0
 
     def dfs(remaining, chosen):
-        nonlocal nodes
+        nonlocal nodes, count, witness
         nodes += 1
         if nodes > budget:
             raise _SearchBudget()
         if not remaining:
-            if len(chosen) < best["count"]:
-                best["count"] = len(chosen)
-                best["witness"] = tuple(chosen)
+            if len(chosen) < count:
+                count, witness = len(chosen), tuple(chosen)
             return
         lower = len(chosen) + math.ceil(len(remaining) / max_size)
-        if lower >= best["count"]:
+        if lower >= count:
             return
         point = min(remaining, key=branch_key.__getitem__)
         # a chosen set covers its points, so no candidate here is chosen
@@ -286,13 +284,10 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
     try:
         dfs(frozenset(universe), [])
     except _SearchBudget:
-        return MinCoverResult(len(greedy),
-                              tuple(index_map[i] for i in greedy), False, budget)
+        return MinCoverResult(len(greedy), tuple(keep[i] for i in greedy), False, budget)
     finally:
         del dfs  # dfs reaches itself through its closure: break the cycle
-    return MinCoverResult(best["count"],
-                          tuple(index_map[i] for i in best["witness"]),
-                          best["exact"], nodes)
+    return MinCoverResult(count, tuple(keep[i] for i in witness), True, nodes)
 
 
 def min_subcover(cover: Cover, target=None, budget: int = DEFAULT_NODE_BUDGET) -> MinCoverResult:

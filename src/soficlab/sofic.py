@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError, UnsupportedOperationError
-from .groups import FiniteSubset, Group, folner_set
+from .groups import FiniteSubset, Group, _integer, folner_set
 from .symbolic import as_fraction
 
 
@@ -42,12 +42,16 @@ class SoficMap:
                 self._images[group.coerce(g)] = self._as_array(arr)
 
     def _as_array(self, arr) -> tuple:
+        """arr as a tuple of points, each read as group elements are read
+        (groups._integer)."""
         try:
-            a = tuple(map(int, arr))
+            a = tuple(map(_integer, arr))
         except TypeError:  # a scalar, or rows of a nested sequence
             a = None
         if a is None or len(a) != self.d:
             raise ArgumentError(f"image must have length d={self.d}")
+        if None in a:
+            raise ArgumentError("image values must be integers")
         if min(a) < 0 or max(a) >= self.d:
             raise ArgumentError("image values out of range")
         return a

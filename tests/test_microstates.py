@@ -940,26 +940,29 @@ def _greedy_searches():
         yield calls
 
 
-def _placed(images, d, prefer_closed=False):
-    """_placement's (steps, closing) and how many greedy searches it ran."""
+def _placed(images, d):
+    """_placement's (points, steps, closing) and how many greedy searches
+    it ran."""
     with _greedy_searches() as calls:
-        plan = soficlab._frontier._placement(images, d, prefer_closed)
+        plan = soficlab._frontier._placement(images, d)
     return plan, calls[0]
 
 
 def _check_cycle_plan(image, prefer_closed):
     """One d-cycle's plan is read off the cycle, is the greedy's exactly,
-    and places 0, sigma(0), sigma^2(0), ... with at most two points on the
-    frontier."""
+    places 0, sigma(0), sigma^2(0), ... with at most two points on the
+    frontier, and is three step kinds, the d - 2 middle steps one object."""
     d = len(image)
-    plan, calls = _placed([image], d, prefer_closed)
+    plan, calls = _placed([image], d)
     assert calls == 0
     assert plan == soficlab._frontier._greedy_placement([image], d, prefer_closed)
     order = [0]
     while len(order) < d:
         order.append(image[order[-1]])
-    assert [step.point for step in plan[0]] == order
-    assert max(step.width for step in plan[0]) == min(d, 3) - 1
+    assert plan[0] == order
+    assert max(step.width for step in plan[1]) == min(d, 3) - 1
+    assert len(set(plan[1])) == min(d, 3)
+    assert len({id(step) for step in plan[1][2:]}) == min(d - 2, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -991,12 +994,11 @@ def test_placement_reads_every_coprime_rotation_off_the_cycle():
         "short-return"])
 def test_placement_runs_the_greedy_search_off_a_single_cycle(images):
     """Any sigma but one shift that is one d-cycle with d >= 2 takes the
-    greedy search, once, in both tie orders."""
+    greedy search once, in the first tie order."""
     d = len(images[0])
-    for prefer_closed in (False, True):
-        plan, calls = _placed(images, d, prefer_closed)
-        assert calls == 1
-        assert plan == soficlab._frontier._greedy_placement(images, d, prefer_closed)
+    plan, calls = _placed(images, d)
+    assert calls == 1
+    assert plan == soficlab._frontier._greedy_placement(images, d, False)
 
 
 def _greedy_searches_per_stage(system, window, F, sigmas):

@@ -196,6 +196,25 @@ def test_explicit_sigma_defect_brute_force(Z):
     assert mult_defect(sigma, 1, 1) == 1
 
 
+@pytest.mark.parametrize("image, read", [
+    ([1.0, 0], (1, 0)),  # JSON may write 1 as 1.0
+    ([1.5, 0], None),
+    (["1", "0"], None),
+    ([True, False], None),
+], ids=["integral-float", "fraction", "strings", "bools"])
+def test_explicit_images_are_read_as_integers(Z, image, read):
+    """A caller's images are read as group elements are: an integral float
+    is its int, and a non-integral number, a string or a bool is refused
+    rather than truncated or parsed into a permutation."""
+    from soficlab import SoficMap
+
+    if read is None:
+        with pytest.raises(ArgumentError, match="integers"):
+            SoficMap(Z, 2, images={1: image})
+    else:
+        assert SoficMap(Z, 2, images={1: image}).image_array(1) == read
+
+
 def test_is_good_random_ball2_observed_rate():
     """Good fractions on E = ball(2) hover near 0.9: pair collisions pile up
     linearly in |E|^2, so eta = 0.2 passes where eta = 0.05 mostly fails."""
