@@ -158,22 +158,23 @@ def pullback(cover: Cover, g) -> Cover:
 
 def pullback_iterate(cover: Cover, F: FiniteSubset, budget: int = 200_000) -> Cover:
     """V_F = join over g in F of g^{-1} V."""
-    system = cover.system
-    group = system.group
-    elems = sorted((group.coerce(g) for g in F), key=group.enumeration_key)
     if cover.is_partition:
-        return _pullback_partition(cover, elems, budget)
+        return Cover(cover.system, *_pullback_cells(cover, F, budget))
+    group = cover.system.group
     result = None
-    for g in elems:
+    for g in sorted((group.coerce(g) for g in F), key=group.enumeration_key):
         part = pullback(cover, g)
         result = part if result is None else join(result, part, budget=budget)
     return result
 
 
-def _pullback_partition(cover: Cover, elems, budget) -> Cover:
-    """Partition fast path: cells are fibers of the per-translate signature."""
+def _pullback_cells(cover: Cover, F: FiniteSubset, budget):
+    """(window, cells) of V_F for a partition V: the cells are the fibres
+    of the per-translate signature, each a list of pattern values on F W,
+    in signature order."""
     system = cover.system
     group = system.group
+    elems = sorted((group.coerce(g) for g in F), key=group.enumeration_key)
     window = system.window(
         [group.multiply(w, g) for g in elems for w in cover.window.elements]
     )
@@ -189,7 +190,7 @@ def _pullback_partition(cover: Cover, elems, budget) -> Cover:
     for v in language:
         sig = tuple([lookup[project(v)] for project in projections])
         cells.setdefault(sig, []).append(v)
-    return Cover(system, window, [vals for _, vals in sorted(cells.items())])
+    return window, [vals for _, vals in sorted(cells.items())]
 
 
 @dataclass(frozen=True)
@@ -326,11 +327,16 @@ def _xlogx(m: int, den: int) -> float:
     return p * math.log(p)
 
 
-def _entropy(mass_of: dict, den: int, atoms) -> float:
-    """-sum over the atoms of mu(A) log mu(A), masses mass_of[v] / den."""
+def _weights(mass_of: dict, atoms) -> list:
+    """The mass numerator of each atom: the sum of its patterns' mass_of[v]."""
+    return [sum(map(mass_of.__getitem__, atom)) for atom in atoms]
+
+
+def _entropy(weights, den: int) -> float:
+    """-sum over the atoms of mu(A) log mu(A), masses weights[i] / den."""
     h = 0.0
-    for atom in atoms:
-        h -= _xlogx(sum(map(mass_of.__getitem__, atom)), den)
+    for w in weights:
+        h -= _xlogx(w, den)
     return h
 
 
@@ -339,7 +345,7 @@ def shannon_entropy(measure, partition: Cover) -> float:
     if not partition.is_partition:
         raise ArgumentError("shannon_entropy needs a partition")
     mass_of, den = _cover_masses(measure, partition)
-    return _entropy(mass_of, den, partition.elements)
+    return _entropy(_weights(mass_of, partition.elements), den)
 
 
 def partitions_refining(cover: Cover, budget: int = 250_000):
@@ -396,7 +402,7 @@ def cover_entropy(measure, cover: Cover, budget: int = 250_000) -> CoverEntropyR
 def _cover_entropy(mass_of: dict, den: int, cover: Cover, budget: int) -> CoverEntropyResult:
     """cover_entropy on the cover's pattern masses mass_of[v] / den."""
     if cover.is_partition:
-        return CoverEntropyResult(_entropy(mass_of, den, cover.elements),
+        return CoverEntropyResult(_entropy(_weights(mass_of, cover.elements), den),
                                   tuple(cover.elements))
     terms = {}  # atom -> mu(atom) log mu(atom)
     best = None
@@ -425,7 +431,7 @@ def _greedy_assignment_entropy(mass_of: dict, den: int, cover: Cover) -> float:
     for v in patterns:
         idx = cover.element_containing(v)[0]
         atoms.setdefault(idx, []).append(v)
-    return _entropy(mass_of, den, atoms.values())
+    return _entropy(_weights(mass_of, atoms.values()), den)
 
 
 def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,
@@ -437,57 +443,76 @@ def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,
 def partial_cover_count_of(measure, cover: Cover, a, budget: int = DEFAULT_NODE_BUDGET):
     """b_nu against an already-joined cover.
 
-    Branch and bound over the elements, heaviest first: include or skip
-    each one, cutting a branch once the heaviest remaining elements cannot
-    close the mass gap within the best count found.  Masses are integers
-    over one common denominator, so every comparison is exact.
+    On a partition b_nu is read off the sorted cell masses
+    (_heaviest_count).  Otherwise branch and bound over the elements,
+    heaviest first: include or skip each one, cutting a branch once the
+    heaviest remaining elements cannot close the mass gap within the best
+    count found.  Masses are integers over one common denominator, so
+    every comparison is exact.
     """
     mass_of, den = _cover_masses(measure, cover)
     return _partial_cover_count(mass_of, den, cover, a, budget)
 
 
-def _partial_cover_count(mass_of: dict, den: int, cover: Cover, a, budget: int) -> int:
-    """partial_cover_count_of on the cover's pattern masses mass_of[v] / den;
-    the common scale is lcm(a.denominator, den)."""
+def _heaviest_first(weights, den: int, a, total: int):
+    """(order, prefix, target) for b_nu on elements of masses weights[i] / den:
+    the element indices heaviest first (ties by index), the prefix sums of
+    their weights, and the least integer target with target / den >= a.
+    Raises when the union mass total / den is below a."""
     a = as_fraction(a)
     if not 0 < a < 1:
         raise ArgumentError("a must lie strictly between 0 and 1")
-    scale = math.lcm(a.denominator, den)
-    if scale != den:
-        mass_of = {v: m * (scale // den) for v, m in mass_of.items()}
-    target = a.numerator * (scale // a.denominator)
-    weights = [sum(map(mass_of.__getitem__, e)) for e in cover.elements]
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    sets = [cover.elements[i] for i in order]
-    prefix = list(itertools.accumulate((weights[i] for i in order), initial=0))
-    total_union = sum(mass_of.values())
-    if total_union < target:
-        raise ArgumentError(f"cover union has measure {float(Fraction(total_union, scale)):.6g}"
+    target = -(-a.numerator * den // a.denominator)
+    if total < target:
+        raise ArgumentError(f"cover union has measure {float(Fraction(total, den)):.6g}"
                             f" < a={float(a):.6g}")
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
+    prefix = list(itertools.accumulate((weights[i] for i in order), initial=0))
+    return order, prefix, target
 
+
+def _heaviest_count(weights, den: int, a) -> int:
+    """b_nu of a partition whose cells have masses weights[i] / den.
+
+    The cells are pairwise disjoint, so any k of them have union mass the
+    sum of their masses, which is at most the sum of the k heaviest, and
+    the k heaviest attain it.  So b_nu, the fewest cells with union mass
+    >= a, is the least k whose k heaviest masses reach a: the first prefix
+    sum of the sorted masses at or above the target.  No search runs, so
+    no budget is spent.
+    """
+    _, prefix, target = _heaviest_first(weights, den, a, sum(weights))
+    return bisect.bisect_left(prefix, target)
+
+
+def _partial_cover_count(mass_of: dict, den: int, cover: Cover, a, budget: int) -> int:
+    """partial_cover_count_of on the cover's pattern masses mass_of[v] / den."""
+    weights = _weights(mass_of, cover.elements)
+    if cover.is_partition:
+        return _heaviest_count(weights, den, a)
+    order, prefix, target = _heaviest_first(weights, den, a, sum(mass_of.values()))
+    sets = [cover.elements[i] for i in order]
     best = len(sets)
     nodes = 0
-
-    def dfs(idx, chosen_union, mass, count):
-        nonlocal best, nodes
+    # depth first, include before skip, on an explicit stack: a branch may
+    # skip every element, so recursion would go as deep as there are elements
+    stack = [(0, frozenset(), 0, 0)]  # (index, chosen union, its mass, count)
+    while stack:
+        idx, chosen_union, mass, count = stack.pop()
         nodes += 1
         if nodes > budget:
             raise ResourceBudgetError("partial cover budget exceeded", upper_bound=best)
         if mass >= target:
             best = min(best, count)
-            return
+            continue
         if idx == len(sets) or count >= best:
-            return
+            continue
         # fewest heaviest remaining elements whose masses sum to the gap
         need = bisect.bisect_left(prefix, prefix[idx] + target - mass, lo=idx) - idx
         if idx + need == len(prefix) or count + need >= best:
-            return
+            continue
         new = sets[idx] - chosen_union
-        dfs(idx + 1, chosen_union | new, mass + sum(map(mass_of.__getitem__, new)), count + 1)
-        dfs(idx + 1, chosen_union, mass, count)
-
-    try:
-        dfs(0, frozenset(), 0, 0)
-    finally:
-        del dfs  # dfs reaches itself through its closure: break the cycle
+        stack.append((idx + 1, chosen_union, mass, count))
+        stack.append((idx + 1, chosen_union | new,
+                      mass + sum(map(mass_of.__getitem__, new)), count + 1))
     return best

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .covers import (Cover, _cover_entropy, _cover_masses, _partial_cover_count,
-                     cylinder_complement_cover, min_subcover, pullback_iterate)
+from .covers import (Cover, _cover_entropy, _cover_masses, _entropy, _heaviest_count,
+                     _partial_cover_count, _pullback_cells, _weights, cylinder_complement_cover,
+                     min_subcover, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from ._frontier import _stage_cap
@@ -199,22 +200,32 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
 
     Rows also carry N(V_{F_n}, X) in the count column, so the trace dumps
     as (F, N(V_F, X), H_mu(V_F), value).  Values live in [0, log |V|].
-    Given a, each row also carries b_nu(F_n, a, V), searched on the stage's
-    pulled-back cover.  One ``masses`` sweep per stage gives the cylinder
-    masses that H_mu and b_nu both read.
+    Given a, each row also carries b_nu(F_n, a, V).  One ``masses`` sweep
+    per stage gives the cylinder masses that H_mu and b_nu both read.  When
+    V is a partition so is V_{F_n}: the stage reads its cells' masses once
+    and takes N as their number, H_mu as their Shannon entropy and b_nu in
+    closed form (covers._heaviest_count).  Other covers are joined, and
+    N and b_nu searched, on the pulled-back cover.
     """
     trace = AmenableTrace("amenable-measure")
     bound = math.log(len(cover))
     for n in ns:
         F = folner_set(system.group, n)
-        vf = pullback_iterate(cover, F, budget=budget)
-        count = _exact_count(min_subcover(vf, budget=budget))
-        mass_of, den = _cover_masses(measure, vf)
-        h = _cover_entropy(mass_of, den, vf, budget).value
+        if cover.is_partition:
+            window, cells = _pullback_cells(cover, F, budget)
+            mass_of, den = measure.masses(window, system.language_values(window))
+            weights = _weights(mass_of, cells)
+            count, h = len(cells), _entropy(weights, den)
+            b_nu = None if a is None else _heaviest_count(weights, den, a)
+        else:
+            vf = pullback_iterate(cover, F, budget=budget)
+            count = _exact_count(min_subcover(vf, budget=budget))
+            mass_of, den = _cover_masses(measure, vf)
+            h = _cover_entropy(mass_of, den, vf, budget).value
+            b_nu = None if a is None else _partial_cover_count(mass_of, den, vf, a, budget)
         value = h / len(F)
         if not -1e-12 <= value <= bound + 1e-9:
             raise ArgumentError("measure trace value escaped [0, log |V|] (bug)")
-        b_nu = None if a is None else _partial_cover_count(mass_of, den, vf, a, budget)
         trace.rows.append(AmenableRow(n, len(F), count, h, value, "enumeration", b_nu))
     return trace
 

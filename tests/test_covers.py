@@ -346,21 +346,39 @@ def _overlapping_gm_cover(gm):
 
 
 @pytest.mark.parametrize("kind,n,a,value,nodes", [
-    ("partition", 4, "0.9", 7, 15),
-    ("partition", 8, "0.9", 46, 93),
     ("overlapping", 4, "0.99", 4, 183),
 ])
-def test_partial_cover_search_node_count(gm, parry, gm_origin, kind, n, a, value, nodes):
+def test_partial_cover_search_node_count(gm, parry, kind, n, a, value, nodes):
     """The branch and bound finishes in exactly `nodes` nodes on the Parry
-    V_{F_n}; one node less is a budget cut carrying an upper bound, never
-    a value."""
-    cover = gm_origin if kind == "partition" else _overlapping_gm_cover(gm)
-    vf = pullback_iterate(cover, folner_set(gm.group, n))
-    assert vf.is_partition == (kind == "partition")
+    V_{F_n} of an overlapping cover; one node less is a budget cut carrying
+    an upper bound, never a value."""
+    vf = pullback_iterate(_overlapping_gm_cover(gm), folner_set(gm.group, n))
+    assert not vf.is_partition
     assert partial_cover_count_of(parry, vf, a, budget=nodes) == value
     with pytest.raises(ResourceBudgetError) as info:
         partial_cover_count_of(parry, vf, a, budget=nodes - 1)
     assert info.value.upper_bound >= value
+
+
+@pytest.mark.parametrize("n,a,value", [(4, "0.9", 7), (8, "0.9", 46)])
+def test_partition_b_nu_spends_no_budget(gm, parry, gm_origin, n, a, value):
+    """On a partition b_nu is read off the sorted cell masses: no search
+    runs, so every budget, 0 included, returns the value."""
+    vf = pullback_iterate(gm_origin, folner_set(gm.group, n))
+    assert vf.is_partition
+    for budget in (0, 1, 10**6):
+        assert partial_cover_count_of(parry, vf, a, budget=budget) == value
+
+
+def test_partial_cover_search_depth_does_not_grow_with_skips(gm, parry):
+    """The overlapping V_{F_12} has 4,096 elements; a search that skips most
+    of them is cut by its budget with an upper bound, not by the recursion
+    limit."""
+    vf = pullback_iterate(_overlapping_gm_cover(gm), folner_set(gm.group, 12))
+    assert len(vf) == 4096 and not vf.is_partition
+    with pytest.raises(ResourceBudgetError) as info:
+        partial_cover_count_of(parry, vf, "0.9", budget=10_000)
+    assert 0 < info.value.upper_bound < len(vf)
 
 
 def test_partial_cover_rejects_unreachable_mass(gm, fair):

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, LatticeGroup, MarkovMeasure,
                       ResourceBudgetError, TestFunction, UnsupportedOperationError,
-                      cover_entropy, element_measure, full_shift, golden_mean_system,
-                      partial_cover_count_of, partitions_refining, shannon_entropy)
+                      amenable_measure_trace, cover_entropy, element_measure, folner_set,
+                      full_shift, golden_mean_system, origin_partition, partial_cover_count_of,
+                      partitions_refining, shannon_entropy)
 from soficlab.symbolic import Pattern, as_fraction, integrate
 
 # --- oracles: exact Fraction products, one cylinder at a time ----------------------
@@ -217,3 +218,47 @@ def test_parry_entropy_float_identical_on_long_windows(lo, hi):
         assert shannon_entropy(mu, cover) == oracle_entropy(mu, window, cover.elements)
         assert (partial_cover_count_of(mu, cover, "0.9")
                 == oracle_partial_cover_count_of(mu, cover, "0.9"))
+
+
+@st.composite
+def _partitions(draw):
+    system = draw(st.sampled_from(SYSTEMS))
+    mu = draw(_measures(system))
+    window = system.interval_window(0, draw(st.integers(0, 3)))
+    language = list(system.language_values(window))
+    cells = draw(st.integers(1, len(language)))
+    homes = [draw(st.integers(0, cells - 1)) for _ in language]
+    cover = Cover(system, window, [[v for v, h in zip(language, homes) if h == c]
+                                   for c in range(cells)], drop_empty=True)
+    return mu, cover, Fraction(draw(st.integers(1, 99)), 100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_partitions())
+def test_partition_b_nu_closed_form_matches_search_oracle(instance):
+    """On a partition b_nu is the count of heaviest cells, under budget 0;
+    the oracle searches subfamilies on Fraction masses."""
+    mu, cover, a = instance
+    assert cover.is_partition
+    try:
+        expected = oracle_partial_cover_count_of(mu, cover, a)
+    except ArgumentError:
+        with pytest.raises(ArgumentError, match="cover union has measure"):
+            partial_cover_count_of(mu, cover, a, budget=0)
+    else:
+        assert partial_cover_count_of(mu, cover, a, budget=0) == expected
+
+
+def test_parry_b_nu_on_sixteen_sites_is_exact():
+    """The spec's Parry chain at a = 9/10 on F_16: the trace's b_nu is the
+    fewest golden-mean words of length 16 whose Fraction masses, summed
+    heaviest first, reach 9/10."""
+    gm = SYSTEMS[1]
+    mu = MarkovMeasure.stationary(gm, PARRY_ROWS)
+    row, = amenable_measure_trace(gm, origin_partition(gm), mu, [16], a="0.9").rows
+    window = gm.window(folner_set(gm.group, 16))
+    masses = sorted((oracle_cylinder(mu, Pattern(window, v))
+                     for v in gm.language_values(window)), reverse=True)
+    reached = list(itertools.accumulate(masses))
+    expected = next(k for k, total in enumerate(reached, 1) if total >= Fraction(9, 10))
+    assert (row.count, row.b_nu) == (len(masses), expected) == (2584, 2135)
