@@ -17,8 +17,7 @@ from .sofic import (GoodnessCertificate, SoficMap, cyclic_model,
                     random_free_model, regular_representation)
 from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
                        SymbolicSystem, TestFunction, Window, as_fraction,
-                       count_box_language, count_cyclic_words, full_shift,
-                       golden_mean_system, integrate, is_slice_box)
+                       count_cyclic_words, full_shift, golden_mean_system, integrate)
 from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      cylinder_complement_cover, element_measure, exact_min_cover,
                      join, lift, min_subcover, origin_partition, partial_cover_count,

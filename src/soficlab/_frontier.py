@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ResourceBudgetError
@@ -435,8 +436,8 @@ class _FrontierDP:
         Its counts, charges and cut points are a fresh system's.
         """
         d, n = self.d, self.n
-        keyed = _PackedSums([t for t in required if not self.on_cells(t)], [], d, n)
-        beside = _PackedSums([t for t in required if self.on_cells(t)], filters, d, n)
+        keyed = _PackedSums.of([t for t in required if not self.on_cells(t)], [], d, n)
+        beside = _PackedSums.of([t for t in required if self.on_cells(t)], filters, d, n)
         moves = [beside.increment[cell[0]] for cell in self.cells]
         feasible = beside.feasible if beside.required else None
         plain = not (beside.required or filters)  # a multiplicity is an int
@@ -881,6 +882,12 @@ class _PackedSums:
         self._feasible = defaultdict(dict)  # per count: packed -> verdict
         self._passed = {}
 
+    @classmethod
+    def of(cls, required, filters, d, n):
+        """The packing of these tables.  With no table it holds no sums, so
+        d plays no part and one packing per language size n is shared."""
+        return cls(required, filters, d, n) if required or filters else _no_tables(n)
+
     def sums(self, packed, count):
         """Every table's sum over a sequence of count patterns, required first."""
         return [packed // b % r + count * low
@@ -918,6 +925,12 @@ class _PackedSums:
             hit = self._passed[packed] = tuple(all(t.lo < total < t.hi for t, total in pairs)
                                                for pairs in self._by_filter(packed))
         return hit
+
+
+@lru_cache(maxsize=8)
+def _no_tables(n):
+    """The packing of no table over n patterns (_PackedSums.of)."""
+    return _PackedSums([], [], 0, n)
 
 
 def _scan(dp, packing, leaf) -> int:

@@ -20,7 +20,7 @@ from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from ._frontier import _stage_cap
 from .microstates import MeasureFilter, _held_plan, count_microstates, counting_method
-from .symbolic import SymbolicSystem, Window, as_fraction, count_box_language, is_slice_box
+from .symbolic import SymbolicSystem, Window, as_fraction
 
 NEG_INF = float("-inf")
 
@@ -168,11 +168,12 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     """(1/|F_n|) log N(U_{F_n}, X) along the box Folner sequence.
 
     When every cell of U is a single pattern on W, the cells of U_{F_n} are
-    the patterns on F_n W, so N(U_{F_n}, X) = |L(F_n W)|; on a box that the
-    slice transfer can sweep it is counted that way ("transfer").  Every
-    other input joins the pullbacks and counts a minimal subcover
-    ("enumeration").  Values live in [0, log N(U, X)]; the count-level form
-    of the upper bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|}, is asserted exactly.
+    the patterns on F_n W, so N(U_{F_n}, X) = |L(F_n W)|, which
+    SymbolicSystem.count_language counts under budget * 10 nodes, on every
+    group ("transfer").  Every other cover joins the pullbacks and counts a
+    minimal subcover ("enumeration").  Values live in [0, log N(U, X)]; the
+    count-level form of the upper bound, N(U_{F_n}, X) <= N(U, X)^{|F_n|},
+    is asserted exactly.
     """
     group = system.group
     n_cover = _exact_count(min_subcover(cover, budget=budget))
@@ -181,8 +182,8 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     for n in ns:
         F = folner_set(group, n)
         window = system.window(group.multiply(w, g) for g in F for w in cover.window.elements)
-        if single and is_slice_box(system, window):
-            count, method = count_box_language(system, window, budget), "transfer"
+        if single:
+            count, method = system.count_language(window, budget * 10), "transfer"
         else:
             vf = pullback_iterate(cover, F, budget=budget)
             count, method = _exact_count(min_subcover(vf, budget=budget)), "enumeration"

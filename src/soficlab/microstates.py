@@ -332,7 +332,7 @@ def count_microstates(system: SymbolicSystem, F, delta, sigma, window: Window,
     prune = _filter_tables(window, lang, measure_filter, d) if measure_filter is not None else []
     tables = [_filter_tables(window, lang, f, d) for f in filters]
     dp = _FrontierDP(plan, lang, delta, sigma, keys.table, budget)
-    packing = _PackedSums(prune, tables, d, len(lang))
+    packing = _PackedSums.of(prune, tables, d, len(lang))
     found = _by_dp(dp, prune, tables) if cover.is_partition else _by_scan(dp, packing, keys)
     counts = [MicrostateCounts(n_inner, n_outer, method, (dp, packing, k))
               for k, (n_inner, n_outer) in enumerate(found)]

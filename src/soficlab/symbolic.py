@@ -41,6 +41,7 @@ def as_fraction(x) -> Fraction:
 
 
 WEIGHT_ENUMERATION_LIMIT = 2_000_000  # group elements enumerated to find a weight
+LANGUAGE_BUDGET = 5_000_000  # default nodes for enumerating or counting a language
 
 
 class MetricWeights:
@@ -263,36 +264,39 @@ class SymbolicSystem:
     # language ------------------------------------------------------------------
 
     def _embeddings(self, window: Window):
-        """Per site j, the translates of forbidden patterns that fit inside
-        the window with j their largest position, as {positions: {values}}."""
+        """The translates of forbidden patterns that fit inside the window,
+        as {positions: {values}}, positions in the shape's element order.
+
+        The translate putting a shape's first element v0 on w puts each other
+        element v on (v v0^-1) w, so with v v0^-1 computed once per shape a
+        placement costs one group product per other element."""
         group, at = self.group, window.index.get
-        by_last = {}
+        bans = {}
         for elems, vals in self.forbidden:
             v0_inv = group.inverse(elems[0])
-            for w in window.elements:  # the translate putting elems[0] on w
-                g = group.multiply(v0_inv, w)
-                positions = tuple(at(group.multiply(v, g)) for v in elems)
+            offsets = [group.multiply(v, v0_inv) for v in elems[1:]]
+            for j, w in enumerate(window.elements):
+                positions = (j, *[at(group.multiply(u, w)) for u in offsets])
                 if None not in positions:
-                    by_last.setdefault(max(positions), {}).setdefault(positions, set()).add(vals)
-        return by_last
+                    bans.setdefault(positions, set()).add(vals)
+        return bans
 
     def language_values(self, window: Window, budget: int = None):
         """All locally admissible value tuples on the window, sorted.  Past
         budget nodes (symbols tried) the enumeration raises ResourceBudgetError,
         and so does a cached language whose enumeration took more."""
-        budget = budget if budget is not None else 5_000_000
+        budget = budget if budget is not None else LANGUAGE_BUDGET
         key = window.elements
         cached = self._language_cache.get(key)
         if cached is not None:
             if cached[0] > budget:
                 raise ResourceBudgetError("language enumeration budget exceeded")
             return cached[1]
-        by_last = self._embeddings(window)
         m = len(window)
-        # per site, one (getter, banned values) pair per shape of the translates
-        # ending there; a one-site getter returns the bare symbol
-        checks = [[(operator.itemgetter(*p), {v for (v,) in banned} if len(p) == 1 else banned)
-                   for p, banned in by_last.get(j, {}).items()] for j in range(m)]
+        # per site, one ban test per shape of the translates ending there
+        checks = [[] for _ in range(m)]
+        for positions, banned in self._embeddings(window).items():
+            checks[max(positions)].append(_ban_test(positions, banned))
         alphabet = self.alphabet
         nodes = 0
         out = []
@@ -322,6 +326,69 @@ class SymbolicSystem:
         result = tuple(out)
         self._language_cache[key] = (nodes, result)
         return result
+
+    def count_language(self, window: Window, budget: int = None) -> int:
+        """len(language_values(window)), counted without listing the patterns.
+
+        The sites are placed one at a time in sorted element order, so a
+        Z^k box is swept one slice at a time along its first axis.  The ban
+        tables of language_values are regrouped under each translate's last
+        site in that order.  After each site the count keeps, per state, the
+        number of admissible patterns on the placed sites that show it; a
+        state is the values on the placed sites that a later translate reads,
+        in placement order.  Every (state, symbol) pair tried is one node;
+        past budget nodes the count raises ResourceBudgetError, never a
+        number.  Nothing is cached.
+        """
+        budget = budget if budget is not None else LANGUAGE_BUDGET
+        m = len(window)
+        order = sorted(range(m), key=window.elements.__getitem__)
+        rank = [0] * m  # window position -> the step that places it
+        for r, j in enumerate(order):
+            rank[j] = r
+        ending = [[] for _ in range(m)]  # per step: (steps read, bans) of translates ending there
+        last = list(range(m))  # per step: the last step that reads its value
+        for positions, banned in self._embeddings(window).items():
+            steps = [rank[j] for j in positions]
+            end = max(steps)
+            ending[end].append((steps, banned))
+            for r in steps:
+                if last[r] < end:
+                    last[r] = end
+        symbols = [(sym,) for sym in self.alphabet]
+        states = {(): 1}
+        live = []  # the steps whose values a state holds, in placement order
+        nodes = 0
+        for r in range(m):
+            nodes += len(states) * len(symbols)
+            if nodes > budget:
+                raise ResourceBudgetError("language count budget exceeded")
+            live.append(r)  # now the steps of a state and the symbol tried at r
+            slot = dict(zip(live, range(len(live))))
+            tests = [_ban_test([slot[q] for q in steps], banned) for steps, banned in ending[r]]
+            kept = [i for i, q in enumerate(live) if last[q] > r]
+            live = [live[i] for i in kept]
+            keep = (operator.itemgetter(*kept) if len(kept) > 1
+                    else lambda values, kept=kept: tuple(values[i] for i in kept))
+            counts = {}
+            for state, count in states.items():
+                for sym in symbols:
+                    values = state + sym
+                    for get, banned in tests:
+                        if get(values) in banned:
+                            break
+                    else:
+                        key = keep(values)
+                        counts[key] = counts.get(key, 0) + count
+            states = counts
+        return sum(states.values())
+
+
+def _ban_test(indices, banned):
+    """(getter, banned values) of the translates read at these indices; a
+    one-index getter returns the bare symbol, and its bans are bare too."""
+    get = operator.itemgetter(*indices)
+    return (get, {v for (v,) in banned}) if len(indices) == 1 else (get, banned)
 
 
 def full_shift(alphabet, group: Group, weights=None, label=None) -> SymbolicSystem:
@@ -571,112 +638,26 @@ def integrate(measure, f: TestFunction) -> Fraction:
     return Fraction(total, scale * den)
 
 
-# slice transfer on Z^k boxes --------------------------------------------------
-
-DEFAULT_TRANSFER_BUDGET = 500_000
-
-
-def _box_axes(window: Window):
-    """Per-axis (lo, hi) when the window is a full box of Z^k, else None."""
-    if window.system.group.kind != "lattice":
-        return None
-    axes = [(min(c), max(c)) for c in zip(*window.elements)]
-    size = math.prod(hi - lo + 1 for lo, hi in axes)
-    return axes if size == len(window) else None
-
-
-def _spans_two_slices(system: SymbolicSystem) -> bool:
-    """Every forbidden pattern lies within two consecutive slices of the last axis."""
-    return all(max(g[-1] for g in elems) - min(g[-1] for g in elems) <= 1
-               for elems, _ in system.forbidden)
-
-
-def is_slice_box(system: SymbolicSystem, window: Window) -> bool:
-    """True iff ``count_box_language`` can count the window's language."""
-    return _box_axes(window) is not None and _spans_two_slices(system)
-
-
-def _slice_relation(system: SymbolicSystem, first: Window, budget: int):
-    """Admissible slices on ``first`` and, per slice, the indices of the slices
-    that may sit one step further along the last axis.
-
-    A forbidden pattern spanning at most two consecutive slices fits inside
-    the box exactly when it fits inside one slice or one pair of slices, so
-    the one-slice and two-slice languages decide every box.  Both are read
-    through ``Window.index``: windows are ordered by ``enumeration_key``,
-    not by position.
-    """
-    group = system.group
-    step = (0,) * (group.rank - 1) + (1,)
-    upper = [group.multiply(g, step) for g in first.elements]
-    pair = system.window(first.elements + tuple(upper))
-    lower_of = operator.itemgetter(*(pair.index[g] for g in first.elements))
-    upper_of = operator.itemgetter(*(pair.index[g] for g in upper))
-    slices = system.language_values(first, budget=budget)
-    # on a one-site slice the getters return the bare symbol
-    index = {v if len(first) > 1 else v[0]: i for i, v in enumerate(slices)}
-    successors = [[] for _ in slices]
-    for v in system.language_values(pair, budget=budget):
-        successors[index[lower_of(v)]].append(index[upper_of(v)])
-    return slices, successors
-
-
-def _sweep(successors, vec, steps: int, budget: int):
-    """Push the big-int vector ``steps`` times along the slice relation.
-
-    Each slice pushed in each step counts once against the budget; the
-    budget is checked before a step runs, so a cut raises and never
-    returns a partial vector.
-    """
-    work = 0
-    for _ in range(steps):
-        work += len(successors)
-        if work > budget:
-            raise ResourceBudgetError("slice transfer budget exceeded")
-        out = [0] * len(successors)
-        for c, succ in zip(vec, successors):
-            if c:
-                for j in succ:
-                    out[j] += c
-        vec = out
-    return vec
-
-
-def count_box_language(system: SymbolicSystem, window: Window,
-                       budget: int = DEFAULT_TRANSFER_BUDGET) -> int:
-    """|L(B)|, the number of locally admissible patterns on a box window B
-    of Z^k, by slice transfer along the last axis.
-
-    Needs every forbidden pattern to span at most two consecutive slices
-    (``is_slice_box``).  The one- and two-slice languages are enumerated
-    under ``budget * 10`` nodes and the sweep under ``budget`` steps; a
-    cut raises ``ResourceBudgetError``.
-    """
-    if not is_slice_box(system, window):
-        raise UnsupportedOperationError(
-            "slice transfer needs a Z^k box and forbidden patterns within two slices")
-    lo, hi = _box_axes(window)[-1]
-    first = system.window(g for g in window.elements if g[-1] == lo)
-    if hi == lo:
-        return len(system.language_values(first, budget=budget * 10))
-    slices, successors = _slice_relation(system, first, budget * 10)
-    return sum(_sweep(successors, [1] * len(slices), hi - lo, budget))
-
-
 def count_cyclic_words(system: SymbolicSystem, n: int) -> int:
-    """Number of admissible necklaces of length n on a Z system: the trace
-    of the n-th power of the site relation, one sweep per start symbol."""
+    """Number of admissible cyclic words of length n on a Z system whose
+    forbidden words have length <= 2: the trace of T^n, T the site relation
+    read off the enumerated language of {0, 1}.  A test oracle: it shares
+    nothing with count_language but the ban tables."""
     if n < 1:
         raise ArgumentError("necklace length must be >= 1")
     group = system.group
-    if group.kind != "lattice" or group.rank != 1 or not _spans_two_slices(system):
+    if group.kind != "lattice" or group.rank != 1 or any(
+            max(elems)[0] - min(elems)[0] > 1 for elems, _ in system.forbidden):
         raise UnsupportedOperationError(
             "cyclic word counts need a Z system with forbidden words of length <= 2")
-    budget = DEFAULT_TRANSFER_BUDGET
-    slices, successors = _slice_relation(system, system.window([0]), budget * 10)
+    pairs = system.language_values(system.interval_window(0, 1))
     total = 0
-    for s in range(len(slices)):
-        start = [0] * len(slices)
-        start[s] = 1
-        total += _sweep(successors, start, n, budget)[s]
+    for start in system.alphabet:
+        ends = {start: 1}  # last symbol -> words from start
+        for _ in range(n):
+            after = dict.fromkeys(system.alphabet, 0)
+            for a, b in pairs:
+                after[b] += ends.get(a, 0)
+            ends = after
+        total += ends[start]
     return total

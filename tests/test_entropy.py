@@ -236,8 +236,8 @@ def hard_square(Z2):
 
 
 def test_amenable_transfer_path(gm, gm_origin, Z2):
-    """Single-pattern cells on boxes are counted by slice transfer; the
-    pullback enumeration, kept as the oracle, gives the same counts."""
+    """Single-pattern cells are counted by count_language; the pullback
+    enumeration, kept as the oracle, gives the same counts."""
     tr = amenable_topological_trace(gm, gm_origin, [1, 8, 16])
     assert [r.method for r in tr.rows] == ["transfer"] * 3
     assert [r.count for r in tr.rows] == [2, 55, 2584]
@@ -260,8 +260,8 @@ def test_amenable_hard_square_twelve(Z2):
 
 
 def test_amenable_enumeration_path(fs, gm, gm_origin, Z, fair):
-    """Covers with many-pattern cells and reach beyond two slices keep the
-    pullback enumeration, and so do measure traces."""
+    """Covers with many-pattern cells keep the pullback enumeration, and so
+    do measure traces."""
     w01 = fs.interval_window(0, 1)
     complement = cylinder_complement_cover(fs, [fs.pattern(w01, ("0", "0")),
                                                 fs.pattern(w01, ("1", "1"))])
@@ -273,10 +273,13 @@ def test_amenable_enumeration_path(fs, gm, gm_origin, Z, fair):
     assert [r.method for r in tr.rows] == ["enumeration"] * 2
     same = amenable_topological_trace(gm, gm_origin, [4, 6])
     assert [r.count for r in tr.rows] == [r.count for r in same.rows]
+    # a single-pattern cover is counted whatever the reach of the bans
     gap = SymbolicSystem(("0", "1"), Z, forbidden=[(((0,), (2,)), ("1", "1"))])
-    tr = amenable_topological_trace(gap, origin_partition(gap), [5])
-    assert tr.rows[0].method == "enumeration"
-    assert tr.rows[0].count == len(gap.language_values(gap.interval_window(0, 4)))
+    gap_origin = origin_partition(gap)
+    tr = amenable_topological_trace(gap, gap_origin, [5])
+    assert tr.rows[0].method == "transfer"
+    vf = pullback_iterate(gap_origin, folner_set(Z, 5))
+    assert tr.rows[0].count == min_subcover(vf).count == 15  # 5 x 3: even and odd sites
     tr = amenable_measure_trace(fs, origin_partition(fs), fair, [2])
     assert tr.rows[0].method == "enumeration"
 

@@ -2039,3 +2039,20 @@ def test_oracle_only_code_stays_in_the_oracle_block():
                     assert not used, f"{node.name} uses {used}"
                 guarded.add(node.name)
     assert seen == ORACLE_ONLY and guarded == {"_naive_scan", "microstate_check"}
+
+
+def test_stages_without_tables_share_one_empty_packing(gm, gm_origin):
+    """A packing of no table holds no sums: stages with no filter share one
+    per language size, whatever their d, and it still moves every pattern."""
+    window = gm.interval_window(-2, 2)
+    packings = []
+    for d in (6, 9):
+        delta = zero_defect_delta(gm, window, [1], d)
+        counts, _ = count_microstates(gm, [1], delta, cyclic_model(gm.group, d), window,
+                                      gm_origin)
+        packings.append(counts._source[1])
+    n = len(gm.language_values(window))
+    empty = soficlab._frontier._PackedSums.of([], [], 12, n)
+    assert packings[0] is packings[1] is empty
+    assert empty.increment == [0] * n and empty.passed(0) == ()
+    assert soficlab._frontier._PackedSums.of([], [[]], 12, n) is not empty  # one filter

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from soficlab import (ArgumentError, BernoulliMeasure, FiniteTableGroup, FreeGroup,
                       LatticeGroup, MarkovMeasure, MetricWeights, ResourceBudgetError,
                       SymbolicSystem, TestFunction, UnsupportedOperationError, as_fraction,
-                      count_box_language, count_cyclic_words, full_shift,
-                      golden_mean_system, integrate, is_slice_box)
+                      count_cyclic_words, full_shift, golden_mean_system, integrate)
 
 # Independent sets in the n x n grid graph (OEIS A006506; Calkin and Wilf,
 # "The number of independent sets in a grid graph", SIAM J. Discrete Math.
 # 11, 1998): hard squares on the n x n box.
 A006506 = (2, 7, 63, 1234, 55447, 5598861, 1280128950, 660647962955,
-           770548397261707, 2030049051145980050)
+           770548397261707, 2030049051145980050, 12083401651433651945979,
+           162481813349792588536582997, 4935961285224791538367780371090)
 
 
 def brute_force_language(system, window):
@@ -67,9 +67,9 @@ def test_transfer_matrix_oracle_agrees(gm):
         fib.append(fib[-1] + fib[-2])
     for n in range(1, 17):
         w = gm.interval_window(0, n - 1)
-        assert count_box_language(gm, w) == fib[n + 1]  # F(n + 2)
+        assert gm.count_language(w) == fib[n + 1]  # F(n + 2)
         if n <= 14:
-            assert count_box_language(gm, w) == len(gm.language_values(w))
+            assert gm.count_language(w) == len(gm.language_values(w))
     lucas = [2, 1]
     for _ in range(12):
         lucas.append(lucas[-1] + lucas[-2])
@@ -82,9 +82,8 @@ def test_language_of_non_nearest_neighbour_system(Z):
     sys = SymbolicSystem(("0", "1"), Z, forbidden=[(((0,), (2,)), ("1", "1"))])
     w = sys.interval_window(0, 2)
     assert sys.language_values(w) == brute_force_language(sys, w)
-    assert not is_slice_box(sys, w)
-    with pytest.raises(UnsupportedOperationError):
-        count_box_language(sys, w)
+    assert sys.count_language(w) == len(brute_force_language(sys, w)) == 6
+    # the counter reads any reach; the cyclic-word oracle only words of length <= 2
     with pytest.raises(UnsupportedOperationError):
         count_cyclic_words(sys, 3)
 
@@ -102,31 +101,31 @@ def box(system, shape, at=None):
 def test_hard_square_counts_a006506(Z2):
     hs = hard_square(Z2)
     for n, expected in enumerate(A006506, start=1):
-        assert count_box_language(hs, box(hs, (n, n))) == expected, n
+        assert hs.count_language(box(hs, (n, n))) == expected, n
 
 
 def test_box_shape_and_reach_checks(Z2):
+    """Windows that are not boxes are counted as boxes are."""
     hs = hard_square(Z2)
-    assert is_slice_box(hs, box(hs, (2, 3), at=(-1, 4)))
-    assert not is_slice_box(hs, hs.window([(0, 0), (1, 1)]))
-    with pytest.raises(UnsupportedOperationError):
-        count_box_language(hs, hs.window([(0, 0), (0, 1), (1, 0)]))
+    for elements in ([(0, 0), (1, 1)], [(0, 0), (0, 1), (1, 0)],
+                     [(0, 0), (2, 0), (1, 1), (1, 2), (2, 1), (3, 3)]):
+        w = hs.window(elements)
+        assert hs.count_language(w) == len(hs.language_values(w)), elements
+    assert hs.count_language(hs.window([(0, 0), (0, 1), (1, 0)])) == 5
+    assert hs.count_language(box(hs, (2, 3), at=(-1, 4))) == 17
     free = full_shift(("0", "1"), Z2)
-    assert count_box_language(free, box(free, (3, 4))) == 2 ** 12
+    assert free.count_language(box(free, (3, 4))) == 2 ** 12
 
 
 def test_box_language_budget_cut_raises(Z2):
-    """A cut in either the slice languages or the sweep raises; never a count."""
-    # fresh systems each time: a language, once enumerated, is cached
+    """The counter charges one node per (state, symbol) tried, 586 on the
+    5x5 hard-square box: one node short raises, never a count."""
     hs = hard_square(Z2)
-    with pytest.raises(ResourceBudgetError, match="language"):
-        count_box_language(hs, box(hs, (5, 5)), budget=1)
-    # 13 admissible rows of 5 sites, pushed 4 times: 52 sweep steps
-    hs = hard_square(Z2)
-    with pytest.raises(ResourceBudgetError, match="slice transfer"):
-        count_box_language(hs, box(hs, (5, 5)), budget=51)
-    hs = hard_square(Z2)
-    assert count_box_language(hs, box(hs, (5, 5)), budget=52) == 55447
+    for budget in (1, 585):
+        with pytest.raises(ResourceBudgetError, match="language count"):
+            hs.count_language(box(hs, (5, 5)), budget=budget)
+    assert hs.count_language(box(hs, (5, 5)), budget=586) == 55447
+    assert not hs._language_cache  # a count lists and caches no pattern
 
 
 def test_cached_language_keeps_the_callers_budget(Z2):
@@ -169,28 +168,21 @@ def _two_slice_systems(draw, rank, reach=range(-1, 2)):
     return alphabet, forbidden
 
 
-@st.composite
-def _box_instances(draw):
-    rank = draw(st.sampled_from([1, 2]))
-    alphabet, forbidden = draw(_two_slice_systems(rank))
-    group = Z1_GROUP if rank == 1 else Z2_GROUP
-    system = SymbolicSystem(alphabet, group, forbidden=forbidden)
-    if rank == 1:
-        shape = (draw(st.integers(1, 8 if len(alphabet) == 2 else 6)),)
-    else:
-        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)))
-        if len(alphabet) == 3 and shape[0] * shape[1] > 8:
-            shape = (2, 4)
-    at = tuple(draw(st.integers(-2, 2)) for _ in range(rank))
-    return system, box(system, shape, at)
+def brute_force_cyclic_words(system, n):
+    """Independent oracle: the words of length n whose periodic extension
+    holds no translate of a forbidden pattern."""
+    return sum(
+        not any(all(w[(g[0] + t) % n] == v for g, v in zip(elems, vals))
+                for elems, vals in system.forbidden for t in range(n))
+        for w in itertools.product(system.alphabet, repeat=n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_box_instances())
-def test_slice_transfer_matches_enumerator(instance):
-    system, window = instance
-    assert is_slice_box(system, window)
-    assert count_box_language(system, window) == len(system.language_values(window))
+@settings(max_examples=60, deadline=None)
+@given(_two_slice_systems(1), st.integers(1, 8))
+def test_cyclic_words_match_brute_force(drawn, n):
+    alphabet, forbidden = drawn
+    system = SymbolicSystem(alphabet, Z1_GROUP, forbidden=forbidden)
+    assert count_cyclic_words(system, n) == brute_force_cyclic_words(system, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -201,21 +193,21 @@ def test_row_and_column_transfer_agree(drawn, width, height):
     system = SymbolicSystem(alphabet, Z2_GROUP, forbidden=forbidden)
     transposed = SymbolicSystem(alphabet, Z2_GROUP, forbidden=[
         ([(y, x) for x, y in shape], values) for shape, values in forbidden])
-    assert (count_box_language(system, box(system, (width, height)))
-            == count_box_language(transposed, box(transposed, (height, width))))
+    assert (system.count_language(box(system, (width, height)))
+            == transposed.count_language(box(transposed, (height, width))))
 
 
 def test_row_and_column_transfer_agree_on_hard_squares(Z2):
     hs = hard_square(Z2)
-    assert count_box_language(hs, box(hs, (3, 7))) == count_box_language(hs, box(hs, (7, 3)))
+    assert hs.count_language(box(hs, (3, 7))) == hs.count_language(box(hs, (7, 3)))
     # an asymmetric system: horizontal 11 and vertical 10 forbidden
     asym = SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (1, 0)), ("1", "1")),
                                                      (((0, 0), (0, 1)), ("1", "0"))])
     flip = SymbolicSystem(("0", "1"), Z2, forbidden=[(((0, 0), (0, 1)), ("1", "1")),
                                                      (((0, 0), (1, 0)), ("1", "0"))])
     for rows, cols in ((2, 5), (3, 4), (4, 6)):
-        assert (count_box_language(asym, box(asym, (cols, rows)))
-                == count_box_language(flip, box(flip, (rows, cols)))
+        assert (asym.count_language(box(asym, (cols, rows)))
+                == flip.count_language(box(flip, (rows, cols)))
                 == len(asym.language_values(box(asym, (cols, rows)))))
 
 
@@ -265,6 +257,13 @@ def test_language_matches_brute_force_on_every_group(instance):
     assert system._language_cache[window.elements][0] == _prefix_nodes(system, window)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_forbidden_instances())
+def test_count_language_matches_enumerator(instance):
+    system, window = instance
+    assert system.count_language(window) == len(system.language_values(window))
+
+
 def test_one_site_slices(Z, Z2):
     """Width-1 boxes and cyclic words cut the box into one-site slices."""
     hs = hard_square(Z2)
@@ -272,8 +271,8 @@ def test_one_site_slices(Z, Z2):
     for _ in range(8):
         fib.append(fib[-1] + fib[-2])
     for n in range(1, 9):
-        assert count_box_language(hs, box(hs, (n, 1))) == fib[n], n  # F(n + 2)
-        assert count_box_language(hs, box(hs, (1, n))) == fib[n], n
+        assert hs.count_language(box(hs, (n, 1))) == fib[n], n  # F(n + 2)
+        assert hs.count_language(box(hs, (1, n))) == fib[n], n
     # a one-site ban ("2" nowhere) beside 11 leaves the golden mean's necklaces
     banned = SymbolicSystem(("0", "1", "2"), Z, forbidden=[(((0,),), ("2",)),
                                                            (((0,), (1,)), ("1", "1"))])
@@ -281,7 +280,7 @@ def test_one_site_slices(Z, Z2):
     for _ in range(10):
         lucas.append(lucas[-1] + lucas[-2])
     assert [count_cyclic_words(banned, n) for n in range(1, 11)] == lucas[1:11]
-    assert count_box_language(banned, banned.interval_window(0, 9)) == 144  # F(12)
+    assert banned.count_language(banned.interval_window(0, 9)) == 144  # F(12)
 
 
 def test_act_examples(gm):
