@@ -2,8 +2,9 @@
 
 Covers are finite families of cylinder-unions over a window; partitions
 are the disjoint case.  Cover entropy minimizes Shannon entropy over the
-assignment family of finer partitions; b_nu counts the smallest subfamily
-of V_F catching measure a.  Entropy pairs are scanned through complement
+partitions finer than the cover, searching the order partitions (each
+element in turn takes what the earlier ones left); b_nu counts the smallest
+subfamily of V_F catching measure a.  Entropy pairs are scanned through complement
 covers of candidate cylinders.
 """
 

@@ -21,8 +21,8 @@ from .symbolic import (BernoulliMeasure, MarkovMeasure, MetricWeights, Pattern,
 from .covers import (Cover, CoverEntropyResult, MinCoverResult, cover_entropy,
                      cylinder_complement_cover, element_measure, exact_min_cover,
                      join, lift, min_subcover, origin_partition, partial_cover_count,
-                     partial_cover_count_of, partitions_refining, pullback,
-                     pullback_iterate, shannon_entropy, trivial_cover)
+                     partial_cover_count_of, pullback, pullback_iterate, shannon_entropy,
+                     trivial_cover)
 from .microstates import (ComparisonPlan, MeasureFilter, MicrostateCounts, TupleCounts,
                           count_microstates, counting_method, zero_defect_delta)
 from .entropy import (NEG_INF, AgreementReport, AmenableTrace, EntropyTrace,

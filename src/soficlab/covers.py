@@ -3,8 +3,9 @@
 A cover element is a set of admissible window patterns (each pattern is a
 clopen cylinder, so open and Borel covers coincide at this resolution).  The
 module provides the join / pullback algebra, exact minimal-subcover counting
-by branch and bound, Shannon and cover entropy of measures, and
-measure-weighted partial cover counts.
+by branch and bound, the Shannon entropy of a partition, cover entropy by a
+branch and bound over element orders, and measure-weighted partial cover
+counts.
 """
 
 from __future__ import annotations
@@ -47,18 +48,13 @@ class Cover:
         self.system = system
         self.window = window
         self.elements = tuple(sets)
-        self._is_partition = None
 
     def __len__(self):
         return len(self.elements)
 
-    @property
+    @cached_property
     def is_partition(self) -> bool:
-        if self._is_partition is None:
-            total = sum(len(e) for e in self.elements)
-            union = len(frozenset().union(*self.elements))
-            self._is_partition = total == union
-        return self._is_partition
+        return sum(map(len, self.elements)) == len(frozenset().union(*self.elements))
 
     @cached_property
     def cell_of(self) -> dict:
@@ -67,10 +63,6 @@ class Cover:
 
     def canonical(self):
         return tuple(sorted(tuple(sorted(e)) for e in self.elements))
-
-    def element_containing(self, values):
-        """Indices of elements containing the given pattern values."""
-        return tuple(i for i, e in enumerate(self.elements) if tuple(values) in e)
 
     def __repr__(self):
         kind = "partition" if self.is_partition else "cover"
@@ -348,90 +340,94 @@ def shannon_entropy(measure, partition: Cover) -> float:
     return _entropy(_weights(mass_of, partition.elements), den)
 
 
-def partitions_refining(cover: Cover, budget: int = 250_000):
-    """The assignment family P(V): every pattern mapped to a containing element.
-
-    Yields deduplicated partitions as tuples of frozensets in a deterministic
-    (lexicographic assignment) order; the cover-entropy minimum over all
-    partitions finer than V is attained inside this family.
-    """
-    patterns = sorted(frozenset().union(*cover.elements))
-    options = []
-    for v in patterns:
-        opts = cover.element_containing(v)
-        options.append(opts)
-    count = 1
-    for opts in options:
-        count *= len(opts)
-        if count > budget:
-            raise ResourceBudgetError(
-                f"assignment family too large (> {budget})",
-                upper_bound=None,
-            )
-    seen = set()
-    for assignment in itertools.product(*options):
-        atoms = {}
-        for v, idx in zip(patterns, assignment):
-            atoms.setdefault(idx, []).append(v)
-        partition = tuple(
-            frozenset(atoms[idx]) for idx in sorted(atoms)
-        )
-        key = frozenset(partition)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield partition
-
-
 @dataclass(frozen=True)
 class CoverEntropyResult:
     value: float
-    argmin: tuple  # atoms of the minimizing partition, as frozensets
+    argmin: tuple  # atoms of a minimizing partition, as frozensets, in element order
 
 
 def cover_entropy(measure, cover: Cover, budget: int = 250_000) -> CoverEntropyResult:
     """H_mu(V) = min over partitions finer than V of the Shannon entropy.
 
-    Partitions come from the assignment family; ties break toward the first
-    assignment in lexicographic order.
+    Some minimizer is an order partition A_i = V_pi(i) minus the earlier
+    V_pi(j) (give the heaviest atom its whole element and repeat: mass only
+    moves to heavier atoms, and -x log x is concave), so a branch and bound
+    searches element orders under a budget of nodes; a cut raises with the
+    least entropy found, at most the greedy order's, as upper_bound.  The
+    atoms' terms are summed in ascending mass, so tied minimizers give one
+    float.
     """
     mass_of, den = _cover_masses(measure, cover)
     return _cover_entropy(mass_of, den, cover, budget)
 
 
 def _cover_entropy(mass_of: dict, den: int, cover: Cover, budget: int) -> CoverEntropyResult:
-    """cover_entropy on the cover's pattern masses mass_of[v] / den."""
+    """cover_entropy on the cover's pattern masses mass_of[v] / den.
+
+    Depth first on an explicit stack from the greedy order (heaviest
+    residual first).  A state is the covered set, and a step takes one
+    element's residual, heaviest first.  A state is dropped when a path no
+    costlier met its covered set; otherwise it costs one node, and it is cut
+    when its entropy so far plus q f(M) + f(r - q M), q = r // M, exceeds
+    the best found: with mass r left no atom outweighs the largest
+    residual M, and by concavity the rest costs at least that.
+    """
+    elements = cover.elements
     if cover.is_partition:
-        return CoverEntropyResult(_entropy(_weights(mass_of, cover.elements), den),
-                                  tuple(cover.elements))
-    terms = {}  # atom -> mu(atom) log mu(atom)
-    best = None
-    best_atoms = None
-    try:
-        for partition in partitions_refining(cover, budget=budget):
-            h = 0.0
-            for atom in partition:
-                if atom not in terms:
-                    terms[atom] = _xlogx(sum(map(mass_of.__getitem__, atom)), den)
-                h -= terms[atom]
-            if best is None or h < best - 1e-15:
-                best = h
-                best_atoms = partition
-    except ResourceBudgetError as exc:
-        raise ResourceBudgetError(
-            "cover entropy family budget exceeded",
-            upper_bound=_greedy_assignment_entropy(mass_of, den, cover),
-        ) from exc
-    return CoverEntropyResult(best, best_atoms)
+        return CoverEntropyResult(_entropy(_weights(mass_of, elements), den), tuple(elements))
+    language = frozenset(mass_of)
 
+    def f(w):
+        return -_xlogx(w, den)
 
-def _greedy_assignment_entropy(mass_of: dict, den: int, cover: Cover) -> float:
-    patterns = sorted(frozenset().union(*cover.elements))
-    atoms = {}
-    for v in patterns:
-        idx = cover.element_containing(v)[0]
-        atoms.setdefault(idx, []).append(v)
-    return _entropy(_weights(mass_of, atoms.values()), den)
+    def steps(covered):
+        """(mass, element index, residual) of every non-empty residual,
+        heaviest first; a zero-mass residual only once nothing weighs."""
+        out = []
+        for i, e in enumerate(elements):
+            rest = e - covered
+            if rest:
+                out.append((sum(map(mass_of.__getitem__, rest)), i, rest))
+        out.sort(key=lambda step: (-step[0], step[1]))
+        return [step for step in out if step[0]] or out[:1]
+
+    def entropy(chosen):
+        return _entropy(sorted(w for w, _, _ in chosen), den)
+
+    best_steps, covered = (), frozenset()
+    while covered != language:
+        step = steps(covered)[0]
+        best_steps, covered = best_steps + (step,), covered | step[2]
+    best = entropy(best_steps)
+
+    total = sum(mass_of.values())
+    least = {}  # covered set -> least entropy so far met there
+    nodes = 0
+    stack = [(frozenset(), 0, 0.0, ())]  # (covered, its mass, entropy so far, steps)
+    while stack:
+        covered, mass, h, chosen = stack.pop()
+        if covered == language:
+            value = entropy(chosen)
+            if value < best:
+                best, best_steps = value, chosen
+            continue
+        if least.get(covered, math.inf) <= h:
+            continue
+        least[covered] = h
+        nodes += 1
+        if nodes > budget:
+            raise ResourceBudgetError("cover entropy search budget exceeded", upper_bound=best)
+        options = steps(covered)
+        top, left = options[0][0], total - mass
+        if top:
+            q = left // top
+            if h + q * f(top) + f(left - q * top) > best:
+                continue
+        for step in reversed(options):
+            w, _, residual = step
+            stack.append((covered | residual, mass + w, h + f(w), chosen + (step,)))
+    return CoverEntropyResult(best, tuple(step[2] for step in
+                                          sorted(best_steps, key=lambda step: step[1])))
 
 
 def partial_cover_count(measure, F: FiniteSubset, a, cover: Cover,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+import operator
 from fractions import Fraction
 
 from .errors import ArgumentError, UnsupportedOperationError
@@ -130,7 +131,7 @@ class LatticeGroup(Group):
     def multiply(self, g, h):
         if len(g) != self.rank or len(h) != self.rank:
             raise ArgumentError("mixed-group operands")
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inverse(self, g):
         return tuple(-a for a in g)

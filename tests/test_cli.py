@@ -934,6 +934,21 @@ def test_compare_uses_the_given_slack(tmp_path):
     assert len(report["slack_used"]) == 3  # one per n at the one delta
 
 
+def test_compare_bound_violated_exits_1(tmp_path):
+    """At delta = 1/2 the sofic count admits far more than the golden-mean
+    words: its value exceeds the amenable one plus the default slack."""
+    spec = _edited_spec(tmp_path, "goldenmean_compare.spec",
+                        lambda spec: spec["params"].update(deltas=["0.5"], ns=[8]))
+    assert main(["run", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+    rows = _csv_rows(tmp_path / "goldenmean_compare_compare.csv")
+    report = json.loads((tmp_path / "goldenmean_compare_compare_report.json").read_text())
+    assert report["ok"] is False
+    assert report["verdict"] == "agreement bound violated"
+    [slack] = report["slack_used"].values()
+    assert [r["bound_ok"] for r in rows] == ["0"]
+    assert float(rows[0]["value_sofic_outer"]) > float(rows[0]["value_amenable"]) + slack
+
+
 def test_tile_amenable_exact_flavor_covers_the_cycle(tmp_path):
     _run_edited(tmp_path, "cyclic_tile.spec",
                 lambda spec: spec["params"].update(flavor="amenable-exact"))

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, BernoulliMeasure, Cover, FiniteSubset, LatticeGroup,
-                      ResourceBudgetError, cover_entropy, cylinder_complement_cover,
-                      element_measure, exact_min_cover, folner_set, full_shift, join, lift,
-                      min_subcover, origin_partition, partial_cover_count,
-                      partial_cover_count_of, partitions_refining, pullback, pullback_iterate,
+                      ResourceBudgetError, amenable_measure_trace, cover_entropy,
+                      cylinder_complement_cover, element_measure, exact_min_cover, folner_set,
+                      full_shift, join, lift, min_subcover, origin_partition,
+                      partial_cover_count, partial_cover_count_of, pullback, pullback_iterate,
                       shannon_entropy, SymbolicSystem, trivial_cover)
 from soficlab.covers import undominated
 
@@ -245,9 +245,9 @@ def test_cover_entropy_trivial_cover(fs, fair):
     assert res.value == 0.0
 
 
-def test_assignment_family_attains_partition_minimum():
-    """Cross-check the assignment family P(V) against all partitions whose
-    blocks sit inside cover elements, on a tiny instance."""
+def test_order_search_attains_partition_minimum():
+    """Cross-check the order search against all partitions whose blocks sit
+    inside cover elements, on a tiny instance."""
     ten = full_shift(tuple("01234"), LatticeGroup(1))
     w = ten.window([0])
     A = [(str(i),) for i in range(3)]
@@ -277,8 +277,7 @@ def test_assignment_family_attains_partition_minimum():
             if m > 0:
                 h -= float(m) * math.log(m)
         best = min(best, h)
-    family_best = cover_entropy(mu, V).value
-    assert abs(family_best - best) < 1e-12
+    assert abs(cover_entropy(mu, V).value - best) < 1e-12
 
 
 def test_refinement_monotonicity(fs, fair, fs_origin):
@@ -506,16 +505,120 @@ def test_partial_cover_randomized_cross_check():
         assert got == best, (trial, a)
 
 
-def test_cover_entropy_budget_carries_greedy_bound():
-    from soficlab import ResourceBudgetError
+def _three_cylinder_cover():
+    """The full shift with Bernoulli(1/3, 2/3) and the overlapping cover
+    {x0 = 0}, {x1 = 0}, {a 1 in x0 x1} on the window [0, 1]."""
+    fs = full_shift(("0", "1"), LatticeGroup(1))
+    window = fs.interval_window(0, 1)
+    language = fs.language_values(window)
+    cover = Cover(fs, window, [[v for v in language if v[0] == "0"],
+                               [v for v in language if v[1] == "0"],
+                               [v for v in language if "1" in v]])
+    return fs, cover, BernoulliMeasure(fs, [Fraction(1, 3), Fraction(2, 3)])
 
-    twenty = full_shift(tuple("abcdefghijklmnopqrst"), LatticeGroup(1))
-    w = twenty.window([0])
-    lang = twenty.language_values(w)
-    # every pattern sits in both elements: 2^20 assignments, over budget
-    V = Cover(twenty, w, [lang, lang])
-    mu = BernoulliMeasure(twenty, [Fraction(1, 20)] * 20)
+
+def test_overlapping_measure_trace_reaches_n3():
+    """V_F at n = 3 has 26 elements, past the assignment family's budget."""
+    fs, cover, mu = _three_cylinder_cover()
+    row = amenable_measure_trace(fs, cover, mu, [3], a="0.9").rows[0]
+    assert (row.count, row.entropy, row.b_nu) == (4, 0.788090069928973, 3)
+
+
+def test_cover_entropy_budget_carries_greedy_bound():
+    """A cut search raises with the least entropy found, at most the greedy
+    order's and at least H_mu(V_F) = 0.9558291065592744 at n = 4, and
+    returns no value."""
+    fs, cover, mu = _three_cylinder_cover()
+    vf = pullback_iterate(cover, folner_set(fs.group, 4))
     with pytest.raises(ResourceBudgetError) as info:
-        cover_entropy(mu, V, budget=1000)
-    assert info.value.upper_bound is not None
-    assert info.value.upper_bound >= 0.0
+        cover_entropy(mu, vf, budget=1000)
+    assert 0.9558291065592744 <= info.value.upper_bound < math.inf
+
+
+def test_cover_entropy_beats_the_greedy_order():
+    """The heaviest element {a, c} (mass 0.468) splits {a, b} and {c, d}
+    (0.45 each): greedy gives H(0.468, 0.216, 0.216, 0.1), and the search
+    reaches {a, b, c, d} again, more cheaply, through {a, b} and {c, d}.
+    Cutting within 0.001 nats of the best found misses the near tie after."""
+    five = full_shift(tuple("abcde"), LatticeGroup(1))
+    mu = BernoulliMeasure(five, ["0.234", "0.216", "0.234", "0.216", "0.1"])
+    V = Cover(five, five.window([0]),
+              [[("a",), ("c",)], [("a",), ("b",)], [("c",), ("d",)], [("e",)]])
+    res = cover_entropy(mu, V)
+    assert H(0.468, 0.216, 0.216, 0.1) - res.value > 0.2
+    assert res.value == H(0.1, 0.45, 0.45)
+    assert res.argmin == (frozenset({("a",), ("b",)}), frozenset({("c",), ("d",)}),
+                          frozenset({("e",)}))
+    # a near tie: greedy {a, d}, {c}, {b} is 0.0004 nats above {c, d}, {a, b}
+    four = full_shift(tuple("abcd"), LatticeGroup(1))
+    mu = BernoulliMeasure(four, [Fraction(x, 17) for x in (4, 3, 1, 9)])
+    V = Cover(four, four.window([0]),
+              [[("c",), ("d",)], [("b",)], [("a",), ("d",)], [("a",), ("b",)]])
+    res = cover_entropy(mu, V)
+    assert 0 < H(13 / 17, 3 / 17, 1 / 17) - res.value < 1e-3
+    assert res.value == H(7 / 17, 10 / 17)
+    assert res.argmin == (frozenset({("c",), ("d",)}), frozenset({("a",), ("b",)}))
+
+
+SITES = [(full_shift(tuple("abcdefg"[:k]), LatticeGroup(1)), (0,)) for k in range(2, 8)] + [
+    (full_shift(("0", "1"), LatticeGroup(1)), sites) for sites in ((0, 1), (0, 1, 2))]
+
+
+@st.composite
+def _overlapping_covers(draw):
+    """A Bernoulli measure, zero weights allowed, and a cover of two to five
+    elements over at most 8 patterns, each in up to three elements and the
+    first in at least two."""
+    system, sites = draw(st.sampled_from(SITES))
+    k = len(system.alphabet)
+    weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+    mu = BernoulliMeasure(system, [Fraction(x, sum(weights)) for x in weights])
+    window = system.window(sites)
+    language = system.language_values(window)
+    m = draw(st.integers(2, 5))
+    homes = [draw(st.sets(st.integers(0, m - 1), min_size=1 + (j == 0), max_size=3))
+             for j in range(len(language))]
+    return mu, Cover(system, window, [[v for v, h in zip(language, homes) if c in h]
+                                      for c in range(m)], drop_empty=True)
+
+
+def _ascending_entropy(mass_of, den, atoms) -> float:
+    h = 0.0
+    for m in sorted(sum(mass_of[v] for v in atom) for atom in atoms):
+        if m:
+            h -= m / den * math.log(m / den)
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(_overlapping_covers())
+def test_cover_entropy_equals_assignment_family(instance):
+    """The order search equals the least entropy over the assignment family
+    (every pattern sent to an element holding it), summed in ascending mass,
+    float for float, and its argmin is a partition finer than the cover."""
+    mu, cover = instance
+    language = frozenset().union(*cover.elements)
+    mass_of, den = mu.masses(cover.window, language)
+    patterns = sorted(language)
+    homes = [[i for i, e in enumerate(cover.elements) if v in e] for v in patterns]
+    best = math.inf
+    for assignment in itertools.product(*homes):
+        atoms = {}
+        for v, i in zip(patterns, assignment):
+            atoms.setdefault(i, []).append(v)
+        best = min(best, _ascending_entropy(mass_of, den, atoms.values()))
+    res = cover_entropy(mu, cover)
+    assert res.value == best
+    atoms = res.argmin
+    assert all(atoms) and all(any(a <= e for e in cover.elements) for a in atoms)
+    assert sum(map(len, atoms)) == len(language) == len(frozenset().union(*atoms))
+    assert _ascending_entropy(mass_of, den, atoms) == best
+
+
+def test_join_budget_cut_raises_and_returns_no_cover(fs):
+    w0, w1 = fs.window([0]), fs.window([1])
+    a = Cover(fs, w0, [[("0",)], [("1",)]])
+    b = Cover(fs, w1, [[("0",)], [("1",)]])
+    assert len(join(a, b, budget=4)) == 4
+    with pytest.raises(ResourceBudgetError, match="4 candidate cells"):
+        join(a, b, budget=3)

@@ -20,7 +20,7 @@ from soficlab import (ArgumentError, BernoulliMeasure, Cover, LatticeGroup, Mark
                       ResourceBudgetError, TestFunction, UnsupportedOperationError,
                       amenable_measure_trace, cover_entropy, element_measure, folner_set,
                       full_shift, golden_mean_system, origin_partition, partial_cover_count_of,
-                      partitions_refining, shannon_entropy)
+                      shannon_entropy)
 from soficlab.symbolic import Pattern, as_fraction, integrate
 
 # --- oracles: exact Fraction products, one cylinder at a time ----------------------
@@ -59,13 +59,23 @@ def oracle_entropy(measure, window, atoms) -> float:
 
 
 def oracle_cover_entropy(measure, cover: Cover) -> float:
+    """The least entropy over the assignment family (every pattern sent to
+    an element holding it), each partition's atoms summed in ascending mass
+    as cover_entropy sums them off a partition."""
     if cover.is_partition:
         return oracle_entropy(measure, cover.window, cover.elements)
-    best = None
-    for partition in partitions_refining(cover):
-        h = oracle_entropy(measure, cover.window, partition)
-        if best is None or h < best - 1e-15:
-            best = h
+    patterns = sorted(frozenset().union(*cover.elements))
+    homes = [[i for i, e in enumerate(cover.elements) if v in e] for v in patterns]
+    best = math.inf
+    for assignment in itertools.product(*homes):
+        atoms = {}
+        for v, i in zip(patterns, assignment):
+            atoms.setdefault(i, []).append(v)
+        h = 0.0
+        for m in sorted(oracle_element_measure(measure, cover.window, a) for a in atoms.values()):
+            if m > 0:
+                h -= float(m) * math.log(m)
+        best = min(best, h)
     return best
 
 
