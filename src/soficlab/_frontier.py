@@ -305,10 +305,17 @@ class _FrontierDP:
     sequence as soon as no completion can pass them.  The signature DP
     keeps the sums of tables constant on cells beside its maps instead
     (see signatures).
+
+    inner_empty says that no microstate is inner, whatever its patterns:
+    every inner term in shift s is hi^2 with hi = lo + tail_s >= tail_s
+    (tail_s is plan.tails[s]), and each shift scores d terms, one per
+    point, so every inner sum in shift s is at least d tail_s^2.  When
+    that reaches cap for some s, that shift fails every inner sequence.
     """
 
     def __init__(self, plan, lang, delta, sigma, table, budget):
         self.cap = _stage_cap(plan, delta, sigma.d)
+        self.inner_empty = any(sigma.d * t * t >= self.cap for t in plan.tails)
         self.n = n = len(lang)
         self.d = sigma.d
         self.tables = [_penalty_table(plan, lang, k) for k in range(len(plan.shifts))]
@@ -601,7 +608,8 @@ class _FrontierDP:
 
     def _accepts(self, state, closing, several):
         """(inner, outer): whether a final map holds an inner, an outer
-        realisation once the closing terms are scored."""
+        realisation once the closing terms are scored.  Where inner_empty
+        holds, the first outer realisation settles it: (False, True)."""
         size, terms = closing
         cap, n = self.cap, self.n
         inner = outer = False
@@ -627,6 +635,8 @@ class _FrontierDP:
                     inner = hi < cap
                 if inner:
                     return True, True
+                if outer and self.inner_empty:
+                    return False, True
         return False, outer
 
     def _context(self, step, packing, several, cap):

@@ -9,12 +9,10 @@ validation error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -265,7 +263,7 @@ def _task_tile(system, args, writer, budget):
                [(k, len(s), len(c), record.coverage)
                 for k, (s, c) in enumerate(zip(tiling.shapes, tiling.centers))])
     # a missed coverage guarantee only warns; the other conditions are hard
-    return (0 if replace(record, coverage_ok=True).all_ok(tiling.flavor) else 1), warnings
+    return (0 if record._replace(coverage_ok=True).all_ok(tiling.flavor) else 1), warnings
 
 
 def _task_pairs(system, args, writer, budget):
@@ -349,6 +347,8 @@ def run(spec_path, out_dir=None, budget_nodes=None, task=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the console script parses arguments: run and validate never load it
+
     parser = argparse.ArgumentParser(
         prog="soficlab",
         description="Finite-stage entropy laboratory for subshifts over groups",

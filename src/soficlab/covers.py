@@ -14,9 +14,9 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import FiniteSubset
@@ -185,12 +185,20 @@ def _pullback_cells(cover: Cover, F: FiniteSubset, budget):
     return window, [vals for _, vals in sorted(cells.items())]
 
 
-@dataclass(frozen=True)
-class MinCoverResult:
+class MinCoverResult(NamedTuple):
     count: int
     witness: tuple
     exact: bool  # False means budget ran out: count is a greedy upper bound
-    nodes: int = field(default=0, compare=False)  # search nodes charged to the budget
+    nodes: int = 0  # search nodes charged to the budget; left out of == and hash
+
+    def __eq__(self, other):
+        return isinstance(other, MinCoverResult) and self[:3] == other[:3]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def undominated(sets) -> list:
@@ -340,8 +348,7 @@ def shannon_entropy(measure, partition: Cover) -> float:
     return _entropy(_weights(mass_of, partition.elements), den)
 
 
-@dataclass(frozen=True)
-class CoverEntropyResult:
+class CoverEntropyResult(NamedTuple):
     value: float
     argmin: tuple  # atoms of a minimizing partition, as frozensets, in element order
 

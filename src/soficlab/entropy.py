@@ -10,8 +10,8 @@ sentinel, which only ever enters comparisons, never arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .covers import (Cover, _cover_entropy, _cover_masses, _entropy, _heaviest_count,
                      _partial_cover_count, _pullback_cells, _weights, cylinder_complement_cover,
@@ -42,8 +42,7 @@ def log_big(n: int) -> float:
     return math.log(n)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     stage: int
     d: int
     count_inner: int
@@ -51,15 +50,23 @@ class TraceRow:
     value_inner: float
     value_outer: float
     incomplete: bool = False
-    method: str = field(default="scan", compare=False)  # "dp" or "scan", see count_microstates
+    method: str = "scan"  # "dp" or "scan", see count_microstates; left out of == and hash
+
+    def __eq__(self, other):
+        return isinstance(other, TraceRow) and self[:7] == other[:7]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:7])
 
 
-@dataclass
-class EntropyTrace:
+class EntropyTrace(NamedTuple):
     kind: str
     F: tuple
     delta: Fraction
-    rows: list = field(default_factory=list)
+    rows: list
     log_cover_count: float = 0.0  # log N(U, X) on the cover window
 
     @property
@@ -98,12 +105,6 @@ def _counting_order(system, window, F, delta, maps):
 def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
     delta = as_fraction(delta)
     n_cover = _exact_count(min_subcover(cover))
-    trace = EntropyTrace(
-        kind=kind,
-        F=tuple(F),
-        delta=delta,
-        log_cover_count=log_big(n_cover) if n_cover else NEG_INF,
-    )
     maps = list(maps)
     rows = [None] * len(maps)
     for stage in _counting_order(system, window, F, delta, maps):
@@ -123,8 +124,8 @@ def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):
             row = TraceRow(stage, sigma.d, 0, 0, NEG_INF, NEG_INF, incomplete=True,
                            method=method)
         rows[stage] = row
-    trace.rows.extend(rows)
-    return trace
+    return EntropyTrace(kind, tuple(F), delta, rows,
+                        log_big(n_cover) if n_cover else NEG_INF)
 
 
 def sofic_topological_trace(system: SymbolicSystem, cover: Cover, F, delta,
@@ -142,8 +143,7 @@ def sofic_measure_trace(system: SymbolicSystem, cover: Cover, measure, L, F,
     return _trace("sofic-measure", system, cover, F, delta, maps, window, mf, budget)
 
 
-@dataclass(frozen=True)
-class AmenableRow:
+class AmenableRow(NamedTuple):
     n: int
     size: int  # |F_n|
     count: int  # N(U_{F_n}, X) for topological rows, 0 for measure rows
@@ -153,10 +153,9 @@ class AmenableRow:
     b_nu: int | None = None  # b_nu(F_n, a, V) on measure rows traced with a
 
 
-@dataclass
-class AmenableTrace:
+class AmenableTrace(NamedTuple):
     kind: str
-    rows: list = field(default_factory=list)
+    rows: list
 
     @property
     def final_value(self) -> float:
@@ -178,7 +177,7 @@ def amenable_topological_trace(system: SymbolicSystem, cover: Cover, ns,
     group = system.group
     n_cover = _exact_count(min_subcover(cover, budget=budget))
     single = all(len(e) == 1 for e in cover.elements)
-    trace = AmenableTrace("amenable-topological")
+    trace = AmenableTrace("amenable-topological", [])
     for n in ns:
         F = folner_set(group, n)
         window = system.window(group.multiply(w, g) for g in F for w in cover.window.elements)
@@ -208,7 +207,7 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
     closed form (covers._heaviest_count).  Other covers are joined, and
     N and b_nu searched, on the pulled-back cover.
     """
-    trace = AmenableTrace("amenable-measure")
+    trace = AmenableTrace("amenable-measure", [])
     bound = math.log(len(cover))
     for n in ns:
         F = folner_set(system.group, n)
@@ -234,8 +233,7 @@ def amenable_measure_trace(system: SymbolicSystem, cover: Cover, measure, ns,
 # dominant measure selection ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominantMeasureResult:
+class DominantMeasureResult(NamedTuple):
     winner_index: int
     winner_count: int
     unfiltered_count: int
@@ -300,8 +298,7 @@ def select_dominant_measure(system: SymbolicSystem, cover: Cover, candidates, L,
 # partition counting bound -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionCountResult:
+class PartitionCountResult(NamedTuple):
     count: int
     log_count: float
     log_bound: float  # |Lambda| (H(p) + 2 eps)
@@ -374,8 +371,7 @@ def partition_count_bound(lam_size: int, p, eta, eps) -> PartitionCountResult:
 # variational and agreement checkers ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class VariationalRow:
+class VariationalRow(NamedTuple):
     measure_label: str
     delta: Fraction
     stage: int
@@ -388,8 +384,7 @@ class VariationalRow:
     gap_outer: float
 
 
-@dataclass
-class VariationalReport:
+class VariationalReport(NamedTuple):
     rows: list
     ok: bool
 
@@ -450,8 +445,7 @@ def check_variational(system: SymbolicSystem, cover: Cover, measures, L, F,
     return VariationalReport(rows=rows, ok=ok)
 
 
-@dataclass(frozen=True)
-class AgreementRow:
+class AgreementRow(NamedTuple):
     n: int
     d: int
     delta: Fraction
@@ -463,8 +457,7 @@ class AgreementRow:
     incomplete: bool = False  # the sofic stage ran out of budget
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     rows: list
     ok: bool
     slack_used: dict
@@ -523,15 +516,13 @@ def check_amenable_agreement(system: SymbolicSystem, cover: Cover, ns, sigma_bui
 # entropy pair scan ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairScanRow:
+class PairScanRow(NamedTuple):
     pair_label: str
     value: float
     positive: bool
 
 
-@dataclass
-class PairScanReport:
+class PairScanReport(NamedTuple):
     rows: list
     threshold: float
     note: str = "numerical evidence, not a certificate"

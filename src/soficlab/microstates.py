@@ -28,9 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from ._frontier import _FrontierDP, _PackedSums, _scan
@@ -41,8 +39,7 @@ from .covers import Cover, exact_min_cover, undominated
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class MeasureFilter:
+class MeasureFilter(NamedTuple):
     """Empirical-average filter: |(1/d) sum_i f(x_i) - mu(f)| < delta per f."""
 
     measure: object
@@ -120,8 +117,7 @@ def zero_defect_delta(system: SymbolicSystem, window: Window, F, d: int) -> Frac
     return Fraction(min_w, 2 * d * plan.scale)
 
 
-@dataclass(frozen=True)
-class _ScaledFunction:
+class _ScaledFunction(NamedTuple):
     """One test function of a measure filter, rescaled to integers.
 
     values[c] is f on language pattern c times scale, the common
@@ -264,21 +260,34 @@ class TupleCounts(NamedTuple):
     unmatched_sums: tuple
 
 
-@dataclass(frozen=True)
-class MicrostateCounts:
+class MicrostateCounts(NamedTuple):
     """Cover counts N(U^d, .) of one stage's microstate set, in both
     certified modes.  method names the path that counted them: "dp" for the
-    frontier DP, "scan" for the tuple scan.  _source holds what tuples reads:
+    frontier DP, "scan" for the tuple scan.  source holds what tuples reads:
     the stage's _FrontierDP, its _PackedSums and the tally of these counts
     (0 unfiltered, k + 1 for filters[k]); for a stage with no window
     pattern, whose sizes are all 0, None, the number of filters and the
-    tally; and None for a count built by hand.
+    tally; and None for a count built by hand.  Equality and hashing read
+    the two counts alone, and repr leaves source out.
     """
 
     n_inner: int
     n_outer: int
-    method: str = field(default="scan", compare=False)
-    _source: tuple = field(default=None, compare=False, repr=False)
+    method: str = "scan"
+    source: tuple = None
+
+    def __eq__(self, other):
+        return isinstance(other, MicrostateCounts) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
+
+    def __repr__(self):
+        return (f"MicrostateCounts(n_inner={self.n_inner!r}, n_outer={self.n_outer!r}, "
+                f"method={self.method!r})")
 
     def tuples(self, mode: str) -> TupleCounts:
         """The sizes of the set in mode ("inner" or "outer"), from one
@@ -287,9 +296,9 @@ class MicrostateCounts:
         raise ResourceBudgetError."""
         if mode not in ("inner", "outer"):
             raise ArgumentError(f"unknown mode {mode!r}")
-        if self._source is None:
+        if self.source is None:
             return TupleCounts(0, (), 0, ())
-        dp, packing, tally = self._source
+        dp, packing, tally = self.source
         if dp is None:  # no window pattern: packing is the number of filters
             per_tally, unmatched, sums = [0] * (packing + 1), 0, ()
         else:
@@ -391,19 +400,21 @@ def counting_method(cover: Cover) -> str:
 # through it; the tests check the streaming scan against it.
 
 
-@dataclass
 class MicrostateSet:
     """The microstates of one stage in one certified mode, as value tuples."""
 
-    system: SymbolicSystem
-    window: Window
-    d: int
-    tuples: tuple  # each microstate is a tuple of d value-tuples
+    __slots__ = ("system", "window", "d", "tuples")
+
+    def __init__(self, system: SymbolicSystem, window: Window, d: int, tuples: tuple):
+        self.system = system
+        self.window = window
+        self.d = d
+        self.tuples = tuples  # each microstate is a tuple of d value-tuples
 
     def __len__(self):
         return len(self.tuples)
 
-    @cached_property
+    @property
     def rows(self) -> tuple:
         """Each microstate as a tuple of indices into the window language."""
         index = {v: c for c, v in enumerate(self.system.language_values(self.window))}

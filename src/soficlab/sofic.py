@@ -12,8 +12,8 @@ convention of the underlying definitions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArgumentError, UnsupportedOperationError
 from .groups import FiniteSubset, Group, _integer, folner_set
@@ -226,8 +226,7 @@ def freeness_defect(sigma: SoficMap, s, t) -> Fraction:
     return 1 - Fraction(differ, sigma.d)
 
 
-@dataclass(frozen=True)
-class GoodnessCertificate:
+class GoodnessCertificate(NamedTuple):
     ok: bool
     eta: float
     good_fraction: Fraction

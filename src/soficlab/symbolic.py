@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArgumentError, ResourceBudgetError, UnsupportedOperationError
 from .groups import Group
@@ -153,16 +153,20 @@ class Window:
         return f"Window({{{names}}})"
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A total assignment window -> alphabet."""
-
+class _PatternFields(NamedTuple):
     window: Window
     values: tuple
 
-    def __post_init__(self):
-        if len(self.values) != len(self.window):
+
+class Pattern(_PatternFields):
+    """A total assignment window -> alphabet."""
+
+    __slots__ = ()
+
+    def __new__(cls, window, values):
+        if len(values) != len(window):
             raise ArgumentError("pattern values must match window size")
+        return super().__new__(cls, window, values)
 
     def value_at(self, g):
         return self.values[self.window.index[g]]

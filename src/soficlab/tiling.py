@@ -10,8 +10,8 @@ path, so a tiling never certifies itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArgumentError
 from .groups import FiniteSubset
@@ -84,8 +84,7 @@ def epsilon_disjoint_check(family, eps):
     return cores is not None, cores
 
 
-@dataclass(frozen=True)
-class TilingRecord:
+class TilingRecord(NamedTuple):
     """Re-checkable verification of the four tiling conditions."""
 
     across_disjoint: bool
@@ -102,8 +101,7 @@ class TilingRecord:
         return base and all(self.eta_disjoint)
 
 
-@dataclass
-class QuasiTiling:
+class QuasiTiling(NamedTuple):
     flavor: str  # one of FLAVORS
     d: int
     shapes: tuple  # FiniteSubset per phase
@@ -237,31 +235,29 @@ def _greedy_tile(sigma, V, shapes, eta, tau, flavor) -> QuasiTiling:
         centers_by_phase.append(tuple(sorted(chosen)))
     centers_by_phase.reverse()
 
-    tiling = QuasiTiling(
-        flavor=flavor, d=sigma.d, shapes=tuple(shapes),
-        centers=tuple(centers_by_phase), tau=tau, eta=eta,
-        record=None, guarantee_missed=False,
-    )
-    record = verify_tiling(tiling, sigma)
-    tiling.record = record
-    tiling.guarantee_missed = not record.coverage_ok
-    return tiling
+    shapes, centers = tuple(shapes), tuple(centers_by_phase)
+    record = _record(sigma, shapes, centers, tau, eta)
+    return QuasiTiling(flavor, sigma.d, shapes, centers, tau, eta, record,
+                       guarantee_missed=not record.coverage_ok)
 
 
 def verify_tiling(tiling: QuasiTiling, sigma: SoficMap) -> TilingRecord:
     """Recompute every condition from the raw shapes and centers."""
-    phases = [[_tile(sigma, shape, c) for c in centers]
-              for shape, centers in zip(tiling.shapes, tiling.centers)]
+    return _record(sigma, tiling.shapes, tiling.centers, tiling.tau, tiling.eta)
+
+
+def _record(sigma, shapes, centers, tau, eta) -> TilingRecord:
+    phases = [[_tile(sigma, shape, c) for c in cs] for shape, cs in zip(shapes, centers)]
     unions = [frozenset().union(*tiles) for tiles in phases]
     union = frozenset().union(*unions)
     coverage = Fraction(len(union), sigma.d)
     return TilingRecord(
         across_disjoint=sum(map(len, unions)) == len(union),
         coverage=coverage,
-        coverage_ok=coverage >= 1 - tiling.tau - tiling.eta,
-        eta_disjoint=tuple(epsilon_disjoint_check(tiles, tiling.eta)[0] for tiles in phases),
+        coverage_ok=coverage >= 1 - tau - eta,
+        eta_disjoint=tuple(epsilon_disjoint_check(tiles, eta)[0] for tiles in phases),
         centers_bijective=tuple(all(len(t) == len(shape) for t in tiles)
-                                for shape, tiles in zip(tiling.shapes, phases)),
+                                for shape, tiles in zip(shapes, phases)),
         product_bijective=tuple(sum(map(len, tiles)) == len(shape) * len(tiles) == len(u)
-                                for shape, tiles, u in zip(tiling.shapes, phases, unions)),
+                                for shape, tiles, u in zip(shapes, phases, unions)),
     )

@@ -6,8 +6,11 @@ over ``SCHEMA``, so jsonschema is never imported outside the tests, which
 keep it as the validator's oracle.  ``cli.run`` on every bundled spec, and
 the amenable measure trace, which runs on integer masses, load none of the
 three.  ``hashlib`` (OpenSSL's ``_hashlib``) is loaded by the first spec
-read, for the spec digest, and not by the import.  Each check runs in a
-fresh interpreter, since the test session itself has loaded all of them.
+read, for the spec digest, and not by the import.  The result records are
+NamedTuples, so nothing loads ``dataclasses`` (and with it ``inspect``),
+and ``argparse`` is imported by ``cli.main`` alone: neither the import nor
+a run of every bundled spec loads either.  Each check runs in a fresh
+interpreter, since the test session itself has loaded all of them.
 """
 
 import json
@@ -18,15 +21,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "jsonschema", "scipy")
+START_UP = ("dataclasses", "argparse")  # stdlib modules the start-up can do without
 
 
-def _loaded_after(code: str) -> dict:
-    """Which of HEAVY are in sys.modules after `import soficlab, soficlab.cli`
+def _loaded_after(code: str, modules=HEAVY) -> dict:
+    """Which of modules are in sys.modules after `import soficlab, soficlab.cli`
     ("start") and after running code ("after"), in a fresh interpreter."""
     script = (
         "import json, sys\n"
         "import soficlab, soficlab.cli\n"
-        f"heavy = {HEAVY!r}\n"
+        f"heavy = {tuple(modules)!r}\n"
         "start = [m for m in heavy if m in sys.modules]\n"
         f"{code}\n"
         "print(json.dumps({'start': start, 'after': [m for m in heavy if m in sys.modules]}))\n"
@@ -42,16 +46,28 @@ def test_import_loads_neither_numpy_nor_jsonschema_nor_scipy():
     assert _loaded_after("pass") == {"start": [], "after": []}
 
 
-def test_running_every_bundled_spec_loads_no_heavy_module(tmp_path):
+def _run_every_bundled_spec(out_dir) -> str:
     specs = sorted(str(p) for p in (ROOT / "specs").glob("*.spec"))
-    code = (
+    assert specs
+    return (
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    codes = [soficlab.cli.run(s, out_dir={str(tmp_path)!r}) for s in {specs!r}]\n"
+        f"    codes = [soficlab.cli.run(s, out_dir={str(out_dir)!r}) for s in {specs!r}]\n"
         "assert codes == [0] * len(codes), codes"
     )
-    assert specs
-    assert _loaded_after(code) == {"start": [], "after": []}
+
+
+def test_running_every_bundled_spec_loads_no_heavy_module(tmp_path):
+    assert _loaded_after(_run_every_bundled_spec(tmp_path)) == {"start": [], "after": []}
+
+
+def test_import_loads_neither_dataclasses_nor_argparse():
+    assert _loaded_after("pass", START_UP) == {"start": [], "after": []}
+
+
+def test_running_every_bundled_spec_loads_neither_dataclasses_nor_argparse(tmp_path):
+    got = _loaded_after(_run_every_bundled_spec(tmp_path), START_UP)
+    assert got == {"start": [], "after": []}
 
 
 def test_openssl_is_loaded_by_a_spec_read_not_by_the_import(tmp_path):

@@ -2050,9 +2050,33 @@ def test_stages_without_tables_share_one_empty_packing(gm, gm_origin):
         delta = zero_defect_delta(gm, window, [1], d)
         counts, _ = count_microstates(gm, [1], delta, cyclic_model(gm.group, d), window,
                                       gm_origin)
-        packings.append(counts._source[1])
+        packings.append(counts.source[1])
     n = len(gm.language_values(window))
     empty = soficlab._frontier._PackedSums.of([], [], 12, n)
     assert packings[0] is packings[1] is empty
     assert empty.increment == [0] * n and empty.passed(0) == ()
     assert soficlab._frontier._PackedSums.of([], [[]], 12, n) is not empty  # one filter
+
+
+@pytest.mark.parametrize("lo, hi, delta, empty", [
+    (-2, 2, "1/10", False), (-1, 1, "1/10", True), (0, 1, "1/10", True),
+    (-2, 2, "1/100", True), (-1, 1, "3/10", False), (0, 1, "3/5", False)])
+def test_inner_empty_where_a_tail_reaches_the_cap(gm, gm_origin, lo, hi, delta, empty):
+    """The golden mean's tails over scale are 1/16, 1/4 and 1/2 on [-2, 2],
+    [-1, 1] and [0, 1]: the inner side is empty by construction once delta
+    is at most the largest, and then no outer microstate is inner."""
+    w = gm.interval_window(lo, hi)
+    plan = soficlab.ComparisonPlan(gm, w, [1])
+    lang = gm.language_values(w)
+    for d in (4, 7):
+        sigma = cyclic_model(gm.group, d)
+        dp = soficlab._frontier._FrontierDP(plan, lang, Fraction(delta), sigma,
+                                            range(len(lang)), 10 ** 6)
+        assert dp.inner_empty == empty
+        counts, _ = count_microstates(gm, [1], delta, sigma, w, gm_origin)
+        assert counts.n_outer > 0
+        if empty:
+            assert counts.n_inner == 0
+            outer = enumerate_microstates_both(gm, [1], delta, sigma, w)[1]
+            assert not any(microstate_check(gm, t, [1], delta, sigma, w, mode="inner")
+                           for t in outer.tuples)

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import os
 import subprocess
@@ -186,8 +185,7 @@ def test_verify_recomputes_and_detects_corruption(Z):
     t = sofic_quasi_tile(sigma, None, [FiniteSubset(Z, [0, 1, 2])], "0.1", 0)
     fresh = verify_tiling(t, sigma)
     assert fresh == t.record  # independent recomputation matches stored record
-    corrupted = copy.copy(t)
-    corrupted.centers = ((1, 1, 4, 7, 10),)  # duplicate center
+    corrupted = t._replace(centers=((1, 1, 4, 7, 10),))  # duplicate center
     rec = verify_tiling(corrupted, sigma)
     assert not rec.eta_disjoint[0]
     assert not rec.product_bijective[0]
