@@ -9,6 +9,7 @@ validation error.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -347,8 +348,6 @@ def run(spec_path, out_dir=None, budget_nodes=None, task=None) -> int:
 
 
 def main(argv=None) -> int:
-    import argparse  # only the console script parses arguments: run and validate never load it
-
     parser = argparse.ArgumentParser(
         prog="soficlab",
         description="Finite-stage entropy laboratory for subshifts over groups",

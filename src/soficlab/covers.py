@@ -185,20 +185,29 @@ def _pullback_cells(cover: Cover, F: FiniteSubset, budget):
     return window, [vals for _, vals in sorted(cells.items())]
 
 
+def _leading_fields_eq(k):
+    """__eq__, __ne__ and __hash__ for a record that compares and hashes on
+    its first k fields alone, and equals only a record of its own class."""
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self[:k] == other[:k]
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    def __hash__(self):
+        return hash(self[:k])
+
+    return __eq__, __ne__, __hash__
+
+
 class MinCoverResult(NamedTuple):
     count: int
     witness: tuple
     exact: bool  # False means budget ran out: count is a greedy upper bound
     nodes: int = 0  # search nodes charged to the budget; left out of == and hash
 
-    def __eq__(self, other):
-        return isinstance(other, MinCoverResult) and self[:3] == other[:3]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:3])
+    __eq__, __ne__, __hash__ = _leading_fields_eq(3)
 
 
 def undominated(sets) -> list:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .covers import (Cover, _cover_entropy, _cover_masses, _entropy, _heaviest_count,
-                     _partial_cover_count, _pullback_cells, _weights, cylinder_complement_cover,
-                     min_subcover, pullback_iterate)
+                     _leading_fields_eq, _partial_cover_count, _pullback_cells, _weights,
+                     cylinder_complement_cover, min_subcover, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
 from ._frontier import _stage_cap
@@ -52,14 +52,7 @@ class TraceRow(NamedTuple):
     incomplete: bool = False
     method: str = "scan"  # "dp" or "scan", see count_microstates; left out of == and hash
 
-    def __eq__(self, other):
-        return isinstance(other, TraceRow) and self[:7] == other[:7]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:7])
+    __eq__, __ne__, __hash__ = _leading_fields_eq(7)
 
 
 class EntropyTrace(NamedTuple):

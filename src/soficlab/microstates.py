@@ -29,12 +29,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from ._frontier import _FrontierDP, _PackedSums, _scan
 from .errors import ArgumentError, ResourceBudgetError
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
-from .covers import Cover, exact_min_cover, undominated
+from .covers import Cover, _leading_fields_eq, exact_min_cover, undominated
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -276,14 +277,7 @@ class MicrostateCounts(NamedTuple):
     method: str = "scan"
     source: tuple = None
 
-    def __eq__(self, other):
-        return isinstance(other, MicrostateCounts) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
+    __eq__, __ne__, __hash__ = _leading_fields_eq(2)
 
     def __repr__(self):
         return (f"MicrostateCounts(n_inner={self.n_inner!r}, n_outer={self.n_outer!r}, "
@@ -403,8 +397,6 @@ def counting_method(cover: Cover) -> str:
 class MicrostateSet:
     """The microstates of one stage in one certified mode, as value tuples."""
 
-    __slots__ = ("system", "window", "d", "tuples")
-
     def __init__(self, system: SymbolicSystem, window: Window, d: int, tuples: tuple):
         self.system = system
         self.window = window
@@ -414,7 +406,7 @@ class MicrostateSet:
     def __len__(self):
         return len(self.tuples)
 
-    @property
+    @cached_property
     def rows(self) -> tuple:
         """Each microstate as a tuple of indices into the window language."""
         index = {v: c for c, v in enumerate(self.system.language_values(self.window))}

@@ -168,6 +168,10 @@ class Pattern(_PatternFields):
             raise ArgumentError("pattern values must match window size")
         return super().__new__(cls, window, values)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so both check too
+        return cls(*iterable)
+
     def value_at(self, g):
         return self.values[self.window.index[g]]
 

@@ -7,9 +7,8 @@ keep it as the validator's oracle.  ``cli.run`` on every bundled spec, and
 the amenable measure trace, which runs on integer masses, load none of the
 three.  ``hashlib`` (OpenSSL's ``_hashlib``) is loaded by the first spec
 read, for the spec digest, and not by the import.  The result records are
-NamedTuples, so nothing loads ``dataclasses`` (and with it ``inspect``),
-and ``argparse`` is imported by ``cli.main`` alone: neither the import nor
-a run of every bundled spec loads either.  Each check runs in a fresh
+NamedTuples, so neither the import nor a run of every bundled spec loads
+``dataclasses`` or the ``inspect`` it pulls in.  Each check runs in a fresh
 interpreter, since the test session itself has loaded all of them.
 """
 
@@ -21,7 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "jsonschema", "scipy")
-START_UP = ("dataclasses", "argparse")  # stdlib modules the start-up can do without
+START_UP = ("dataclasses", "inspect")  # stdlib modules the start-up can do without
 
 
 def _loaded_after(code: str, modules=HEAVY) -> dict:
@@ -61,11 +60,11 @@ def test_running_every_bundled_spec_loads_no_heavy_module(tmp_path):
     assert _loaded_after(_run_every_bundled_spec(tmp_path)) == {"start": [], "after": []}
 
 
-def test_import_loads_neither_dataclasses_nor_argparse():
+def test_import_loads_neither_dataclasses_nor_inspect():
     assert _loaded_after("pass", START_UP) == {"start": [], "after": []}
 
 
-def test_running_every_bundled_spec_loads_neither_dataclasses_nor_argparse(tmp_path):
+def test_running_every_bundled_spec_loads_neither_dataclasses_nor_inspect(tmp_path):
     got = _loaded_after(_run_every_bundled_spec(tmp_path), START_UP)
     assert got == {"start": [], "after": []}
 

@@ -1,8 +1,8 @@
 """soficlab's result records are NamedTuples.  These tests pin what a
 NamedTuple could silently change: the records that leave a field out of
 equality and hashing still do, no record takes attribute assignment, and
-a Pattern still checks its length.  The MicrostateCounts tests in
-test_microstates.py pin its own."""
+a Pattern still checks its length, also when built by _make or _replace.
+The MicrostateCounts tests in test_microstates.py pin its own."""
 
 import importlib
 import pkgutil
@@ -50,7 +50,7 @@ def test_every_public_record_is_a_namedtuple():
 
 @pytest.mark.parametrize("cls", _record_classes(), ids=lambda cls: cls.__name__)
 def test_record_rejects_attribute_assignment(cls):
-    record = cls._make([0] * len(cls._fields))
+    record = tuple.__new__(cls, (0,) * len(cls._fields))  # past Pattern's length check
     for field in (*cls._fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, field, 1)
@@ -85,6 +85,10 @@ def test_min_cover_result_leaves_nodes_out_of_eq_and_hash(gm, gm_origin):
 
 def test_pattern_checks_its_length(gm):
     w = gm.interval_window(0, 1)
-    assert Pattern(w, ("0", "1")) == gm.pattern(w, ("0", "1"))
-    with pytest.raises(ArgumentError, match="pattern values must match window size"):
-        Pattern(w, ("0",))
+    p = Pattern(w, ("0", "1"))
+    assert p == gm.pattern(w, ("0", "1"))
+    assert p._replace(values=("1", "0")) == Pattern._make((w, ("1", "0")))
+    for build in (lambda: Pattern(w, ("0",)), lambda: p._replace(values=("0",)),
+                  lambda: Pattern._make((w, ("0", "1", "0")))):
+        with pytest.raises(ArgumentError, match="pattern values must match window size"):
+            build()
