@@ -782,8 +782,11 @@ class _FrontierDP:
         packing.filters[k], unmatched those passing none of the filters, and
         sums holds the exact filter sums (packing.exact) of up to five of the
         latter, read off the final keys, a key of multiplicity m at most m
-        times.
+        times.  Where inner_empty holds, the inner counts are all 0 without
+        a layer run.
         """
+        if inner and self.inner_empty:
+            return [0] * (len(packing.filters) + 1), 0, ()
         n, cap, span = self.n, self.cap, packing.span
         feasible = packing.feasible if packing.required else None
         weights = [cap ** s for s in range(len(self.tables))]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import FiniteSubset
-from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
+from .symbolic import SymbolicSystem, Window, as_fraction
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -72,8 +72,8 @@ class Cover:
 def origin_partition(system: SymbolicSystem) -> Cover:
     """Partition of X by the symbol at the identity coordinate."""
     window = system.window([system.group.identity])
-    cells = [[(a,)] for a in system.alphabet
-             if (a,) in set(system.language_values(window))]
+    lang = set(system.language_values(window))
+    cells = [[(a,)] for a in system.alphabet if (a,) in lang]
     return Cover(system, window, cells)
 
 
@@ -300,17 +300,9 @@ def exact_min_cover(sets, universe, budget: int = DEFAULT_NODE_BUDGET) -> MinCov
     return MinCoverResult(count, tuple(keep[i] for i in witness), True, nodes)
 
 
-def min_subcover(cover: Cover, target=None, budget: int = DEFAULT_NODE_BUDGET) -> MinCoverResult:
-    """N(V, K): minimal subfamily of V covering the target pattern set.
-
-    target defaults to the full window language (K = X); N(V, empty) = 0.
-    """
-    if target is None:
-        universe = frozenset(cover.system.language_values(cover.window))
-    else:
-        universe = frozenset(
-            p.values if isinstance(p, Pattern) else tuple(p) for p in target
-        )
+def min_subcover(cover: Cover, *, budget: int = DEFAULT_NODE_BUDGET) -> MinCoverResult:
+    """N(V): minimal subfamily of V covering X, that is, the window language."""
+    universe = frozenset(cover.system.language_values(cover.window))
     return exact_min_cover(cover.elements, universe, budget=budget)
 
 

@@ -45,6 +45,10 @@ class Group:
     def word_length(self, g) -> int:
         raise NotImplementedError
 
+    def word(self, g):
+        """g as generators g_1, ..., g_m read left to right: g = g_1 ... g_m."""
+        raise UnsupportedOperationError(f"cannot factor over kind {self.kind!r}")
+
     def sort_key(self, g):
         """Deterministic tie-break key among elements of equal word length."""
         raise NotImplementedError
@@ -139,6 +143,13 @@ class LatticeGroup(Group):
     def word_length(self, g) -> int:
         return sum(abs(a) for a in g)
 
+    def word(self, g):
+        """Unit steps axis by axis: |g_i| copies of +-e_i for i = 1..k."""
+        word = []
+        for i, c in enumerate(g):
+            word += [self.generators[2 * i + (c < 0)]] * abs(c)
+        return word
+
     def sort_key(self, g):
         return g
 
@@ -195,7 +206,7 @@ class FiniteTableGroup(Group):
         for g in gens:
             closed.add(self.inverse(g))
         self.generators = tuple(sorted(closed - {ident})) or (ident,)
-        self._lengths = self._bfs_lengths()
+        self._lengths, self._parents = self._bfs()
         if any(l is None for l in self._lengths):
             raise ArgumentError("generators do not generate the group")
 
@@ -215,8 +226,11 @@ class FiniteTableGroup(Group):
     def inverse(self, g):
         return self.table[g].index(self._identity)
 
-    def _bfs_lengths(self):
+    def _bfs(self):
+        """Word lengths and breadth-first parents: parents[h] = (g, s) for the
+        first g, s to reach h = g s (None at the identity and off the group)."""
         lengths = [None] * self.order
+        parents = [None] * self.order
         lengths[self._identity] = 0
         frontier = [self._identity]
         depth = 0
@@ -228,12 +242,21 @@ class FiniteTableGroup(Group):
                     h = self.table[g][s]
                     if lengths[h] is None:
                         lengths[h] = depth
+                        parents[h] = (g, s)
                         nxt.append(h)
             frontier = nxt
-        return lengths
+        return lengths, parents
 
     def word_length(self, g) -> int:
         return self._lengths[g]
+
+    def word(self, g):
+        """The breadth-first path from the identity to g."""
+        out = []
+        while g != self._identity:
+            g, s = self._parents[g]
+            out.append(s)
+        return out[::-1]
 
     def sort_key(self, g):
         return g
@@ -324,6 +347,9 @@ class FreeGroup(Group):
 
     def word_length(self, g) -> int:
         return len(g)
+
+    def word(self, g):
+        return [(a,) for a in g]
 
     def sort_key(self, g):
         return g

@@ -287,7 +287,8 @@ class MicrostateCounts(NamedTuple):
         """The sizes of the set in mode ("inner" or "outer"), from one
         counting DP (_FrontierDP.sequences) on the stage, on every cover.
         It is charged to the budget the cover counts charged, so it can
-        raise ResourceBudgetError."""
+        raise ResourceBudgetError.  An inner-empty stage's inner sizes
+        (_FrontierDP.inner_empty) are 0 without a DP run or a charge."""
         if mode not in ("inner", "outer"):
             raise ArgumentError(f"unknown mode {mode!r}")
         if self.source is None:

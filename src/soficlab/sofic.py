@@ -1,9 +1,10 @@
 """Sofic approximation maps sigma: G -> Sym(d) and their defect measurements.
 
 Maps store images of a declared finite support (usually the generators) as
-0-based tuples of ints, entry a being sigma_g(a); arbitrary elements are
-evaluated by factoring into support elements and composing, unless the map
-carries a direct rule (cyclic lattice model, identity-fallback Folner model).
+0-based tuples of ints, entry a being sigma_g(a); any other element is
+evaluated by composing the images along the word its group factors it into
+(``Group.word``), unless the map carries a direct rule (cyclic lattice model,
+identity-fallback Folner model).
 
 Point labels in all public output are 1-based, matching the {1..d}
 convention of the underlying definitions.
@@ -67,7 +68,7 @@ class SoficMap:
         if self._direct_rule is not None:
             arr = self._as_array(self._direct_rule(g))
         else:
-            arr = self._compose_word(self._factor(g))
+            arr = self._compose_word(self.group.word(g))
         self._images[g] = arr
         return arr
 
@@ -82,46 +83,6 @@ class SoficMap:
                 )
             arr = tuple([img[j] for j in arr])
         return arr
-
-    def _factor(self, g):
-        """Deterministic factorization of g into support elements."""
-        group = self.group
-        if group.kind == "free":
-            return [(a,) for a in g]
-        if group.kind == "lattice":
-            word = []
-            for i, c in enumerate(g):
-                if c == 0:
-                    continue
-                step = [0] * group.rank
-                step[i] = 1 if c > 0 else -1
-                word.extend([tuple(step)] * abs(c))
-            return word
-        if group.kind == "finite":
-            # BFS path from the identity over the generating set
-            if g == group.identity:
-                return []
-            prev = {group.identity: None}
-            frontier = [group.identity]
-            while frontier:
-                nxt = []
-                for h in frontier:
-                    for s in group.generators:
-                        u = group.multiply(h, s)
-                        if u not in prev:
-                            prev[u] = (h, s)
-                            nxt.append(u)
-                frontier = nxt
-                if g in prev:
-                    break
-            word = []
-            cur = g
-            while prev[cur] is not None:
-                h, s = prev[cur]
-                word.append(s)
-                cur = h
-            return list(reversed(word))
-        raise UnsupportedOperationError(f"cannot factor over kind {group.kind!r}")
 
     def permutation(self, g):
         """1-based image tuple (sigma_g(1), ..., sigma_g(d))."""

@@ -458,6 +458,15 @@ def _prefix_products(patterns, order, first, step) -> dict:
     return out
 
 
+def _per_symbol(symbols, values) -> list:
+    """values, given as {symbol: value} (an absent symbol reads 0) or as a
+    sequence in alphabet order, as a list in alphabet order."""
+    vec = [values.get(a, 0) for a in symbols] if isinstance(values, dict) else list(values)
+    if len(vec) != len(symbols):
+        raise ArgumentError("need one probability per symbol")
+    return vec
+
+
 def _numerators(probs: dict, scale: int) -> dict:
     """Each probability's numerator over the common denominator scale."""
     return {a: p.numerator * (scale // p.denominator) for a, p in probs.items()}
@@ -480,14 +489,8 @@ class BernoulliMeasure(_CylinderMeasure):
     kind = "bernoulli"
 
     def __init__(self, system: SymbolicSystem, probs):
-        if isinstance(probs, dict):
-            vec = [probs.get(a, 0) for a in system.alphabet]
-        else:
-            vec = list(probs)
-        if len(vec) != len(system.alphabet):
-            raise ArgumentError("need one probability per symbol")
         self.system = system
-        self.probs = dict(zip(system.alphabet, _normalized(vec)))
+        self.probs = dict(zip(system.alphabet, _normalized(_per_symbol(system.alphabet, probs))))
         self._scale = math.lcm(*(p.denominator for p in self.probs.values()))
         numerators = _numerators(self.probs, self._scale)
         self._first = numerators
@@ -514,16 +517,10 @@ class MarkovMeasure(_CylinderMeasure):
             raise UnsupportedOperationError("Markov measures are defined for Z only")
         self.system = system
         symbols = system.alphabet
-        if isinstance(initial, dict):
-            initial = [initial.get(a, 0) for a in symbols]
-        self.initial = dict(zip(symbols, _normalized(initial)))
-        rows = {}
-        for a in symbols:
-            row = transition[a] if isinstance(transition, dict) else transition[symbols.index(a)]
-            if isinstance(row, dict):
-                row = [row.get(b, 0) for b in symbols]
-            rows[a] = dict(zip(symbols, _normalized(row)))
-        self.transition = rows
+        self.initial = dict(zip(symbols, _normalized(_per_symbol(symbols, initial))))
+        self.transition = rows = {
+            a: dict(zip(symbols, _normalized(_per_symbol(symbols, row))))
+            for a, row in zip(symbols, _per_symbol(symbols, transition))}
         self._check_stationary()
         self._scale = math.lcm(*(p.denominator for p in self.initial.values()),
                                *(p.denominator for row in rows.values() for p in row.values()))
@@ -544,12 +541,8 @@ class MarkovMeasure(_CylinderMeasure):
         """Build the chain from its transition matrix; solves pi P = pi exactly."""
         symbols = system.alphabet
         n = len(symbols)
-        rows = []
-        for a in symbols:
-            row = transition[a] if isinstance(transition, dict) else transition[symbols.index(a)]
-            if isinstance(row, dict):
-                row = [row.get(b, 0) for b in symbols]
-            rows.append([as_fraction(x) for x in row])
+        rows = [[as_fraction(x) for x in _per_symbol(symbols, row)]
+                for row in _per_symbol(symbols, transition)]
         # solve (P^T - I) pi = 0 with sum pi = 1 by Gaussian elimination
         mat = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] + [Fraction(0)]
                for i in range(n)]

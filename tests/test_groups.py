@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab import (ArgumentError, FiniteSubset, FiniteTableGroup,
-                      FreeGroup, LatticeGroup, UnsupportedOperationError, folner_set,
+                      FreeGroup, Group, LatticeGroup, UnsupportedOperationError, folner_set,
                       invariance_defect, multiply)
 
 
@@ -160,3 +161,36 @@ def test_word_length_finite_group():
     S3 = FiniteTableGroup(_symmetric_group_table())
     assert S3.word_length(S3.identity) == 0
     assert all(S3.word_length(g) >= 1 for g in range(6) if g != S3.identity)
+
+
+def _word_groups():
+    """Z^k (k = 1..3), F_r (r = 1..3), Z/n and S3 under several generating
+    sets, each with a strategy for its elements."""
+    out = [(LatticeGroup(k), st.tuples(*[st.integers(-4, 4)] * k)) for k in (1, 2, 3)]
+    out += [(FreeGroup(r), st.lists(st.integers(-r, r).filter(bool), max_size=6))
+            for r in (1, 2, 3)]
+    S3 = _symmetric_group_table()
+    finite = [FiniteTableGroup.cyclic(n) for n in (1, 2, 5, 6)]
+    finite += [FiniteTableGroup.cyclic(6, generators=[2, 3]), FiniteTableGroup(S3),
+               FiniteTableGroup(S3, generators=[1, 2])]
+    out += [(G, st.integers(0, G.order - 1)) for G in finite]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_word_groups()).flatmap(
+    lambda ge: st.tuples(st.just(ge[0]), ge[1])))
+def test_word_multiplies_back_to_the_element(group_and_element):
+    """group.word(g) is a shortest word in the group's generators, and its
+    product, read left to right, is g."""
+    G, x = group_and_element
+    g = G.coerce(x)
+    word = G.word(g)
+    assert all(s in G.generators for s in word)
+    assert len(word) == G.word_length(g)
+    assert functools.reduce(G.multiply, word, G.identity) == g
+
+
+def test_word_is_refused_by_a_group_that_cannot_factor():
+    with pytest.raises(UnsupportedOperationError, match="cannot factor over kind 'abstract'"):
+        Group().word(0)

@@ -2080,3 +2080,78 @@ def test_inner_empty_where_a_tail_reaches_the_cap(gm, gm_origin, lo, hi, delta, 
             outer = enumerate_microstates_both(gm, [1], delta, sigma, w)[1]
             assert not any(microstate_check(gm, t, [1], delta, sigma, w, mode="inner")
                            for t in outer.tuples)
+
+
+def _window_systems():
+    """(system, the sites a window draws from, the shifts F draws from) on
+    Z, Z^2 and F_2, full shift and hard core each."""
+    out = []
+    Z2, F2 = LatticeGroup(2), FreeGroup(2)
+    for group, sites, shifts in (
+            (STREAM_FS.group, [(i,) for i in range(-2, 3)], [(1,), (2,), (-1,)]),
+            (Z2, [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0)], [(1, 0), (0, 1)]),
+            (F2, [(), (1,), (2,), (-1,), (-2,)], [(1,), (2,)])):
+        gens = [s for s in group.generators if max(s) > 0]
+        for system in (full_shift(("0", "1"), group), _hard_core(group, gens)):
+            out.append((system, sites, shifts))
+    return out
+
+
+WINDOW_SYSTEMS = _window_systems()
+
+
+@st.composite
+def _window_stages(draw):
+    """A stage on Z, Z^2 or F_2 with a random window: the identity (for
+    origin_partition), up to two other sites, and one more for each shift
+    the window would not overlap; one or two shifts, random permutations or the group's own model for
+    sigma, a delta from 1/100 to 1, and zero to two filters."""
+    system, sites, shifts = draw(st.sampled_from(WINDOW_SYSTEMS))
+    group = system.group
+    F = draw(st.lists(st.sampled_from(shifts), min_size=1, max_size=2, unique=True))
+    elements = [group.identity] + draw(st.lists(
+        st.sampled_from([g for g in sites if g != group.identity]), max_size=2, unique=True))
+    for s in F:  # W and W s must overlap
+        if not any(group.multiply(g, s) in elements for g in elements):
+            elements.append(group.multiply(elements[0], s))
+    window = system.window(elements)
+    n = len(system.language_values(window))
+    d = draw(st.integers(2, 5))
+    while d > 2 and n ** d > NAIVE_TUPLES:
+        d -= 1
+    if draw(st.booleans()):
+        sigma = SoficMap(group, d, images={s: draw(st.permutations(range(d))) for s in F},
+                         provenance="random")
+    elif group.kind == "free":
+        _, model = random_free_model(2, d, draw(st.integers(0, 50)))
+        sigma = SoficMap(group, d, images={s: model.image_array(s) for s in F})
+    else:
+        sigma = cyclic_model(group, 2 if group.rank == 2 else d)
+    delta = draw(st.sampled_from(["0.01", "0.1", "0.3", "0.6", "0.8", "1"]))
+    fair = BernoulliMeasure(system, ["0.5", "0.5"])
+    filters = [MeasureFilter.build(fair, [TestFunction.indicator(system.pattern(
+        system.window([draw(st.sampled_from(window.elements))]), ("1",)))], "0.3")
+        for _ in range(draw(st.integers(0, 2)))]
+    return system, window, sigma, F, delta, filters
+
+
+@settings(max_examples=120, deadline=None)
+@given(_window_stages())
+def test_inner_empty_stages_have_no_inner_microstate(stage):
+    """Wherever _FrontierDP.inner_empty holds, n_inner is 0 and every field
+    of tuples("inner") is 0, filtered counts included, as the naive oracle
+    finds; elsewhere the inner sizes still match the oracle's."""
+    system, window, sigma, F, delta, filters = stage
+    cover = origin_partition(system)
+    counts, filtered = count_microstates(system, F, delta, sigma, window, cover,
+                                         filters=filters)
+    inner = enumerate_microstates_both(system, F, delta, sigma, window, strategy="naive")[0]
+    sizes = counts.tuples("inner")
+    assert counts.n_inner == count_cover(inner, cover)
+    assert sizes.m == len(inner)
+    assert sizes.filtered == tuple(len(filter_microstates(inner, f)) for f in filters)
+    if counts.source[0].inner_empty:
+        assert len(inner) == 0
+        assert sizes == TupleCounts(0, (0,) * len(filters), 0, ())
+        assert all(c.n_inner == 0 and c.tuples("inner") == TupleCounts(0, (), 0, ())
+                   for c in filtered)
