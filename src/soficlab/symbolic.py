@@ -461,7 +461,10 @@ def _prefix_products(patterns, order, first, step) -> dict:
 def _per_symbol(symbols, values) -> list:
     """values, given as {symbol: value} (an absent symbol reads 0) or as a
     sequence in alphabet order, as a list in alphabet order."""
-    vec = [values.get(a, 0) for a in symbols] if isinstance(values, dict) else list(values)
+    try:
+        vec = [values.get(a, 0) for a in symbols] if isinstance(values, dict) else list(values)
+    except TypeError:  # a scalar, such as an absent transition row read as 0
+        vec = ()
     if len(vec) != len(symbols):
         raise ArgumentError("need one probability per symbol")
     return vec

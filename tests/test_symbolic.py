@@ -357,6 +357,20 @@ def test_markov_cylinders_and_stationarity(gm, gm_rational_markov):
                       {"0": {"0": "0.5", "1": "0.5"}, "1": {"0": 1, "1": 0}})
 
 
+@pytest.mark.parametrize("build", [
+    lambda gm: BernoulliMeasure(gm, ["1/2", "1/4", "1/4"]),
+    lambda gm: MarkovMeasure(gm, ["1"], [["1", "0"], ["1", "0"]]),
+    lambda gm: MarkovMeasure.stationary(gm, [["1/2", "1/2"]]),
+    lambda gm: MarkovMeasure.stationary(gm, {"0": {"0": "1/2", "1": "1/2"}}),
+    lambda gm: MarkovMeasure.stationary(gm, {"0": ["1/2", "1/2"], "1": 1})],
+    ids=["bernoulli-length", "initial-length", "row-count", "row-missing", "row-scalar"])
+def test_measures_refuse_a_vector_that_is_not_one_per_symbol(gm, build):
+    """A per-symbol vector or transition row of the wrong length, or a row
+    that is missing or not a sequence, is refused by name."""
+    with pytest.raises(ArgumentError, match="need one probability per symbol"):
+        build(gm)
+
+
 def test_markov_needs_interval_window(gm, gm_rational_markov):
     w = gm.window([0, 2])
     with pytest.raises(UnsupportedOperationError):
