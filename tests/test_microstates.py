@@ -2104,8 +2104,9 @@ WINDOW_SYSTEMS = _window_systems()
 def _window_stages(draw):
     """A stage on Z, Z^2 or F_2 with a random window: the identity (for
     origin_partition), up to two other sites, and one more for each shift
-    the window would not overlap; one or two shifts, random permutations or the group's own model for
-    sigma, a delta from 1/100 to 1, and zero to two filters."""
+    the window would not overlap.  One or two shifts, random permutations
+    or the group's own model for sigma, a delta from 1/100 to 1, and zero
+    to two filters."""
     system, sites, shifts = draw(st.sampled_from(WINDOW_SYSTEMS))
     group = system.group
     F = draw(st.lists(st.sampled_from(shifts), min_size=1, max_size=2, unique=True))
