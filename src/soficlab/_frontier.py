@@ -6,8 +6,8 @@ points are placed one at a time along a greedy elimination order (after
 Dechter 1999, _placement).  For a partition cover _FrontierDP merges equal
 partial maps (min-plus determinisation, after Mohri 1997), each held as
 rows.  One rule decides what it keeps: a narrow plan (a cycle's) with no
-table in the keys runs through the cycle automaton its system holds
-(_Automaton), and every other stage keeps one step's row successors.
+table in the keys runs through the cycle automaton its comparison plan
+holds (_Automaton), and every other stage keeps one step's row successors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ _FWD, _BWD, _LOOP = 0, 1, 2  # a term's penalty: pen(y, x), pen(x, y), pen(x, x)
 
 
 class _PenaltyTable:
-    """One shift's penalties over one window language, kept on the system.
+    """One shift's penalties over one window language, kept on the plan.
 
     lo[p][q] and hi[p][q] are lo^2 and hi^2 of rho(s . lang[p], lang[q])
     scaled by the plan's scale, the only penalties the DPs and the scan
@@ -66,24 +66,6 @@ class _PenaltyTable:
                 [sorted((lo[x], hi[x], x) for x in cell) for cell in cells]
                 for lo, hi in zip(self.matrix(kind, False), self.matrix(kind, True))]
         return hit
-
-
-def _stage_cap(plan, delta, d) -> int:
-    """The integer cap of a stage of d points at the Fraction delta under
-    plan: a penalty sum s passes when s < cap, i.e. s < d delta^2
-    plan.scale^2, computed on ints alone."""
-    a, b = delta.numerator * plan.scale, delta.denominator
-    return -(-d * a * a // (b * b))
-
-
-def _penalty_table(plan, lang, s_index) -> _PenaltyTable:
-    """The system's penalty table for the plan's window and shift s_index."""
-    cache = plan.system._penalty_cache
-    key = (plan.window.elements, plan.shifts[s_index])
-    table = cache.get(key)
-    if table is None:
-        table = cache[key] = _PenaltyTable(plan, lang, s_index)
-    return table
 
 
 class _Step(NamedTuple):
@@ -234,7 +216,7 @@ class _Context(NamedTuple):
 
 
 class _Automaton:
-    """The cycle automaton a system holds for one window, shifts and cells:
+    """The cycle automaton a comparison plan holds for one partition's cells:
     the successors of every row and map that the narrow plan's stages have
     met under cap.  kinds maps a _Step to (rows, maps, context), each
     row's and map's successors and the kind's _Context under cap; canonical
@@ -263,19 +245,17 @@ class _Automaton:
 
     @classmethod
     def serving(cls, dp, keyed):
-        """The automaton dp's system holds for its window, shifts and cells,
-        which dp's steps run through, or None when dp's plan is wide or
-        keyed (a table stays in the keys).  It serves when its cap is dp's,
+        """The automaton dp's comparison plan holds for dp's cells, which
+        dp's steps run through, or None when its steps are wide or keyed
+        (a table stays in the keys).  It serves when its cap is dp's,
         or larger with reach >= d, its maps then projected onto dp's (see
         _FrontierDP.signatures); otherwise dp replaces it with an empty one
         at its own cap."""
         if keyed or not dp.narrow:
             return None
-        automata = dp.plan.system._penalty_cache.setdefault(cls, {})
-        key = (dp.plan.window.elements, dp.plan.shifts, dp.cells)
-        held = automata.get(key)
+        held = dp.plan.automata.get(dp.cells)
         if held is None or held.cap < dp.cap or held.cap > dp.cap and held.reach < dp.d:
-            held = automata[key] = cls(dp.cap)
+            held = dp.plan.automata[dp.cells] = cls(dp.cap)
         return held
 
     def regroup(self, dp, state, passive):
@@ -311,14 +291,23 @@ class _FrontierDP:
     (tail_s is plan.tails[s]), and each shift scores d terms, one per
     point, so every inner sum in shift s is at least d tail_s^2.  When
     that reaches cap for some s, that shift fails every inner sequence.
+
+    Where inner_empty fails and sigma is an action (sigma_{gh} = sigma_g
+    sigma_h), every exact configuration is inner.  Let y in A^d have no
+    forbidden pattern at any point along sigma, and x_i = (y[sigma_g(i)])
+    for g in W: x_i is in the window language, and on each pair (g s, g)
+    of W_s, x_i(g s) = y[sigma_g sigma_s(i)] = x_{sigma_s(i)}(g), so every
+    term has lo = 0.  Its inner sum in shift s is d tail_s^2 < cap, so it
+    passes.  Under origin_partition its cells are y itself, so n_inner is
+    at least N_exact, the number of such y.
     """
 
     def __init__(self, plan, lang, delta, sigma, table, budget):
-        self.cap = _stage_cap(plan, delta, sigma.d)
+        self.cap = plan.cap(delta, sigma.d)
         self.inner_empty = any(sigma.d * t * t >= self.cap for t in plan.tails)
         self.n = n = len(lang)
         self.d = sigma.d
-        self.tables = [_penalty_table(plan, lang, k) for k in range(len(plan.shifts))]
+        self.tables = plan.penalty_tables(lang)
         self.cells = tuple(tuple(c for c in range(n) if table[c] == key)
                            for key in dict.fromkeys(table))
         images = [sigma.image_array(s) for s in plan.shifts]
@@ -415,9 +404,9 @@ class _FrontierDP:
         keys (it reads the count of placed points), successors depend only
         on the step's kind and the cap.  So on a narrow plan with no table
         in the keys every row's and map's successors are kept on the
-        system's _Automaton (_Automaton.serving), with each step kind's
-        context and each final map's _accepts verdict, equal rows and maps
-        held as one object, and outlive the stage.  The map a prefix reaches
+        comparison plan's _Automaton (_Automaton.serving), with each step
+        kind's context and each final map's _accepts verdict, equal rows
+        and maps held as one object, and outlive the stage.  The map a prefix reaches
         under a cap C fixes its map under every cap c <= C: drop the entries
         with lo >= c and cap hi at c, or with several shifts drop the vectors
         whose max is >= c (_projected, row by row, kept for the stage only).

@@ -18,7 +18,6 @@ from .covers import (Cover, _cover_entropy, _cover_masses, _entropy, _heaviest_c
                      cylinder_complement_cover, min_subcover, pullback_iterate)
 from .errors import ArgumentError, ResourceBudgetError
 from .groups import folner_set
-from ._frontier import _stage_cap
 from .microstates import MeasureFilter, _held_plan, count_microstates, counting_method
 from .symbolic import SymbolicSystem, Window, as_fraction
 
@@ -92,7 +91,7 @@ def _counting_order(system, window, F, delta, maps):
         return range(len(maps))
     plan = _held_plan(system, window, F)
     return sorted(range(len(maps)),
-                  key=lambda stage: (-_stage_cap(plan, delta, maps[stage].d), maps[stage].d))
+                  key=lambda stage: (-plan.cap(delta, maps[stage].d), maps[stage].d))
 
 
 def _trace(kind, system, cover, F, delta, maps, window, measure_filter, budget):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from ._frontier import _FrontierDP, _PackedSums, _scan
+from ._frontier import _FrontierDP, _PackedSums, _PenaltyTable, _scan
 from .errors import ArgumentError, ResourceBudgetError
 from .symbolic import Pattern, SymbolicSystem, Window, as_fraction
 from .covers import Cover, _leading_fields_eq, exact_min_cover, undominated
@@ -49,7 +49,10 @@ class MeasureFilter(NamedTuple):
 
     @classmethod
     def build(cls, measure, functions, delta):
-        return cls(measure, tuple(functions), as_fraction(delta))
+        delta = as_fraction(delta)
+        if delta <= 0:
+            raise ArgumentError("delta must be positive")
+        return cls(measure, tuple(functions), delta)
 
 
 class ComparisonPlan:
@@ -57,6 +60,10 @@ class ComparisonPlan:
 
     For each s in F the comparison window is W_s = {g in W : g s in W};
     the pair list holds (weight, source index of g s, target index of g).
+
+    It also owns what the frontier DP (soficlab._frontier) derives from
+    it: the per-shift penalty tables, built on first use, and the cycle
+    automata, {cells: _Automaton}, which _held_plan shares across stages.
     """
 
     def __init__(self, system: SymbolicSystem, window: Window, F):
@@ -90,6 +97,21 @@ class ComparisonPlan:
                 )
             self.pairs.append(tuple(pairs))
             self.tails.append(int((total - mass) * denom))
+        self._tables = None
+        self.automata = {}
+
+    def cap(self, delta, d) -> int:
+        """The integer cap of a stage of d points at the Fraction delta: a
+        penalty sum s passes when s < cap, i.e. s < d delta^2 scale^2,
+        computed on ints alone."""
+        a, b = delta.numerator * self.scale, delta.denominator
+        return -(-d * a * a // (b * b))
+
+    def penalty_tables(self, lang) -> list:
+        """One _PenaltyTable per shift over lang, the window's language."""
+        if self._tables is None:
+            self._tables = [_PenaltyTable(self, lang, k) for k in range(len(self.shifts))]
+        return self._tables
 
     def distances(self, p_values, q_values, s_index):
         """(lo, hi) scaled by self.scale for rho(s . p, q) on W_s."""
@@ -226,13 +248,13 @@ class _CoverKeys:
 
 def _held_plan(system, window, F) -> ComparisonPlan:
     """The comparison plan of window and F, kept on the system, keyed by
-    window and shifts as its penalty tables are, so the stages of a trace
-    build it once."""
+    window and shifts, so the stages of a trace build it, its penalty
+    tables and its cycle automata once."""
     shifts = _shifts(system.group, F)
-    key = (ComparisonPlan, window.elements, shifts)
-    plan = system._penalty_cache.get(key)
+    key = (window.elements, shifts)
+    plan = system._plans.get(key)
     if plan is None:
-        plan = system._penalty_cache[key] = ComparisonPlan(system, window, shifts)
+        plan = system._plans[key] = ComparisonPlan(system, window, shifts)
     return plan
 
 

@@ -151,6 +151,8 @@ def random_free_model(rank: int, d: int, seed: int, names=None):
 
     if d < 2:
         raise ArgumentError("d must be >= 2")
+    if seed < 0:
+        raise ArgumentError("seed must be >= 0")
     group = FreeGroup(rank, names=names)
     images = {}
     for i in range(rank):

@@ -383,10 +383,13 @@ def build_sigma(system: SymbolicSystem, sspec: dict, sized: bool = False):
     if group.kind not in SIGMA_MODELS[model]:
         raise SpecError(f"sigma model {model!r} needs a {' or '.join(SIGMA_MODELS[model])} "
                         f"group, not a {group.kind} one", field="params.sigma")
+    seed = int(sspec.get("seed", 0))
+    if model == "random-free" and seed < 0:  # refused here, not when a stage is built
+        raise ArgumentError("seed must be >= 0")
     build = {"cyclic": lambda n: cyclic_model(group, n),
              "folner-identity": lambda n: from_folner(group, folner_set(group, n)),
              "regular": lambda n: regular_representation(group),
-             "random-free": lambda n: random_free_model(group.rank, n, int(sspec.get("seed", 0)),
+             "random-free": lambda n: random_free_model(group.rank, n, seed,
                                                         names=group.names)[1]}[model]
     own = sspec.get("n", sspec.get("d") if model == "random-free" else None)
     if not sized:

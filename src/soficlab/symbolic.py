@@ -25,19 +25,18 @@ from .groups import Group
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational from int/str/Fraction; floats read as decimal literals."""
+    """Exact rational from int/str/Fraction; floats read as decimal literals.
+    A bool, a NaN and an infinity are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
     try:
-        return Fraction(str(float(x)))
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"cannot interpret {x!r} as an exact number") from exc
+        if not isinstance(x, bool):
+            return Fraction(x if isinstance(x, str) else str(float(x)))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ArgumentError(f"cannot interpret {x!r} as an exact number")
 
 
 WEIGHT_ENUMERATION_LIMIT = 2_000_000  # group elements enumerated to find a weight
@@ -199,9 +198,7 @@ class SymbolicSystem:
         self.label = label
         self._windows = {}
         self._language_cache = {}  # window -> (nodes its enumeration took, patterns)
-        # the comparison plans, penalty tables and cycle automata of the
-        # microstate counts (soficlab._frontier), shared across stages
-        self._penalty_cache = {}
+        self._plans = {}  # (window elements, shifts) -> ComparisonPlan, shared across stages
         self.forbidden = tuple(
             self._coerce_forbidden(win, vals) for win, vals in forbidden
         )
@@ -236,6 +233,9 @@ class SymbolicSystem:
     def pattern(self, window: Window, assignment) -> Pattern:
         if isinstance(assignment, dict):
             coerced = {self.group.coerce(g): v for g, v in assignment.items()}
+            if coerced.keys() != set(window.elements):
+                raise ArgumentError("assignment must give each window element, and no other, "
+                                    "a symbol")
             values = tuple(coerced[g] for g in window.elements)
         else:
             values = tuple(assignment)

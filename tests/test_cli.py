@@ -807,6 +807,11 @@ def _on_group(group, F, window):
                                                 "generators": [1.5]}),
                    spec["params"].update(F=[1], window=[0, 1], sigma={"model": "regular"},
                                          stages=[4]))),
+    ("fullshift_microstates.spec", "params.sigma",
+     lambda spec: (_on_group({"kind": "free", "rank_or_order": 2}, [[1]], [[], [1]])(spec),
+                   spec["params"]["sigma"].update(seed=-1))),
+    ("goldenmean_compare.spec", "params.deltas",
+     lambda spec: spec["params"].update(deltas=["1/0"])),
 ], ids=["cover-without-elements", "cover-symbol-outside-alphabet", "stage-zero",
         "bogus-sigma", "random-free-on-Z", "random-free-on-Z2", "random-free-on-finite",
         "regular-on-Z", "a-without-measure", "sofic-L-without-measure",
@@ -816,7 +821,8 @@ def _on_group(group, F, window):
         "tile-V-label-zero", "tile-V-label-above-d", "tile-V-too-small", "tile-eta-two",
         "tile-tau-one", "tile-shapes-not-nested", "partition-eta-two", "partition-eps-zero",
         "partition-p-sum-above-one", "partition-lam-size-zero", "Z2-window-as-digit-strings",
-        "Z4-generator-one-and-a-half"])
+        "Z4-generator-one-and-a-half", "random-free-negative-seed",
+        "zero-denominator-delta"])
 def test_validate_and_run_agree(tmp_path, capsys, name, field, edit):
     """validate builds what run builds: one edited spec gets exit 2 and the
     same single error line from both, and run writes no CSV."""

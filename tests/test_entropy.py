@@ -430,6 +430,16 @@ def test_select_dominant_single_candidate(fs, fair):
     assert res.winner_count == res.unfiltered_count == 256
 
 
+@pytest.mark.parametrize("delta", ["-0.1", 0])
+def test_select_dominant_refuses_a_filter_delta_that_is_not_positive(fs, fair, delta):
+    """As a stage's own delta is refused, not read as a filter no tuple
+    passes (which would report a net condition violated)."""
+    with pytest.raises(ArgumentError, match="delta must be positive"):
+        _select_d8(fs, [fair], delta)
+    with pytest.raises(ArgumentError, match="delta must be positive"):
+        MeasureFilter.build(fair, [], delta)
+
+
 def test_select_dominant_net_violation_raises(fs):
     D = [BernoulliMeasure(fs, [p, 1 - p]) for p in (0.25, 0.5, 0.75)]
     with pytest.raises(ArgumentError, match="net condition"):

@@ -1152,9 +1152,11 @@ def built(monkeypatch):
 
 
 def _kept_memos(system):
-    """The cycle automata the system holds: {(window, shifts, cells):
-    _Automaton}, or None."""
-    return system._penalty_cache.get(soficlab._frontier._Automaton)
+    """The cycle automata the system's comparison plans hold: {(window,
+    shifts, cells): _Automaton}, or None."""
+    held = {key + (cells,): automaton for key, plan in system._plans.items()
+            for cells, automaton in plan.automata.items()}
+    return held or None
 
 
 def test_signature_dp_builds_no_transition_once_the_maps_saturate(built):
@@ -1593,12 +1595,11 @@ def test_stages_at_one_cap_count_and_charge_as_on_fresh_systems(data):
     shared = make()
     window = shared.interval_window(start, start + width)
     plan = soficlab.microstates.ComparisonPlan(shared, window, F)
-    cap = soficlab._frontier._stage_cap(
-        plan, Fraction(data.draw(st.sampled_from(["0.05", "0.1", "0.2"]))), max(ds))
+    cap = plan.cap(Fraction(data.draw(st.sampled_from(["0.05", "0.1", "0.2"]))), max(ds))
     for d in ds:
         # the delta whose threshold d delta^2 scale^2 lies in (cap - 1, cap]
         delta = Fraction(math.isqrt(cap * 10 ** 12 // d), plan.scale * 10 ** 6)
-        assert soficlab._frontier._stage_cap(plan, delta, d) == cap
+        assert plan.cap(delta, d) == cap
         assert (_stage_outcome(shared, window, F, d, delta, budget)
                 == _stage_outcome(make(), window, F, d, delta, budget))
 
@@ -2010,7 +2011,7 @@ def test_variational_reach_at_delta_one_tenth(gm, gm_origin, parry):
 ORACLE_ONLY = {"_passes", "_naive_scan", "enumerate_microstates_both", "filter_microstates",
                "count_cover", "MicrostateSet", "microstate_check"}
 # what the oracles that decide membership must compute on their own
-PRODUCTION_ONLY = {"_FrontierDP", "_PenaltyTable", "_penalty_table", "cap"}
+PRODUCTION_ONLY = {"_FrontierDP", "_PenaltyTable", "penalty_tables", "automata", "cap"}
 
 
 def test_oracle_only_code_stays_in_the_oracle_block():
@@ -2100,13 +2101,10 @@ def _window_systems():
 WINDOW_SYSTEMS = _window_systems()
 
 
-@st.composite
-def _window_stages(draw):
-    """A stage on Z, Z^2 or F_2 with a random window: the identity (for
-    origin_partition), up to two other sites, and one more for each shift
-    the window would not overlap.  One or two shifts, random permutations
-    or the group's own model for sigma, a delta from 1/100 to 1, and zero
-    to two filters."""
+def _draw_window(draw):
+    """A system on Z, Z^2 or F_2, one or two shifts F and a random window:
+    the identity (for origin_partition), up to two other sites, and one
+    more for each shift the window would not overlap."""
     system, sites, shifts = draw(st.sampled_from(WINDOW_SYSTEMS))
     group = system.group
     F = draw(st.lists(st.sampled_from(shifts), min_size=1, max_size=2, unique=True))
@@ -2115,7 +2113,16 @@ def _window_stages(draw):
     for s in F:  # W and W s must overlap
         if not any(group.multiply(g, s) in elements for g in elements):
             elements.append(group.multiply(elements[0], s))
-    window = system.window(elements)
+    return system, F, system.window(elements)
+
+
+@st.composite
+def _window_stages(draw):
+    """A stage with a random window (_draw_window), random permutations or
+    the group's own model for sigma, a delta from 1/100 to 1, and zero to
+    two filters."""
+    system, F, window = _draw_window(draw)
+    group = system.group
     n = len(system.language_values(window))
     d = draw(st.integers(2, 5))
     while d > 2 and n ** d > NAIVE_TUPLES:
@@ -2156,3 +2163,52 @@ def test_inner_empty_stages_have_no_inner_microstate(stage):
         assert sizes == TupleCounts(0, (0,) * len(filters), 0, ())
         assert all(c.n_inner == 0 and c.tuples("inner") == TupleCounts(0, (), 0, ())
                    for c in filtered)
+
+
+@st.composite
+def _action_stages(draw):
+    """A stage with a random window (_draw_window) whose sigma is an
+    action: the cyclic model of Z (d = 2..8) or of Z^2 (the 2 x 2 torus),
+    or random_free_model on F_2 (d = 2..8), and a delta from 3/10 to 1,
+    so that the inner side can often pass."""
+    system, F, window = _draw_window(draw)
+    group = system.group
+    if group.kind == "free":
+        _, model = random_free_model(2, draw(st.integers(2, 8)), draw(st.integers(0, 50)))
+        sigma = SoficMap(group, model.d,
+                         images={g: model.image_array(g) for g in group.generators})
+    else:
+        sigma = cyclic_model(group, 2 if group.rank == 2 else draw(st.integers(2, 8)))
+    delta = draw(st.sampled_from(["0.3", "0.6", "0.8", "1"]))
+    return system, window, sigma, F, delta
+
+
+def _exact_configurations(system, sigma):
+    """The y in A^d with no forbidden pattern at any point along sigma: no
+    point i and forbidden (elements, values) with y[sigma_g(i)] = value of
+    g for every g, by checking all |A|^d of them."""
+    bans = [[(sigma.image_array(g), v) for g, v in zip(elements, values)]
+            for elements, values in system.forbidden]
+    return [y for y in itertools.product(system.alphabet, repeat=sigma.d)
+            if not any(all(y[perm[i]] == v for perm, v in ban)
+                       for ban in bans for i in range(sigma.d))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_action_stages())
+def test_inner_count_holds_every_exact_configuration(stage):
+    """Where _FrontierDP.inner_empty fails and sigma is an action, the
+    microstate x_i = (y[sigma_g(i)])_{g in W} of an exact configuration y
+    has lo = 0 on every term and is inner, and origin_partition reads y
+    itself off it, so n_inner >= the exact configurations' count."""
+    system, window, sigma, F, delta = stage
+    counts, _ = count_microstates(system, F, delta, sigma, window, origin_partition(system))
+    if counts.source[0].inner_empty:
+        assert counts.n_inner == 0
+        return
+    exact = _exact_configurations(system, sigma)
+    images = [sigma.image_array(g) for g in window.elements]
+    for y in exact:
+        microstate = [tuple(y[perm[i]] for perm in images) for i in range(sigma.d)]
+        assert microstate_check(system, microstate, F, delta, sigma, window, mode="inner")
+    assert exact and counts.n_inner >= len(exact)

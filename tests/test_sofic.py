@@ -104,6 +104,11 @@ def test_random_free_model_reproducible_and_free():
     assert mult_defect(a, (1,), (-1,)) == 0
 
 
+def test_random_free_model_refuses_a_negative_seed():
+    with pytest.raises(ArgumentError, match="seed must be >= 0"):
+        random_free_model(2, 4, seed=-1)
+
+
 def test_random_free_model_freeness_sampled():
     # the agreement set of sigma_a, sigma_b is the fixed-point set of a
     # random permutation: mean about 1, so <= 5/d holds with wide margin

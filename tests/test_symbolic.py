@@ -314,6 +314,14 @@ def test_rho_examples(fs):
     assert lo == w.mass and hi == w.mass + w.tail
 
 
+def test_pattern_assignment_must_cover_the_window_exactly(fs):
+    w = fs.interval_window(0, 1)
+    assert fs.pattern(w, {0: "0", 1: "1"}) == fs.pattern(w, ("0", "1"))
+    for assignment in ({0: "0"}, {0: "0", 1: "1", 2: "0"}):
+        with pytest.raises(ArgumentError, match="each window element"):
+            fs.pattern(w, assignment)
+
+
 def test_rho_window_mismatch(fs):
     p = fs.pattern(fs.interval_window(0, 1), ("0", "0"))
     q = fs.pattern(fs.interval_window(0, 2), ("0", "0", "0"))
@@ -416,6 +424,18 @@ def test_as_fraction_decimal_semantics():
     assert as_fraction(0.1) == Fraction(1, 10)
     assert as_fraction("1/3") == Fraction(1, 3)
     assert as_fraction(2) == 2
+    # a bool is no number, and a NaN or an infinity no exact one
+    for x in (True, False, math.nan, math.inf, -math.inf, "nan", "1/0"):
+        with pytest.raises(ArgumentError, match="exact number"):
+            as_fraction(x)
+
+
+def test_count_microstates_refuses_a_bool_delta(fs, fs_origin):
+    from soficlab import count_microstates, cyclic_model
+
+    with pytest.raises(ArgumentError, match="exact number"):
+        count_microstates(fs, [1], True, cyclic_model(fs.group, 4), fs.interval_window(0, 1),
+                          fs_origin)
 
 
 def test_metric_independence_nesting(fs):
